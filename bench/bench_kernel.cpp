@@ -4,24 +4,33 @@
 // The CI perf gate (tools/check_bench_regression.py against
 // bench/BENCH_kernel_baseline.json) watches BM_Simulator_EventStorm,
 // BM_Simulator_EventStormPayload, BM_Scenario_SingleRun,
-// BM_EventQueue_MacShaped and BM_EventQueue_Sparse at 15%, and
+// BM_EventQueue_MacShaped, BM_EventQueue_Sparse, BM_Net_BroadcastFanout and
+// BM_Core_RefreshEstimates at 15%, and
 // BM_Aggregator_Record / BM_Aggregator_Finalize (filesystem-bound) at a
 // looser 50%; keep their workloads stable.
 #include <benchmark/benchmark.h>
 
 #include <cstddef>
 #include <filesystem>
+#include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "core/estimation.hpp"
+#include "core/observation.hpp"
 #include "exp/aggregate.hpp"
 #include "exp/row_store.hpp"
+#include "net/channel.hpp"
 #include "net/message.hpp"
+#include "net/network.hpp"
 #include "runtime/parallel_for.hpp"
 #include "runtime/thread_pool.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/rng.hpp"
 #include "sim/simulator.hpp"
+#include "stimulus/arrival_map.hpp"
+#include "world/deployment.hpp"
 #include "world/paper_setup.hpp"
 #include "world/scenario.hpp"
 #include "world/sweep.hpp"
@@ -178,10 +187,11 @@ BENCHMARK(BM_Simulator_EventStorm)->Arg(10000)->Arg(100000);
 
 void BM_Simulator_EventStormPayload(benchmark::State& state) {
   // Same chain with a delivery-shaped capture: a net::Message-sized payload
-  // rides in every callback, exactly like Network::broadcast's per-neighbor
-  // closures — the most common event in a protocol run. Captures this size
-  // blow past std::function's inline buffer, so this variant also measures
-  // the allocation the SmallFn slab eliminates.
+  // rides in every callback, like a broadcast's delivery event — the most
+  // common event in a protocol run. Captures this size blow past
+  // std::function's inline buffer. (While net::Message was 112 B, this
+  // 128 B capture overflowed SmallFn's buffer too and measured its heap
+  // fallback; at 80 B it measures the inline path again.)
   struct Tick {
     pas::sim::Simulator* sim;
     std::size_t* remaining;
@@ -248,6 +258,115 @@ void BM_Sweep_Parallel(benchmark::State& state) {
   state.SetItemsProcessed(16 * state.iterations());
 }
 BENCHMARK(BM_Sweep_Parallel)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->Unit(benchmark::kMillisecond);
+
+// --- Per-layer hot paths of a replication ------------------------------------
+
+void BM_Net_BroadcastFanout(benchmark::State& state) {
+  // One mac-off broadcast and the dispatch of its deliveries on a real
+  // 30-node net::Network (the paper field, seed 1) with the real RESPONSE
+  // Message: the dominant event of a protocol run. Items are broadcasts.
+  const auto cfg = pas::world::paper_scenario();
+  const pas::sim::SeedSequence seeds(cfg.seed);
+  auto rng = seeds.stream(pas::sim::SeedSequence::kDeployment);
+  pas::sim::Simulator sim;
+  pas::net::Network network(sim,
+                            pas::world::generate_deployment(cfg.deployment, rng),
+                            cfg.radio,
+                            std::make_shared<pas::net::PerfectChannel>(), seeds);
+  std::uint64_t received = 0;
+  for (std::uint32_t i = 0; i < network.size(); ++i) {
+    network.set_rx_handler(
+        i, [&received](const pas::net::Message&) { ++received; });
+  }
+  pas::net::Message msg;
+  msg.payload = pas::net::ResponsePayload{};
+  std::uint32_t from = 0;
+  for (auto _ : state) {
+    network.broadcast(from, msg);
+    sim.run();
+    if (++from == network.size()) from = 0;
+  }
+  benchmark::DoNotOptimize(received);
+  state.SetItemsProcessed(state.iterations());
+  state.counters["deliveries_per_broadcast"] =
+      static_cast<double>(network.stats().deliveries) /
+      static_cast<double>(network.stats().broadcasts);
+}
+BENCHMARK(BM_Net_BroadcastFanout);
+
+void BM_Core_RefreshEstimates(benchmark::State& state) {
+  // An alert node's work per RESPONSE heard: fold the observation into its
+  // PeerTable, then formula 2 (expected velocity) and formula 3 (predicted
+  // arrival) over entries(). Degree 8, neighbors heard round-robin in
+  // scrambled id order; items are RESPONSEs.
+  constexpr std::uint32_t kDegree = 8;
+  pas::sim::Pcg32 rng(11, 3);
+  std::vector<pas::core::PeerObservation> heard(kDegree);
+  for (std::uint32_t k = 0; k < kDegree; ++k) {
+    pas::core::PeerObservation& o = heard[k];
+    o.id = (k * 5 + 3) % 17;
+    o.position = {rng.uniform(-10.0, 10.0), rng.uniform(-10.0, 10.0)};
+    o.state = k % 2 == 0 ? pas::core::NodeState::kCovered
+                         : pas::core::NodeState::kAlert;
+    o.velocity = {rng.uniform(0.2, 0.6), rng.uniform(0.2, 0.6)};
+    o.velocity_valid = true;
+    o.detected_at = rng.uniform(0.0, 5.0);
+    o.predicted_arrival = rng.uniform(5.0, 20.0);
+  }
+  const pas::core::PredictionPolicy policy{};
+  const pas::geom::Vec2 self{rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)};
+  pas::core::PeerTable table;
+  table.reserve(kDegree);
+  pas::sim::Time now = 0.0;
+  std::uint32_t k = 0;
+  for (auto _ : state) {
+    pas::core::PeerObservation obs = heard[k];
+    obs.received_at = now;
+    table.update(obs);
+    const auto velocity = pas::core::expected_velocity(table.entries());
+    const auto arrival =
+        pas::core::predict_arrival(self, now, table.entries(), policy);
+    benchmark::DoNotOptimize(velocity);
+    benchmark::DoNotOptimize(arrival);
+    if (++k == kDegree) k = 0;
+    now += 0.01;
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_Core_RefreshEstimates);
+
+void BM_World_Setup(benchmark::State& state) {
+  // The set-up world::Workspace runs before each replication's simulation:
+  // deployment draws until connected, the arrival map, and Network::reset
+  // (neighbor lists) on a warm network. Items are replications.
+  const auto cfg = pas::world::paper_scenario();
+  const auto model = pas::world::make_stimulus(cfg);
+  const auto channel = std::make_shared<pas::net::PerfectChannel>();
+  pas::stimulus::ArrivalMap arrivals;
+  pas::sim::Simulator sim;
+  std::optional<pas::net::Network> network;
+  std::uint64_t seed = 1;
+  for (auto _ : state) {
+    const pas::sim::SeedSequence seeds(seed++);
+    std::vector<pas::geom::Vec2> positions;
+    bool connected = false;
+    for (std::size_t attempt = 0;
+         !connected && attempt < cfg.max_deployment_attempts; ++attempt) {
+      auto rng = seeds.stream(pas::sim::SeedSequence::kDeployment, attempt);
+      positions = pas::world::generate_deployment(cfg.deployment, rng);
+      connected = pas::world::is_connected(positions, cfg.radio.range_m);
+    }
+    arrivals.assign(*model, positions, cfg.duration_s);
+    if (network.has_value()) {
+      network->reset(positions, cfg.radio, channel, seeds);
+    } else {
+      network.emplace(sim, positions, cfg.radio, channel, seeds);
+    }
+    benchmark::DoNotOptimize(network->mean_degree());
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_World_Setup);
 
 // --- Aggregation pipeline ---------------------------------------------------
 

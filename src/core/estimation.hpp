@@ -1,8 +1,8 @@
 // Velocity estimation and arrival-time prediction (paper §3.3).
 //
-// Pure functions over peer-observation snapshots — the whole numeric heart
-// of PAS lives here so it can be unit- and property-tested without running
-// the protocol engine.
+// Pure functions over peer observations (PeerTable::entries()) — the whole
+// numeric heart of PAS lives here so it can be unit- and property-tested
+// without running the protocol engine.
 //
 // Formula 1 (actual velocity, computed by a node X once it detects the
 // stimulus at time t_X, from covered peers I that detected at t_I < t_X):

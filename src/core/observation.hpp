@@ -1,13 +1,15 @@
 // Neighbor knowledge base.
 //
-// Each node keeps the most recent RESPONSE from every neighbor. The
-// estimation functions (estimation.hpp) consume snapshots of this table;
-// the table itself is a thin keyed store.
+// Each node keeps the most recent RESPONSE from every neighbor in a flat
+// vector kept sorted by neighbor id. The estimation functions
+// (estimation.hpp) read entries() in place: ascending id order makes their
+// floating-point sums reproducible, and keeping it on insert means no
+// per-evaluation copy or sort.
 #pragma once
 
 #include <cstdint>
 #include <optional>
-#include <unordered_map>
+#include <span>
 #include <vector>
 
 #include "core/state.hpp"
@@ -34,34 +36,29 @@ struct PeerObservation {
 
 class PeerTable {
  public:
-  /// Inserts or replaces the entry for `obs.id`.
-  void update(const PeerObservation& obs) { entries_[obs.id] = obs; }
+  /// Room for `n` neighbors: updates never allocate while the table holds
+  /// at most `n` distinct ids.
+  void reserve(std::size_t n) { entries_.reserve(n); }
 
-  [[nodiscard]] std::optional<PeerObservation> find(std::uint32_t id) const {
-    const auto it = entries_.find(id);
-    if (it == entries_.end()) return std::nullopt;
-    return it->second;
-  }
+  /// Inserts or replaces the entry for `obs.id`.
+  void update(const PeerObservation& obs);
+
+  [[nodiscard]] std::optional<PeerObservation> find(std::uint32_t id) const;
 
   [[nodiscard]] std::size_t size() const noexcept { return entries_.size(); }
   [[nodiscard]] bool empty() const noexcept { return entries_.empty(); }
   void clear() noexcept { entries_.clear(); }
 
-  /// Snapshot ordered by neighbor id (deterministic iteration for
-  /// reproducible estimation regardless of hash order).
-  [[nodiscard]] std::vector<PeerObservation> snapshot() const;
-
-  /// snapshot() into a caller-owned buffer (cleared first). The protocol
-  /// engine keeps one scratch vector per node in its Runtime slab, so the
-  /// per-evaluation allocation of the returning overload disappears once
-  /// the buffer has grown to the neighborhood size.
-  void snapshot_into(std::vector<PeerObservation>& out) const;
+  /// Every entry, ascending by id; valid until the table next changes.
+  [[nodiscard]] std::span<const PeerObservation> entries() const noexcept {
+    return entries_;
+  }
 
   /// Drops observations received before `cutoff`.
   void expire_older_than(sim::Time cutoff);
 
  private:
-  std::unordered_map<std::uint32_t, PeerObservation> entries_;
+  std::vector<PeerObservation> entries_;
 };
 
 }  // namespace pas::core

@@ -48,6 +48,9 @@ Protocol::Protocol(sim::Simulator& simulator, net::Network& network,
         "Protocol: nodes, network and arrival map sizes must agree");
   }
   runtime_.resize(nodes_.size());
+  for (std::uint32_t i = 0; i < runtime_.size(); ++i) {
+    runtime_[i].table.reserve(network_.neighbors_of(i).size());
+  }
 }
 
 void Protocol::trace(sim::TraceCategory cat, std::uint32_t i,
@@ -151,9 +154,8 @@ void Protocol::on_covered_estimate(std::uint32_t i) {
   if (config_.observation_ttl_s > 0.0) {
     rt.table.expire_older_than(simulator_.now() - config_.observation_ttl_s);
   }
-  rt.table.snapshot_into(rt.peers);
-  if (const auto actual = actual_velocity(nodes_[i].position,
-                                          nodes_[i].detected, rt.peers)) {
+  if (const auto actual = actual_velocity(
+          nodes_[i].position, nodes_[i].detected, rt.table.entries())) {
     rt.velocity = *actual;
     rt.velocity_valid = true;
     if (trace_ != nullptr && trace_->enabled()) {
@@ -310,9 +312,7 @@ void Protocol::go_to_sleep(std::uint32_t i) {
 }
 
 void Protocol::send_request(std::uint32_t i) {
-  net::Message msg;
-  msg.type = net::MessageType::kRequest;
-  network_.broadcast(i, msg);
+  network_.broadcast(i, net::Message{});  // no payload: a REQUEST
   ++stats_.requests_sent;
   trace(sim::TraceCategory::kMessage, i, sim::TraceKind::kRequest);
 }
@@ -320,15 +320,15 @@ void Protocol::send_request(std::uint32_t i) {
 void Protocol::send_response(std::uint32_t i) {
   const Runtime& rt = runtime_[i];
   net::Message msg;
-  msg.type = net::MessageType::kResponse;
-  msg.payload.position = nodes_[i].position;
-  msg.payload.state = encode(rt.state);
-  msg.payload.velocity = rt.velocity;
-  msg.payload.velocity_valid = rt.velocity_valid;
-  msg.payload.predicted_arrival = rt.state == NodeState::kCovered
-                                      ? nodes_[i].detected
-                                      : rt.predicted_arrival;
-  msg.payload.detected_at = nodes_[i].detected;
+  net::ResponsePayload& payload = msg.payload.emplace<net::ResponsePayload>();
+  payload.position = nodes_[i].position;
+  payload.state = encode(rt.state);
+  payload.velocity = rt.velocity;
+  payload.velocity_valid = rt.velocity_valid;
+  payload.predicted_arrival = rt.state == NodeState::kCovered
+                                  ? nodes_[i].detected
+                                  : rt.predicted_arrival;
+  payload.detected_at = nodes_[i].detected;
   network_.broadcast(i, msg);
   ++stats_.responses_sent;
   trace(sim::TraceCategory::kMessage, i, sim::TraceKind::kResponse);
@@ -358,15 +358,15 @@ void Protocol::refresh_estimates(std::uint32_t i) {
   if (config_.observation_ttl_s > 0.0) {
     rt.table.expire_older_than(simulator_.now() - config_.observation_ttl_s);
   }
-  rt.table.snapshot_into(rt.peers);
+  const auto peers = rt.table.entries();
   if (rt.state != NodeState::kCovered) {
-    if (const auto expected = expected_velocity(rt.peers)) {
+    if (const auto expected = expected_velocity(peers)) {
       rt.velocity = *expected;
       rt.velocity_valid = true;
     }
   }
   rt.predicted_arrival =
-      predict_arrival(nodes_[i].position, simulator_.now(), rt.peers,
+      predict_arrival(nodes_[i].position, simulator_.now(), peers,
                       policy_->prediction_policy(rt.state));
 }
 
@@ -376,7 +376,7 @@ void Protocol::on_message(std::uint32_t i, const net::Message& msg) {
   if (n.failed || n.asleep) return;  // radio is off; network also filters
   ++stats_.messages_received;
 
-  if (msg.type == net::MessageType::kRequest) {
+  if (msg.type() == net::MessageType::kRequest) {
     // §3.2: covered and alert sensors answer REQUESTs. Under SAS only
     // covered sensors carry stimulus information, so alert nodes stay quiet.
     if (rt.state == NodeState::kCovered ||
@@ -388,14 +388,15 @@ void Protocol::on_message(std::uint32_t i, const net::Message& msg) {
   }
 
   // RESPONSE: fold the peer's info into the table.
+  const net::ResponsePayload& payload = msg.response();
   PeerObservation obs;
   obs.id = msg.sender;
-  obs.position = msg.payload.position;
-  obs.state = decode_state(msg.payload.state);
-  obs.velocity = msg.payload.velocity;
-  obs.velocity_valid = msg.payload.velocity_valid;
-  obs.predicted_arrival = msg.payload.predicted_arrival;
-  obs.detected_at = msg.payload.detected_at;
+  obs.position = payload.position;
+  obs.state = decode_state(payload.state);
+  obs.velocity = payload.velocity;
+  obs.velocity_valid = payload.velocity_valid;
+  obs.predicted_arrival = payload.predicted_arrival;
+  obs.detected_at = payload.detected_at;
   obs.received_at = simulator_.now();
   rt.table.update(obs);
 
@@ -404,12 +405,12 @@ void Protocol::on_message(std::uint32_t i, const net::Message& msg) {
     // near-simultaneous detections): keep trying as information arrives —
     // first the paper's formula 1, else adopt the neighborhood's expected
     // velocity so downstream predictions are not starved.
-    rt.table.snapshot_into(rt.peers);
+    const auto peers = rt.table.entries();
     if (const auto actual = actual_velocity(nodes_[i].position,
-                                            nodes_[i].detected, rt.peers)) {
+                                            nodes_[i].detected, peers)) {
       rt.velocity = *actual;
       rt.velocity_valid = true;
-    } else if (const auto expected = expected_velocity(rt.peers)) {
+    } else if (const auto expected = expected_velocity(peers)) {
       rt.velocity = *expected;
       rt.velocity_valid = true;
     }

@@ -130,10 +130,9 @@ class Protocol {
     /// Per-node policy state (current sleeping interval, …) — the slab the
     /// SleepingPolicy hooks operate on; no policy-side allocation.
     PolicyNodeState policy;
+    /// Reserved to the node's degree at construction, so folding in a
+    /// RESPONSE never allocates.
     PeerTable table;
-    /// Scratch for PeerTable::snapshot_into — reused across evaluations so
-    /// the estimation path allocates only while a table is still growing.
-    std::vector<PeerObservation> peers;
     geom::Vec2 velocity{};
     bool velocity_valid = false;
     sim::Time predicted_arrival = sim::kNever;
@@ -168,8 +167,7 @@ class Protocol {
   void send_request(std::uint32_t i);
   void send_response(std::uint32_t i);
   void maybe_push_response(std::uint32_t i);
-  /// Recomputes expected velocity + predicted arrival from the peer table
-  /// (snapshots into rt.peers; valid until the table next changes).
+  /// Recomputes expected velocity + predicted arrival from the peer table.
   void refresh_estimates(std::uint32_t i);
   void cancel_pending(std::uint32_t i);
   void set_state(std::uint32_t i, NodeState next);

@@ -34,33 +34,6 @@ GridIndex::GridIndex(const std::vector<Vec2>& points, Aabb bounds,
   }
 }
 
-int GridIndex::cell_x(double x) const noexcept {
-  const int c = static_cast<int>(std::floor((x - bounds_.lo.x) / cell_));
-  return std::clamp(c, 0, nx_ - 1);
-}
-
-int GridIndex::cell_y(double y) const noexcept {
-  const int c = static_cast<int>(std::floor((y - bounds_.lo.y) / cell_));
-  return std::clamp(c, 0, ny_ - 1);
-}
-
-void GridIndex::for_each_in_radius(
-    Vec2 p, double radius, const std::function<void(std::uint32_t)>& fn) const {
-  if (radius < 0.0) return;
-  const double r2 = radius * radius;
-  const int cx0 = cell_x(p.x - radius), cx1 = cell_x(p.x + radius);
-  const int cy0 = cell_y(p.y - radius), cy1 = cell_y(p.y + radius);
-  for (int cy = cy0; cy <= cy1; ++cy) {
-    for (int cx = cx0; cx <= cx1; ++cx) {
-      const std::size_t c = cell_of(cx, cy);
-      for (std::uint32_t k = cell_start_[c]; k < cell_start_[c + 1]; ++k) {
-        const std::uint32_t id = point_ids_[k];
-        if (distance2(points_[id], p) <= r2) fn(id);
-      }
-    }
-  }
-}
-
 std::vector<std::uint32_t> GridIndex::query_radius(Vec2 p, double radius) const {
   std::vector<std::uint32_t> out;
   for_each_in_radius(p, radius, [&out](std::uint32_t id) { out.push_back(id); });

@@ -165,12 +165,12 @@ void Collection::forward(std::uint32_t alert_id) {
     const std::uint32_t next = candidates[alert.next_candidate++];
     if (!reachable(next)) continue;
     Message msg;
-    msg.type = MessageType::kAlert;
-    msg.alert.id = alert_id;
-    msg.alert.origin = alert.origin;
-    msg.alert.hops = alert.hops;
-    msg.alert.detected_at = alert.detected_at;
-    msg.alert.predicted_arrival = alert.predicted_arrival;
+    AlertPayload& payload = msg.payload.emplace<AlertPayload>();
+    payload.id = alert_id;
+    payload.origin = alert.origin;
+    payload.hops = alert.hops;
+    payload.detected_at = alert.detected_at;
+    payload.predicted_arrival = alert.predicted_arrival;
     mac_.unicast(holder, next, msg,
                  [this, alert_id, holder](bool delivered) {
                    on_send_result(alert_id, holder, delivered);
@@ -194,11 +194,12 @@ void Collection::on_send_result(std::uint32_t alert_id, std::uint32_t from,
 }
 
 void Collection::on_receive(const Message& msg, std::uint32_t at_node) {
-  auto it = in_flight_.find(msg.alert.id);
+  const AlertPayload& payload = msg.alert();
+  auto it = in_flight_.find(payload.id);
   if (it == in_flight_.end()) return;
   InFlight& alert = it->second;
   ++stats_.forwarded;
-  alert.hops = static_cast<std::uint32_t>(msg.alert.hops) + 1;
+  alert.hops = static_cast<std::uint32_t>(payload.hops) + 1;
   alert.holder = at_node;
   alert.next_candidate = 0;
   alert.path.push_back(at_node);
@@ -207,7 +208,7 @@ void Collection::on_receive(const Message& msg, std::uint32_t at_node) {
   if (at_node == sink_) {
     InFlight finished = std::move(alert);
     in_flight_.erase(it);
-    complete(msg.alert.id, finished, /*delivered=*/true);
+    complete(payload.id, finished, /*delivered=*/true);
     return;
   }
   if (alert.hops >= config_.max_hops) {
@@ -215,7 +216,7 @@ void Collection::on_receive(const Message& msg, std::uint32_t at_node) {
     in_flight_.erase(it);
     return;
   }
-  forward(msg.alert.id);
+  forward(payload.id);
 }
 
 void Collection::complete(std::uint32_t alert_id, InFlight& alert,

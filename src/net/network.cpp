@@ -1,7 +1,8 @@
 #include "net/network.hpp"
 
-#include <queue>
+#include <algorithm>
 #include <stdexcept>
+#include <type_traits>
 
 #include "geom/aabb.hpp"
 #include "net/mac.hpp"
@@ -50,10 +51,13 @@ void Network::reset(std::vector<geom::Vec2> positions, RadioConfig config,
   const geom::GridIndex index(positions_, bounds.inflated(1.0), config_.range_m);
   neighbors_.resize(positions_.size());
   for (std::uint32_t i = 0; i < positions_.size(); ++i) {
-    neighbors_[i].clear();
-    for (const std::uint32_t j : index.query_radius(positions_[i], config_.range_m)) {
-      if (j != i) neighbors_[i].push_back(j);
-    }
+    std::vector<std::uint32_t>& list = neighbors_[i];
+    list.clear();
+    index.for_each_in_radius(positions_[i], config_.range_m,
+                             [&list, i](std::uint32_t j) {
+                               if (j != i) list.push_back(j);
+                             });
+    std::sort(list.begin(), list.end());
   }
 
   handlers_.clear();
@@ -100,7 +104,7 @@ bool Network::channel_roll(std::uint32_t from, std::uint32_t to) {
 void Network::deliver_from_mac(const Message& msg, std::uint32_t to) {
   ++stats_.deliveries;
   if (rx_hook_) rx_hook_(to, msg.size_bits());
-  if (msg.type == MessageType::kAlert) {
+  if (msg.type() == MessageType::kAlert) {
     if (alert_handler_) alert_handler_(msg, to);
     return;
   }
@@ -132,24 +136,31 @@ void Network::broadcast(std::uint32_t from, Message msg) {
       static_cast<double>(msg.size_bits()) / config_.data_rate_bps;
   const sim::Duration delay = backoff + on_air + config_.propagation_s;
 
-  for (const std::uint32_t to : neighbors_[from]) {
-    simulator_.schedule_in(delay, [this, to, msg] {
-      if (failed_[to] != 0) {
-        ++stats_.dropped_failed;
-        return;
-      }
-      if (listening_[to] == 0) {
-        ++stats_.dropped_not_listening;
-        return;
-      }
-      if (!channel_->deliver(msg.sender, to, link_rng_[to])) {
-        ++stats_.dropped_channel;
-        return;
-      }
-      ++stats_.deliveries;
-      if (rx_hook_) rx_hook_(to, msg.size_bits());
-      if (handlers_[to]) handlers_[to](msg);
-    });
+  auto deliver = [this, msg] { fan_out(msg); };
+  static_assert(sizeof(deliver) <= sim::SmallFn::kInlineBytes &&
+                    std::is_trivially_copyable_v<decltype(deliver)>,
+                "the delivery closure must stay inline in the event slab and "
+                "relocate as raw bytes; shrink net::Message if this fails");
+  simulator_.schedule_in(delay, std::move(deliver));
+}
+
+void Network::fan_out(const Message& msg) {
+  for (const std::uint32_t to : neighbors_[msg.sender]) {
+    if (failed_[to] != 0) {
+      ++stats_.dropped_failed;
+      continue;
+    }
+    if (listening_[to] == 0) {
+      ++stats_.dropped_not_listening;
+      continue;
+    }
+    if (!channel_->deliver(msg.sender, to, link_rng_[to])) {
+      ++stats_.dropped_channel;
+      continue;
+    }
+    ++stats_.deliveries;
+    if (rx_hook_) rx_hook_(to, msg.size_bits());
+    if (handlers_[to]) handlers_[to](msg);
   }
 }
 
@@ -158,26 +169,6 @@ double Network::mean_degree() const noexcept {
   std::size_t total = 0;
   for (const auto& n : neighbors_) total += n.size();
   return static_cast<double>(total) / static_cast<double>(neighbors_.size());
-}
-
-bool Network::connected() const {
-  std::vector<char> seen(positions_.size(), 0);
-  std::queue<std::uint32_t> frontier;
-  frontier.push(0);
-  seen[0] = 1;
-  std::size_t visited = 1;
-  while (!frontier.empty()) {
-    const std::uint32_t cur = frontier.front();
-    frontier.pop();
-    for (const std::uint32_t next : neighbors_[cur]) {
-      if (seen[next] == 0) {
-        seen[next] = 1;
-        ++visited;
-        frontier.push(next);
-      }
-    }
-  }
-  return visited == positions_.size();
 }
 
 }  // namespace pas::net

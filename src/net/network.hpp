@@ -6,6 +6,12 @@
 // (link, packet) pair independently consults the channel model. Energy is
 // reported through hooks so the net layer stays independent of the energy
 // layer's bookkeeping.
+//
+// Without a MAC, a broadcast is one simulator event that walks the sender's
+// neighbor list in ascending id order and runs each receiver's checks and
+// handler in turn. The order is the one a separate event per receiver would
+// give: those events would be consecutive (time, seq) entries that nothing
+// cancels, and anything a handler schedules gets a later seq.
 #pragma once
 
 #include <cstdint>
@@ -79,7 +85,10 @@ class Network {
   [[nodiscard]] bool failed(std::uint32_t id) const { return failed_.at(id); }
 
   /// Queues a local broadcast. Stamps msg.sender/sent_at. No-op (counted)
-  /// when the sender has failed.
+  /// when the sender has failed. Receivers are visited in ascending id
+  /// order within one event, so a handler's set_failed/set_listening on a
+  /// later receiver applies to this same broadcast, and Simulator::stop()
+  /// called from a handler takes effect only after the rest of the fan-out.
   void broadcast(std::uint32_t from, Message msg);
 
   /// Energy hooks: tx fires once per broadcast, rx once per delivery.
@@ -122,10 +131,10 @@ class Network {
   /// Mean neighbor count — deployment density diagnostic.
   [[nodiscard]] double mean_degree() const noexcept;
 
-  /// True when the range graph is connected (BFS from node 0).
-  [[nodiscard]] bool connected() const;
-
  private:
+  /// The body of a mac-off broadcast's delivery event.
+  void fan_out(const Message& msg);
+
   sim::Simulator& simulator_;
   std::vector<geom::Vec2> positions_;
   RadioConfig config_;

@@ -4,9 +4,9 @@
 // lives on the heap once it outgrows the implementation's tiny inline buffer
 // (16 bytes on libstdc++ — two captured pointers). The kernel's hot path
 // allocates and frees one of those per event. SmallFn fixes the economics:
-// captures up to kInlineBytes (sized for the largest hot callback, a network
-// delivery closure carrying a Message by value) are stored inline in the
-// event slab; bigger or throwing-move callables fall back to one heap
+// captures up to kInlineBytes (sized for the largest hot callback, a
+// broadcast's delivery event carrying a Message by value) are stored inline
+// in the event slab; bigger or throwing-move callables fall back to one heap
 // allocation. SmallFn is move-only — the queue relocates callbacks through
 // dispatch instead of copying them — and relocation of an inline capture is
 // a nothrow move-construct, never an allocation.
@@ -24,9 +24,10 @@ namespace pas::sim {
 class SmallFn {
  public:
   /// Inline capture capacity. 104 bytes + three dispatch pointers keep the
-  /// whole object at 128 bytes (two cache lines); the largest kernel-path
-  /// capture (Network delivery: this + receiver id + Message by value) is
-  /// ~88 bytes, so the hot path never allocates.
+  /// whole object at 128 bytes (two cache lines). The largest kernel-path
+  /// capture, a broadcast's delivery event (the Network plus an 80-byte
+  /// Message by value), is 88 bytes, and src/net/network.cpp static_asserts
+  /// that it fits, so the hot path never allocates.
   static constexpr std::size_t kInlineBytes = 104;
 
   SmallFn() noexcept = default;

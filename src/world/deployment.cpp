@@ -1,7 +1,7 @@
 #include "world/deployment.hpp"
 
+#include <algorithm>
 #include <cmath>
-#include <queue>
 #include <stdexcept>
 
 #include "geom/grid_index.hpp"
@@ -104,23 +104,23 @@ bool is_connected(const std::vector<geom::Vec2>& positions, double range) {
     bounds.hi.y = std::max(bounds.hi.y, p.y);
   }
   const geom::GridIndex index(positions, bounds.inflated(1.0), range);
+  // BFS from node 0. `order` holds every node reached so far, in visit
+  // order; the nodes from `head` on are the frontier.
   std::vector<char> seen(positions.size(), 0);
-  std::queue<std::uint32_t> frontier;
-  frontier.push(0);
+  std::vector<std::uint32_t> order;
+  order.reserve(positions.size());
+  order.push_back(0);
   seen[0] = 1;
-  std::size_t visited = 1;
-  while (!frontier.empty()) {
-    const std::uint32_t cur = frontier.front();
-    frontier.pop();
-    index.for_each_in_radius(positions[cur], range, [&](std::uint32_t next) {
-      if (seen[next] == 0) {
-        seen[next] = 1;
-        ++visited;
-        frontier.push(next);
-      }
-    });
+  for (std::size_t head = 0; head < order.size(); ++head) {
+    index.for_each_in_radius(positions[order[head]], range,
+                             [&](std::uint32_t next) {
+                               if (seen[next] == 0) {
+                                 seen[next] = 1;
+                                 order.push_back(next);
+                               }
+                             });
   }
-  return visited == positions.size();
+  return order.size() == positions.size();
 }
 
 }  // namespace pas::world

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+
+#include "sim/rng.hpp"
+
 namespace pas::core {
 namespace {
 
@@ -32,11 +36,63 @@ TEST(PeerTable, SnapshotOrderedById) {
   t.update(obs(9, 1.0));
   t.update(obs(2, 1.0));
   t.update(obs(5, 1.0));
-  const auto snap = t.snapshot();
+  const auto snap = t.entries();
   ASSERT_EQ(snap.size(), 3U);
   EXPECT_EQ(snap[0].id, 2U);
   EXPECT_EQ(snap[1].id, 5U);
   EXPECT_EQ(snap[2].id, 9U);
+}
+
+TEST(PeerTable, MatchesOrderedMapOracle) {
+  // Random update / replace / expire / find against std::map; after every
+  // step entries() must equal the map's contents, strictly ascending by id.
+  constexpr std::uint32_t kIds = 24;
+  sim::Pcg32 rng(21, 4);
+  PeerTable table;
+  std::map<std::uint32_t, PeerObservation> oracle;
+  sim::Time now = 0.0;
+  for (int step = 0; step < 4000; ++step) {
+    now += 0.1;
+    const std::uint32_t id = rng.next() % kIds;
+    switch (rng.next() % 8) {
+      case 0: {
+        const sim::Time cutoff = now - rng.uniform(0.0, 3.0);
+        table.expire_older_than(cutoff);
+        std::erase_if(oracle, [cutoff](const auto& kv) {
+          return kv.second.received_at < cutoff;
+        });
+        break;
+      }
+      case 1:
+      case 2: {
+        const auto got = table.find(id);
+        const auto want = oracle.find(id);
+        ASSERT_EQ(got.has_value(), want != oracle.end()) << "step " << step;
+        if (got) {
+          EXPECT_EQ(got->received_at, want->second.received_at);
+        }
+        break;
+      }
+      default: {
+        PeerObservation o = obs(id, now);
+        o.velocity = {now, -now};
+        table.update(o);
+        oracle[id] = o;
+        break;
+      }
+    }
+    const auto entries = table.entries();
+    ASSERT_EQ(entries.size(), oracle.size()) << "step " << step;
+    auto want = oracle.begin();
+    for (std::size_t k = 0; k < entries.size(); ++k, ++want) {
+      if (k > 0) {
+        ASSERT_LT(entries[k - 1].id, entries[k].id);
+      }
+      ASSERT_EQ(entries[k].id, want->first);
+      ASSERT_EQ(entries[k].received_at, want->second.received_at);
+      ASSERT_EQ(entries[k].velocity.x, want->second.velocity.x);
+    }
+  }
 }
 
 TEST(PeerTable, ExpireDropsOldEntries) {

@@ -28,11 +28,7 @@ struct MacFixture : ::testing::Test {
     network.attach_mac(&mac);
   }
 
-  static Message request() {
-    Message m;
-    m.type = MessageType::kRequest;
-    return m;
-  }
+  static Message request() { return Message{}; }
 
   [[nodiscard]] double on_air_s(const Message& m) const {
     return static_cast<double>(m.size_bits()) / radio.data_rate_bps;

@@ -2,26 +2,28 @@
 
 #include <gtest/gtest.h>
 
+#include <variant>
+
 namespace pas::net {
 namespace {
 
 TEST(Message, RequestHasHeaderOnlySize) {
-  Message m;
-  m.type = MessageType::kRequest;
+  const Message m;
+  EXPECT_EQ(m.type(), MessageType::kRequest);
   EXPECT_EQ(m.size_bits(), Message::kHeaderBytes * 8);
 }
 
 TEST(Message, ResponseCarriesPayloadBytes) {
   Message m;
-  m.type = MessageType::kResponse;
+  m.payload = ResponsePayload{};
+  EXPECT_EQ(m.type(), MessageType::kResponse);
   EXPECT_EQ(m.size_bits(),
             (Message::kHeaderBytes + Message::kResponsePayloadBytes) * 8);
 }
 
 TEST(Message, ResponseIsBiggerThanRequest) {
   Message req, rsp;
-  req.type = MessageType::kRequest;
-  rsp.type = MessageType::kResponse;
+  rsp.payload = ResponsePayload{};
   EXPECT_GT(rsp.size_bits(), req.size_bits());
 }
 
@@ -35,6 +37,19 @@ TEST(Message, PayloadDefaults) {
   EXPECT_FALSE(p.velocity_valid);
   EXPECT_EQ(p.predicted_arrival, sim::kNever);
   EXPECT_EQ(p.detected_at, sim::kNever);
+}
+
+TEST(Message, PayloadReadsOnlyThroughItsOwnType) {
+  Message m;
+  EXPECT_THROW((void)m.response(), std::bad_variant_access);
+  EXPECT_THROW((void)m.alert(), std::bad_variant_access);
+
+  m.payload.emplace<AlertPayload>().hops = 3;
+  EXPECT_EQ(m.type(), MessageType::kAlert);
+  EXPECT_EQ(m.alert().hops, 3);
+  EXPECT_EQ(m.size_bits(),
+            (Message::kHeaderBytes + Message::kAlertPayloadBytes) * 8);
+  EXPECT_THROW((void)m.response(), std::bad_variant_access);
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
 #include <vector>
 
 namespace pas::net {
@@ -32,9 +33,7 @@ TEST_F(NetworkFixture, BroadcastReachesOnlyInRangeNeighbors) {
       received.push_back(i);
     });
   }
-  Message m;
-  m.type = MessageType::kRequest;
-  network.broadcast(0, m);
+  network.broadcast(0, Message{});
   simulator.run();
   EXPECT_EQ(received, (std::vector<std::uint32_t>{1}));
   EXPECT_EQ(network.stats().deliveries, 1U);
@@ -46,7 +45,7 @@ TEST_F(NetworkFixture, DeliveryIsDelayedByOnAirTime) {
     delivered_at = simulator.now();
   });
   Message m;
-  m.type = MessageType::kResponse;
+  m.payload = ResponsePayload{};
   network.broadcast(0, m);
   simulator.run();
   const double on_air = static_cast<double>(m.size_bits()) / 250e3;
@@ -57,11 +56,7 @@ TEST_F(NetworkFixture, DeliveryIsDelayedByOnAirTime) {
 TEST_F(NetworkFixture, MessageStampedWithSenderAndTime) {
   Message got;
   network.set_rx_handler(1, [&](const Message& m) { got = m; });
-  simulator.schedule_at(5.0, [&] {
-    Message m;
-    m.type = MessageType::kRequest;
-    network.broadcast(0, m);
-  });
+  simulator.schedule_at(5.0, [&] { network.broadcast(0, Message{}); });
   simulator.run();
   EXPECT_EQ(got.sender, 0U);
   EXPECT_DOUBLE_EQ(got.sent_at, 5.0);
@@ -112,7 +107,7 @@ TEST_F(NetworkFixture, EnergyHooksFire) {
   network.set_tx_hook([&](std::uint32_t n, std::size_t b) { tx.push_back({n, b}); });
   network.set_rx_hook([&](std::uint32_t n, std::size_t b) { rx.push_back({n, b}); });
   Message m;
-  m.type = MessageType::kResponse;
+  m.payload = ResponsePayload{};
   network.broadcast(1, m);
   simulator.run();
   ASSERT_EQ(tx.size(), 1U);
@@ -121,17 +116,86 @@ TEST_F(NetworkFixture, EnergyHooksFire) {
   ASSERT_EQ(rx.size(), 2U);  // nodes 0 and 2
 }
 
-TEST_F(NetworkFixture, ChainIsConnected) {
-  EXPECT_TRUE(network.connected());
+/// Node 0 at the center of a 6 m ring of nodes 1..4: 0 reaches all four.
+struct StarFixture : ::testing::Test {
+  sim::Simulator simulator;
+  sim::SeedSequence seeds{5};
+  Network network{simulator,
+                  {{0.0, 0.0}, {6.0, 0.0}, {0.0, 6.0}, {-6.0, 0.0}, {0.0, -6.0}},
+                  RadioConfig{},
+                  std::make_shared<PerfectChannel>(),
+                  seeds};
+};
+
+TEST_F(StarFixture, HandlerFailingALaterReceiverDropsItsDelivery) {
+  ASSERT_EQ(network.neighbors_of(0),
+            (std::vector<std::uint32_t>{1, 2, 3, 4}));
+  std::vector<std::uint32_t> received;
+  for (std::uint32_t i = 1; i <= 4; ++i) {
+    network.set_rx_handler(i, [&, i](const Message&) {
+      received.push_back(i);
+      if (i == 1) network.set_failed(3);
+    });
+  }
+  network.broadcast(0, Message{});
+  simulator.run();
+  EXPECT_EQ(received, (std::vector<std::uint32_t>{1, 2, 4}));
+  EXPECT_EQ(network.stats().deliveries, 3U);
+  EXPECT_EQ(network.stats().dropped_failed, 1U);
 }
 
-TEST(Network, DisconnectedTopologyDetected) {
+TEST_F(StarFixture, NestedDeliveriesDispatchAfterTheWholeFanOut) {
+  // Receiver 1 answers at once and also schedules a zero-delay event; both
+  // must wait until receivers 2..4 have heard the outer broadcast.
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> log;  // (to, from)
+  for (std::uint32_t i = 0; i <= 4; ++i) {
+    network.set_rx_handler(i, [&, i](const Message& m) {
+      log.emplace_back(i, m.sender);
+      if (i == 1 && m.sender == 0) {
+        network.broadcast(1, Message{});
+        simulator.schedule_in(0.0, [&] { log.emplace_back(99, 99); });
+      }
+    });
+  }
+  network.broadcast(0, Message{});
+  simulator.run();
+  const std::vector<std::pair<std::uint32_t, std::uint32_t>> want{
+      {1, 0}, {2, 0}, {3, 0}, {4, 0}, {99, 99}, {0, 1}, {2, 1}, {4, 1}};
+  EXPECT_EQ(log, want);
+}
+
+TEST(Network, EveryNeighborIsCountedOncePerBroadcast) {
+  // Lossy links, sleeping and failed receivers: each broadcast still
+  // accounts for every neighbor exactly once.
   sim::Simulator simulator;
-  const sim::SeedSequence seeds(1);
-  const std::vector<geom::Vec2> positions{{0.0, 0.0}, {100.0, 0.0}};
+  const sim::SeedSequence seeds(17);
+  std::vector<geom::Vec2> positions;
+  for (int r = 0; r < 5; ++r) {
+    for (int c = 0; c < 6; ++c) positions.push_back({6.0 * c, 6.0 * r});
+  }
   Network network(simulator, positions, RadioConfig{},
-                  std::make_shared<PerfectChannel>(), seeds);
-  EXPECT_FALSE(network.connected());
+                  std::make_shared<BernoulliLossChannel>(0.3), seeds);
+  for (std::uint32_t i = 0; i < network.size(); ++i) {
+    if (i % 4 == 1) network.set_listening(i, false);
+    if (i % 7 == 3) network.set_failed(i);
+  }
+  const auto accounted = [&network] {
+    const Network::Stats& s = network.stats();
+    return s.deliveries + s.dropped_channel + s.dropped_not_listening +
+           s.dropped_failed;
+  };
+  for (std::uint32_t from = 0; from < network.size(); ++from) {
+    if (network.failed(from)) continue;
+    const std::uint64_t before = accounted();
+    network.broadcast(from, Message{});
+    simulator.run();
+    EXPECT_EQ(accounted() - before, network.neighbors_of(from).size())
+        << "sender " << from;
+  }
+  EXPECT_GT(network.stats().deliveries, 0U);
+  EXPECT_GT(network.stats().dropped_channel, 0U);
+  EXPECT_GT(network.stats().dropped_not_listening, 0U);
+  EXPECT_GT(network.stats().dropped_failed, 0U);
 }
 
 TEST(Network, LossyChannelDropsStatistically) {
