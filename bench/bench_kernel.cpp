@@ -20,7 +20,6 @@
 #include "core/estimation.hpp"
 #include "core/observation.hpp"
 #include "exp/aggregate.hpp"
-#include "exp/row_store.hpp"
 #include "net/channel.hpp"
 #include "net/message.hpp"
 #include "net/network.hpp"
@@ -400,7 +399,6 @@ pas::exp::AggregatorOptions bench_agg_options(const std::filesystem::path& dir,
   options.axis_names = {"x"};
   options.total_points = points;
   options.replications = reps;
-  options.store_path = pas::exp::RowStore::path_for(options.csv_path);
   // Small budget relative to the campaign so finalize really runs the
   // external merge instead of a single-buffer fast path.
   options.spill_budget_bytes = 256 * 1024;
@@ -408,9 +406,9 @@ pas::exp::AggregatorOptions bench_agg_options(const std::filesystem::path& dir,
 }
 
 void BM_Aggregator_Record(benchmark::State& state) {
-  // Store-mode record throughput: per-run rows + summary encoded, CRC'd,
-  // batched and flushed once per point. The cost every worker pays per
-  // completed grid point.
+  // Record throughput: per-run rows + summary encoded, CRC'd, batched and
+  // flushed once per point. The cost every worker pays per completed grid
+  // point.
   constexpr std::size_t kPoints = 512;
   constexpr std::size_t kReps = 4;
   const auto dir = std::filesystem::temp_directory_path() / "pas_bench_agg_r";

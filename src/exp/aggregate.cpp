@@ -5,9 +5,9 @@
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
 #include <optional>
 #include <queue>
-#include <set>
 #include <stdexcept>
 #include <utility>
 
@@ -28,7 +28,7 @@ constexpr std::size_t kDefaultSpillBudgetBytes = 32u << 20;
 /// sketch-scale points.
 constexpr std::size_t kExactQuantileMaxReps = 256;
 
-std::vector<std::string> split_csv_line(const std::string& line) {
+std::vector<std::string> split_join_csv(const std::string& line) {
   std::vector<std::string> cells;
   std::string cell;
   for (const char c : line) {
@@ -144,7 +144,8 @@ Aggregator::Aggregator(AggregatorOptions options)
       replications_(options.replications),
       expected_identity_(std::move(options.expected_identity)),
       store_path_(std::move(options.store_path)),
-      spill_budget_bytes_(options.spill_budget_bytes) {
+      spill_budget_bytes_(options.spill_budget_bytes),
+      done_(total_points_, 0) {
   if (!expected_identity_.empty() &&
       expected_identity_.size() != total_points_) {
     throw std::logic_error("Aggregator: expected_identity size mismatch");
@@ -163,7 +164,7 @@ Aggregator::Aggregator(AggregatorOptions options)
     // The store exists to back a CSV artifact; in-memory aggregation
     // (benches, unit tests) has nothing to export.
     throw std::logic_error(
-        "Aggregator: store mode requires a summary CSV path");
+        "Aggregator: a row-store path requires a summary CSV path");
   }
   if (!options.owned_points.empty()) {
     owned_.assign(total_points_, 0);
@@ -188,11 +189,11 @@ Aggregator::Aggregator(AggregatorOptions options)
   per_run_columns_.insert(per_run_columns_.end(), run_metrics.begin(),
                           run_metrics.end());
 
-  if (store_mode()) {
+  if (!csv_path_.empty()) {
+    if (store_path_.empty()) store_path_ = RowStore::path_for(csv_path_);
     identity_hash_ = RowStore::hash_identity(columns_, total_points_,
                                              replications_,
                                              expected_identity_);
-    store_done_.assign(total_points_, 0);
   }
 }
 
@@ -211,10 +212,6 @@ Aggregator::Aggregator(std::string csv_path, std::string json_path,
           .owned_points = {},
           .store_path = {},
           .spill_budget_bytes = 0}) {}
-
-std::string Aggregator::csv_line(const std::vector<std::string>& cells) const {
-  return join_csv(cells);
-}
 
 std::string Aggregator::json_line(const std::vector<std::string>& cells) const {
   std::string out = "{";
@@ -238,27 +235,6 @@ std::string Aggregator::json_line(const std::vector<std::string>& cells) const {
   return out;
 }
 
-void Aggregator::open_appenders() {
-  if (!csv_path_.empty()) {
-    csv_out_.open(csv_path_, std::ios::app);
-    if (!csv_out_) {
-      throw std::runtime_error("Aggregator: cannot open " + csv_path_);
-    }
-  }
-  if (!json_path_.empty()) {
-    json_out_.open(json_path_, std::ios::app);
-    if (!json_out_) {
-      throw std::runtime_error("Aggregator: cannot open " + json_path_);
-    }
-  }
-  if (!per_run_path_.empty()) {
-    per_run_out_.open(per_run_path_, std::ios::app);
-    if (!per_run_out_) {
-      throw std::runtime_error("Aggregator: cannot open " + per_run_path_);
-    }
-  }
-}
-
 void Aggregator::load_rows_file(
     const std::string& path, const std::vector<std::string>& want_header,
     const char* flag_hint, std::size_t key_arity,
@@ -272,14 +248,14 @@ void Aggregator::load_rows_file(
     if (line.empty()) continue;
     if (first) {
       first = false;
-      if (split_csv_line(line) != want_header) {
+      if (split_join_csv(line) != want_header) {
         throw std::runtime_error(
             "Aggregator: existing output header does not match this "
             "campaign (" + path + "); delete it or change " + flag_hint);
       }
       continue;
     }
-    auto cells = split_csv_line(line);
+    auto cells = split_join_csv(line);
     // A row truncated by a kill mid-write has the wrong cell count;
     // drop it and let the runner recompute that point.
     if (cells.size() != want_header.size()) continue;
@@ -297,67 +273,6 @@ void Aggregator::load_rows_file(
   }
 }
 
-void Aggregator::load_point_rows() {
-  load_rows_file(
-      csv_path_, columns_, "--out", /*key_arity=*/1,
-      [this](std::size_t point, std::size_t, std::vector<std::string> cells) {
-        if (!expected_identity_.empty()) {
-          // cells[1..1+axis_count] are the seed + axis values, and the
-          // replications cell follows them; a mismatch means the file was
-          // produced by a different manifest, and resuming over it would
-          // mix incompatible results. (Seeds are independent of the
-          // replication count, hence the separate check.)
-          const auto& want = expected_identity_[point];
-          bool matches = true;
-          for (std::size_t k = 0; matches && k < want.size(); ++k) {
-            matches = cells[1 + k] == want[k];
-          }
-          if (matches && replications_ > 0) {
-            matches =
-                cells[1 + want.size()] == std::to_string(replications_);
-          }
-          if (!matches) {
-            throw std::runtime_error(
-                "Aggregator: row for point " + std::to_string(point) +
-                " in " + csv_path_ +
-                " was computed with different parameters (manifest "
-                "changed?); delete the file or change --out");
-          }
-        }
-        rows_[point] = std::move(cells);
-      });
-}
-
-void Aggregator::load_per_run_rows() {
-  load_rows_file(
-      per_run_path_, per_run_columns_, "--per-run",
-      /*key_arity=*/2,
-      [this](std::size_t point, std::size_t rep,
-             std::vector<std::string> cells) {
-        if (rep >= replications_) return;
-        if (!expected_identity_.empty()) {
-          // Mirror of load_point_rows' identity check: cells are
-          // point,rep,seed,axes...; the run's seed must be the point seed
-          // plus the replication index, and the axis cells must match.
-          const auto& want = expected_identity_[point];
-          std::size_t point_seed = 0;
-          bool matches = parse_index(want.front(), point_seed) &&
-                         cells[2] == std::to_string(point_seed + rep);
-          for (std::size_t k = 1; matches && k < want.size(); ++k) {
-            matches = cells[2 + k] == want[k];
-          }
-          if (!matches) {
-            throw std::runtime_error(
-                "Aggregator: run row for point " + std::to_string(point) +
-                " in " + per_run_path_ +
-                " was computed with different parameters (manifest "
-                "changed?); delete the file or change --per-run");
-          }
-        }
-        per_run_rows_[point][rep] = std::move(cells);
-      });
-}
-
 void Aggregator::ensure_store() {
   if (!store_) {
     store_ = std::make_unique<RowStore>(store_path_, identity_hash_);
@@ -365,20 +280,106 @@ void Aggregator::ensure_store() {
   if (!store_->is_open()) store_->open_append();
 }
 
-std::size_t Aggregator::load_store() {
-  store_ = std::make_unique<RowStore>(store_path_, identity_hash_);
+void Aggregator::import_csv() {
+  // No store but a CSV is on disk: a finalized artifact (or a stale file
+  // from another campaign). Every row passes the header, identity and shard
+  // checks on its way into a temporary store, which replaces nothing until
+  // the whole import succeeded — a failed or killed import leaves no store
+  // that a later resume would trust over the CSV. Rows are streamed, never
+  // held: the scan after the rename decides which points are complete.
+  const std::string tmp_path = store_path_ + ".tmp";
   std::error_code ec;
-  if (!store_->file_exists() &&
+  std::filesystem::remove(tmp_path, ec);
+  try {
+    RowStore tmp(tmp_path, identity_hash_);
+    tmp.open_append();
+    std::size_t batched = 0;
+    const auto append = [&](RowStore::Kind kind, std::size_t point,
+                            std::size_t rep,
+                            const std::vector<std::string>& cells) {
+      tmp.append(kind, point, rep, cells);
+      if (++batched % 1024 == 0) tmp.flush();
+    };
+    load_rows_file(
+        csv_path_, columns_, "--out", /*key_arity=*/1,
+        [&](std::size_t point, std::size_t, std::vector<std::string> cells) {
+          if (!expected_identity_.empty()) {
+            // cells[1..1+axis_count] are the seed + axis values, and the
+            // replications cell follows them; a mismatch means the file was
+            // produced by a different manifest, and resuming over it would
+            // mix incompatible results. (Seeds are independent of the
+            // replication count, hence the separate check.)
+            const auto& want = expected_identity_[point];
+            bool matches = true;
+            for (std::size_t k = 0; matches && k < want.size(); ++k) {
+              matches = cells[1 + k] == want[k];
+            }
+            if (matches && replications_ > 0) {
+              matches =
+                  cells[1 + want.size()] == std::to_string(replications_);
+            }
+            if (!matches) {
+              throw std::runtime_error(
+                  "Aggregator: row for point " + std::to_string(point) +
+                  " in " + csv_path_ +
+                  " was computed with different parameters (manifest "
+                  "changed?); delete the file or change --out");
+            }
+          }
+          append(RowStore::Kind::kSummary, point, 0, cells);
+        });
+    if (!per_run_path_.empty()) {
+      load_rows_file(
+          per_run_path_, per_run_columns_, "--per-run", /*key_arity=*/2,
+          [&](std::size_t point, std::size_t rep,
+              std::vector<std::string> cells) {
+            if (rep >= replications_) return;
+            if (!expected_identity_.empty()) {
+              // Cells are point,rep,seed,axes...; the run's seed must be
+              // the point seed plus the replication index, and the axis
+              // cells must match.
+              const auto& want = expected_identity_[point];
+              std::size_t point_seed = 0;
+              bool matches = parse_index(want.front(), point_seed) &&
+                             cells[2] == std::to_string(point_seed + rep);
+              for (std::size_t k = 1; matches && k < want.size(); ++k) {
+                matches = cells[2 + k] == want[k];
+              }
+              if (!matches) {
+                throw std::runtime_error(
+                    "Aggregator: run row for point " + std::to_string(point) +
+                    " in " + per_run_path_ +
+                    " was computed with different parameters (manifest "
+                    "changed?); delete the file or change --per-run");
+              }
+            }
+            append(RowStore::Kind::kPerRun, point, rep, cells);
+          });
+    }
+    tmp.close();
+  } catch (...) {
+    std::filesystem::remove(tmp_path, ec);
+    throw;
+  }
+  std::filesystem::rename(tmp_path, store_path_);
+}
+
+std::size_t Aggregator::load_existing() {
+  const std::lock_guard lock(mutex_);
+  if (loaded_) throw std::logic_error("Aggregator: load_existing called twice");
+  loaded_ = true;
+  if (csv_path_.empty()) return 0;
+
+  std::error_code ec;
+  if (!std::filesystem::exists(store_path_, ec) &&
       (std::filesystem::exists(csv_path_, ec) ||
        (!per_run_path_.empty() &&
         std::filesystem::exists(per_run_path_, ec)))) {
-    // A legacy/finalized artifact (or a stale per-run file from another
-    // campaign) is on disk: run the legacy readers, which validate every
-    // row's identity, and seed a fresh store from the survivors.
-    return seed_store_from_csv();
+    import_csv();
   }
   // Validates the header against this campaign's identity hash and
   // truncates a torn trailing record before we scan.
+  store_ = std::make_unique<RowStore>(store_path_, identity_hash_);
   store_->open_append();
 
   const bool per_run = !per_run_path_.empty();
@@ -413,162 +414,22 @@ std::size_t Aggregator::load_store() {
     }
   });
 
-  store_done_.assign(total_points_, 0);
-  store_done_count_ = 0;
   for (std::size_t p = 0; p < total_points_; ++p) {
     if (summary_live[p] == 0) continue;
     if (per_run) {
       // A summary without its full per-run group is torn (kill between the
-      // group and the summary, or a partial batch) — recompute the point.
+      // group and the summary, a partial batch, or a CSV pair cut short) —
+      // recompute the point.
       bool complete = true;
       for (std::size_t r = 0; complete && r < replications_; ++r) {
         complete = rep_live[p * replications_ + r] != 0;
       }
       if (!complete) continue;
     }
-    store_done_[p] = 1;
-    ++store_done_count_;
+    done_[p] = 1;
+    ++done_count_;
   }
-  return store_done_count_;
-}
-
-std::size_t Aggregator::seed_store_from_csv() {
-  // No store but a CSV exists: a finalized artifact or a pre-store
-  // campaign. Recover through the legacy readers — same header, identity,
-  // shard, and torn-group checks — then import the surviving rows into a
-  // fresh store. The CSV stays on disk untouched; the next export
-  // replaces it.
-  load_point_rows();
-  if (!per_run_path_.empty()) {
-    load_per_run_rows();
-    for (auto it = rows_.begin(); it != rows_.end();) {
-      const auto group = per_run_rows_.find(it->first);
-      if (group == per_run_rows_.end() ||
-          group->second.size() != replications_) {
-        if (group != per_run_rows_.end()) per_run_rows_.erase(group);
-        it = rows_.erase(it);
-      } else {
-        ++it;
-      }
-    }
-    for (auto it = per_run_rows_.begin(); it != per_run_rows_.end();) {
-      it = rows_.count(it->first) == 0 ? per_run_rows_.erase(it)
-                                       : std::next(it);
-    }
-  }
-
-  store_->open_append();
-  store_done_.assign(total_points_, 0);
-  store_done_count_ = 0;
-  for (const auto& [point, cells] : rows_) {
-    const auto group = per_run_rows_.find(point);
-    if (group != per_run_rows_.end()) {
-      for (const auto& [rep, rc] : group->second) {
-        store_->append(RowStore::Kind::kPerRun, point, rep, rc);
-      }
-    }
-    store_->append(RowStore::Kind::kSummary, point, 0, cells);
-    store_done_[point] = 1;
-    ++store_done_count_;
-  }
-  store_->flush();
-  rows_.clear();
-  per_run_rows_.clear();
-  return store_done_count_;
-}
-
-std::size_t Aggregator::load_existing() {
-  const std::lock_guard lock(mutex_);
-  if (loaded_) throw std::logic_error("Aggregator: load_existing called twice");
-  loaded_ = true;
-
-  if (store_mode()) return load_store();
-
-  if (!csv_path_.empty()) load_point_rows();
-  if (!per_run_path_.empty()) {
-    load_per_run_rows();
-    // A point is only truly done when its per-run group is complete: a
-    // kill can land between the per-run rows and the summary row. Torn
-    // groups are dropped and the point recomputed (and vice versa for
-    // orphaned groups without a summary row).
-    for (auto it = rows_.begin(); it != rows_.end();) {
-      const auto group = per_run_rows_.find(it->first);
-      if (group == per_run_rows_.end() ||
-          group->second.size() != replications_) {
-        if (group != per_run_rows_.end()) per_run_rows_.erase(group);
-        it = rows_.erase(it);
-      } else {
-        ++it;
-      }
-    }
-    for (auto it = per_run_rows_.begin(); it != per_run_rows_.end();) {
-      it = rows_.count(it->first) == 0 ? per_run_rows_.erase(it)
-                                       : std::next(it);
-    }
-  }
-
-  // Compact what we recovered (drops truncated/duplicate rows), writing the
-  // header either way, and leave the files open for appending.
-  rewrite_files(/*require_complete=*/false);
-  open_appenders();
-  return rows_.size();
-}
-
-void Aggregator::rewrite_files(bool require_complete) {
-  // Caller holds mutex_.
-  if (require_complete && rows_.size() != owned_count()) {
-    throw std::logic_error("Aggregator: finalize with incomplete campaign");
-  }
-  if (!csv_path_.empty()) {
-    if (csv_out_.is_open()) csv_out_.close();
-    const std::string tmp = csv_path_ + ".tmp";
-    {
-      std::ofstream out(tmp, std::ios::trunc);
-      if (!out) throw std::runtime_error("Aggregator: cannot write " + tmp);
-      out << csv_line(columns_) << '\n';
-      for (const auto& [point, cells] : rows_) {
-        (void)point;
-        out << csv_line(cells) << '\n';
-      }
-    }
-    if (std::rename(tmp.c_str(), csv_path_.c_str()) != 0) {
-      throw std::runtime_error("Aggregator: cannot replace " + csv_path_);
-    }
-  }
-  if (!json_path_.empty()) {
-    if (json_out_.is_open()) json_out_.close();
-    const std::string tmp = json_path_ + ".tmp";
-    {
-      std::ofstream out(tmp, std::ios::trunc);
-      if (!out) throw std::runtime_error("Aggregator: cannot write " + tmp);
-      for (const auto& [point, cells] : rows_) {
-        (void)point;
-        out << json_line(cells) << '\n';
-      }
-    }
-    if (std::rename(tmp.c_str(), json_path_.c_str()) != 0) {
-      throw std::runtime_error("Aggregator: cannot replace " + json_path_);
-    }
-  }
-  if (!per_run_path_.empty()) {
-    if (per_run_out_.is_open()) per_run_out_.close();
-    const std::string tmp = per_run_path_ + ".tmp";
-    {
-      std::ofstream out(tmp, std::ios::trunc);
-      if (!out) throw std::runtime_error("Aggregator: cannot write " + tmp);
-      out << csv_line(per_run_columns_) << '\n';
-      for (const auto& [point, group] : per_run_rows_) {
-        (void)point;
-        for (const auto& [rep, cells] : group) {
-          (void)rep;
-          out << csv_line(cells) << '\n';
-        }
-      }
-    }
-    if (std::rename(tmp.c_str(), per_run_path_.c_str()) != 0) {
-      throw std::runtime_error("Aggregator: cannot replace " + per_run_path_);
-    }
-  }
+  return done_count_;
 }
 
 void Aggregator::export_store() {
@@ -639,7 +500,7 @@ void Aggregator::export_store() {
   if (!csv_out) {
     throw std::runtime_error("Aggregator: cannot write " + csv_tmp);
   }
-  csv_out << csv_line(columns_) << '\n';
+  csv_out << join_csv(columns_) << '\n';
   std::ofstream json_out, per_run_out;
   const std::string json_tmp = json_path_ + ".tmp";
   if (!json_path_.empty()) {
@@ -655,14 +516,14 @@ void Aggregator::export_store() {
     if (!per_run_out) {
       throw std::runtime_error("Aggregator: cannot write " + per_run_tmp);
     }
-    per_run_out << csv_line(per_run_columns_) << '\n';
+    per_run_out << join_csv(per_run_columns_) << '\n';
   }
 
   // Per-point group state: last-wins by sequence number, with tombstones
   // (which sort first) setting the liveness threshold. Only a complete
   // group — live summary plus, in per-run mode, every replication — is
-  // rendered; torn batches and discarded generations vanish exactly as the
-  // legacy reconciliation dropped them.
+  // rendered; torn batches and discarded generations vanish, exactly the
+  // points the resume scan counts as not done.
   std::size_t cur_point = SIZE_MAX;
   std::uint64_t tomb_seq = 0;
   bool have_tomb = false;
@@ -686,10 +547,10 @@ void Aggregator::export_store() {
     if (complete) {
       if (per_run) {
         for (std::size_t r = 0; r < replications_; ++r) {
-          per_run_out << csv_line(latest_rep[r]->cells) << '\n';
+          per_run_out << join_csv(latest_rep[r]->cells) << '\n';
         }
       }
-      csv_out << csv_line(summary->cells) << '\n';
+      csv_out << join_csv(summary->cells) << '\n';
       if (json_out.is_open()) json_out << json_line(summary->cells) << '\n';
     }
     tomb_seq = 0;
@@ -750,25 +611,15 @@ void Aggregator::export_store() {
 
 bool Aggregator::is_done(std::size_t point) const {
   const std::lock_guard lock(mutex_);
-  if (store_mode()) {
-    return point < store_done_.size() && store_done_[point] != 0;
-  }
-  return rows_.count(point) > 0;
+  return point < done_.size() && done_[point] != 0;
 }
 
 std::vector<std::size_t> Aggregator::pending() const {
   const std::lock_guard lock(mutex_);
   std::vector<std::size_t> out;
-  if (store_mode()) {
-    out.reserve(owned_count() - store_done_count_);
-    for (std::size_t p = 0; p < total_points_; ++p) {
-      if (owns(p) && store_done_[p] == 0) out.push_back(p);
-    }
-    return out;
-  }
-  out.reserve(owned_count() - rows_.size());
+  out.reserve(owned_count() - done_count_);
   for (std::size_t p = 0; p < total_points_; ++p) {
-    if (owns(p) && rows_.count(p) == 0) out.push_back(p);
+    if (owns(p) && done_[p] == 0) out.push_back(p);
   }
   return out;
 }
@@ -778,6 +629,9 @@ void Aggregator::record(std::size_t point, std::uint64_t seed,
                         const world::ReplicatedMetrics& m) {
   if (axis_values.size() != axis_count_) {
     throw std::logic_error("Aggregator: axis value count mismatch");
+  }
+  if (point >= total_points_) {
+    throw std::logic_error("Aggregator: record for a point outside the grid");
   }
   if (!owns(point)) {
     throw std::logic_error("Aggregator: record for a point outside the shard");
@@ -811,7 +665,7 @@ void Aggregator::record(std::size_t point, std::uint64_t seed,
   }
 
   // Per-run rows, one per replication (seed column is the run's own seed).
-  std::map<std::size_t, std::vector<std::string>> run_rows;
+  std::vector<std::vector<std::string>> run_rows;
   if (!per_run_path_.empty()) {
     for (std::size_t r = 0; r < m.runs.size(); ++r) {
       const auto& run = m.runs[r];
@@ -829,141 +683,87 @@ void Aggregator::record(std::size_t point, std::uint64_t seed,
       rc.push_back(std::to_string(run.missed));
       rc.push_back(std::to_string(run.censored));
       rc.push_back(std::to_string(run.network.broadcasts));
-      run_rows.emplace(r, std::move(rc));
+      run_rows.push_back(std::move(rc));
     }
   }
 
   const std::lock_guard lock(mutex_);
-  if (store_mode()) {
-    if (store_done_[point] != 0) return;  // already recovered via resume
-    ensure_store();
-    summaries_.emplace(point, PointSummary::of(point, seed, m));
+  if (done_[point] != 0) return;  // already recovered via resume
+  summaries_.emplace(point, PointSummary::of(point, seed, m));
+  if (!csv_path_.empty()) {
     // The whole point — per-run group then summary — lands in one batched
     // write + flush at the point boundary: the summary record doubles as
     // the group's commit mark, so a torn batch is dropped on resume.
-    for (const auto& [r, rc] : run_rows) {
-      store_->append(RowStore::Kind::kPerRun, point, r, rc);
+    ensure_store();
+    for (std::size_t r = 0; r < run_rows.size(); ++r) {
+      store_->append(RowStore::Kind::kPerRun, point, r, run_rows[r]);
     }
     store_->append(RowStore::Kind::kSummary, point, 0, cells);
     store_->flush();
-    store_done_[point] = 1;
-    ++store_done_count_;
-    return;
   }
-  if (rows_.count(point) > 0) return;  // already recovered via resume
-  summaries_.emplace(point, PointSummary::of(point, seed, m));
-  // Per-run rows land on disk before the summary row: resume treats a
-  // summary row without its full per-run group as torn either way, but
-  // this order makes the common kill point (between points) clean.
-  if (per_run_out_.is_open()) {
-    for (const auto& [r, rc] : run_rows) {
-      (void)r;
-      per_run_out_ << csv_line(rc) << '\n';
-    }
-    per_run_out_.flush();
-  }
-  if (csv_out_.is_open()) {
-    csv_out_ << csv_line(cells) << '\n';
-    csv_out_.flush();
-  }
-  if (json_out_.is_open()) {
-    json_out_ << json_line(cells) << '\n';
-    json_out_.flush();
-  }
-  if (!per_run_path_.empty()) per_run_rows_.emplace(point, std::move(run_rows));
-  rows_.emplace(point, std::move(cells));
+  done_[point] = 1;
+  ++done_count_;
 }
 
 void Aggregator::finalize() {
   const std::lock_guard lock(mutex_);
-  if (!store_mode()) {
-    rewrite_files(/*require_complete=*/true);
-    return;
-  }
-  if (store_done_count_ != owned_count()) {
+  if (done_count_ != owned_count()) {
     throw std::logic_error("Aggregator: finalize with incomplete campaign");
   }
+  if (csv_path_.empty()) return;
   ensure_store();
   export_store();
-  // The artifacts now carry everything; a finalized campaign looks exactly
-  // like a legacy one (resume re-seeds from the CSV if ever needed).
+  // The artifacts now carry everything; resume imports them back into a
+  // store if it is ever needed.
   store_->remove_file();
 }
 
 void Aggregator::compact() {
   const std::lock_guard lock(mutex_);
-  if (store_mode()) {
-    // Export the current state; the store stays open and authoritative
-    // (tombstones and superseded generations resolve at export, so no
-    // store rewrite is needed).
-    ensure_store();
-    export_store();
-    return;
-  }
-  rewrite_files(/*require_complete=*/false);
-  open_appenders();
+  if (csv_path_.empty()) return;
+  // Export the current state; the store stays open and authoritative
+  // (tombstones and superseded generations resolve at export, so no store
+  // rewrite is needed).
+  ensure_store();
+  export_store();
 }
 
 void Aggregator::discard_points(const std::vector<std::size_t>& points) {
   const std::lock_guard lock(mutex_);
-  if (store_mode()) {
-    bool changed = false;
-    for (const auto p : points) {
-      summaries_.erase(p);
-      if (p < store_done_.size() && store_done_[p] != 0) {
-        ensure_store();
-        store_->append(RowStore::Kind::kTombstone, p, 0, {});
-        store_done_[p] = 0;
-        --store_done_count_;
-        changed = true;
-      }
-    }
-    if (changed) store_->flush();
-    return;
-  }
   bool changed = false;
   for (const auto p : points) {
-    changed = rows_.erase(p) > 0 || changed;
-    per_run_rows_.erase(p);
     summaries_.erase(p);
+    if (p < done_.size() && done_[p] != 0) {
+      if (!csv_path_.empty()) {
+        ensure_store();
+        store_->append(RowStore::Kind::kTombstone, p, 0, {});
+      }
+      done_[p] = 0;
+      --done_count_;
+      changed = true;
+    }
   }
-  if (changed) {
-    rewrite_files(/*require_complete=*/false);
-    open_appenders();
-  }
+  if (changed && store_) store_->flush();
 }
 
 std::vector<std::size_t> Aggregator::done_points() const {
   const std::lock_guard lock(mutex_);
   std::vector<std::size_t> out;
-  if (store_mode()) {
-    out.reserve(store_done_count_);
-    for (std::size_t p = 0; p < store_done_.size(); ++p) {
-      if (store_done_[p] != 0) out.push_back(p);
-    }
-    return out;
-  }
-  out.reserve(rows_.size());
-  for (const auto& [point, cells] : rows_) {
-    (void)cells;
-    out.push_back(point);
+  out.reserve(done_count_);
+  for (std::size_t p = 0; p < done_.size(); ++p) {
+    if (done_[p] != 0) out.push_back(p);
   }
   return out;
 }
 
 std::size_t Aggregator::done_count() const {
   const std::lock_guard lock(mutex_);
-  return store_mode() ? store_done_count_ : rows_.size();
+  return done_count_;
 }
 
 // --- Shard merging ----------------------------------------------------------
 
 namespace {
-
-/// Internal signal: an input file is not sorted by (point, rep), so the
-/// streaming merge cannot preserve its invariants — fall back to the
-/// buffered implementation (which sorts everything in memory).
-struct UnsortedInputError {};
 
 struct MergeExpectations {
   std::vector<std::string> want_point_header;
@@ -1030,136 +830,16 @@ void check_manifest_row(const std::vector<std::string>& cells,
   }
 }
 
-/// The legacy buffered merge: loads every row into a map. Kept as the
-/// fallback for unsorted inputs; finalized shard/part files are always
-/// sorted, so the streaming path handles the real pipelines.
-std::size_t merge_outputs_buffered(const std::vector<std::string>& inputs,
-                                   const std::string& out_path,
-                                   const Manifest* manifest) {
-  const MergeExpectations expect = merge_expectations(manifest);
+}  // namespace
 
-  std::string header_line;
-  std::vector<std::string> header;
-  bool per_run = false;
-  // (point, rep) → raw line; raw bytes are re-emitted untouched so the
-  // merged file is byte-identical to an unsharded run's output.
-  std::map<std::pair<std::size_t, std::size_t>, std::string> rows;
-
-  for (const auto& path : inputs) {
-    std::ifstream in(path);
-    if (!in) {
-      throw std::runtime_error("merge_outputs: cannot open " + path);
-    }
-    bool first = true;
-    std::string line;
-    while (std::getline(in, line)) {
-      if (line.empty()) continue;
-      if (first) {
-        first = false;
-        if (header.empty()) {
-          header_line = line;
-          header = split_csv_line(line);
-          per_run = header.size() > 1 && header[1] == "rep";
-          if (manifest != nullptr &&
-              header != (per_run ? expect.want_per_run_header
-                                 : expect.want_point_header)) {
-            throw std::runtime_error(
-                "merge_outputs: header of " + path +
-                " does not match the manifest's output columns");
-          }
-        } else if (split_csv_line(line) != header) {
-          throw std::runtime_error(
-              "merge_outputs: header of " + path + " does not match " +
-              inputs.front() + " (shards of different campaigns?)");
-        }
-        continue;
-      }
-      const auto cells = split_csv_line(line);
-      if (cells.size() != header.size()) {
-        throw std::runtime_error(
-            "merge_outputs: truncated row in " + path +
-            "; resume that shard to completion before merging");
-      }
-      std::size_t point = 0, rep = 0;
-      if (!parse_index(cells[0], point) ||
-          (per_run && !parse_index(cells[1], rep))) {
-        throw std::runtime_error("merge_outputs: unparsable row key in " +
-                                 path);
-      }
-      if (manifest != nullptr) {
-        check_manifest_row(cells, point, rep, per_run, path, *manifest,
-                           expect.grid);
-      }
-      if (!rows.emplace(std::make_pair(point, rep), line).second) {
-        throw std::runtime_error(
-            "merge_outputs: point " + std::to_string(point) +
-            (per_run ? " replication " + std::to_string(rep) : std::string()) +
-            " appears in multiple inputs (overlapping shards?)");
-      }
-    }
+// Every input is read once through a k-way heap merge by (point, rep),
+// holding one row per input — O(inputs) memory, not O(rows).
+std::size_t merge_outputs(const std::vector<std::string>& inputs,
+                          const std::string& out_path,
+                          const Manifest* manifest) {
+  if (inputs.empty()) {
+    throw std::invalid_argument("merge_outputs: no input files");
   }
-  if (header.empty()) {
-    throw std::runtime_error("merge_outputs: inputs contain no header");
-  }
-
-  // Completeness: the merged point set must have no gaps (a missing shard
-  // would otherwise go unnoticed), per-run groups must be rectangular, and
-  // a manifest pins the exact expected counts.
-  std::size_t max_point = 0, max_rep = 0;
-  std::set<std::size_t> points_seen;
-  std::map<std::size_t, std::size_t> reps_per_point;
-  for (const auto& [key, line] : rows) {
-    (void)line;
-    max_point = std::max(max_point, key.first);
-    max_rep = std::max(max_rep, key.second);
-    points_seen.insert(key.first);
-    ++reps_per_point[key.first];
-  }
-  const std::size_t want_points =
-      manifest != nullptr ? manifest->point_count() : max_point + 1;
-  const std::size_t want_reps =
-      manifest != nullptr ? (per_run ? manifest->replications : 1)
-                          : max_rep + 1;
-  if (rows.empty() || points_seen.size() != want_points) {
-    throw std::runtime_error(
-        "merge_outputs: merged inputs cover " +
-        std::to_string(points_seen.size()) + " of " +
-        std::to_string(want_points) +
-        " points; a shard output is missing or incomplete");
-  }
-  for (const auto& [point, count] : reps_per_point) {
-    if (count != want_reps) {
-      throw std::runtime_error(
-          "merge_outputs: point " + std::to_string(point) + " has " +
-          std::to_string(count) + " of " + std::to_string(want_reps) +
-          " replication rows; a shard output is incomplete");
-    }
-  }
-
-  const std::string tmp = out_path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::trunc);
-    if (!out) throw std::runtime_error("merge_outputs: cannot write " + tmp);
-    out << header_line << '\n';
-    for (const auto& [key, line] : rows) {
-      (void)key;
-      out << line << '\n';
-    }
-  }
-  if (std::rename(tmp.c_str(), out_path.c_str()) != 0) {
-    throw std::runtime_error("merge_outputs: cannot replace " + out_path);
-  }
-  return rows.size();
-}
-
-/// Streaming merge: every input is read once through a k-way heap merge by
-/// (point, rep), holding one row per input — O(inputs) memory instead of
-/// O(rows). Inputs must be internally sorted (finalized/compacted outputs
-/// always are); an unsorted input raises UnsortedInputError and the caller
-/// falls back to the buffered path.
-std::size_t merge_outputs_streaming(const std::vector<std::string>& inputs,
-                                    const std::string& out_path,
-                                    const Manifest* manifest) {
   const MergeExpectations expect = merge_expectations(manifest);
 
   struct Input {
@@ -1183,7 +863,7 @@ std::size_t merge_outputs_streaming(const std::vector<std::string>& inputs,
     if (!input->in) {
       throw std::runtime_error("merge_outputs: cannot open " + path);
     }
-    // Header line (skipping leading blanks, as the buffered path does).
+    // Header line (skipping leading blank lines).
     std::string line;
     bool have_header = false;
     while (std::getline(input->in, line)) {
@@ -1194,7 +874,7 @@ std::size_t merge_outputs_streaming(const std::vector<std::string>& inputs,
     if (!have_header) continue;  // empty file contributes nothing
     if (header.empty()) {
       header_line = line;
-      header = split_csv_line(line);
+      header = split_join_csv(line);
       per_run = header.size() > 1 && header[1] == "rep";
       if (manifest != nullptr &&
           header != (per_run ? expect.want_per_run_header
@@ -1203,7 +883,7 @@ std::size_t merge_outputs_streaming(const std::vector<std::string>& inputs,
                                  " does not match the manifest's output "
                                  "columns");
       }
-    } else if (split_csv_line(line) != header) {
+    } else if (split_join_csv(line) != header) {
       throw std::runtime_error("merge_outputs: header of " + path +
                                " does not match " + inputs.front() +
                                " (shards of different campaigns?)");
@@ -1214,14 +894,13 @@ std::size_t merge_outputs_streaming(const std::vector<std::string>& inputs,
     throw std::runtime_error("merge_outputs: inputs contain no header");
   }
 
-  // Advances an input to its next valid data row; runs the same per-row
-  // validation as the buffered path and enforces ascending (point, rep)
-  // within the input.
+  // Advances an input to its next valid data row: validates the row and
+  // enforces ascending (point, rep) within the input.
   const auto advance = [&](Input& input) -> bool {
     std::string line;
     while (std::getline(input.in, line)) {
       if (line.empty()) continue;
-      const auto cells = split_csv_line(line);
+      const auto cells = split_join_csv(line);
       if (cells.size() != header.size()) {
         throw std::runtime_error(
             "merge_outputs: truncated row in " + input.path +
@@ -1240,7 +919,9 @@ std::size_t merge_outputs_streaming(const std::vector<std::string>& inputs,
       if (input.started &&
           std::make_pair(point, rep) <=
               std::make_pair(input.point, input.rep)) {
-        throw UnsortedInputError{};
+        throw std::runtime_error(
+            "merge_outputs: " + input.path +
+            " is not sorted by (point, rep); merge only finalized outputs");
       }
       input.started = true;
       input.point = point;
@@ -1351,21 +1032,6 @@ std::size_t merge_outputs_streaming(const std::vector<std::string>& inputs,
     throw std::runtime_error("merge_outputs: cannot replace " + out_path);
   }
   return merged;
-}
-
-}  // namespace
-
-std::size_t merge_outputs(const std::vector<std::string>& inputs,
-                          const std::string& out_path,
-                          const Manifest* manifest) {
-  if (inputs.empty()) {
-    throw std::invalid_argument("merge_outputs: no input files");
-  }
-  try {
-    return merge_outputs_streaming(inputs, out_path, manifest);
-  } catch (const UnsortedInputError&) {
-    return merge_outputs_buffered(inputs, out_path, manifest);
-  }
 }
 
 }  // namespace pas::exp

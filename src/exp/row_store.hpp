@@ -1,10 +1,11 @@
 // Binary campaign row store (".pasrows").
 //
-// The Aggregator's bounded-memory backend: completed rows are appended to a
-// compact binary log instead of being kept as in-memory string maps. Each
-// record carries its kind (per-run row, point summary, or tombstone), its
-// (point, rep) key, and the row's cell strings verbatim, so the export step
-// can render the exact CSV/JSONL bytes the legacy in-memory path produced.
+// The Aggregator's only row state: completed rows are appended to a compact
+// binary log, so aggregation memory stays O(grid) however many rows a
+// campaign writes. Each record carries its kind (per-run row, point
+// summary, or tombstone), its (point, rep) key, and the row's cell strings
+// verbatim, so the export step renders the CSV/JSONL bytes from the cells
+// exactly as record() formatted them.
 //
 // Layout:
 //   header   = "PASROWS1" (8 bytes) + u64 identity hash (little-endian)
@@ -20,8 +21,7 @@
 // Kill-safety: records are appended in batches and flushed at point
 // boundaries. A torn trailing record (short write, CRC mismatch) ends the
 // clean prefix; open_append() truncates the file back to that prefix, so a
-// killed campaign always resumes from a valid record sequence — the same
-// contract torn CSV rows have today.
+// killed campaign always resumes from a valid record sequence.
 //
 // Spill runs: the external-merge export sorts buffered records and spills
 // them to sibling ".run<k>" files using the same framing with the record's

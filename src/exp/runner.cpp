@@ -165,9 +165,11 @@ CampaignReport run_campaign(const Manifest& manifest,
   }
   const auto points = expand_grid(manifest);
 
-  const bool store_mode = options.use_store && !options.out_csv.empty();
+  // In flight the rows live in the row store next to the CSV (the CSV only
+  // materializes at finalize), so the store counts as existing output too.
   const std::string store_path =
-      store_mode ? RowStore::path_for(options.out_csv) : std::string();
+      options.out_csv.empty() ? std::string()
+                              : RowStore::path_for(options.out_csv);
   if (!options.resume) {
     for (const auto& path : {options.out_csv, options.out_json,
                              options.per_run_csv, options.metrics_path,
@@ -196,8 +198,6 @@ CampaignReport run_campaign(const Manifest& manifest,
   // Resume rejects rows produced by a different manifest via the expected
   // per-point identity cells.
   agg_options.expected_identity = grid_identity(points);
-  agg_options.store_path = store_path;
-  agg_options.spill_budget_bytes = options.spill_budget_bytes;
   if (!options.owned_points.empty()) {
     agg_options.owned_points = options.owned_points;
   } else if (options.shard_count > 1) {

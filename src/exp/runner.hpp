@@ -81,15 +81,6 @@ struct CampaignOptions {
   /// point never produces a row), finalize is skipped, and the outputs are
   /// left exactly as resumable as after a kill. Null = never stop.
   std::function<bool()> should_stop;
-  /// Back the aggregator with the bounded-memory binary row store
-  /// (RowStore::path_for(out_csv)) instead of the legacy in-memory row
-  /// maps. In flight, rows live in the store and the CSV only materializes
-  /// at finalize; a finalized campaign is byte-identical either way and
-  /// deletes the store again. Ignored for in-memory campaigns (no out_csv).
-  bool use_store = true;
-  /// Spill-buffer budget (bytes) for the store's external-merge export;
-  /// 0 = default.
-  std::size_t spill_budget_bytes = 0;
 };
 
 struct CampaignReport {

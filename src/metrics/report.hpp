@@ -58,8 +58,7 @@ struct KernelStats {
   std::uint64_t max_pending = 0;
   std::uint64_t timer_reschedules = 0;
   // Event-queue shape (ladder index): how the pending set organised itself.
-  // Pure functions of the schedule like everything else here; all four are
-  // zero in PAS_EVENTQ_HEAP builds (the heap has no rungs or buckets).
+  // Pure functions of the schedule like everything else here.
   std::uint64_t rung_spawns = 0;
   std::uint64_t bucket_resizes = 0;
   std::uint64_t max_bucket = 0;

@@ -152,9 +152,9 @@ std::vector<int> discover_part_ids(const std::string& out_csv) {
       continue;
     }
     std::string tail = name.substr(prefix.size());
-    // A SIGTERMed/SIGKILLed store-mode worker leaves only "<part>.pasrows"
-    // behind (the CSV materializes on compact, which a kill skips), so part
-    // discovery must see through the store extension.
+    // A SIGTERMed/SIGKILLed worker leaves only "<part>.pasrows" behind (the
+    // CSV materializes on compact, which a kill skips), so part discovery
+    // must see through the store extension.
     constexpr std::string_view kStoreExt = ".pasrows";
     if (tail.size() > kStoreExt.size() && tail.ends_with(kStoreExt)) {
       tail.resize(tail.size() - kStoreExt.size());
@@ -306,14 +306,11 @@ std::size_t Driver::sanitize_and_claim(const std::string& csv,
   agg_options.total_points = points_.size();
   agg_options.replications = manifest_.replications;
   agg_options.expected_identity = identity_;
-  if (options_.store) {
-    agg_options.store_path = exp::RowStore::path_for(csv);
-  }
   exp::Aggregator aggregator(std::move(agg_options));
   // The identity-checked resume path: throws if the file belongs to a
-  // different manifest, silently drops rows torn by a kill. In store mode
-  // this reads `<csv>.pasrows` when present (the mid-flight ground truth)
-  // and falls back to seeding the store from the CSV otherwise.
+  // different manifest, silently drops rows torn by a kill. It reads
+  // `<csv>.pasrows` when present (the mid-flight ground truth) and imports
+  // the CSV into a fresh store otherwise.
   aggregator.load_existing();
   // A point may appear in two part files when a worker wrote its row but
   // died before reporting it and the lease was reassigned. First claim
@@ -329,27 +326,25 @@ std::size_t Driver::sanitize_and_claim(const std::string& csv,
   for (const auto p : aggregator.done_points()) {
     if (claimed_.emplace(p, tag).second) ++fresh;
   }
-  // Store mode: materialize the duplicate-free CSV now so merge_and_clean
-  // (which reads CSV part files) sees every surviving row, including those
-  // of a killed worker that never compacted.
-  if (aggregator.store_mode()) aggregator.compact();
+  // Materialize the duplicate-free CSV now so merge_and_clean (which reads
+  // CSV part files) sees every surviving row, including those of a killed
+  // worker that never compacted.
+  aggregator.compact();
   return fresh;
 }
 
 void Driver::prescan() {
-  // An interrupted store-mode run may have its data only in the row store
-  // (the CSV materializes at compact/finalize), so "the output exists"
-  // must consider `<out>.pasrows` too.
+  // An interrupted run may have its data only in the row store (the CSV
+  // materializes at compact/finalize), so "the output exists" must
+  // consider `<out>.pasrows` too.
   const bool out_exists =
       fs::exists(options_.out_csv) ||
-      (options_.store &&
-       fs::exists(exp::RowStore::path_for(options_.out_csv)));
+      fs::exists(exp::RowStore::path_for(options_.out_csv));
   const bool runs_exists =
       !options_.per_run_csv.empty() && fs::exists(options_.per_run_csv);
   const auto existing_parts = discover_part_ids(options_.out_csv);
   if (!options_.resume) {
-    if (out_exists || runs_exists || !existing_parts.empty() ||
-        fs::exists(exp::RowStore::path_for(options_.out_csv))) {
+    if (out_exists || runs_exists || !existing_parts.empty()) {
       throw std::runtime_error(
           "drive: " + options_.out_csv +
           (existing_parts.empty() ? "" : " (and .w* part files)") +
@@ -402,10 +397,6 @@ void Driver::spawn(int id) {
   if (!w.part_metrics.empty()) {
     args.push_back("--metrics");
     args.push_back(w.part_metrics);
-  }
-  if (!options_.store) {
-    args.push_back("--store");
-    args.push_back("off");
   }
   std::vector<char*> argv;
   argv.reserve(args.size() + 1);

@@ -72,13 +72,6 @@ struct DriveOptions {
   std::size_t max_respawns = 8;
   /// Cap on points per lease.
   std::size_t max_lease = 64;
-  /// Back workers' part files (and the resumed --out) with the binary row
-  /// store (exp/row_store.hpp): in flight a part lives in `<part>.pasrows`
-  /// and its CSV only materializes when the worker drains or the driver
-  /// recovers it, so part discovery, crash recovery, and resume all accept
-  /// store-only parts. Off = the legacy in-memory aggregation. The merged
-  /// output is byte-identical either way.
-  bool store = true;
 
   enum class Verbosity {
     kQuiet,     // nothing

@@ -16,7 +16,6 @@
 
 #include "exp/aggregate.hpp"
 #include "exp/grid.hpp"
-#include "exp/row_store.hpp"
 #include "exp/runner.hpp"
 #include "exp/telemetry.hpp"
 #include "runtime/thread_pool.hpp"
@@ -260,9 +259,6 @@ int run_worker(const exp::Manifest& manifest, const WorkerOptions& options) {
     agg_options.total_points = points.size();
     agg_options.replications = manifest.replications;
     agg_options.expected_identity = exp::grid_identity(points);
-    if (options.store) {
-      agg_options.store_path = exp::RowStore::path_for(options.out_csv);
-    }
     // No owned_points: lease membership is decided by the driver at
     // runtime, so the part file may legitimately hold any subset.
     exp::Aggregator aggregator(std::move(agg_options));

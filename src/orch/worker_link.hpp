@@ -88,11 +88,6 @@ struct WorkerOptions {
   int worker_id = 0;
   /// Threads for replication-parallel execution inside a point (>=1).
   std::size_t jobs = 1;
-  /// Back the part file with the binary row store (`<out>.pasrows`); rows
-  /// are appended + flushed to the store before `point_done`, and the CSV
-  /// materializes on compact() (quit/EPIPE). The supervisor's crash merge
-  /// reads store-only parts just as well. Off = legacy in-memory rows.
-  bool store = true;
   /// Heartbeat period; tests may shrink it.
   double heartbeat_s = 0.5;
 };

@@ -12,8 +12,6 @@ std::uint32_t EventQueue::grow_slots() {
   return slot_count_++;
 }
 
-#if !defined(PAS_EVENTQ_HEAP)
-
 std::size_t EventQueue::bucket_count_for(std::size_t n) noexcept {
   std::size_t nb = kMinBuckets;
   while (nb < n && nb < kMaxBuckets) nb <<= 1;
@@ -157,12 +155,7 @@ bool EventQueue::refill_bottom() const {
   }
 }
 
-#endif  // !defined(PAS_EVENTQ_HEAP)
-
 void EventQueue::clear() {
-#if defined(PAS_EVENTQ_HEAP)
-  heap_.clear();
-#else
   // Logical reset, warm storage: vector clears keep their capacity and
   // retired rungs park their bucket arrays, so a reused queue
   // (world::Workspace) rebuilds its calendar without reallocating — while
@@ -172,7 +165,6 @@ void EventQueue::clear() {
   scratch_.clear();
   while (!rungs_.empty()) retire_rung();
   top_start_ = kLongAgo;
-#endif
   free_head_ = kNilSlot;
   // Rebuild the free list over every slot; occupied ones are invalidated
   // exactly like a release so outstanding ids turn stale. Slots whose

@@ -9,15 +9,13 @@
 // ever sorted — and the structure touches one small contiguous bucket per
 // dispatch instead of O(log n) scattered heap nodes, which is what makes
 // MAC-scale pending sets (every node's slot-sampling timer armed at once)
-// cheap. Building with -DPAS_EVENTQ_HEAP=ON swaps the index back to the
-// original binary heap (same contract, O(log n)) for differential testing
-// and A/B benchmarks; see docs/ARCHITECTURE.md "Kernel internals".
+// cheap; see docs/ARCHITECTURE.md "Kernel internals". The brute-force model
+// in tests/sim/test_event_queue_ladder.cpp is the dispatch-order oracle.
 //
-// Determinism is contractual either way: dispatch order is strict
-// (time, seq) with seq assigned in push order, so simultaneous events fire
-// FIFO regardless of which index is compiled in or how buckets split.
-// Cancellation stays lazy — cancelled events linger in their bucket (or the
-// heap) and are skipped when the dispatch path reaches them.
+// Determinism is contractual: dispatch order is strict (time, seq) with seq
+// assigned in push order, so simultaneous events fire FIFO however the
+// buckets split. Cancellation stays lazy — cancelled events linger in their
+// bucket and are skipped when the dispatch path reaches them.
 //
 // Callbacks live in a free-list slab of generation-tagged slots (a slot
 // map). An EventId is (slot index, generation): cancel() and pending() are
@@ -91,8 +89,8 @@ class EventQueue {
     std::uint64_t cancelled = 0;
     /// High-water mark of simultaneously pending events.
     std::uint64_t max_live = 0;
-    // Ladder-shape counters. All four stay zero in PAS_EVENTQ_HEAP builds
-    // (the heap has no rungs and drops dead entries at the top instead).
+    // Ladder-shape counters: they describe how the index laid the schedule
+    // out, and are as deterministic as the schedule itself.
     /// Sub-rungs spawned from overfull buckets.
     std::uint64_t rung_spawns = 0;
     /// Calendar (re)seeds: bucket-array layouts built from the overflow list.
@@ -342,44 +340,7 @@ class EventQueue {
     return false;
   }
 
-#if defined(PAS_EVENTQ_HEAP)
-  // ---- Index A: binary heap (differential / A-B build) --------------------
-  //
-  // The original index: std::push_heap/pop_heap over one array, dead
-  // entries skipped when they surface at the top. Kept bit-compatible in
-  // dispatch order with the ladder below so the two builds can be compared
-  // event-for-event.
-
-  void index_push(const IndexEntry& e) {
-    heap_.push_back(e);
-    std::push_heap(heap_.begin(), heap_.end(), Later{});
-  }
-
-  /// Drops dead entries off the top. Logically const (lazy deletion),
-  /// hence the mutable storage.
-  void index_prepare() const {
-    while (!heap_.empty() && !entry_live(heap_.front())) {
-      heap_pop_top();
-    }
-  }
-
-  [[nodiscard]] bool index_has_top() const noexcept { return !heap_.empty(); }
-  [[nodiscard]] Time index_top_time() const noexcept {
-    return heap_.front().time;
-  }
-
-  IndexEntry index_pop() const { return heap_pop_top(); }
-
-  IndexEntry heap_pop_top() const noexcept {
-    std::pop_heap(heap_.begin(), heap_.end(), Later{});
-    const IndexEntry top = heap_.back();
-    heap_.pop_back();
-    return top;
-  }
-
-  mutable std::vector<IndexEntry> heap_;
-#else
-  // ---- Index B (default): ladder/calendar hybrid --------------------------
+  // ---- Pending-set index: ladder/calendar hybrid ---------------------------
   //
   // Three regions partitioned by time thresholds, earliest first:
   //
@@ -511,7 +472,6 @@ class EventQueue {
   mutable Time top_start_ = kLongAgo;
   mutable std::vector<IndexEntry> scratch_;
   mutable std::vector<Rung> spare_rungs_;
-#endif
 
   std::vector<std::unique_ptr<Slot[]>> chunks_;
   std::uint32_t slot_count_ = 0;

@@ -1,4 +1,5 @@
-// Aggregator: incremental CSV/JSON output, resume recovery, finalize.
+// Aggregator: row-store recording, CSV/JSON export, resume recovery,
+// finalize.
 #include "exp/aggregate.hpp"
 
 #include <gtest/gtest.h>
@@ -46,6 +47,23 @@ class AggregateTest : public ::testing::Test {
     return m;
   }
 
+  static std::string slurp(const fs::path& path) {
+    std::ifstream in(path, std::ios::binary);
+    std::ostringstream buffer;
+    buffer << in.rdbuf();
+    return buffer.str();
+  }
+
+  /// FNV-1a 64 over a file's bytes.
+  static std::uint64_t fnv1a(const std::string& bytes) {
+    std::uint64_t h = 1469598103934665603ULL;
+    for (const char c : bytes) {
+      h ^= static_cast<unsigned char>(c);
+      h *= 1099511628211ULL;
+    }
+    return h;
+  }
+
   static std::vector<std::string> read_lines(const std::string& path) {
     std::ifstream in(path);
     std::vector<std::string> lines;
@@ -62,7 +80,10 @@ TEST_F(AggregateTest, WritesHeaderAndRowsIncrementally) {
   Aggregator agg(csv_, "", {"policy"}, 3);
   EXPECT_EQ(agg.load_existing(), 0U);
   agg.record(1, 111, {"SAS"}, fake_metrics(2.0));
-  // One row is on disk (flushed) before the campaign completes.
+  // The row is on disk (flushed to the store) before the campaign
+  // completes, and compact() renders it without finalizing.
+  EXPECT_GT(fs::file_size(RowStore::path_for(csv_)), 16U);
+  agg.compact();
   auto lines = read_lines(csv_);
   ASSERT_EQ(lines.size(), 2U);
   EXPECT_EQ(lines[0].substr(0, 11), "point,seed,");
@@ -103,7 +124,11 @@ TEST_F(AggregateTest, ResumeDropsTruncatedTrailingRow) {
     Aggregator agg(csv_, "", {"policy"}, 3);
     agg.load_existing();
     agg.record(0, 100, {"NS"}, fake_metrics(0.0));
+    agg.compact();
   }
+  // Without its store the CSV is all a resume has to go on (as after a
+  // finalize); the import must drop the torn row.
+  fs::remove(RowStore::path_for(csv_));
   {
     // Simulate a kill mid-write: append half a row.
     std::ofstream out(csv_, std::ios::app);
@@ -113,6 +138,7 @@ TEST_F(AggregateTest, ResumeDropsTruncatedTrailingRow) {
   EXPECT_EQ(resumed.load_existing(), 1U);
   EXPECT_FALSE(resumed.is_done(1));
   // The compacted file no longer carries the damaged point-1 line.
+  resumed.compact();
   const auto lines = read_lines(csv_);
   ASSERT_EQ(lines.size(), 2U);  // header + intact row 0
   EXPECT_EQ(lines[1].substr(0, 2), "0,");
@@ -155,6 +181,7 @@ TEST_F(AggregateTest, NonFiniteMetricsBecomeJsonNull) {
   auto m = fake_metrics(std::numeric_limits<double>::quiet_NaN());
   m.energy_j.mean = std::numeric_limits<double>::infinity();
   agg.record(0, 100, {"PAS"}, m);
+  agg.finalize();
   const auto lines = read_lines(jsonl);
   ASSERT_EQ(lines.size(), 1U);
   EXPECT_NE(lines[0].find("\"delay_mean_s\":null"), std::string::npos);
@@ -250,6 +277,7 @@ TEST_F(AggregateTest, ResumeDropsPointsWithTornPerRunGroups) {
     agg.load_existing();
     agg.record(0, 100, {"NS"}, fake_metrics(0.0));
     agg.record(1, 101, {"PAS"}, fake_metrics(1.0));
+    agg.finalize();
   }
   // Tear point 1's per-run group (as if killed mid-write): its summary row
   // must not count as done on resume.
@@ -264,6 +292,7 @@ TEST_F(AggregateTest, ResumeDropsPointsWithTornPerRunGroups) {
   EXPECT_TRUE(resumed.is_done(0));
   EXPECT_FALSE(resumed.is_done(1));
   // The compacted per-run file dropped the torn group entirely.
+  resumed.compact();
   EXPECT_EQ(read_lines(runs_csv).size(), 3U);
 }
 
@@ -274,6 +303,7 @@ TEST_F(AggregateTest, MainCsvCarriesDelayPercentileColumns) {
   m.runs[0].avg_delay_s = 1.0;
   m.runs[1].avg_delay_s = 3.0;
   agg.record(0, 100, {"PAS"}, m);
+  agg.finalize();
   const auto lines = read_lines(csv_);
   ASSERT_EQ(lines.size(), 2U);
   EXPECT_NE(lines[0].find("delay_p50_s,delay_p95_s,delay_p99_s"),
@@ -298,12 +328,31 @@ TEST_F(AggregateTest, InMemoryAggregationNeedsNoFiles) {
   EXPECT_TRUE(fs::directory_iterator(dir_) == fs::directory_iterator());
 }
 
-// --- Store mode -------------------------------------------------------------
+TEST_F(AggregateTest, RecordRejectsPointOutsideTheGrid) {
+  // Unsharded, every in-range point is owned; an index past the grid must
+  // not reach the completion bitmap.
+  Aggregator in_memory("", "", {"policy"}, 2);
+  in_memory.load_existing();
+  EXPECT_THROW(in_memory.record(2, 102, {"PAS"}, fake_metrics(1.0)),
+               std::logic_error);
+  EXPECT_THROW(in_memory.record(SIZE_MAX, 0, {"PAS"}, fake_metrics(1.0)),
+               std::logic_error);
+  EXPECT_EQ(in_memory.done_count(), 0U);
+
+  Aggregator on_disk(csv_, "", {"policy"}, 2);
+  on_disk.load_existing();
+  EXPECT_THROW(on_disk.record(2, 102, {"PAS"}, fake_metrics(1.0)),
+               std::logic_error);
+  EXPECT_EQ(on_disk.pending(), (std::vector<std::size_t>{0, 1}));
+}
+
+// --- Row store --------------------------------------------------------------
 
 class StoreAggregateTest : public AggregateTest {
  protected:
-  /// Deterministic per-(point, rep) metrics so the legacy and store paths
-  /// see identical inputs — any byte difference is then a pipeline bug.
+  /// Deterministic per-(point, rep) metrics, so two campaigns recording the
+  /// same points see identical inputs — any byte difference between their
+  /// artifacts is then a pipeline bug.
   static world::ReplicatedMetrics synth_metrics(std::size_t point,
                                                 std::size_t reps) {
     world::ReplicatedMetrics m = fake_metrics(
@@ -331,40 +380,44 @@ class StoreAggregateTest : public AggregateTest {
     options.axis_names = {"x"};
     options.total_points = total_points;
     options.replications = reps;
-    options.store_path = RowStore::path_for(options.csv_path);
     options.spill_budget_bytes = spill_budget;
     return options;
   }
 };
 
-TEST_F(StoreAggregateTest, OracleMatchesLegacyByteForByte) {
+TEST_F(StoreAggregateTest, SpillBudgetDoesNotChangeBytes) {
   constexpr std::size_t kPoints = 37;
   constexpr std::size_t kReps = 3;
-  auto legacy_options = store_options("legacy", kPoints, kReps, 0);
-  legacy_options.store_path.clear();  // the in-memory oracle
   // A tiny spill budget forces many sorted runs and a genuine k-way merge
-  // even on this small campaign.
-  const auto store_opts = store_options("store", kPoints, kReps, 512);
-  Aggregator legacy(std::move(legacy_options));
-  Aggregator store{AggregatorOptions(store_opts)};
-  legacy.load_existing();
-  store.load_existing();
-  // Record in a scrambled (but deterministic) completion order.
-  for (std::size_t i = 0; i < kPoints; ++i) {
-    const std::size_t p = (i * 17) % kPoints;
-    const auto m = synth_metrics(p, kReps);
-    legacy.record(p, 1000 + p, {std::to_string(p)}, m);
-    store.record(p, 1000 + p, {std::to_string(p)}, m);
+  // even on this small campaign; the default budget exports from a single
+  // in-memory batch.
+  for (const auto& [sub, budget] :
+       {std::pair<const char*, std::size_t>{"tiny", 512},
+        std::pair<const char*, std::size_t>{"default", 0}}) {
+    const auto options = store_options(sub, kPoints, kReps, budget);
+    Aggregator agg{AggregatorOptions(options)};
+    agg.load_existing();
+    // Record in a scrambled (but deterministic) completion order.
+    for (std::size_t i = 0; i < kPoints; ++i) {
+      const std::size_t p = (i * 17) % kPoints;
+      agg.record(p, 1000 + p, {std::to_string(p)}, synth_metrics(p, kReps));
+    }
+    agg.finalize();
+    // finalize retires the store.
+    EXPECT_FALSE(fs::exists(RowStore::path_for(options.csv_path)));
   }
-  legacy.finalize();
-  store.finalize();
-  for (const char* name : {"out.csv", "out.jsonl", "runs.csv"}) {
-    const auto a = read_lines((dir_ / "legacy" / name).string());
-    const auto b = read_lines((dir_ / "store" / name).string());
-    EXPECT_EQ(a, b) << name;
+  // Recorded while the in-memory aggregator still produced these exact
+  // bytes alongside the store.
+  const std::pair<const char*, std::uint64_t> golden[] = {
+      {"out.csv", 1448401146995590522ULL},
+      {"out.jsonl", 10358593192240084000ULL},
+      {"runs.csv", 12214723954500783299ULL}};
+  for (const auto& [name, digest] : golden) {
+    const std::string bytes = slurp(dir_ / "tiny" / name);
+    EXPECT_EQ(bytes, slurp(dir_ / "default" / name)) << name;
+    EXPECT_EQ(fnv1a(bytes), digest)
+        << name << " digest is now " << fnv1a(bytes);
   }
-  // finalize retires the store: the completed campaign looks legacy.
-  EXPECT_FALSE(fs::exists(store_opts.store_path));
 }
 
 TEST_F(StoreAggregateTest, ResumeDropsTornBinaryTail) {
@@ -377,9 +430,10 @@ TEST_F(StoreAggregateTest, ResumeDropsTornBinaryTail) {
     // No finalize: the campaign dies here, rows live only in the store.
   }
   EXPECT_FALSE(fs::exists(options.csv_path));
-  ASSERT_TRUE(fs::exists(options.store_path));
+  ASSERT_TRUE(fs::exists(RowStore::path_for(options.csv_path)));
   // Tear into point 1's trailing summary record, as a kill mid-write would.
-  fs::resize_file(options.store_path, fs::file_size(options.store_path) - 3);
+  const std::string store = RowStore::path_for(options.csv_path);
+  fs::resize_file(store, fs::file_size(store) - 3);
 
   Aggregator resumed{AggregatorOptions(options)};
   EXPECT_EQ(resumed.load_existing(), 1U);
@@ -420,7 +474,7 @@ TEST_F(StoreAggregateTest, DiscardPointsTombstonesWithoutRewrite) {
   agg.record(1, 101, {"1"}, synth_metrics(1, 2));
   agg.finalize();
   EXPECT_EQ(read_lines(options.csv_path).size(), 4U);
-  EXPECT_FALSE(fs::exists(options.store_path));
+  EXPECT_FALSE(fs::exists(RowStore::path_for(options.csv_path)));
 }
 
 TEST_F(StoreAggregateTest, SeedsFreshStoreFromFinalizedCsv) {
@@ -433,17 +487,77 @@ TEST_F(StoreAggregateTest, SeedsFreshStoreFromFinalizedCsv) {
     agg.finalize();
   }
   const auto finalized = read_lines(options.csv_path);
-  // Resume over the finalized artifact: no store on disk, so the legacy
-  // readers seed a fresh one; everything is already done.
+  // Resume over the finalized artifact: no store on disk, so the CSV
+  // readers import the rows into a fresh one; everything is already done.
   Aggregator resumed{AggregatorOptions(options)};
   EXPECT_EQ(resumed.load_existing(), 2U);
   EXPECT_EQ(resumed.pending(), std::vector<std::size_t>{});
   resumed.finalize();
   EXPECT_EQ(read_lines(options.csv_path), finalized);
-  EXPECT_FALSE(fs::exists(options.store_path));
+  EXPECT_FALSE(fs::exists(RowStore::path_for(options.csv_path)));
 }
 
-TEST_F(StoreAggregateTest, StoreModeRequiresCsvPath) {
+TEST_F(StoreAggregateTest, FailedImportLeavesNoStore) {
+  auto options = store_options("s", 3, 2, 0);
+  options.expected_identity = {{"100", "0"}, {"101", "1"}, {"102", "2"}};
+  {
+    Aggregator agg{AggregatorOptions(options)};
+    agg.load_existing();
+    for (std::size_t p = 0; p < 3; ++p) {
+      agg.record(p, 100 + p, {std::to_string(p)}, synth_metrics(p, 2));
+    }
+    agg.finalize();
+  }
+  const std::string csv = slurp(options.csv_path);
+  const std::string runs = slurp(options.per_run_path);
+  const std::string store = RowStore::path_for(options.csv_path);
+  const std::string tmp = store + ".tmp";
+  const auto expect_no_store = [&](const char* what) {
+    EXPECT_FALSE(fs::exists(store)) << what;
+    EXPECT_FALSE(fs::exists(tmp)) << what;
+    EXPECT_EQ(slurp(options.csv_path), csv) << what;
+  };
+
+  // A foreign header fails before the first row.
+  auto foreign = options;
+  foreign.axis_names = {"y"};
+  EXPECT_THROW(Aggregator{std::move(foreign)}.load_existing(),
+               std::runtime_error);
+  expect_no_store("foreign header");
+
+  // A changed manifest fails on the last summary row, after two rows have
+  // already gone into the temporary store.
+  auto changed = options;
+  changed.expected_identity[2] = {"102", "7"};
+  EXPECT_THROW(Aggregator{std::move(changed)}.load_existing(),
+               std::runtime_error);
+  expect_no_store("changed manifest");
+
+  // A per-run row from another campaign fails after every summary row.
+  {
+    const std::string row = "\n2,1,103,";  // point 2, rep 1, seed 103
+    std::string tampered = runs;
+    tampered.replace(tampered.rfind(row), row.size(), "\n2,1,999,");
+    std::ofstream(options.per_run_path, std::ios::trunc) << tampered;
+  }
+  EXPECT_THROW(Aggregator{AggregatorOptions(options)}.load_existing(),
+               std::runtime_error);
+  expect_no_store("foreign per-run row");
+  std::ofstream(options.per_run_path, std::ios::trunc) << runs;
+
+  // A killed import's leftover is never trusted; the right manifest still
+  // recovers every row and re-exports the same bytes.
+  std::ofstream(tmp) << "PASROWS1 torn";
+  Aggregator resumed{AggregatorOptions(options)};
+  EXPECT_EQ(resumed.load_existing(), 3U);
+  EXPECT_FALSE(fs::exists(tmp));
+  resumed.finalize();
+  EXPECT_EQ(slurp(options.csv_path), csv);
+  EXPECT_EQ(slurp(options.per_run_path), runs);
+  EXPECT_FALSE(fs::exists(store));
+}
+
+TEST_F(StoreAggregateTest, StorePathRequiresCsvPath) {
   AggregatorOptions options;
   options.axis_names = {"x"};
   options.total_points = 1;
@@ -459,7 +573,7 @@ TEST_F(StoreAggregateTest, FinalizeRejectsIncompleteCampaignBeforeExport) {
   EXPECT_THROW(agg.finalize(), std::logic_error);
   // The failed finalize touched nothing: no CSV yet, store intact.
   EXPECT_FALSE(fs::exists(options.csv_path));
-  EXPECT_TRUE(fs::exists(options.store_path));
+  EXPECT_TRUE(fs::exists(RowStore::path_for(options.csv_path)));
 }
 
 TEST_F(AggregateTest, SketchQuantilesEngageBeyondExactThreshold) {
@@ -480,6 +594,7 @@ TEST_F(AggregateTest, SketchQuantilesEngageBeyondExactThreshold) {
     m.delay_digest.add(m.runs[r].avg_delay_s);
   }
   agg.record(0, 100, {"PAS"}, m);
+  agg.finalize();
   const auto lines = read_lines(csv_);
   ASSERT_EQ(lines.size(), 2U);
   const std::string want = "," + io::format_double(m.delay_digest.quantile(0.50)) +

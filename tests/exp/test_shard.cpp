@@ -7,6 +7,9 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "exp/aggregate.hpp"
 #include "exp/runner.hpp"
@@ -184,6 +187,67 @@ TEST_F(ShardTest, MergeRejectsTruncatedRow) {
   EXPECT_THROW((void)merge_outputs({path("s0.csv"), path("s1.csv")},
                                    path("out.csv")),
                std::runtime_error);
+}
+
+TEST_F(ShardTest, MergeRejectsUnsortedPerRunInputNamingTheFile) {
+  const Manifest m = small_manifest();
+  CampaignOptions full;
+  full.jobs = 1;
+  full.out_csv = path("full.csv");
+  full.per_run_csv = path("full_runs.csv");
+  run_campaign(m, full);
+
+  // The same rows in rep-major order (every rep-0 row, then every rep-1
+  // row). No writer produces this — finalize and compact export sorted
+  // rows — so the merge refuses it instead of sorting it in memory, even
+  // without a manifest.
+  std::istringstream in(slurp(path("full_runs.csv")));
+  std::string header, line;
+  std::getline(in, header);
+  std::vector<std::string> rep_rows[2];
+  while (std::getline(in, line)) {
+    rep_rows[line.substr(line.find(',') + 1, 1) == "0" ? 0 : 1].push_back(line);
+  }
+  {
+    std::ofstream out(path("rep_major.csv"));
+    out << header << '\n';
+    for (const auto& rows : rep_rows) {
+      for (const auto& row : rows) out << row << '\n';
+    }
+  }
+  try {
+    (void)merge_outputs({path("rep_major.csv")}, path("out.csv"));
+    FAIL() << "an unsorted per-run input must not merge";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find(path("rep_major.csv")),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_FALSE(fs::exists(path("out.csv")));
+  EXPECT_FALSE(fs::exists(path("out.csv.tmp")));
+}
+
+TEST_F(ShardTest, MergeRejectsOutOfOrderSummaryRow) {
+  const Manifest m = small_manifest();
+  run_shard(m, 0, 2, path("s0.csv"));
+  run_shard(m, 1, 2, path("s1.csv"));
+  // Swap shard 1's first two rows (points 1 and 3). The merge meets point
+  // 3 before point 1 and must refuse, with or without a manifest.
+  std::istringstream in(slurp(path("s1.csv")));
+  std::string header, first, second, rest;
+  std::getline(in, header);
+  std::getline(in, first);
+  std::getline(in, second);
+  std::getline(in, rest, '\0');
+  std::ofstream(path("s1.csv"), std::ios::trunc)
+      << header << '\n' << second << '\n' << first << '\n' << rest;
+  EXPECT_THROW((void)merge_outputs({path("s0.csv"), path("s1.csv")},
+                                   path("out.csv")),
+               std::runtime_error);
+  EXPECT_THROW((void)merge_outputs({path("s0.csv"), path("s1.csv")},
+                                   path("out.csv"), &m),
+               std::runtime_error);
+  EXPECT_FALSE(fs::exists(path("out.csv")));
 }
 
 TEST_F(ShardTest, MergeRejectsMismatchedHeaders) {

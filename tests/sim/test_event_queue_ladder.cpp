@@ -1,13 +1,10 @@
-// Stress and differential tests for the ladder/calendar pending-set index.
+// Stress and oracle tests for the ladder/calendar pending-set index.
 //
-// Everything here runs against whichever index the build compiled in: the
-// default ladder or the PAS_EVENTQ_HEAP binary heap. The dispatch-order
-// contract is identical for both — strict (time, seq) with seq assigned in
-// push order — so the same assertions double as the differential check: CI
-// builds both variants and runs this suite under each, and the randomized
-// oracle below pins the exact (time, token) dispatch sequence that the two
-// builds must share. Ladder-only shape-counter assertions are guarded with
-// #ifndef PAS_EVENTQ_HEAP.
+// The dispatch-order contract is strict (time, seq) with seq assigned in
+// push order. The randomized test below checks the exact (time, token)
+// dispatch sequence against a brute-force model of that contract, so the
+// model is the oracle any change to the index is held to. The shape-counter
+// tests at the end pin how the ladder lays a schedule out.
 
 #include "sim/event_queue.hpp"
 
@@ -192,13 +189,11 @@ TEST(EventQueueLadder, FarFutureOverflowReseedsInOrder) {
     ASSERT_LE(popped[i - 1], popped[i]) << "at index " << i;
   }
   EXPECT_DOUBLE_EQ(popped.back(), 2.0e9);
-#ifndef PAS_EVENTQ_HEAP
-  // Ladder-only: the initial reseed built a calendar over both clusters,
-  // and the dense near cluster (collapsed into one coarse bucket by the
-  // 1e9-wide span) had to spawn a finer sub-rung.
+  // The initial reseed built a calendar over both clusters, and the dense
+  // near cluster (collapsed into one coarse bucket by the 1e9-wide span)
+  // had to spawn a finer sub-rung.
   EXPECT_GE(q.stats().bucket_resizes, 1U);
   EXPECT_GE(q.stats().rung_spawns, 1U);
-#endif
 }
 
 TEST(EventQueueLadder, ReentrantPushFromCallbackKeepsSeqOrder) {
@@ -303,9 +298,7 @@ TEST(EventQueueLadder, StatsAndOrderIdenticalAcrossWarmReuse) {
   stats_eq(fresh_stats, reused.stats());
 }
 
-// --- Ladder-only shape counters -------------------------------------------
-
-#ifndef PAS_EVENTQ_HEAP
+// --- Shape counters -------------------------------------------------------
 
 TEST(EventQueueLadder, OverfullBucketSpawnsSubRung) {
   // A dense cluster inside a wide horizon: the reseed spreads 10k events
@@ -351,8 +344,6 @@ TEST(EventQueueLadder, DeadSkipsCountCancelledEntriesAtDrain) {
   while (!q.empty()) q.run_next();
   EXPECT_EQ(q.stats().dead_skips, cancelled);
 }
-
-#endif  // !PAS_EVENTQ_HEAP
 
 }  // namespace
 }  // namespace pas::sim

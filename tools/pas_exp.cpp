@@ -132,7 +132,6 @@ int main(int argc, char** argv) {
   std::uint64_t worker_id = 0;
   double hang_timeout = 120.0;
   std::string serve_spec;
-  std::string store_spec = "on";
   std::uint64_t agg_synth = 0;
   std::uint64_t agg_reps = 4;
   bool do_export = false;
@@ -206,12 +205,6 @@ int main(int argc, char** argv) {
   cli.add_double("hang-timeout", &hang_timeout,
                  "--drive: kill a worker silent for this many seconds and "
                  "reassign its lease (0 disables)");
-  cli.add_string("store", &store_spec,
-                 "Row-store backing for campaign aggregation: \"on\" "
-                 "(default; rows stream through a bounded-memory .pasrows "
-                 "store and the CSV materializes at finalize) or \"off\" "
-                 "(legacy in-memory rows). Outputs are byte-identical "
-                 "either way");
   cli.add_flag("export", &do_export,
                "Render the CSV/JSONL artifacts from an existing --out row "
                "store (e.g. after an interrupted campaign) and exit; "
@@ -235,15 +228,6 @@ int main(int argc, char** argv) {
       return 0;
     }
 
-    if (store_spec != "on" && store_spec != "off") {
-      std::fprintf(stderr,
-                   "pas-exp: --store expects \"on\" or \"off\" (got "
-                   "\"%s\")\n",
-                   store_spec.c_str());
-      return 2;
-    }
-    const bool use_store = store_spec == "on";
-
     if (merge) {
       const auto& inputs = cli.positional();
       if (inputs.empty()) {
@@ -260,8 +244,7 @@ int main(int argc, char** argv) {
           drive_workers != 0 || worker || worker_id != 0 ||
           !bench_json.empty() || hang_timeout != 120.0 ||
           !trace_path.empty() || trace_point != 0 || !serve_spec.empty() ||
-          serve_linger || store_spec != "on" || do_export ||
-          agg_synth != 0 || agg_reps != 4) {
+          serve_linger || do_export || agg_synth != 0 || agg_reps != 4) {
         std::fprintf(stderr,
                      "pas-exp: --merge takes only input CSVs, --out, and "
                      "--manifest (merge per-run shard files in a separate "
@@ -307,14 +290,14 @@ int main(int argc, char** argv) {
       // Synthetic aggregation driver: pushes N fabricated points through
       // record()/finalize() without simulating anything — the workload the
       // CI max-RSS gate and the aggregation benches measure. Inputs are a
-      // pure function of (point, rep), so --store on and --store off must
-      // produce byte-identical artifacts.
+      // pure function of (point, rep), so the artifacts have pinned
+      // digests.
       if (worker || drive_workers != 0 || do_export || !serve_spec.empty() ||
           !trace_path.empty() || dry_run || !shard_spec.empty() ||
           !metrics_path.empty() || !manifest_path.empty()) {
         std::fprintf(stderr,
                      "pas-exp: --agg-synth drives the aggregator alone; it "
-                     "takes only --out/--json/--per-run/--store/--agg-reps/"
+                     "takes only --out/--json/--per-run/--agg-reps/"
                      "--resume\n");
         return 2;
       }
@@ -328,9 +311,6 @@ int main(int argc, char** argv) {
       agg_options.axis_names = {"x"};
       agg_options.total_points = n_points;
       agg_options.replications = reps;
-      if (use_store) {
-        agg_options.store_path = pas::exp::RowStore::path_for(out_csv);
-      }
       pas::exp::Aggregator aggregator(std::move(agg_options));
       if (resume) aggregator.load_existing();
       const auto t0 = std::chrono::steady_clock::now();
@@ -364,9 +344,9 @@ int main(int argc, char** argv) {
           std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
               .count();
       std::printf(
-          "agg-synth: %zu points x %zu reps (store %s) in %.2fs "
-          "(%.0f points/s) -> %s\n",
-          n_points, reps, use_store ? "on" : "off", wall,
+          "agg-synth: %zu points x %zu reps in %.2fs (%.0f points/s) -> "
+          "%s\n",
+          n_points, reps, wall,
           wall > 0.0 ? static_cast<double>(n_points) / wall : 0.0,
           out_csv.c_str());
       return 0;
@@ -397,7 +377,6 @@ int main(int argc, char** argv) {
       options.metrics_csv = metrics_path;
       options.worker_id = static_cast<int>(worker_id);
       options.jobs = std::max<std::size_t>(1, static_cast<std::size_t>(jobs));
-      options.store = use_store;
       return pas::orch::run_worker(manifest, options);
     }
 
@@ -419,11 +398,11 @@ int main(int argc, char** argv) {
 
     if (do_export) {
       // Render the CSV/JSONL artifacts out of an existing row store without
-      // running anything — the recovery hatch for an interrupted store-mode
-      // campaign whose CSV never materialized. Keeps the store (finalize,
+      // running anything — the recovery hatch for an interrupted campaign
+      // whose CSV never materialized. Keeps the store (finalize,
       // not export, is what retires it).
       if (worker || drive_workers != 0 || dry_run || !trace_path.empty() ||
-          !serve_spec.empty() || !use_store) {
+          !serve_spec.empty()) {
         std::fprintf(stderr,
                      "pas-exp: --export renders an existing row store; it "
                      "takes only --manifest, --out, --json, and --per-run\n");
@@ -437,13 +416,12 @@ int main(int argc, char** argv) {
       agg_options.total_points = points.size();
       agg_options.replications = manifest.replications;
       agg_options.expected_identity = pas::exp::grid_identity(points);
-      const std::string store_path = pas::exp::RowStore::path_for(out_csv);
-      agg_options.store_path = store_path;
       pas::exp::Aggregator aggregator(std::move(agg_options));
       aggregator.load_existing();
       aggregator.compact();
       std::printf("exported %zu of %zu points from %s -> %s\n",
-                  aggregator.done_count(), points.size(), store_path.c_str(),
+                  aggregator.done_count(), points.size(),
+                  pas::exp::RowStore::path_for(out_csv).c_str(),
                   out_csv.c_str());
       return 0;
     }
@@ -590,7 +568,6 @@ int main(int argc, char** argv) {
           std::max<std::size_t>(1, static_cast<std::size_t>(jobs));
       drive_options.resume = resume;
       drive_options.hang_timeout_s = hang_timeout;
-      drive_options.store = use_store;
       drive_options.verbosity =
           quiet ? pas::orch::DriveOptions::Verbosity::kQuiet
                 : (progress
@@ -616,7 +593,6 @@ int main(int argc, char** argv) {
           resume_cmd += buf;
         }
         if (!bench_json.empty()) resume_cmd += " --bench-json " + bench_json;
-        if (!use_store) resume_cmd += " --store off";
         if (quiet) resume_cmd += " --quiet";
         if (progress) resume_cmd += " --progress";
         std::printf(
@@ -692,7 +668,6 @@ int main(int argc, char** argv) {
     options.out_json = out_json;
     options.per_run_csv = per_run_csv;
     options.metrics_path = metrics_path;
-    options.use_store = use_store;
     options.feed = &feed;
     if (serving) {
       options.should_stop = [] { return g_stop_requested != 0; };
@@ -725,7 +700,6 @@ int main(int argc, char** argv) {
       if (rep_chunk != 0) {
         resume_cmd += " --rep-chunk " + std::to_string(rep_chunk);
       }
-      if (!use_store) resume_cmd += " --store off";
       if (quiet) resume_cmd += " --quiet";
       if (progress) resume_cmd += " --progress";
       std::printf(
@@ -764,7 +738,6 @@ int main(int argc, char** argv) {
           sub_options.jobs = static_cast<std::size_t>(jobs);
           sub_options.rep_chunk = static_cast<std::size_t>(rep_chunk);
           sub_options.out_csv = out_csv + ".c" + std::to_string(id) + ".csv";
-          sub_options.use_store = use_store;
           sub_options.feed = &feed;
           sub_options.campaign_id = id;
           sub_options.should_stop = [] { return g_stop_requested != 0; };
