@@ -293,6 +293,8 @@ void Aggregator::import_csv() {
   try {
     RowStore tmp(tmp_path, identity_hash_);
     tmp.open_append();
+    // RowStore buffers appends until flush(); flushing every 1024 rows keeps
+    // that buffer small however large the artifact is.
     std::size_t batched = 0;
     const auto append = [&](RowStore::Kind kind, std::size_t point,
                             std::size_t rep,
