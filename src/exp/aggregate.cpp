@@ -235,7 +235,7 @@ std::string Aggregator::json_line(const std::vector<std::string>& cells) const {
   return out;
 }
 
-void Aggregator::load_rows_file(
+void Aggregator::read_csv_rows(
     const std::string& path, const std::vector<std::string>& want_header,
     const char* flag_hint, std::size_t key_arity,
     const std::function<void(std::size_t, std::size_t,
@@ -302,7 +302,7 @@ void Aggregator::import_csv() {
       tmp.append(kind, point, rep, cells);
       if (++batched % 1024 == 0) tmp.flush();
     };
-    load_rows_file(
+    read_csv_rows(
         csv_path_, columns_, "--out", /*key_arity=*/1,
         [&](std::size_t point, std::size_t, std::vector<std::string> cells) {
           if (!expected_identity_.empty()) {
@@ -331,7 +331,7 @@ void Aggregator::import_csv() {
           append(RowStore::Kind::kSummary, point, 0, cells);
         });
     if (!per_run_path_.empty()) {
-      load_rows_file(
+      read_csv_rows(
           per_run_path_, per_run_columns_, "--per-run", /*key_arity=*/2,
           [&](std::size_t point, std::size_t rep,
               std::vector<std::string> cells) {

@@ -179,7 +179,7 @@ class Aggregator {
   /// Shared CSV reader for the import: header validation, torn-row
   /// dropping, bounds and shard-ownership checks; `on_row` receives each
   /// surviving row's (point, rep, cells) — rep is 0 when key_arity is 1.
-  void load_rows_file(
+  void read_csv_rows(
       const std::string& path, const std::vector<std::string>& want_header,
       const char* flag_hint, std::size_t key_arity,
       const std::function<void(std::size_t, std::size_t,
