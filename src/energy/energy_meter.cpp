@@ -41,9 +41,12 @@ void EnergyMeter::add_rx(std::size_t bits) {
   ++rx_count_;
 }
 
-void EnergyMeter::add_cca(sim::Duration seconds) {
-  cca_j_ += profile_.radio_rx_w * seconds;
-  ++cca_count_;
+void EnergyMeter::add_cca(sim::Duration seconds, std::uint64_t count) {
+  // One addition per charge, never one multiplication: cca_j_ must not
+  // depend on how the MAC batched its idle samples.
+  const double joules = profile_.radio_rx_w * seconds;
+  for (std::uint64_t k = 0; k < count; ++k) cca_j_ += joules;
+  cca_count_ += count;
 }
 
 void EnergyMeter::add_preamble(sim::Duration seconds) {

@@ -43,10 +43,12 @@ class EnergyMeter {
 
   // MAC line items (net::SlottedLplMac hooks; all zero when the MAC is off).
 
-  /// One clear-channel assessment of `seconds` — radio briefly up at RX
-  /// power. Charged to sleeping nodes (LPL slot samples, relay CCAs); an
-  /// awake radio's listening is already inside the active-mode power.
-  void add_cca(sim::Duration seconds);
+  /// `count` clear-channel assessments of `seconds` each — radio briefly up
+  /// at RX power. Charged to sleeping nodes (LPL slot samples, relay CCAs);
+  /// an awake radio's listening is already inside the active-mode power.
+  /// Adds each charge in turn, so a bulk call is bit-identical to `count`
+  /// single ones.
+  void add_cca(sim::Duration seconds, std::uint64_t count = 1);
   /// Preamble of `seconds` at TX power (rendezvous preambles dominate).
   void add_preamble(sim::Duration seconds);
   /// Idle-listen extension of `seconds` at total-active power: a sleeping

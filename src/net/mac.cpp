@@ -1,7 +1,9 @@
 #include "net/mac.hpp"
 
 #include <algorithm>
+#include <cassert>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 
 #include "net/network.hpp"
@@ -62,7 +64,7 @@ void SlottedLplMac::reset(const MacConfig& config,
   trace_ = nullptr;
   // Hooks capture the previous world's state; a fresh MAC has none.
   deliver_ = DeliverFn{};
-  cca_hook_ = EnergyTimeHook{};
+  cca_hook_ = CcaHook{};
   preamble_hook_ = EnergyTimeHook{};
   listen_hook_ = EnergyTimeHook{};
   tx_hook_ = EnergyBitsHook{};
@@ -84,41 +86,94 @@ void SlottedLplMac::reset(const MacConfig& config,
   }
 }
 
+namespace {
+
+/// The largest time strictly before `t`: booking "through just_before(t)"
+/// books the samples strictly before t.
+sim::Time just_before(sim::Time t) {
+  return std::nextafter(t, -std::numeric_limits<double>::infinity());
+}
+
+}  // namespace
+
+std::int64_t SlottedLplMac::first_slot_after(const NodeState& n,
+                                             sim::Time t) const {
+  // The slot times phase + k*per are non-decreasing in k (each rounding is
+  // monotone), so the division's estimate, which can be off by one either
+  // way, is settled by comparing the sample times themselves. No epsilon:
+  // at long horizons one would be below the clock's ulp.
+  const double estimate =
+      std::floor((t - n.phase) / config_.slot_period_s) + 1.0;
+  std::int64_t k = estimate > 0.0 ? static_cast<std::int64_t>(estimate) : 0;
+  while (k > 0 && slot_time(n, k - 1) > t) --k;
+  while (slot_time(n, k) <= t) ++k;
+  return k;
+}
+
 sim::Time SlottedLplMac::next_sample_time(std::uint32_t id,
                                           sim::Time after) const {
   const NodeState& n = nodes_.at(id);
-  const double per = config_.slot_period_s;
-  // `after` is usually a grid point itself (the sample that just fired);
-  // phase + k*per recomputed from the division can land one ulp past it,
-  // which without the epsilon would schedule a duplicate sample ~1e-15 s
-  // later instead of a full period later.
-  const double eps = per * 1e-9;
-  double k = std::floor((after + eps - n.phase) / per) + 1.0;
-  if (k < 0.0) k = 0.0;
-  sim::Time t = n.phase + k * per;
-  while (t <= after + eps) t += per;
-  return t;
+  return slot_time(n, first_slot_after(n, after));
+}
+
+void SlottedLplMac::book_idle(std::uint32_t i, sim::Time through) {
+  NodeState& n = nodes_[i];
+  assert(!n.sample_timer.pending() && "the armed sample is the cursor");
+  const std::int64_t end = first_slot_after(n, through);
+  if (end <= n.next_slot) return;
+  const auto count = static_cast<std::uint64_t>(end - n.next_slot);
+  n.next_slot = end;
+  stats_.lpl_samples += count;
+  if (cca_hook_) cca_hook_(i, config_.cca_s, count);
+}
+
+sim::Time SlottedLplMac::carrier_end(std::uint32_t i) const {
+  sim::Time end = simulator_.now();
+  for (const std::uint32_t j : network_.neighbors_of(i)) {
+    const NodeState& t = nodes_[j];
+    if (t.tx_active) end = std::max(end, t.tx_data_end);
+  }
+  return end;
+}
+
+void SlottedLplMac::arm_if_covered(NodeState& n, sim::Time covered_until) {
+  const sim::Time t = slot_time(n, n.next_slot);
+  if (t < covered_until) n.sample_timer.arm_at(t);
+}
+
+void SlottedLplMac::settle() {
+  const sim::Time now = simulator_.now();
+  for (std::uint32_t i = 0; i < nodes_.size(); ++i) {
+    const NodeState& n = nodes_[i];
+    // run_until ran the events at its deadline, so samples at now count.
+    if (n.sampling && !n.sample_timer.pending()) book_idle(i, now);
+  }
+}
+
+void SlottedLplMac::stop_sampling(std::uint32_t i) {
+  NodeState& n = nodes_[i];
+  // A live sample at the cursor is cancelled, even one due at now; else the
+  // samples slept through are booked strictly before now.
+  if (!n.sample_timer.cancel()) book_idle(i, just_before(simulator_.now()));
+  n.sampling = false;
 }
 
 void SlottedLplMac::on_listening_changed(std::uint32_t id, bool listening) {
   NodeState& n = nodes_.at(id);
   if (n.failed) return;
   if (listening) {
-    if (n.sampling) {
-      n.sample_timer.cancel();
-      n.sampling = false;
-    }
+    if (n.sampling) stop_sampling(id);
   } else if (!n.sampling) {
     n.sampling = true;
-    n.sample_timer.arm_at(next_sample_time(id, simulator_.now()));
+    n.next_slot = first_slot_after(n, simulator_.now());
+    arm_if_covered(n, carrier_end(id));
   }
 }
 
 void SlottedLplMac::on_failed(std::uint32_t id) {
   NodeState& n = nodes_.at(id);
+  if (n.sampling) stop_sampling(id);
   n.failed = true;
-  n.sampling = false;
-  n.sample_timer.cancel();
   n.retry_timer.cancel();
   n.rx = Rx{};
   // A transmission already on air is cleaned up by its own data-end event
@@ -194,7 +249,7 @@ void SlottedLplMac::try_send(std::uint32_t i) {
   Frame& f = n.queue.front();
   // A sleeping node pays for the CCA sample; an awake radio's listen power
   // already covers it (the EnergyMeter active-mode contract).
-  if (!network_.listening(i) && cca_hook_) cca_hook_(i, config_.cca_s);
+  if (!network_.listening(i) && cca_hook_) cca_hook_(i, config_.cca_s, 1);
   // Half-duplex: a radio locked onto a reception defers like a busy medium.
   if (n.rx.active || medium_busy_for(i)) {
     ++stats_.cca_busy;
@@ -240,10 +295,16 @@ void SlottedLplMac::start_tx(std::uint32_t i) {
   if (tx_hook_) tx_hook_(i, f.msg.size_bits());
   trace(sim::TraceKind::kMacDataTx, i, data_end - now);
 
-  // Carrier starting now corrupts receptions already in progress at shared
-  // receivers (hidden terminals got past their sender's CCA).
   for (const std::uint32_t to : network_.neighbors_of(i)) {
     NodeState& r = nodes_[to];
+    // A sleeping neighbour's samples before now found the medium idle; the
+    // one at its cursor goes live if this carrier covers it.
+    if (r.sampling && !r.sample_timer.pending()) {
+      book_idle(to, just_before(now));
+      arm_if_covered(r, data_end);
+    }
+    // Carrier starting now corrupts receptions already in progress at
+    // shared receivers (hidden terminals got past their sender's CCA).
     if (!r.rx.active || r.rx.sender == i) continue;
     if (now - r.rx.data_start >= config_.capture_margin_s) {
       ++stats_.captures;  // established reception survives (capture effect)
@@ -378,14 +439,9 @@ void SlottedLplMac::on_sample(std::uint32_t i) {
   NodeState& n = nodes_[i];
   if (n.failed || !n.sampling) return;
   const sim::Time now = simulator_.now();
+  assert(slot_time(n, n.next_slot) == now && "a live sample is the cursor");
   ++stats_.lpl_samples;
-  if (cca_hook_) cca_hook_(i, config_.cca_s);
-
-  // Busy with our own radio work (forwarding while asleep): skip the scan.
-  if (n.rx.active || n.tx_active) {
-    n.sample_timer.arm_at(next_sample_time(i, now));
-    return;
-  }
+  if (cca_hook_) cca_hook_(i, config_.cca_s, 1);
 
   // Scan the neighborhood: a decodable preamble (unicast addressed here, or
   // a broadcast) locks the radio until its data ends; anything else busy is
@@ -402,7 +458,12 @@ void SlottedLplMac::on_sample(std::uint32_t i) {
     }
   }
 
-  if (decodable < nodes_.size()) {
+  // The radio sleeps again until `resume`; the next sample after it goes
+  // live only if a carrier still covers it (busy_until is the latest end).
+  sim::Time resume = now;
+  if (n.rx.active || n.tx_active) {
+    // Busy with our own radio work (forwarding while asleep): no lock.
+  } else if (decodable < nodes_.size()) {
     const NodeState& t = nodes_[decodable];
     ++stats_.lpl_wakeups;
     Rx lock;
@@ -420,16 +481,14 @@ void SlottedLplMac::on_sample(std::uint32_t i) {
     }
     n.rx = lock;
     if (listen_hook_) listen_hook_(i, t.tx_data_end - now);
-    n.sample_timer.arm_at(next_sample_time(i, t.tx_data_end));
-    return;
-  }
-  if (busy_until > now) {
+    resume = t.tx_data_end;
+  } else if (busy_until > now) {
     ++stats_.overhears;
     if (listen_hook_) listen_hook_(i, busy_until - now);
-    n.sample_timer.arm_at(next_sample_time(i, busy_until));
-    return;
+    resume = busy_until;
   }
-  n.sample_timer.arm_at(next_sample_time(i, now));
+  n.next_slot = first_slot_after(n, resume);
+  arm_if_covered(n, busy_until);
 }
 
 void SlottedLplMac::trace(sim::TraceKind kind, std::uint32_t node, double x) {

@@ -19,6 +19,15 @@
 //   * unicasts are acknowledged and retried; broadcasts are best-effort
 //     short-preamble sends that reach only radios already listening.
 //
+// Sampling is lazy. A slot sample that finds the medium idle only counts
+// and pays one CCA, so a sleeping node keeps a cursor at its next sample
+// and the kernel sees a sample event only when a neighbour's carrier
+// covers it. The idle samples in between are booked in closed form from
+// the slot index (lpl_samples plus one bulk CCA charge) when the node
+// wakes or fails, when a neighbour starts a carrier, and at settle(),
+// which the owner calls once the run has reached its horizon. Counters and
+// energy are identical to sampling every slot.
+//
 // Every energy consequence (CCA samples, preamble, idle-listen extension,
 // data TX) is reported through hooks charged to energy::EnergyMeter line
 // items; the MAC itself holds no meters. Determinism: slot phases and
@@ -107,9 +116,13 @@ class SlottedLplMac {
   using DeliverFn = std::function<void(const Message& msg, std::uint32_t to)>;
   /// Unicast outcome: true when the frame was delivered and acknowledged.
   using SendCallback = std::function<void(bool delivered)>;
-  /// Time-priced energy hooks (seconds of CCA / preamble / idle listen).
+  /// Time-priced energy hooks (seconds of preamble / idle listen).
   using EnergyTimeHook =
       std::function<void(std::uint32_t node, sim::Duration seconds)>;
+  /// `count` clear-channel assessments of `seconds` each (idle slot samples
+  /// arrive in bulk).
+  using CcaHook = std::function<void(std::uint32_t node, sim::Duration seconds,
+                                     std::uint64_t count)>;
   /// Data transmission hook (bits on air).
   using EnergyBitsHook =
       std::function<void(std::uint32_t node, std::size_t bits)>;
@@ -122,7 +135,7 @@ class SlottedLplMac {
   void reset(const MacConfig& config, const sim::SeedSequence& seeds);
 
   void set_deliver(DeliverFn fn) { deliver_ = std::move(fn); }
-  void set_cca_hook(EnergyTimeHook h) { cca_hook_ = std::move(h); }
+  void set_cca_hook(CcaHook h) { cca_hook_ = std::move(h); }
   void set_preamble_hook(EnergyTimeHook h) { preamble_hook_ = std::move(h); }
   void set_listen_hook(EnergyTimeHook h) { listen_hook_ = std::move(h); }
   void set_tx_hook(EnergyBitsHook h) { tx_hook_ = std::move(h); }
@@ -141,6 +154,11 @@ class SlottedLplMac {
   void unicast(std::uint32_t from, std::uint32_t to, const Message& msg,
                SendCallback cb);
 
+  /// Books every sleeping node's idle samples up to and including now().
+  /// Call once the simulator has run to its horizon and before reading
+  /// stats() or the CCA energy; samples past now() stay unbooked.
+  void settle();
+
   /// Outbound frames queued or in flight at `id` (collection backpressure).
   [[nodiscard]] std::size_t queue_depth(std::uint32_t id) const;
 
@@ -148,6 +166,11 @@ class SlottedLplMac {
   /// rendezvous point a sender's preamble must cover.
   [[nodiscard]] sim::Time next_sample_time(std::uint32_t id,
                                            sim::Time after) const;
+  /// The node's first slot sample neither taken nor booked yet.
+  [[nodiscard]] sim::Time sample_cursor(std::uint32_t id) const {
+    const NodeState& n = nodes_.at(id);
+    return slot_time(n, n.next_slot);
+  }
   [[nodiscard]] sim::Duration slot_phase(std::uint32_t id) const {
     return nodes_.at(id).phase;
   }
@@ -175,8 +198,10 @@ class SlottedLplMac {
   struct NodeState {
     sim::Duration phase = 0.0;
     sim::Pcg32 backoff_rng;
-    bool sampling = false;  // slot-sample timer armed (protocol asleep)
+    bool sampling = false;  // protocol asleep: slot samples are due
     bool failed = false;
+    // Cursor: slot index of the first sample neither taken nor booked.
+    std::int64_t next_slot = 0;
     // Current transmission (valid while tx_active).
     bool tx_active = false;
     sim::Time tx_start = 0.0;
@@ -184,6 +209,7 @@ class SlottedLplMac {
     sim::Time tx_data_end = 0.0;
     Rx rx;
     std::deque<Frame> queue;
+    // Armed at the cursor, and only while a neighbour's carrier covers it.
     sim::Timer sample_timer;
     sim::Timer retry_timer;
   };
@@ -194,6 +220,16 @@ class SlottedLplMac {
   void on_data_start(std::uint32_t i);
   void on_data_end(std::uint32_t i);
   void on_sample(std::uint32_t i);
+  void stop_sampling(std::uint32_t i);
+  void book_idle(std::uint32_t i, sim::Time through);
+  void arm_if_covered(NodeState& n, sim::Time covered_until);
+  [[nodiscard]] sim::Time carrier_end(std::uint32_t i) const;
+  [[nodiscard]] std::int64_t first_slot_after(const NodeState& n,
+                                              sim::Time t) const;
+  [[nodiscard]] sim::Time slot_time(const NodeState& n,
+                                    std::int64_t k) const noexcept {
+    return n.phase + static_cast<double>(k) * config_.slot_period_s;
+  }
   void finish_frame(std::uint32_t i, bool delivered);
   void backoff(std::uint32_t i, sim::Duration extra);
   [[nodiscard]] bool medium_busy_for(std::uint32_t i) const;
@@ -208,7 +244,7 @@ class SlottedLplMac {
   MacConfig config_{};
   std::vector<NodeState> nodes_;
   DeliverFn deliver_;
-  EnergyTimeHook cca_hook_;
+  CcaHook cca_hook_;
   EnergyTimeHook preamble_hook_;
   EnergyTimeHook listen_hook_;
   EnergyBitsHook tx_hook_;

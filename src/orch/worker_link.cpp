@@ -107,19 +107,20 @@ class HeartbeatThread {
   std::thread thread_;
 };
 
-/// Parses PAS_ORCH_TEST_CRASH ("<worker_id>:<n>"); 0 when unset/foreign.
+/// Parses PAS_ORCH_TEST_CRASH ("<worker_id>:<n>" or "*:<n>"); 0 when
+/// unset/foreign.
 std::size_t crash_after_points(int worker_id) {
   const char* spec = std::getenv("PAS_ORCH_TEST_CRASH");
   if (spec == nullptr) return 0;
   const std::string s(spec);
   const auto colon = s.find(':');
   if (colon == std::string::npos) return 0;
-  int id = -1;
   std::size_t after = 0;
-  if (!parse_number(s.substr(0, colon), id) ||
-      !parse_number(s.substr(colon + 1), after)) {
-    return 0;
-  }
+  if (!parse_number(s.substr(colon + 1), after)) return 0;
+  const std::string who = s.substr(0, colon);
+  if (who == "*") return after;
+  int id = -1;
+  if (!parse_number(who, id)) return 0;
   return id == worker_id ? after : 0;
 }
 

@@ -101,8 +101,12 @@ struct WorkerOptions {
 /// Test hook: if the environment variable PAS_ORCH_TEST_CRASH is set to
 /// "<worker_id>:<n>", a worker with that id whose part file was empty at
 /// startup raises SIGKILL after its n-th point_done — the deterministic
-/// mid-campaign crash the recovery tests inject. A respawned or resumed
-/// worker recovers rows at startup, so the hook disarms itself.
+/// mid-campaign crash the recovery tests inject. A resumed worker recovers
+/// rows at startup, so the hook disarms itself; a respawned one gets a new
+/// id and an empty part file. "*:<n>" arms every worker, replacements
+/// included, so a crash happens whichever worker gets the work; each
+/// worker finishes n points before it dies, so a campaign of P points sees
+/// at most P / n crashes.
 int run_worker(const exp::Manifest& manifest, const WorkerOptions& options);
 
 }  // namespace pas::orch

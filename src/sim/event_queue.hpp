@@ -8,9 +8,10 @@
 // rungs drain. push and pop are O(1) amortized — only the active bucket is
 // ever sorted — and the structure touches one small contiguous bucket per
 // dispatch instead of O(log n) scattered heap nodes, which is what makes
-// MAC-scale pending sets (every node's slot-sampling timer armed at once)
-// cheap; see docs/ARCHITECTURE.md "Kernel internals". The brute-force model
-// in tests/sim/test_event_queue_ladder.cpp is the dispatch-order oracle.
+// deep periodic pending sets (one timer per node, each re-armed a period
+// ahead) cheap; see docs/ARCHITECTURE.md "Kernel internals". The
+// brute-force model in tests/sim/test_event_queue_ladder.cpp is the
+// dispatch-order oracle.
 //
 // Determinism is contractual: dispatch order is strict (time, seq) with seq
 // assigned in push order, so simultaneous events fire FIFO however the

@@ -121,9 +121,10 @@ void Workspace::execute(const ScenarioConfig& config,
       mac_->reset(config.mac, seeds);
     }
     network_->attach_mac(&*mac_);
-    mac_->set_cca_hook([this](std::uint32_t id, sim::Duration s) {
-      nodes_[id].meter.add_cca(s);
-    });
+    mac_->set_cca_hook(
+        [this](std::uint32_t id, sim::Duration s, std::uint64_t count) {
+          nodes_[id].meter.add_cca(s, count);
+        });
     mac_->set_preamble_hook([this](std::uint32_t id, sim::Duration s) {
       nodes_[id].meter.add_preamble(s);
     });
@@ -159,6 +160,9 @@ void Workspace::execute(const ScenarioConfig& config,
                           collection);
   protocol.start();
   simulator_.run_until(config.duration_s);
+  // The MAC books its sleepers' idle slot samples lazily; bring them up to
+  // the horizon before outcomes and stats are read.
+  if (config.mac.enabled) mac_->settle();
 
   for (auto& n : nodes_) n.meter.finalize(config.duration_s);
 

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+
 namespace pas::energy {
 namespace {
 
@@ -53,6 +56,27 @@ TEST(EnergyMeter, RxEnergyAndCount) {
   m.add_rx(500);
   EXPECT_EQ(m.rx_count(), 1U);
   EXPECT_DOUBLE_EQ(m.rx_j(), kTelos.rx_energy(500));
+}
+
+TEST(EnergyMeter, BulkCcaIsBitIdenticalToSingleCharges) {
+  // The MAC books idle slot samples in bulk; the meter must not be able to
+  // tell, so cca_j is compared bit for bit, not within a tolerance.
+  for (const double seconds : {2e-3, 1.5e-3, 0.1 / 3.0}) {
+    for (const std::uint64_t count : {0ULL, 1ULL, 7ULL, 1000ULL, 34599ULL}) {
+      EnergyMeter bulk(kTelos, 0.0, PowerMode::kSleep);
+      EnergyMeter single(kTelos, 0.0, PowerMode::kSleep);
+      // Start both off a non-zero running sum, as a mid-run meter would be.
+      bulk.add_cca(seconds, 3);
+      for (int k = 0; k < 3; ++k) single.add_cca(seconds);
+      bulk.add_cca(seconds, count);
+      for (std::uint64_t k = 0; k < count; ++k) single.add_cca(seconds);
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(bulk.cca_j()),
+                std::bit_cast<std::uint64_t>(single.cca_j()))
+          << seconds << " s x " << count;
+      EXPECT_EQ(bulk.cca_count(), single.cca_count());
+      EXPECT_EQ(bulk.cca_count(), count + 3);
+    }
+  }
 }
 
 TEST(EnergyMeter, TotalIncludesOpenInterval) {

@@ -149,7 +149,7 @@ INSTANTIATE_TEST_SUITE_P(
                6820931892454602352ULL, 13857840388211272334ULL},
         Golden{"multihop_collection.json", 7006999060155547865ULL,
                4349560563103632640ULL, 13919728368572123161ULL,
-               18326837390520824287ULL, 4695342946260065068ULL},
+               11250980305885019262ULL, 4695342946260065068ULL},
         Golden{"policy_comparison.json", 8822445188169476681ULL,
                676889675622163775ULL, 11049284904442039818ULL,
                5496315807568491955ULL, 9742101021094334608ULL},

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <utility>
 #include <vector>
 
 #include "net/network.hpp"
@@ -127,7 +131,8 @@ TEST_F(MacFixture, RendezvousUnicastWaitsForReceiverWakeSlot) {
   });
   const sim::Time wake = mac.next_sample_time(1, 0.0);
   mac.unicast(0, 1, request(), SlottedLplMac::SendCallback{});
-  // run_until, not run(): a sleeping node's slot sampler re-arms forever.
+  // The carrier covers the wake slot, so that sample runs as a live event;
+  // the idle ones around it never reach the queue.
   simulator.run_until(wake + 0.05);
   EXPECT_EQ(received, 1);
   EXPECT_EQ(mac.stats().rendezvous_tx, 1ULL);
@@ -152,9 +157,10 @@ TEST_F(MacFixture, RendezvousEnergyChargedThroughHooks) {
   mac.set_listen_hook([&](std::uint32_t node, sim::Duration s) {
     if (node == 1) rx_listen_s += s;
   });
-  mac.set_cca_hook([&](std::uint32_t node, sim::Duration s) {
-    if (node == 1) rx_cca_s += s;
-  });
+  mac.set_cca_hook(
+      [&](std::uint32_t node, sim::Duration s, std::uint64_t count) {
+        if (node == 1) rx_cca_s += s * static_cast<double>(count);
+      });
   const sim::Time wake = mac.next_sample_time(1, 0.0);
   mac.unicast(0, 1, request(), SlottedLplMac::SendCallback{});
   simulator.run_until(wake + 0.05);
@@ -172,6 +178,7 @@ TEST_F(MacFixture, SleepingNodeSamplesOncePerSlot) {
   arm(config);
   network.set_listening(1, false);
   simulator.run_until(10.0);
+  mac.settle();  // idle samples are booked lazily
   // ~100 slots in 10 s at slot_period 0.1 (±1 for phase alignment).
   EXPECT_GE(mac.stats().lpl_samples, 99ULL);
   EXPECT_LE(mac.stats().lpl_samples, 101ULL);
@@ -180,7 +187,207 @@ TEST_F(MacFixture, SleepingNodeSamplesOncePerSlot) {
   network.set_listening(1, true);
   const std::uint64_t at_wake = mac.stats().lpl_samples;
   simulator.run_until(20.0);
+  mac.settle();
   EXPECT_EQ(mac.stats().lpl_samples, at_wake);
+}
+
+TEST_F(MacFixture, IdleSleepersDispatchNothing) {
+  MacConfig config;
+  arm(config);
+  std::vector<std::uint64_t> cca(3, 0);
+  mac.set_cca_hook(
+      [&](std::uint32_t node, sim::Duration s, std::uint64_t count) {
+        EXPECT_EQ(s, config.cca_s);
+        cca.at(node) += count;
+      });
+  for (std::uint32_t i = 0; i < 3; ++i) network.set_listening(i, false);
+  simulator.run_until(10.0);
+  // No traffic, so no carrier ever covers a sample: the kernel sees none.
+  EXPECT_EQ(simulator.executed_events(), 0U);
+  mac.settle();
+  std::uint64_t total = 0;
+  for (std::uint32_t i = 0; i < 3; ++i) {
+    std::uint64_t walk = 0;
+    for (sim::Time t = mac.next_sample_time(i, 0.0); t <= 10.0;
+         t = mac.next_sample_time(i, t)) {
+      ++walk;
+    }
+    EXPECT_EQ(cca[i], walk) << "node " << i;
+    EXPECT_EQ(mac.sample_cursor(i), mac.next_sample_time(i, 10.0));
+    total += walk;
+  }
+  EXPECT_EQ(mac.stats().lpl_samples, total);
+  // Settling twice books nothing twice.
+  mac.settle();
+  EXPECT_EQ(mac.stats().lpl_samples, total);
+}
+
+TEST_F(MacFixture, LongHorizonTakesEachSlotOnce) {
+  // At t = 1e5 s a relative epsilon of 1e-9 slot periods is below one ulp
+  // of the clock, so an epsilon-guarded slot index can step onto a sample
+  // one ulp past the one just taken: such an index books 3,707 samples
+  // here, where only 3,333 slot times exist.
+  MacConfig config;
+  config.slot_period_s = 3e-3;
+  config.cca_s = 1.5e-3;
+  arm(config);
+  const sim::Time start = 1e5;
+  const sim::Time end = start + 10.0;
+  const double per = config.slot_period_s;
+  const double phase = mac.slot_phase(1);
+  std::uint64_t slots = 0;
+  for (auto k = static_cast<std::int64_t>((start - phase) / per) - 2;; ++k) {
+    const sim::Time t = phase + static_cast<double>(k) * per;
+    if (t > end) break;
+    if (t > start) ++slots;
+  }
+  ASSERT_EQ(slots, 3333U);
+
+  std::uint64_t chained = 0;
+  for (sim::Time t = mac.next_sample_time(1, start); t <= end;
+       t = mac.next_sample_time(1, t)) {
+    const sim::Time next = mac.next_sample_time(1, t);
+    EXPECT_GT(next - t, 0.5 * per) << "duplicate sample after t = " << t;
+    ++chained;
+  }
+  EXPECT_EQ(chained, slots);
+
+  simulator.run_until(start);
+  network.set_listening(1, false);
+  simulator.run_until(end);
+  mac.settle();
+  EXPECT_EQ(mac.stats().lpl_samples, slots);
+}
+
+/// Slot times phase + k * per in (from, to) — or (from, to] when `closed` —
+/// walked one index at a time, independently of the MAC's index arithmetic.
+/// Returns the count and the first slot time past the interval.
+std::pair<std::uint64_t, sim::Time> walk_slots(double phase, double per,
+                                               sim::Time from, sim::Time to,
+                                               bool closed) {
+  std::uint64_t count = 0;
+  auto k = static_cast<std::int64_t>(std::floor((from - phase) / per)) - 3;
+  if (k < 0) k = 0;
+  for (;; ++k) {
+    const sim::Time t = phase + static_cast<double>(k) * per;
+    if (t <= from) continue;
+    if (closed ? t > to : t >= to) return {count, t};
+    ++count;
+  }
+}
+
+TEST(MacLazySampling, BookingMatchesBruteForceWalk) {
+  // One sleeper (node 1) between two awake neighbours under random seeds,
+  // slot periods, horizons and sleep spans. Its sleep ends in a wake or a
+  // failure (queued before any sample goes live, as the protocol's wake
+  // timer is) or in a settle at the horizon; the end sometimes lands exactly
+  // on a slot time or one ulp below one. Node 0 sometimes broadcasts into
+  // the sleep, at random, just before a slot time or exactly on one. Each
+  // carrier books the samples before it and makes the samples it covers
+  // live. Carriers never overlap and last less than a slot, so a caught
+  // sample skips no other and the count stays the plain slot count.
+  const std::vector<geom::Vec2> positions{{0.0, 0.0}, {8.0, 0.0}, {16.0, 0.0}};
+  const double periods[] = {3e-3, 7e-3, 0.03, 0.1, 0.25};
+  const double horizons[] = {1.0, 1e3, 1e5, 1e7};
+  const double below = -std::numeric_limits<double>::infinity();
+  sim::Pcg32 rng = sim::SeedSequence(2024).stream(sim::SeedSequence::kUser);
+  std::uint64_t live_total = 0;
+  for (int trial = 0; trial < 400; ++trial) {
+    SCOPED_TRACE(trial);
+    sim::Simulator simulator;
+    const sim::SeedSequence seeds(rng.next());
+    Network network(simulator, positions, RadioConfig{},
+                    std::make_shared<PerfectChannel>(), seeds);
+    SlottedLplMac mac(simulator, network);
+    MacConfig config;
+    config.slot_period_s = periods[rng.uniform_int(0, 4)];
+    config.cca_s = std::min(2e-3, config.slot_period_s / 2.0);
+    mac.reset(config, seeds);
+    network.attach_mac(&mac);
+    std::uint64_t cca = 0;
+    mac.set_cca_hook(
+        [&](std::uint32_t node, sim::Duration, std::uint64_t count) {
+          if (node == 1) cca += count;
+        });
+
+    const double per = config.slot_period_s;
+    const double phase = mac.slot_phase(1);
+    const auto slot = [&](std::int64_t k) {
+      return phase + static_cast<double>(k) * per;
+    };
+    const sim::Time sleep_at =
+        rng.uniform(0.0, horizons[rng.uniform_int(0, 3)]);
+    const std::int64_t first =
+        std::max<std::int64_t>(
+            static_cast<std::int64_t>(std::floor((sleep_at - phase) / per)),
+            0) +
+        1;
+    const std::int64_t span = rng.uniform_int(1, 2000);
+    sim::Time until = sleep_at + static_cast<double>(span) * per *
+                                     rng.uniform(0.0, 1.0);
+    const std::int64_t shape = rng.uniform_int(0, 2);
+    if (shape > 0) until = slot(first + rng.uniform_int(1, span));
+    if (shape == 2) until = std::nextafter(until, below);
+    if (until <= sleep_at) until = std::nextafter(sleep_at, until + 1.0);
+
+    const std::int64_t end = rng.uniform_int(0, 2);
+    const bool settled = end == 2;
+    simulator.run_until(sleep_at);
+    network.set_listening(1, false);
+    EXPECT_EQ(mac.sample_cursor(1), mac.next_sample_time(1, sleep_at));
+    if (end == 0) {
+      simulator.schedule_at(until, [&] { network.set_listening(1, true); });
+    } else if (end == 1) {
+      simulator.schedule_at(until, [&] { network.set_failed(1); });
+    }
+
+    const Message msg{};
+    const double on_air =
+        static_cast<double>(msg.size_bits()) / RadioConfig{}.data_rate_bps;
+    std::vector<sim::Time> starts;
+    if (rng.uniform01() < 0.6) {
+      for (int b = 0, n = static_cast<int>(rng.uniform_int(1, 4)); b < n;
+           ++b) {
+        const std::int64_t kind = rng.uniform_int(0, 2);
+        sim::Time at = rng.uniform(sleep_at, until);
+        if (kind > 0) {
+          at = slot(first + rng.uniform_int(0, span));
+          if (kind == 1) at -= rng.uniform(0.0, config.cca_s + on_air);
+        }
+        if (at >= sleep_at && at < until) starts.push_back(at);
+      }
+    }
+    std::sort(starts.begin(), starts.end());
+    std::uint64_t live = 0;
+    sim::Time clear = sleep_at;  // the previous carrier's data end
+    for (const sim::Time b : starts) {
+      if (b < clear) continue;  // would queue behind the previous carrier
+      const sim::Time data_end = (b + config.cca_s) + on_air;
+      clear = data_end;
+      simulator.schedule_at(b, [&network, msg] { network.broadcast(0, msg); });
+      // Samples the carrier covers run live: locked or overheard.
+      for (std::int64_t k = std::max(first - 2, std::int64_t{0});; ++k) {
+        const sim::Time t = slot(k);
+        if (t >= data_end || (settled ? t > until : t >= until)) break;
+        if (t >= b && t > sleep_at) ++live;
+      }
+    }
+    simulator.run_until(until);
+    if (settled) mac.settle();
+
+    // A wake or failure at t books the samples strictly before t; settling
+    // at the horizon books those at it too.
+    const auto [count, next] =
+        walk_slots(phase, per, sleep_at, until, settled);
+    EXPECT_EQ(mac.stats().lpl_samples, count)
+        << "per " << per << " sleep " << sleep_at << " until " << until;
+    EXPECT_EQ(cca, count);
+    EXPECT_EQ(mac.sample_cursor(1), next);
+    EXPECT_EQ(mac.stats().lpl_wakeups + mac.stats().overhears, live);
+    live_total += live;
+  }
+  // The schedule must actually put samples under carriers.
+  EXPECT_GE(live_total, 100U);
 }
 
 TEST_F(MacFixture, SenderBacksOffWhileMediumBusy) {

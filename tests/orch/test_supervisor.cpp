@@ -279,9 +279,13 @@ TEST_F(SupervisorTest, DriveMetricsMergeMatchesSerialPointRows) {
 
 // A crashed worker's telemetry part survives (rows are flushed before
 // point_done, like the CSV), the reassigned points fill the gaps, and the
-// crash dumps the protocol flight recorder next to the output.
+// crash dumps the protocol flight recorder next to the output. Every worker
+// is armed: with only worker 0 armed, worker 1 could drain the queue before
+// worker 0 got a lease, and then nothing crashed. Each armed worker dies
+// after one point, so there are at most six crashes, within the default
+// respawn budget.
 TEST_F(SupervisorTest, CrashedDriveKeepsTelemetryAndDumpsFlightRecorder) {
-  ::setenv("PAS_ORCH_TEST_CRASH", "0:1", 1);
+  ::setenv("PAS_ORCH_TEST_CRASH", "*:1", 1);
   auto o = options(2, "out.csv");
   o.metrics_path = path("metrics.jsonl");
   const auto report = drive(manifest_, o);
