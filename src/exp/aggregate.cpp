@@ -12,6 +12,7 @@
 #include <utility>
 
 #include "exp/grid.hpp"
+#include "exp/telemetry.hpp"
 #include "io/csv.hpp"
 
 namespace pas::exp {
@@ -77,15 +78,17 @@ bool is_finite_numeric_cell(const std::string& cell, bool& non_finite) {
 }
 
 /// Export merge order within a point: tombstones first (they set the
-/// liveness threshold), then per-run rows by rep, then the summary;
-/// sequence numbers break ties so later appends win deterministically.
+/// liveness threshold), then per-run rows by rep, the telemetry row and the
+/// summary; sequence numbers break ties so later appends win
+/// deterministically.
 int kind_rank(RowStore::Kind kind) {
   switch (kind) {
     case RowStore::Kind::kTombstone: return 0;
     case RowStore::Kind::kPerRun: return 1;
-    case RowStore::Kind::kSummary: return 2;
+    case RowStore::Kind::kTelemetry: return 2;
+    case RowStore::Kind::kSummary: return 3;
   }
-  return 3;
+  return 4;
 }
 
 bool record_less(const RowStore::Record& a, const RowStore::Record& b) {
@@ -95,6 +98,58 @@ bool record_less(const RowStore::Record& a, const RowStore::Record& b) {
   if (a.rep != b.rep) return a.rep < b.rep;
   return a.seq < b.seq;
 }
+
+/// True if a --metrics point row carries the point's expected identity:
+/// `want` is {seed, axis values...} as the CSV cells spell them.
+bool telemetry_identity_matches(const io::Json& row,
+                                const std::vector<std::string>& axis_names,
+                                const std::vector<std::string>& want,
+                                std::size_t replications) {
+  const auto string_is = [](const io::Json& obj, const std::string& key,
+                            const std::string& value) {
+    return obj.contains(key) && obj.at(key).is_string() &&
+           obj.at(key).as_string() == value;
+  };
+  if (!string_is(row, "seed", want.front())) return false;
+  if (!row.contains("axes") || !row.at("axes").is_object() ||
+      row.at("axes").as_object().size() != axis_names.size()) {
+    return false;
+  }
+  for (std::size_t a = 0; a < axis_names.size(); ++a) {
+    if (!string_is(row.at("axes"), axis_names[a], want[1 + a])) return false;
+  }
+  return replications == 0 ||
+         (row.contains("replications") && row.at("replications").is_number() &&
+          row.at("replications").as_double() ==
+              static_cast<double>(replications));
+}
+
+/// One exported artifact, written to `<path>.tmp` and renamed over `path`
+/// by commit() so a reader never sees a half-written file. An empty path
+/// disables it.
+class ExportFile {
+ public:
+  explicit ExportFile(std::string path) : path_(std::move(path)) {
+    if (path_.empty()) return;
+    out_.open(path_ + ".tmp", std::ios::trunc);
+    if (!out_) {
+      throw std::runtime_error("Aggregator: cannot write " + path_ + ".tmp");
+    }
+  }
+  [[nodiscard]] bool enabled() const { return !path_.empty(); }
+  std::ofstream& out() { return out_; }
+  void commit() {
+    if (path_.empty()) return;
+    out_.close();
+    if (std::rename((path_ + ".tmp").c_str(), path_.c_str()) != 0) {
+      throw std::runtime_error("Aggregator: cannot replace " + path_);
+    }
+  }
+
+ private:
+  std::string path_;
+  std::ofstream out_;
+};
 
 /// Approximate in-memory footprint of a buffered record, for the spill
 /// budget accounting.
@@ -139,7 +194,8 @@ Aggregator::Aggregator(AggregatorOptions options)
     : csv_path_(std::move(options.csv_path)),
       json_path_(std::move(options.json_path)),
       per_run_path_(std::move(options.per_run_path)),
-      axis_count_(options.axis_names.size()),
+      metrics_path_(std::move(options.metrics_path)),
+      axis_names_(options.axis_names),
       total_points_(options.total_points),
       replications_(options.replications),
       expected_identity_(std::move(options.expected_identity)),
@@ -159,6 +215,11 @@ Aggregator::Aggregator(AggregatorOptions options)
     // CSV every recovered group would look orphaned and be wiped.
     throw std::logic_error(
         "Aggregator: per-run output requires a summary CSV path");
+  }
+  if (!metrics_path_.empty() && csv_path_.empty()) {
+    // The telemetry rows live in the store that backs the CSV.
+    throw std::logic_error(
+        "Aggregator: a metrics path requires a summary CSV path");
   }
   if (!store_path_.empty() && csv_path_.empty()) {
     // The store exists to back a CSV artifact; in-memory aggregation
@@ -205,6 +266,7 @@ Aggregator::Aggregator(std::string csv_path, std::string json_path,
           .csv_path = std::move(csv_path),
           .json_path = std::move(json_path),
           .per_run_path = {},
+          .metrics_path = {},
           .axis_names = std::move(axis_names),
           .total_points = total_points,
           .replications = 0,
@@ -280,13 +342,13 @@ void Aggregator::ensure_store() {
   if (!store_->is_open()) store_->open_append();
 }
 
-void Aggregator::import_csv() {
-  // No store but a CSV is on disk: a finalized artifact (or a stale file
-  // from another campaign). Every row passes the header, identity and shard
+void Aggregator::import_artifacts() {
+  // No store but an artifact is on disk: a finalized campaign (or a stale
+  // file from another one). Every row passes the header, identity and shard
   // checks on its way into a temporary store, which replaces nothing until
   // the whole import succeeded — a failed or killed import leaves no store
-  // that a later resume would trust over the CSV. Rows are streamed, never
-  // held: the scan after the rename decides which points are complete.
+  // that a later resume would trust over the artifacts. Rows are streamed,
+  // never held: the scan after the rename decides which points are done.
   const std::string tmp_path = store_path_ + ".tmp";
   std::error_code ec;
   std::filesystem::remove(tmp_path, ec);
@@ -358,6 +420,35 @@ void Aggregator::import_csv() {
             append(RowStore::Kind::kPerRun, point, rep, cells);
           });
     }
+    if (!metrics_path_.empty()) {
+      std::ifstream in(metrics_path_);
+      std::string line;
+      while (std::getline(in, line)) {
+        // Trailers, torn or unparsable lines and points outside the grid
+        // are dropped; their points are recomputed.
+        io::Json row;
+        const std::size_t point = parse_point_row(line, total_points_, &row);
+        if (point == SIZE_MAX) continue;
+        if (!owns(point)) {
+          throw std::runtime_error(
+              "Aggregator: telemetry row for point " + std::to_string(point) +
+              " in " + metrics_path_ +
+              " does not belong to this shard (wrong --shard/--metrics "
+              "pairing?)");
+        }
+        if (!expected_identity_.empty() &&
+            !telemetry_identity_matches(row, axis_names_,
+                                        expected_identity_[point],
+                                        replications_)) {
+          throw std::runtime_error(
+              "Aggregator: telemetry row for point " + std::to_string(point) +
+              " in " + metrics_path_ +
+              " was computed with different parameters (manifest "
+              "changed?); delete the file or change --metrics");
+        }
+        append(RowStore::Kind::kTelemetry, point, 0, {line});
+      }
+    }
     tmp.close();
   } catch (...) {
     std::filesystem::remove(tmp_path, ec);
@@ -372,12 +463,14 @@ std::size_t Aggregator::load_existing() {
   loaded_ = true;
   if (csv_path_.empty()) return 0;
 
-  std::error_code ec;
-  if (!std::filesystem::exists(store_path_, ec) &&
-      (std::filesystem::exists(csv_path_, ec) ||
-       (!per_run_path_.empty() &&
-        std::filesystem::exists(per_run_path_, ec)))) {
-    import_csv();
+  const auto on_disk = [](const std::string& path) {
+    std::error_code ec;
+    return !path.empty() && std::filesystem::exists(path, ec);
+  };
+  if (!on_disk(store_path_) &&
+      (on_disk(csv_path_) || on_disk(per_run_path_) ||
+       on_disk(metrics_path_))) {
+    import_artifacts();
   }
   // Validates the header against this campaign's identity hash and
   // truncates a torn trailing record before we scan.
@@ -386,6 +479,7 @@ std::size_t Aggregator::load_existing() {
 
   const bool per_run = !per_run_path_.empty();
   std::vector<std::uint8_t> summary_live(total_points_, 0);
+  std::vector<std::uint8_t> telemetry_live(total_points_, 0);
   std::vector<std::uint8_t> rep_live;
   if (per_run) rep_live.assign(total_points_ * replications_, 0);
   store_->scan([&](const RowStore::Record& r) {
@@ -399,6 +493,7 @@ std::size_t Aggregator::load_existing() {
     switch (r.kind) {
       case RowStore::Kind::kTombstone:
         summary_live[r.point] = 0;
+        telemetry_live[r.point] = 0;
         if (per_run) {
           std::fill_n(rep_live.begin() +
                           static_cast<std::ptrdiff_t>(r.point * replications_),
@@ -407,6 +502,9 @@ std::size_t Aggregator::load_existing() {
         break;
       case RowStore::Kind::kSummary:
         summary_live[r.point] = 1;
+        break;
+      case RowStore::Kind::kTelemetry:
+        telemetry_live[r.point] = 1;
         break;
       case RowStore::Kind::kPerRun:
         if (per_run && r.rep < replications_) {
@@ -418,6 +516,10 @@ std::size_t Aggregator::load_existing() {
 
   for (std::size_t p = 0; p < total_points_; ++p) {
     if (summary_live[p] == 0) continue;
+    // With --metrics a point without its telemetry row (a campaign first
+    // run without it, a row lost from the file) is recomputed, so the
+    // finalized file holds every point.
+    if (!metrics_path_.empty() && telemetry_live[p] == 0) continue;
     if (per_run) {
       // A summary without its full per-run group is torn (kill between the
       // group and the summary, a partial batch, or a CSV pair cut short) —
@@ -434,7 +536,7 @@ std::size_t Aggregator::load_existing() {
   return done_count_;
 }
 
-void Aggregator::export_store() {
+void Aggregator::export_store(const std::vector<io::Json>& trailers) {
   // Caller holds mutex_; store_ is open. External merge: buffer records up
   // to the spill budget, spill sorted runs, then k-way merge the runs with
   // the final in-memory batch and render the artifacts in one streaming
@@ -497,67 +599,54 @@ void Aggregator::export_store() {
     if (s.advance()) heap.push(&s);
   }
 
-  const std::string csv_tmp = csv_path_ + ".tmp";
-  std::ofstream csv_out(csv_tmp, std::ios::trunc);
-  if (!csv_out) {
-    throw std::runtime_error("Aggregator: cannot write " + csv_tmp);
-  }
-  csv_out << join_csv(columns_) << '\n';
-  std::ofstream json_out, per_run_out;
-  const std::string json_tmp = json_path_ + ".tmp";
-  if (!json_path_.empty()) {
-    json_out.open(json_tmp, std::ios::trunc);
-    if (!json_out) {
-      throw std::runtime_error("Aggregator: cannot write " + json_tmp);
-    }
-  }
-  const bool per_run = !per_run_path_.empty();
-  const std::string per_run_tmp = per_run_path_ + ".tmp";
-  if (per_run) {
-    per_run_out.open(per_run_tmp, std::ios::trunc);
-    if (!per_run_out) {
-      throw std::runtime_error("Aggregator: cannot write " + per_run_tmp);
-    }
-    per_run_out << join_csv(per_run_columns_) << '\n';
-  }
+  ExportFile csv(csv_path_), json(json_path_), per_run_file(per_run_path_),
+      metrics(metrics_path_);
+  const bool per_run = per_run_file.enabled();
+  csv.out() << join_csv(columns_) << '\n';
+  if (per_run) per_run_file.out() << join_csv(per_run_columns_) << '\n';
 
   // Per-point group state: last-wins by sequence number, with tombstones
   // (which sort first) setting the liveness threshold. Only a complete
-  // group — live summary plus, in per-run mode, every replication — is
-  // rendered; torn batches and discarded generations vanish, exactly the
-  // points the resume scan counts as not done.
+  // group — live summary plus, in per-run mode, every replication and,
+  // with --metrics, the telemetry row — is rendered; torn batches and
+  // discarded generations vanish, exactly the points the resume scan
+  // counts as not done.
   std::size_t cur_point = SIZE_MAX;
   std::uint64_t tomb_seq = 0;
   bool have_tomb = false;
   std::optional<RowStore::Record> summary;
+  std::optional<RowStore::Record> telemetry;
   std::vector<std::optional<RowStore::Record>> latest_rep(
       per_run ? replications_ : 0);
+  const auto live = [&](const std::optional<RowStore::Record>& r,
+                        std::size_t cells) {
+    return r.has_value() && (!have_tomb || r->seq > tomb_seq) &&
+           r->cells.size() == cells;
+  };
+  const auto keep_latest = [](std::optional<RowStore::Record>& slot,
+                              const RowStore::Record& r) {
+    if (!slot.has_value() || slot->seq < r.seq) slot = r;
+  };
 
   const auto emit_group = [&] {
     if (cur_point == SIZE_MAX) return;
-    const bool summary_live =
-        summary.has_value() && (!have_tomb || summary->seq > tomb_seq) &&
-        summary->cells.size() == columns_.size();
-    bool complete = summary_live;
-    if (complete && per_run) {
-      for (std::size_t r = 0; complete && r < replications_; ++r) {
-        complete = latest_rep[r].has_value() &&
-                   (!have_tomb || latest_rep[r]->seq > tomb_seq) &&
-                   latest_rep[r]->cells.size() == per_run_columns_.size();
-      }
+    bool complete = live(summary, columns_.size()) &&
+                    (!metrics.enabled() || live(telemetry, 1));
+    for (std::size_t r = 0; complete && r < latest_rep.size(); ++r) {
+      complete = live(latest_rep[r], per_run_columns_.size());
     }
     if (complete) {
-      if (per_run) {
-        for (std::size_t r = 0; r < replications_; ++r) {
-          per_run_out << join_csv(latest_rep[r]->cells) << '\n';
-        }
+      for (const auto& run : latest_rep) {
+        per_run_file.out() << join_csv(run->cells) << '\n';
       }
-      csv_out << join_csv(summary->cells) << '\n';
-      if (json_out.is_open()) json_out << json_line(summary->cells) << '\n';
+      csv.out() << join_csv(summary->cells) << '\n';
+      if (json.enabled()) json.out() << json_line(summary->cells) << '\n';
+      if (metrics.enabled()) metrics.out() << telemetry->cells.front() << '\n';
     }
     tomb_seq = 0;
     have_tomb = false;
     summary.reset();
+    telemetry.reset();
     std::fill(latest_rep.begin(), latest_rep.end(), std::nullopt);
   };
 
@@ -575,35 +664,26 @@ void Aggregator::export_store() {
         have_tomb = true;
         break;
       case RowStore::Kind::kSummary:
-        if (!summary.has_value() || summary->seq < r.seq) summary = r;
+        keep_latest(summary, r);
+        break;
+      case RowStore::Kind::kTelemetry:
+        keep_latest(telemetry, r);
         break;
       case RowStore::Kind::kPerRun:
-        if (per_run && r.rep < replications_) {
-          auto& slot = latest_rep[r.rep];
-          if (!slot.has_value() || slot->seq < r.seq) slot = r;
-        }
+        if (r.rep < latest_rep.size()) keep_latest(latest_rep[r.rep], r);
         break;
     }
     if (s->advance()) heap.push(s);
   }
   emit_group();
 
-  csv_out.close();
-  if (std::rename(csv_tmp.c_str(), csv_path_.c_str()) != 0) {
-    throw std::runtime_error("Aggregator: cannot replace " + csv_path_);
+  csv.commit();
+  json.commit();
+  per_run_file.commit();
+  for (const auto& trailer : trailers) {
+    if (metrics.enabled()) metrics.out() << trailer.dump() << '\n';
   }
-  if (json_out.is_open()) {
-    json_out.close();
-    if (std::rename(json_tmp.c_str(), json_path_.c_str()) != 0) {
-      throw std::runtime_error("Aggregator: cannot replace " + json_path_);
-    }
-  }
-  if (per_run) {
-    per_run_out.close();
-    if (std::rename(per_run_tmp.c_str(), per_run_path_.c_str()) != 0) {
-      throw std::runtime_error("Aggregator: cannot replace " + per_run_path_);
-    }
-  }
+  metrics.commit();
   sources.clear();  // closes the run readers before unlinking
   for (const auto& path : run_paths) {
     std::error_code ec;
@@ -626,10 +706,27 @@ std::vector<std::size_t> Aggregator::pending() const {
   return out;
 }
 
+void Aggregator::record(const GridPoint& point,
+                        const world::ReplicatedMetrics& m) {
+  record_point(point.index, point.seed, point.values, m, &point);
+}
+
 void Aggregator::record(std::size_t point, std::uint64_t seed,
                         const std::vector<std::string>& axis_values,
                         const world::ReplicatedMetrics& m) {
-  if (axis_values.size() != axis_count_) {
+  if (!metrics_path_.empty()) {
+    throw std::logic_error(
+        "Aggregator: with a metrics path, record the GridPoint so its "
+        "telemetry row can be rendered");
+  }
+  record_point(point, seed, axis_values, m, nullptr);
+}
+
+void Aggregator::record_point(std::size_t point, std::uint64_t seed,
+                              const std::vector<std::string>& axis_values,
+                              const world::ReplicatedMetrics& m,
+                              const GridPoint* grid_point) {
+  if (axis_values.size() != axis_names_.size()) {
     throw std::logic_error("Aggregator: axis value count mismatch");
   }
   if (point >= total_points_) {
@@ -688,17 +785,25 @@ void Aggregator::record(std::size_t point, std::uint64_t seed,
       run_rows.push_back(std::move(rc));
     }
   }
+  std::string telemetry;
+  if (!metrics_path_.empty()) {
+    telemetry = telemetry_point_row(*grid_point, axis_names_, m).dump();
+  }
 
   const std::lock_guard lock(mutex_);
   if (done_[point] != 0) return;  // already recovered via resume
   summaries_.emplace(point, PointSummary::of(point, seed, m));
   if (!csv_path_.empty()) {
-    // The whole point — per-run group then summary — lands in one batched
-    // write + flush at the point boundary: the summary record doubles as
-    // the group's commit mark, so a torn batch is dropped on resume.
+    // The whole point — per-run group, telemetry row, then summary — lands
+    // in one batched write + flush at the point boundary: the summary
+    // record doubles as the batch's commit mark, so a torn batch is dropped
+    // on resume.
     ensure_store();
     for (std::size_t r = 0; r < run_rows.size(); ++r) {
       store_->append(RowStore::Kind::kPerRun, point, r, run_rows[r]);
+    }
+    if (!metrics_path_.empty()) {
+      store_->append(RowStore::Kind::kTelemetry, point, 0, {telemetry});
     }
     store_->append(RowStore::Kind::kSummary, point, 0, cells);
     store_->flush();
@@ -707,14 +812,14 @@ void Aggregator::record(std::size_t point, std::uint64_t seed,
   ++done_count_;
 }
 
-void Aggregator::finalize() {
+void Aggregator::finalize(const std::vector<io::Json>& trailers) {
   const std::lock_guard lock(mutex_);
   if (done_count_ != owned_count()) {
     throw std::logic_error("Aggregator: finalize with incomplete campaign");
   }
   if (csv_path_.empty()) return;
   ensure_store();
-  export_store();
+  export_store(trailers);
   // The artifacts now carry everything; resume imports them back into a
   // store if it is ever needed.
   store_->remove_file();
@@ -727,7 +832,7 @@ void Aggregator::compact() {
   // (tombstones and superseded generations resolve at export, so no store
   // rewrite is needed).
   ensure_store();
-  export_store();
+  export_store({});
 }
 
 void Aggregator::discard_points(const std::vector<std::size_t>& points) {

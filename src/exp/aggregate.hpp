@@ -9,15 +9,20 @@
 // aggregator itself keeps only an O(grid) completion bitmap plus the
 // summaries recorded by this process.
 //
-// finalize()/compact() render the CSV, the optional JSON-lines mirror and
-// the optional per-replication CSV through an external-merge export —
-// sorted spill runs of bounded size, k-way merged by (point, rep) — so the
-// artifacts come out in point order, byte-identical no matter how many
-// threads produced them or how many times the campaign was resumed, and
-// memory stays O(spill budget) however large the campaign is. In flight the
-// store is the ground truth (the CSV only materializes at export); finalize
-// deletes the store, and resuming from a bare CSV imports its rows into a
-// fresh store first.
+// finalize()/compact() render the CSV, the optional JSON-lines mirror, the
+// optional per-replication CSV and the optional --metrics telemetry JSONL
+// through an external-merge export — sorted spill runs of bounded size,
+// k-way merged by (point, rep) — so the artifacts come out in point order,
+// byte-identical no matter how many threads produced them or how many
+// times the campaign was resumed, and memory stays O(spill budget) however
+// large the campaign is. In flight the store is the ground truth (the
+// artifacts only materialize at export); finalize deletes the store, and
+// resuming from bare artifacts imports their rows into a fresh store first.
+//
+// A point is done when its summary, its per-run group (with per-run
+// output) and its telemetry row (with --metrics output) are all live in
+// the store; anything less is recomputed, and the export renders exactly
+// the done points.
 //
 // Sharding: a campaign may be split across processes/machines with
 // `owned_points` — each shard aggregates only its own subset of the grid
@@ -33,8 +38,10 @@
 #include <string>
 #include <vector>
 
+#include "exp/grid.hpp"
 #include "exp/manifest.hpp"
 #include "exp/row_store.hpp"
+#include "io/json.hpp"
 #include "world/sweep.hpp"
 
 namespace pas::exp {
@@ -63,6 +70,10 @@ struct AggregatorOptions {
   /// Optional per-replication CSV (one row per run); requires
   /// `replications` so resume can tell complete groups from torn ones.
   std::string per_run_path;
+  /// Optional --metrics telemetry JSONL (one row per point, see
+  /// telemetry.hpp); requires csv_path. Points are then recorded through
+  /// record(GridPoint, ...), which renders the row.
+  std::string metrics_path;
   std::vector<std::string> axis_names;
   std::size_t total_points = 0;
   /// Replications per point; only consulted when per_run_path is set.
@@ -94,16 +105,17 @@ class Aggregator {
              std::vector<std::vector<std::string>> expected_identity = {});
 
   /// Loads completed points from the existing row store (resume), or —
-  /// when there is no store but a CSV is on disk — imports the CSV (and
-  /// per-run CSV) into a fresh store first. Throws std::runtime_error if
-  /// the store was written for another campaign, if a CSV's header does not
-  /// match this campaign's columns, if a recovered row's seed/axis values
-  /// disagree with the expected identity, or if a row belongs to a point
-  /// outside this shard (all are manifest/output mismatches: resuming
-  /// would silently produce wrong data). A failed import leaves no store
-  /// behind. A point whose per-run rows are missing or torn is dropped and
-  /// recomputed. Returns the number of points recovered. Call before the
-  /// first record().
+  /// when there is no store but a finalized artifact is on disk — imports
+  /// the CSV, per-run CSV and --metrics file into a fresh store first.
+  /// Throws std::runtime_error if the store was written for another
+  /// campaign, if a CSV's header does not match this campaign's columns, if
+  /// a recovered row's seed/axis values (or replication count) disagree
+  /// with the expected identity, or if a row belongs to a point outside
+  /// this shard (all are manifest/output mismatches: resuming would
+  /// silently produce wrong data). A failed import leaves no store behind.
+  /// Torn rows, --metrics trailers and unparsable lines are dropped, and
+  /// points that are not done (above) are recomputed. Returns the number of
+  /// points recovered. Call before the first record().
   std::size_t load_existing();
 
   /// True if `point` already has a row (recorded now or recovered).
@@ -113,23 +125,30 @@ class Aggregator {
   [[nodiscard]] std::vector<std::size_t> pending() const;
 
   /// Records one completed point. Thread-safe; appends + flushes the point's
-  /// rows to the store so they survive a kill. `axis_values` must align
-  /// with the axis_names given at construction. Throws std::logic_error for
+  /// rows to the store so they survive a kill. Renders the point's
+  /// telemetry row when a metrics path is set. Throws std::logic_error for
   /// a point outside the grid or the shard.
+  void record(const GridPoint& point, const world::ReplicatedMetrics& m);
+
+  /// record() for callers without a GridPoint (benches, synthetic drivers).
+  /// `axis_values` must align with the axis_names given at construction.
+  /// Throws std::logic_error when a metrics path is set: the telemetry row
+  /// needs the point's scenario.
   void record(std::size_t point, std::uint64_t seed,
               const std::vector<std::string>& axis_values,
               const world::ReplicatedMetrics& m);
 
   /// Exports the artifacts in point order (temp file + atomic rename) and
-  /// deletes the store. Requires every owned point recorded; throws
-  /// std::logic_error otherwise.
-  void finalize();
+  /// deletes the store; `trailers` follow the point rows of the --metrics
+  /// file. Requires every owned point recorded; throws std::logic_error
+  /// otherwise.
+  void finalize(const std::vector<io::Json>& trailers = {});
 
-  /// finalize() without the completeness requirement: exports whatever is
-  /// recorded so far in point order and keeps the store. Orchestrator
-  /// workers call this on clean shutdown so a part file is always sorted
-  /// and free of torn rows even though the worker owns only the leases it
-  /// happened to receive.
+  /// finalize() without the completeness requirement or trailers: exports
+  /// whatever is recorded so far in point order and keeps the store.
+  /// Orchestrator workers call this on clean shutdown so a part file is
+  /// always sorted and free of torn rows even though the worker owns only
+  /// the leases it happened to receive.
   void compact();
 
   /// Forgets the given points (recorded or recovered) by appending a
@@ -184,20 +203,28 @@ class Aggregator {
       const char* flag_hint, std::size_t key_arity,
       const std::function<void(std::size_t, std::size_t,
                                std::vector<std::string>)>& on_row);
-  /// Streams the identity-checked rows of an existing CSV (and per-run
-  /// CSV) into a temporary store and renames it into place once the whole
-  /// import succeeded. The store scan then applies the torn-group rule.
-  void import_csv();
+  /// Streams the identity-checked rows of the existing CSV, per-run CSV
+  /// and --metrics file into a temporary store and renames it into place
+  /// once the whole import succeeded. The store scan then applies the
+  /// done rule.
+  void import_artifacts();
+  /// Shared body of both record() overloads; `grid_point` is null for the
+  /// index-based one.
+  void record_point(std::size_t point, std::uint64_t seed,
+                    const std::vector<std::string>& axis_values,
+                    const world::ReplicatedMetrics& m,
+                    const GridPoint* grid_point);
   /// Creates/opens the store lazily. Caller must hold mutex_.
   void ensure_store();
-  /// External-merge export of the CSV/JSONL/per-run artifacts (spill runs
-  /// + k-way merge). Caller must hold mutex_.
-  void export_store();
+  /// External-merge export of the artifacts (spill runs + k-way merge);
+  /// `trailers` end the --metrics file. Caller must hold mutex_.
+  void export_store(const std::vector<io::Json>& trailers);
 
   std::string csv_path_;
   std::string json_path_;
   std::string per_run_path_;
-  std::size_t axis_count_ = 0;
+  std::string metrics_path_;
+  std::vector<std::string> axis_names_;
   std::size_t total_points_ = 0;
   std::size_t replications_ = 0;
   std::vector<std::string> columns_;

@@ -3,9 +3,9 @@
 // The Aggregator's only row state: completed rows are appended to a compact
 // binary log, so aggregation memory stays O(grid) however many rows a
 // campaign writes. Each record carries its kind (per-run row, point
-// summary, or tombstone), its (point, rep) key, and the row's cell strings
-// verbatim, so the export step renders the CSV/JSONL bytes from the cells
-// exactly as record() formatted them.
+// summary, telemetry row, or tombstone), its (point, rep) key, and the
+// row's cell strings verbatim, so the export step renders the CSV/JSONL/
+// --metrics bytes from the cells exactly as record() formatted them.
 //
 // Layout:
 //   header   = "PASROWS1" (8 bytes) + u64 identity hash (little-endian)
@@ -19,9 +19,11 @@
 // CSV header + per-row identity checks.
 //
 // Kill-safety: records are appended in batches and flushed at point
-// boundaries. A torn trailing record (short write, CRC mismatch) ends the
-// clean prefix; open_append() truncates the file back to that prefix, so a
-// killed campaign always resumes from a valid record sequence.
+// boundaries. A point's batch is its per-run rows, then its telemetry row,
+// then its summary; the summary is the batch's commit mark. A torn trailing
+// record (short write, CRC mismatch) ends the clean prefix; open_append()
+// truncates the file back to that prefix, so a killed campaign always
+// resumes from a valid record sequence.
 //
 // Spill runs: the external-merge export sorts buffered records and spills
 // them to sibling ".run<k>" files using the same framing with the record's
@@ -45,6 +47,9 @@ class RowStore {
     /// Invalidates every earlier record for its point (crash recovery's
     /// discard_points); an O(1) append instead of a file rewrite.
     kTombstone = 3,
+    /// The point's --metrics JSONL row as one cell, rendered by
+    /// telemetry_point_row(...).dump().
+    kTelemetry = 4,
   };
 
   struct Record {
@@ -89,8 +94,7 @@ class RowStore {
   [[nodiscard]] bool is_open() const noexcept { return out_.is_open(); }
 
   /// Buffers one record; nothing reaches the file until flush(). The
-  /// caller batches a point's per-run records + summary and flushes once
-  /// per point boundary.
+  /// caller batches a point's records and flushes once per point boundary.
   void append(Kind kind, std::size_t point, std::size_t rep,
               const std::vector<std::string>& cells);
 

@@ -12,7 +12,6 @@
 #include <thread>
 #include <vector>
 
-#include "exp/telemetry.hpp"
 #include "obs/export.hpp"
 #include "obs/registry.hpp"
 #include "serve/feed.hpp"
@@ -192,6 +191,7 @@ CampaignReport run_campaign(const Manifest& manifest,
   agg_options.csv_path = options.out_csv;
   agg_options.json_path = options.out_json;
   agg_options.per_run_path = options.per_run_csv;
+  agg_options.metrics_path = options.metrics_path;
   agg_options.axis_names = axis_columns(manifest);
   agg_options.total_points = points.size();
   agg_options.replications = manifest.replications;
@@ -212,26 +212,17 @@ CampaignReport run_campaign(const Manifest& manifest,
 
   serve::CampaignFeed* const feed = options.feed;
   if (feed != nullptr) {
-    feed->begin_campaign(manifest.name, options.campaign_id,
-                         aggregator.owned_count(), manifest.replications,
-                         recovered);
+    feed->begin_campaign(manifest.name, aggregator.owned_count(),
+                         manifest.replications, recovered);
   }
 
-  // Telemetry: a JSONL sink for per-point rows plus a campaign-scoped
-  // registry for the cross-point roll-up. Both exist only when --metrics
-  // was given; a disabled registry hands out inert handles, and nothing in
-  // the simulation path ever sees either (run_replication is telemetry-
-  // blind), so metrics on/off cannot change a single output byte.
-  std::optional<TelemetrySink> sink;
-  if (!options.metrics_path.empty()) {
-    TelemetryOptions telemetry_options;
-    telemetry_options.path = options.metrics_path;
-    telemetry_options.axis_names = axis_columns(manifest);
-    telemetry_options.total_points = points.size();
-    sink.emplace(std::move(telemetry_options));
-    sink->load_existing();
-  }
-  obs::Registry registry(sink.has_value());
+  // Telemetry: the aggregator stores a point row per point, and a
+  // campaign-scoped registry rolls the points up for the trailer. Both are
+  // armed only when --metrics was given; a disabled registry hands out
+  // inert handles, and nothing in the simulation path ever sees either
+  // (run_replication is telemetry-blind), so metrics on/off cannot change a
+  // single output byte.
+  obs::Registry registry(!options.metrics_path.empty());
   std::map<core::Policy, PolicyInstruments> policy_instruments;
   std::optional<NetInstruments> net_instruments;
   if (registry.enabled()) {
@@ -302,9 +293,8 @@ CampaignReport run_campaign(const Manifest& manifest,
   const auto finish_point = [&](PointTask& task) {
     const GridPoint& point = *task.point;
     const auto metrics = world::reduce_runs(std::move(task.runs));
-    aggregator.record(point.index, point.seed, point.values, metrics);
-    if (sink.has_value()) {
-      sink->record(point, metrics);
+    aggregator.record(point, metrics);
+    if (registry.enabled()) {
       // Roll the point's run telemetry into the campaign registry. This
       // runs on whichever pool thread finished the point's last chunk, so
       // the thread-shard merge is exercised by every parallel campaign.
@@ -422,8 +412,8 @@ CampaignReport run_campaign(const Manifest& manifest,
 
   const bool interrupted = stop_requested();
   if (!interrupted) {
-    aggregator.finalize();
-    if (sink.has_value()) {
+    std::vector<io::Json> trailers;
+    if (registry.enabled()) {
       // The registry snapshot covers the points computed *this invocation*
       // (resumed rows were recovered, not re-simulated); points_completed
       // records exactly that.
@@ -431,11 +421,12 @@ CampaignReport run_campaign(const Manifest& manifest,
       trailer["kind"] = "registry";
       trailer["scope"] = "campaign";
       trailer["instruments"] = obs::snapshot_json(registry.snapshot());
-      sink->finalize({io::Json(std::move(trailer))});
+      trailers.emplace_back(std::move(trailer));
     }
+    aggregator.finalize(trailers);
   }
-  // Interrupted: no finalize, no trailer — the appended rows are exactly
-  // what a resume expects, the same shape a killed process leaves behind.
+  // Interrupted: no finalize, no trailer — the store holds exactly what a
+  // resume expects, the same shape a killed process leaves behind.
 
   if (feed != nullptr) feed->end_campaign(interrupted);
 

@@ -18,7 +18,6 @@
 //    one-point 10k-replication study still saturates every core.
 #pragma once
 
-#include <cstdint>
 #include <functional>
 #include <string>
 
@@ -46,8 +45,9 @@ struct CampaignOptions {
   /// Optional per-replication CSV (one row per run) for p95/p99 reporting.
   std::string per_run_csv;
   /// Optional telemetry JSONL (one row per point: kernel + protocol
-  /// counters, sleep histogram; see exp/telemetry.hpp). Also enables the
-  /// campaign-wide obs::Registry whose snapshot trails the file.
+  /// counters, sleep histogram; see exp/telemetry.hpp), kept in the row
+  /// store with the CSV rows. Also enables the campaign-wide obs::Registry
+  /// whose snapshot trails the file.
   std::string metrics_path;
   /// This process executes points with index ≡ shard_index (mod
   /// shard_count). The default 0/1 runs the whole grid.
@@ -73,9 +73,6 @@ struct CampaignOptions {
   /// The feed only ever receives copies — attaching one cannot change a
   /// single output byte.
   serve::CampaignFeed* feed = nullptr;
-  /// Identity reported through the feed (0 = the CLI campaign; submitted
-  /// manifests get ids from POST /api/campaigns).
-  std::uint64_t campaign_id = 0;
   /// Polled between replication chunks; returning true stops the campaign
   /// gracefully: in-flight points finish or are abandoned whole (a partial
   /// point never produces a row), finalize is skipped, and the outputs are

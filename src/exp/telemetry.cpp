@@ -1,7 +1,9 @@
 #include "exp/telemetry.hpp"
 
-#include <algorithm>
+#include <cmath>
 #include <filesystem>
+#include <fstream>
+#include <map>
 #include <stdexcept>
 #include <utility>
 
@@ -77,30 +79,6 @@ io::Json net_json(const net::MacStats& mac, const net::CollectionStats& c) {
   return io::Json(std::move(out));
 }
 
-/// Parses one JSONL line into a point row; returns the point index or
-/// SIZE_MAX when the line is not a (valid) point row.
-std::size_t parse_point_row(const std::string& line, std::size_t total_points,
-                            io::Json* out) {
-  if (line.empty()) return SIZE_MAX;
-  try {
-    io::Json row = io::Json::parse(line);
-    if (!row.is_object()) return SIZE_MAX;
-    if (row.string_or("kind", "") != "point") return SIZE_MAX;
-    if (!row.contains("point") || !row.at("point").is_number()) {
-      return SIZE_MAX;
-    }
-    const double idx = row.at("point").as_double();
-    if (idx < 0.0 || (total_points > 0 &&
-                      idx >= static_cast<double>(total_points))) {
-      return SIZE_MAX;
-    }
-    if (out != nullptr) *out = std::move(row);
-    return static_cast<std::size_t>(idx);
-  } catch (const std::runtime_error&) {
-    return SIZE_MAX;
-  }
-}
-
 void write_sorted(const std::string& path,
                   const std::map<std::size_t, std::string>& rows,
                   const std::vector<io::Json>& trailers) {
@@ -147,132 +125,28 @@ io::Json telemetry_point_row(const GridPoint& point,
   return io::Json(std::move(row));
 }
 
-TelemetrySink::TelemetrySink(TelemetryOptions options)
-    : options_(std::move(options)) {
-  if (options_.path.empty()) {
-    throw std::invalid_argument("TelemetrySink: path must be set");
-  }
-}
-
-bool TelemetrySink::mark_seen(std::size_t point) {
-  if (point >= seen_.size()) {
-    if (options_.total_points > 0) return false;  // out of range: drop
-    seen_.resize(point + 1, 0);
-  }
-  if (seen_[point] != 0) return false;
-  seen_[point] = 1;
-  ++count_;
-  return true;
-}
-
-std::size_t TelemetrySink::load_existing() {
-  std::ifstream in(options_.path);
-  if (!in) return 0;
-  if (options_.total_points > 0 && seen_.empty()) {
-    seen_.assign(options_.total_points, 0);
-  }
-  // Stream the survivors into a compacted copy (first row per point wins,
-  // stale trailers and torn lines dropped) instead of buffering them: the
-  // sink only remembers *which* points have rows, never the rows.
-  const std::string tmp = options_.path + ".tmp";
-  std::size_t recovered = 0;
-  {
-    std::ofstream out(tmp, std::ios::trunc);
-    if (!out) {
-      throw std::runtime_error("telemetry: cannot write " + tmp);
+std::size_t parse_point_row(const std::string& line, std::size_t total_points,
+                            io::Json* out) {
+  if (line.empty()) return SIZE_MAX;
+  try {
+    io::Json row = io::Json::parse(line);
+    if (!row.is_object()) return SIZE_MAX;
+    if (row.string_or("kind", "") != "point") return SIZE_MAX;
+    if (!row.contains("point") || !row.at("point").is_number()) {
+      return SIZE_MAX;
     }
-    std::string line;
-    while (std::getline(in, line)) {
-      const std::size_t point =
-          parse_point_row(line, options_.total_points, nullptr);
-      if (point == SIZE_MAX) continue;
-      if (!mark_seen(point)) continue;
-      out << line << '\n';
-      ++recovered;
+    const double idx = row.at("point").as_double();
+    // Indices are whole numbers below 2^53 (doubles count exactly that
+    // far); anything else is not a row this campaign wrote.
+    if (!(idx >= 0.0 && idx < 9007199254740992.0 && idx == std::floor(idx)) ||
+        (total_points > 0 && idx >= static_cast<double>(total_points))) {
+      return SIZE_MAX;
     }
+    if (out != nullptr) *out = std::move(row);
+    return static_cast<std::size_t>(idx);
+  } catch (const std::runtime_error&) {
+    return SIZE_MAX;
   }
-  in.close();
-  std::filesystem::rename(tmp, options_.path);
-  return recovered;
-}
-
-void TelemetrySink::record(const GridPoint& point,
-                           const world::ReplicatedMetrics& m) {
-  std::string line =
-      telemetry_point_row(point, options_.axis_names, m).dump();
-  const std::lock_guard lock(mutex_);
-  if (options_.total_points > 0 && seen_.empty()) {
-    seen_.assign(options_.total_points, 0);
-  }
-  if (!mark_seen(point.index)) return;
-  if (!out_.is_open()) {
-    out_.open(options_.path, std::ios::app);
-    if (!out_) {
-      throw std::runtime_error("telemetry: cannot open " + options_.path);
-    }
-  }
-  out_ << line << '\n' << std::flush;
-}
-
-void TelemetrySink::finalize(const std::vector<io::Json>& trailers) {
-  const std::lock_guard lock(mutex_);
-  if (out_.is_open()) out_.close();
-  // The file holds one row per point in arrival order. Index (point, byte
-  // offset) pairs — O(points) of fixed-size entries — sort by point, then
-  // seek-copy each line into the sorted artifact. Byte-identical to the
-  // legacy map-backed rewrite since lines are copied verbatim.
-  std::vector<std::pair<std::size_t, std::streamoff>> index;
-  {
-    std::ifstream in(options_.path, std::ios::binary);
-    if (in) {
-      std::string line;
-      while (true) {
-        const std::streamoff offset = in.tellg();
-        if (!std::getline(in, line)) break;
-        const std::size_t point =
-            parse_point_row(line, options_.total_points, nullptr);
-        if (point == SIZE_MAX) continue;
-        index.emplace_back(point, offset);
-      }
-    }
-  }
-  std::stable_sort(index.begin(), index.end(),
-                   [](const auto& a, const auto& b) {
-                     return a.first < b.first;
-                   });
-  // First row per point wins, mirroring load_existing's dedup.
-  index.erase(std::unique(index.begin(), index.end(),
-                          [](const auto& a, const auto& b) {
-                            return a.first == b.first;
-                          }),
-              index.end());
-
-  const std::string tmp = options_.path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::trunc);
-    if (!out) {
-      throw std::runtime_error("telemetry: cannot write " + tmp);
-    }
-    std::ifstream in(options_.path, std::ios::binary);
-    std::string line;
-    for (const auto& [point, offset] : index) {
-      (void)point;
-      in.clear();
-      in.seekg(offset);
-      if (!std::getline(in, line)) {
-        throw std::runtime_error("telemetry: cannot re-read " +
-                                 options_.path);
-      }
-      out << line << '\n';
-    }
-    for (const auto& trailer : trailers) out << trailer.dump() << '\n';
-  }
-  std::filesystem::rename(tmp, options_.path);
-}
-
-std::size_t TelemetrySink::recorded_count() const {
-  const std::lock_guard lock(mutex_);
-  return count_;
 }
 
 std::size_t merge_telemetry(const std::vector<std::string>& inputs,

@@ -1,12 +1,11 @@
-// Campaign telemetry output (pas-exp --metrics).
+// Campaign telemetry rows (pas-exp --metrics).
 //
-// A TelemetrySink mirrors the Aggregator's lifecycle for the structured
-// telemetry file: one JSONL row per completed grid point, appended + flushed
-// as points finish (crash-safe), resumable, and finalized point-sorted
-// through a temp file + rename so the completed artifact is byte-identical
-// no matter how many threads — or how many resumed invocations — produced
-// it. Trailer rows (a campaign-wide registry snapshot, the orchestrator's
-// wall-clock instruments) are appended after the point rows at finalize.
+// One JSONL row per completed grid point. The Aggregator (aggregate.hpp)
+// renders it with telemetry_point_row() and keeps it in the campaign's row
+// store as the point's telemetry record, so the --metrics file shares the
+// CSV's crash safety, resume rule and point-sorted export; trailer rows (a
+// campaign-wide registry snapshot, the orchestrator's wall-clock
+// instruments) follow the point rows at finalize.
 //
 // A point row is a pure function of the point's identity and its
 // replications' RunMetrics, so `--jobs 1`, `--jobs 8`, `--shard`, and
@@ -18,10 +17,7 @@
 //    "policy":"PAS","axes":{...},"kernel":{...},"protocol":{...}}
 #pragma once
 
-#include <cstdint>
-#include <fstream>
-#include <map>
-#include <mutex>
+#include <cstddef>
 #include <string>
 #include <vector>
 
@@ -31,59 +27,18 @@
 
 namespace pas::exp {
 
-struct TelemetryOptions {
-  /// JSONL output path (required; callers that don't want telemetry simply
-  /// don't construct a sink).
-  std::string path;
-  std::vector<std::string> axis_names;
-  std::size_t total_points = 0;
-};
-
 /// Builds the per-point telemetry row from a point's replicated runs.
 [[nodiscard]] io::Json telemetry_point_row(
     const GridPoint& point, const std::vector<std::string>& axis_names,
     const world::ReplicatedMetrics& m);
 
-class TelemetrySink {
- public:
-  explicit TelemetrySink(TelemetryOptions options);
-
-  /// Loads point rows from an existing file (resume). Deliberately lenient
-  /// where the Aggregator is strict: the CSV is the ground truth a resumed
-  /// campaign validates against; the telemetry file only needs to keep the
-  /// rows that are still meaningful. Unparsable lines, rows for foreign
-  /// points, and stale trailer rows are dropped (trailers are re-emitted at
-  /// finalize). The surviving rows are streamed into a compacted file
-  /// (temp + rename) rather than held in memory — the sink keeps only a
-  /// presence bitmap. Returns the number of points recovered. Call before
-  /// the first record().
-  std::size_t load_existing();
-
-  /// Records one completed point. Thread-safe; appends + flushes so the row
-  /// survives a kill. A duplicate point is ignored (first row wins).
-  void record(const GridPoint& point, const world::ReplicatedMetrics& m);
-
-  /// Rewrites the file in point order (temp file + atomic rename), with
-  /// `trailers` appended after the point rows. Lenient about gaps: a
-  /// resumed campaign whose earlier invocation ran without --metrics has no
-  /// rows for those points, and that must not block the rest.
-  void finalize(const std::vector<io::Json>& trailers = {});
-
-  [[nodiscard]] std::size_t recorded_count() const;
-
- private:
-  /// Marks a point as present; returns false if it already was. Grows the
-  /// bitmap on demand when total_points is unknown (0).
-  bool mark_seen(std::size_t point);
-
-  TelemetryOptions options_;
-  mutable std::mutex mutex_;
-  /// Presence bitmap indexed by point — the file itself holds the rows, so
-  /// the sink's memory is O(total_points) bits, not O(rows).
-  std::vector<std::uint8_t> seen_;
-  std::size_t count_ = 0;
-  std::ofstream out_;
-};
+/// Parses one JSONL line as a point row. Returns its point index, or
+/// SIZE_MAX for anything else: blank or unparsable lines, trailer rows, and
+/// indices at or beyond `total_points` (0 = unbounded). `out` (may be null)
+/// receives the parsed row.
+[[nodiscard]] std::size_t parse_point_row(const std::string& line,
+                                          std::size_t total_points,
+                                          io::Json* out);
 
 /// Recombines telemetry part files (orchestrator workers' `<path>.w<k>`)
 /// into `out_path`: point rows deduplicated (first input wins, mirroring

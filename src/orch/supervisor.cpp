@@ -230,7 +230,8 @@ class Driver {
 
   void prescan();
   std::size_t sanitize_and_claim(const std::string& csv,
-                                 const std::string& runs, int tag);
+                                 const std::string& runs,
+                                 const std::string& metrics, int tag);
   void spawn(int id);
   bool send(Worker& w, const std::string& line);
   void assign(Worker& w);
@@ -298,10 +299,12 @@ std::size_t Driver::eligible_workers() const {
 }
 
 std::size_t Driver::sanitize_and_claim(const std::string& csv,
-                                       const std::string& runs, int tag) {
+                                       const std::string& runs,
+                                       const std::string& metrics, int tag) {
   exp::AggregatorOptions agg_options;
   agg_options.csv_path = csv;
   agg_options.per_run_path = runs;
+  agg_options.metrics_path = metrics;
   agg_options.axis_names = axis_names_;
   agg_options.total_points = points_.size();
   agg_options.replications = manifest_.replications;
@@ -326,9 +329,9 @@ std::size_t Driver::sanitize_and_claim(const std::string& csv,
   for (const auto p : aggregator.done_points()) {
     if (claimed_.emplace(p, tag).second) ++fresh;
   }
-  // Materialize the duplicate-free CSV now so merge_and_clean (which reads
-  // CSV part files) sees every surviving row, including those of a killed
-  // worker that never compacted.
+  // Materialize the duplicate-free CSV (and --metrics) files now so
+  // merge_and_clean (which reads part files) sees every surviving row,
+  // including those of a killed worker that never compacted.
   aggregator.compact();
   return fresh;
 }
@@ -342,9 +345,12 @@ void Driver::prescan() {
       fs::exists(exp::RowStore::path_for(options_.out_csv));
   const bool runs_exists =
       !options_.per_run_csv.empty() && fs::exists(options_.per_run_csv);
+  const bool metrics_exists =
+      !options_.metrics_path.empty() && fs::exists(options_.metrics_path);
   const auto existing_parts = discover_part_ids(options_.out_csv);
   if (!options_.resume) {
-    if (out_exists || runs_exists || !existing_parts.empty()) {
+    if (out_exists || runs_exists || metrics_exists ||
+        !existing_parts.empty()) {
       throw std::runtime_error(
           "drive: " + options_.out_csv +
           (existing_parts.empty() ? "" : " (and .w* part files)") +
@@ -353,19 +359,20 @@ void Driver::prescan() {
     }
     return;
   }
-  if (out_exists || runs_exists) {
+  if (out_exists || runs_exists || metrics_exists) {
     // An interrupted single-process run (or a finished merge) seeds the
     // claim set — drive resume composes with every earlier topology.
-    report_.resumed +=
-        sanitize_and_claim(options_.out_csv, options_.per_run_csv, -1);
+    report_.resumed += sanitize_and_claim(
+        options_.out_csv, options_.per_run_csv, options_.metrics_path, -1);
     out_is_merge_seed_ = true;
   }
   for (const int id : existing_parts) {
-    const std::string runs =
-        options_.per_run_csv.empty() ? std::string()
-                                     : part_path(options_.per_run_csv, id);
-    report_.resumed +=
-        sanitize_and_claim(part_path(options_.out_csv, id), runs, id);
+    const auto part_of = [id](const std::string& base) {
+      return base.empty() ? std::string() : part_path(base, id);
+    };
+    report_.resumed += sanitize_and_claim(
+        part_path(options_.out_csv, id), part_of(options_.per_run_csv),
+        part_of(options_.metrics_path), id);
     all_part_ids_.insert(id);
   }
 }
@@ -608,7 +615,7 @@ void Driver::crash_recover(Worker& w) {
   // recovered from disk instead of being recomputed (and rows duplicated
   // against other parts are removed).
   const std::size_t recovered_from_disk =
-      sanitize_and_claim(w.part_csv, w.part_runs, w.id);
+      sanitize_and_claim(w.part_csv, w.part_runs, w.part_metrics, w.id);
   report_.computed += recovered_from_disk;
   recovered_rows_.add(recovered_from_disk);
   feed_->add_recovered(recovered_from_disk);
@@ -742,12 +749,11 @@ void Driver::merge_and_clean() {
   fs::remove(exp::RowStore::path_for(options_.out_csv));
 
   if (!options_.metrics_path.empty()) {
-    // Telemetry parts merge in the same priority order the CSV claims used
-    // (resumed --metrics file first, then parts by id); the point rows are
-    // identical whichever source wins, so the merged file's point section
-    // is byte-identical to a single-process run's. The trailer is this
-    // drive's wall-clock story and is the one part that legitimately
-    // differs between schedules.
+    // Crash recovery tombstoned every duplicate claim, so the resumed
+    // --metrics file and the parts hold disjoint point sets, exactly the
+    // CSV inputs' points; the merged point section is byte-identical to a
+    // single-process run's. The trailer is this drive's wall-clock story
+    // and is the one part that legitimately differs between schedules.
     std::vector<std::string> metric_inputs;
     std::vector<std::string> metric_parts;
     if (out_is_merge_seed_ && fs::exists(options_.metrics_path)) {
@@ -846,7 +852,7 @@ DriveReport Driver::run() {
       std::max<int>(static_cast<int>(options_.workers),
                     all_part_ids_.empty() ? 0 : *all_part_ids_.rbegin() + 1);
 
-  feed_->begin_campaign(manifest_.name, 0, points_.size(),
+  feed_->begin_campaign(manifest_.name, points_.size(),
                         manifest_.replications, claimed_.size());
   // /api/metrics serves this drive's registry while it runs; detached on
   // every exit path (the guard dies before registry_ only because feed_

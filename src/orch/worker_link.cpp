@@ -17,7 +17,6 @@
 #include "exp/aggregate.hpp"
 #include "exp/grid.hpp"
 #include "exp/runner.hpp"
-#include "exp/telemetry.hpp"
 #include "runtime/thread_pool.hpp"
 
 namespace pas::orch {
@@ -256,6 +255,7 @@ int run_worker(const exp::Manifest& manifest, const WorkerOptions& options) {
     exp::AggregatorOptions agg_options;
     agg_options.csv_path = options.out_csv;
     agg_options.per_run_path = options.per_run_csv;
+    agg_options.metrics_path = options.metrics_csv;
     agg_options.axis_names = exp::axis_columns(manifest);
     agg_options.total_points = points.size();
     agg_options.replications = manifest.replications;
@@ -264,16 +264,6 @@ int run_worker(const exp::Manifest& manifest, const WorkerOptions& options) {
     // runtime, so the part file may legitimately hold any subset.
     exp::Aggregator aggregator(std::move(agg_options));
     const std::size_t recovered = aggregator.load_existing();
-
-    std::optional<exp::TelemetrySink> sink;
-    if (!options.metrics_csv.empty()) {
-      exp::TelemetryOptions telemetry_options;
-      telemetry_options.path = options.metrics_csv;
-      telemetry_options.axis_names = exp::axis_columns(manifest);
-      telemetry_options.total_points = points.size();
-      sink.emplace(std::move(telemetry_options));
-      sink->load_existing();
-    }
 
     std::unique_ptr<runtime::ThreadPool> pool;
     if (options.jobs > 1) {
@@ -312,12 +302,10 @@ int run_worker(const exp::Manifest& manifest, const WorkerOptions& options) {
           // file leads the protocol stream, so a crash after this line
           // loses at most the *message*, never the data — the supervisor
           // re-reads the file on crash recovery.
-          aggregator.record(p, points[p].seed, points[p].values, metrics);
-          if (sink.has_value()) sink->record(points[p], metrics);
+          aggregator.record(points[p], metrics);
         }
         if (!out.send(format_point_done(p))) {
           aggregator.compact();  // driver died (EPIPE); exit tidily
-          if (sink.has_value()) sink->finalize();
           return 1;
         }
         if (crash_after != 0 && ++done_since_start >= crash_after) {
@@ -327,7 +315,6 @@ int run_worker(const exp::Manifest& manifest, const WorkerOptions& options) {
       }
       if (!out.send(format_lease_done(cmd->lease))) {
         aggregator.compact();
-        if (sink.has_value()) sink->finalize();
         return 1;
       }
     }
@@ -335,7 +322,6 @@ int run_worker(const exp::Manifest& manifest, const WorkerOptions& options) {
     // part file behind so it is directly mergeable/resumable.
     heartbeat.stop();
     aggregator.compact();
-    if (sink.has_value()) sink->finalize();
     return 0;
   } catch (const std::exception& e) {
     out.send(format_fail(e.what()));

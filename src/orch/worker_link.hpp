@@ -81,9 +81,10 @@ struct WorkerOptions {
   /// Part files this worker owns (the driver derives them from --out).
   std::string out_csv;
   std::string per_run_csv;
-  /// Telemetry JSONL part file (empty = no telemetry). Rows are appended +
-  /// flushed before `point_done`, mirroring the CSV, so the driver's crash
-  /// merge never sees a point whose telemetry is missing.
+  /// Telemetry JSONL part file (empty = no telemetry). Each point's
+  /// telemetry row is flushed to the part's row store in the same batch as
+  /// its CSV rows, before `point_done`, so crash recovery never sees a point
+  /// whose telemetry is missing.
   std::string metrics_csv;
   int worker_id = 0;
   /// Threads for replication-parallel execution inside a point (>=1).

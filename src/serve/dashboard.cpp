@@ -122,8 +122,7 @@ a { color: var(--series-1); }
     <div class="value" id="t-elapsed">&mdash;</div>
     <div class="sub" id="t-eta"></div></div>
   <div class="card tile"><div class="label">Workers</div>
-    <div class="value" id="t-workers">&mdash;</div>
-    <div class="sub" id="t-queued"></div></div>
+    <div class="value" id="t-workers">&mdash;</div></div>
 </div>
 
 <div class="card" style="margin-top:12px">
@@ -338,8 +337,6 @@ async function poll() {
     const status = await (await fetch("/api/status")).json();
     setState(status.state);
     $("campaign-name").textContent = status.campaign || "—";
-    $("t-queued").textContent = status.queued_campaigns > 0
-        ? status.queued_campaigns + " queued" : "";
     renderWorkers(status.workers);
     if (!lastProgress) {
       onProgress({ done: status.done_points, total: status.total_points,

@@ -46,14 +46,12 @@ void CampaignFeed::push_event_locked(const std::string& type,
 }
 
 void CampaignFeed::begin_campaign(const std::string& name,
-                                  std::uint64_t campaign_id,
                                   std::size_t total_points,
                                   std::size_t replications,
                                   std::size_t resumed) {
   const std::lock_guard lock(mutex_);
   state_ = State::kRunning;
   campaign_ = name;
-  campaign_id_ = campaign_id;
   campaign_t0_ = FeedClock::now();
   last_tick_ = campaign_t0_;
   total_points_ = total_points;
@@ -65,7 +63,6 @@ void CampaignFeed::begin_campaign(const std::string& name,
   io::JsonObject data;
   data["event"] = "start";
   data["name"] = name;
-  data["id"] = campaign_id;
   data["total_points"] = total_points;
   data["replications"] = replications;
   data["resumed"] = resumed;
@@ -78,7 +75,6 @@ void CampaignFeed::end_campaign(bool interrupted) {
   io::JsonObject data;
   data["event"] = interrupted ? "interrupted" : "done";
   data["name"] = campaign_;
-  data["id"] = campaign_id_;
   data["done_points"] = done_points_;
   data["total_points"] = total_points_;
   data["computed"] = computed_;
@@ -171,7 +167,6 @@ CampaignFeed::Status CampaignFeed::status() const {
   Status out;
   out.state = state_;
   out.campaign = campaign_;
-  out.campaign_id = campaign_id_;
   out.total_points = total_points_;
   out.done_points = done_points_;
   out.computed = computed_;
@@ -183,7 +178,6 @@ CampaignFeed::Status CampaignFeed::status() const {
   out.workers = workers_;
   out.last_seq = next_seq_ - 1;
   out.points_logged = points_logged_;
-  out.queued_campaigns = submissions_.size();
   return out;
 }
 
@@ -231,27 +225,6 @@ io::Json CampaignFeed::metrics() const {
   // its own mutex, and producers publish into the feed while holding none.
   if (!source) return io::Json(io::JsonObject{});
   return source();
-}
-
-std::uint64_t CampaignFeed::submit(std::string manifest_json) {
-  const std::lock_guard lock(mutex_);
-  const std::uint64_t id = next_submission_++;
-  submissions_.emplace_back(id, std::move(manifest_json));
-  io::JsonObject data;
-  data["event"] = "submitted";
-  data["id"] = id;
-  data["queued"] = submissions_.size();
-  push_event_locked("campaign", io::Json(std::move(data)).dump());
-  return id;
-}
-
-std::optional<std::pair<std::uint64_t, std::string>>
-CampaignFeed::pop_submission() {
-  const std::lock_guard lock(mutex_);
-  if (submissions_.empty()) return std::nullopt;
-  auto out = std::move(submissions_.front());
-  submissions_.pop_front();
-  return out;
 }
 
 }  // namespace pas::serve

@@ -11,9 +11,7 @@
 //    disagree about what the campaign is doing;
 //  * the HTTP server (serve/server.hpp) snapshots status(), drains
 //    events_since() into per-client SSE streams, and serves the
-//    completion-ordered point-row log incrementally;
-//  * manifest submissions (POST /api/campaigns) queue here until the
-//    serve loop in pas-exp pops them.
+//    completion-ordered point-row log incrementally.
 //
 // Serving is observe-only by construction: the feed owns copies (JSON
 // strings, counters, worker rows) and writes no files, so a campaign
@@ -33,7 +31,6 @@
 #include <deque>
 #include <functional>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -84,7 +81,6 @@ class CampaignFeed {
   struct Status {
     State state = State::kIdle;
     std::string campaign;       // manifest name
-    std::uint64_t campaign_id = 0;  // 0 = the CLI campaign, 1+ = submissions
     std::size_t total_points = 0;
     std::size_t done_points = 0;  // includes resumed rows
     std::size_t computed = 0;     // simulated by this invocation
@@ -94,7 +90,6 @@ class CampaignFeed {
     std::vector<WorkerRow> workers;
     std::uint64_t last_seq = 0;
     std::size_t points_logged = 0;   // rows available to /api/points
-    std::size_t queued_campaigns = 0;
   };
 
   CampaignFeed() : CampaignFeed(Options()) {}
@@ -108,9 +103,8 @@ class CampaignFeed {
 
   // --- Producer side (campaign engine / orchestrator) ---------------------
 
-  void begin_campaign(const std::string& name, std::uint64_t campaign_id,
-                      std::size_t total_points, std::size_t replications,
-                      std::size_t resumed);
+  void begin_campaign(const std::string& name, std::size_t total_points,
+                      std::size_t replications, std::size_t resumed);
   void end_campaign(bool interrupted);
 
   /// One completed point. `row_json` is the compact JSON row exposed via
@@ -146,7 +140,7 @@ class CampaignFeed {
   /// must clear it (nullptr) before the registry it captures dies.
   void set_metrics_source(std::function<io::Json()> source);
 
-  // --- Consumer side (HTTP server, serve loop) -----------------------------
+  // --- Consumer side (HTTP server) -----------------------------------------
 
   [[nodiscard]] Status status() const;
 
@@ -165,16 +159,6 @@ class CampaignFeed {
   /// Snapshot of the live metrics source ({} when none installed).
   [[nodiscard]] io::Json metrics() const;
 
-  // --- Campaign submissions ------------------------------------------------
-
-  /// Queues a manifest (raw JSON text, already validated by the caller);
-  /// returns the submission id (1-based).
-  std::uint64_t submit(std::string manifest_json);
-
-  /// Pops the oldest queued submission: {id, manifest JSON}.
-  [[nodiscard]] std::optional<std::pair<std::uint64_t, std::string>>
-  pop_submission();
-
  private:
   void push_event_locked(const std::string& type, std::string data);
   void echo_locked(FeedClock::time_point now);
@@ -192,7 +176,6 @@ class CampaignFeed {
 
   State state_ = State::kIdle;
   std::string campaign_;
-  std::uint64_t campaign_id_ = 0;
   FeedClock::time_point campaign_t0_;
   std::size_t total_points_ = 0;
   std::size_t done_points_ = 0;
@@ -210,9 +193,6 @@ class CampaignFeed {
   std::deque<std::string> point_rows_;
 
   std::function<io::Json()> metrics_source_;
-
-  std::uint64_t next_submission_ = 1;
-  std::deque<std::pair<std::uint64_t, std::string>> submissions_;
 };
 
 }  // namespace pas::serve

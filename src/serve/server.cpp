@@ -313,34 +313,6 @@ void Server::handle_request(std::size_t slot, const HttpRequest& request) {
     } else {
       body = points_json(request) + "\n";
     }
-  } else if (request.path == "/api/campaigns") {
-    if (request.method != "POST") {
-      status = 405;
-      body = "{\"error\":\"Method Not Allowed\"}\n";
-    } else {
-      std::string reason;
-      if (options_.manifest_validator) {
-        reason = options_.manifest_validator(request.body);
-      } else {
-        try {
-          (void)io::Json::parse(request.body);
-        } catch (const std::exception& e) {
-          reason = e.what();
-        }
-      }
-      if (!reason.empty()) {
-        status = 400;
-        io::JsonObject err;
-        err["error"] = reason;
-        body = io::Json(std::move(err)).dump() + "\n";
-      } else {
-        const std::uint64_t id = feed_.submit(request.body);
-        status = 202;
-        io::JsonObject ok;
-        ok["id"] = id;
-        body = io::Json(std::move(ok)).dump() + "\n";
-      }
-    }
   } else {
     status = 404;
     body = "{\"error\":\"Not Found\"}\n";
@@ -458,7 +430,6 @@ std::string Server::status_json() const {
   io::JsonObject out;
   out["state"] = state_name(status.state);
   out["campaign"] = status.campaign;
-  out["campaign_id"] = status.campaign_id;
   out["total_points"] = status.total_points;
   out["done_points"] = status.done_points;
   out["computed"] = status.computed;
@@ -467,7 +438,6 @@ std::string Server::status_json() const {
   out["elapsed_s"] = status.elapsed_s;
   out["last_seq"] = status.last_seq;
   out["points_logged"] = status.points_logged;
-  out["queued_campaigns"] = status.queued_campaigns;
   io::JsonArray workers;
   for (const auto& w : status.workers) {
     io::JsonObject row;

@@ -13,7 +13,6 @@
 //   GET  /api/metrics    live obs::Registry snapshot (quantiles included)
 //   GET  /api/points?since=N   completion-ordered point rows, incremental
 //   GET  /api/events     SSE stream (campaign/progress/point/worker/...)
-//   POST /api/campaigns  submit a manifest into the serve queue
 //
 // The server is a pure consumer: it reads feed snapshots and never
 // touches campaign state, so attaching it cannot perturb results (the
@@ -28,7 +27,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -53,10 +51,6 @@ class Server {
     /// Where the request/response flight-recorder window is appended on
     /// loop exit ("" = skip the dump).
     std::string flightrec_path;
-    /// Validates a POST /api/campaigns body; returns "" to accept or an
-    /// error message for a 400. Null accepts any body that parses as
-    /// JSON. Called on the server thread.
-    std::function<std::string(const std::string& body)> manifest_validator;
   };
 
   Server(CampaignFeed& feed, Options options);

@@ -44,12 +44,13 @@ TEST_F(RowStoreTest, RoundTripsRecordsThroughScan) {
   store.append(RowStore::Kind::kPerRun, 3, 1, {"3", "1", "abc", ""});
   store.append(RowStore::Kind::kSummary, 3, 0, {"3", "0.5"});
   store.append(RowStore::Kind::kTombstone, 7, 0, {});
+  store.append(RowStore::Kind::kTelemetry, 3, 0, {"{\"kind\":\"point\"}"});
   store.flush();
   store.close();
 
   RowStore reader(path_, 42);
   const auto records = scan_all(reader);
-  ASSERT_EQ(records.size(), 3U);
+  ASSERT_EQ(records.size(), 4U);
   EXPECT_EQ(records[0].kind, RowStore::Kind::kPerRun);
   EXPECT_EQ(records[0].point, 3U);
   EXPECT_EQ(records[0].rep, 1U);
@@ -58,9 +59,17 @@ TEST_F(RowStoreTest, RoundTripsRecordsThroughScan) {
   EXPECT_EQ(records[1].kind, RowStore::Kind::kSummary);
   EXPECT_EQ(records[2].kind, RowStore::Kind::kTombstone);
   EXPECT_EQ(records[2].point, 7U);
+  EXPECT_EQ(records[3].kind, RowStore::Kind::kTelemetry);
+  EXPECT_EQ(records[3].cells,
+            (std::vector<std::string>{"{\"kind\":\"point\"}"}));
   // seq is the record's byte offset: strictly increasing.
   EXPECT_LT(records[0].seq, records[1].seq);
   EXPECT_LT(records[1].seq, records[2].seq);
+  EXPECT_LT(records[2].seq, records[3].seq);
+  // Every record is part of the clean prefix, so reopening truncates none.
+  store.open_append();
+  store.close();
+  EXPECT_EQ(scan_all(reader).size(), 4U);
 }
 
 TEST_F(RowStoreTest, IdentityHashMismatchThrows) {

@@ -1,5 +1,6 @@
-// Campaign telemetry: the JSONL sink's lifecycle, the row schema, part-file
-// merging, and the hard invariant that --metrics never changes the CSV.
+// Campaign telemetry: the row schema, the rows' life in the Aggregator's
+// row store (record, resume, import, export), part-file merging, and the
+// hard invariant that --metrics never changes the CSV.
 #include "exp/telemetry.hpp"
 
 #include <gtest/gtest.h>
@@ -8,8 +9,11 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 #include <vector>
 
+#include "exp/aggregate.hpp"
+#include "exp/row_store.hpp"
 #include "exp/runner.hpp"
 #include "world/paper_setup.hpp"
 
@@ -59,6 +63,30 @@ class TelemetryTest : public ::testing::Test {
     return rows;
   }
 
+  /// The raw "kind":"point" lines of a telemetry file (trailers dropped).
+  static std::vector<std::string> point_lines(const fs::path& path) {
+    std::ifstream in(path);
+    std::vector<std::string> rows;
+    std::string line;
+    while (std::getline(in, line)) {
+      if (parse_point_row(line, 0, nullptr) != SIZE_MAX) rows.push_back(line);
+    }
+    return rows;
+  }
+
+  /// Aggregator options writing out.csv and metrics.jsonl for `m`'s grid.
+  AggregatorOptions metrics_options(const Manifest& m) const {
+    const auto points = expand_grid(m);
+    AggregatorOptions options;
+    options.csv_path = (dir_ / "out.csv").string();
+    options.metrics_path = (dir_ / "metrics.jsonl").string();
+    options.axis_names = axis_columns(m);
+    options.total_points = points.size();
+    options.replications = m.replications;
+    options.expected_identity = grid_identity(points);
+    return options;
+  }
+
   /// A fabricated two-run ReplicatedMetrics with recognizable counters.
   static world::ReplicatedMetrics fake_metrics(std::uint64_t base) {
     world::ReplicatedMetrics m;
@@ -98,65 +126,220 @@ TEST_F(TelemetryTest, PointRowSchema) {
                    2.0);
 }
 
-TEST_F(TelemetryTest, SinkAppendsResumesAndFinalizesSorted) {
+TEST_F(TelemetryTest, StoreKeepsFirstRowsAcrossResumeAndFinalizesSorted) {
   const Manifest m = small_manifest();
   const auto points = expand_grid(m);
-  const std::string path = (dir_ / "metrics.jsonl").string();
-
-  TelemetryOptions options;
-  options.path = path;
-  options.axis_names = axis_columns(m);
-  options.total_points = points.size();
+  const auto options = metrics_options(m);
   {
-    TelemetrySink sink(options);
-    EXPECT_EQ(sink.load_existing(), 0U);
-    sink.record(points[3], fake_metrics(5));
-    sink.record(points[1], fake_metrics(7));
-    sink.record(points[1], fake_metrics(9));  // duplicate: first wins
-    EXPECT_EQ(sink.recorded_count(), 2U);
-    // No finalize: the append-mode file is the crash artifact.
+    Aggregator agg{AggregatorOptions(options)};
+    EXPECT_EQ(agg.load_existing(), 0U);
+    agg.record(points[3], fake_metrics(5));
+    agg.record(points[1], fake_metrics(7));
+    agg.record(points[1], fake_metrics(9));  // duplicate: first wins
+    EXPECT_EQ(agg.done_count(), 2U);
+    // The index-based overload cannot render a telemetry row.
+    EXPECT_THROW(agg.record(0, points[0].seed, points[0].values,
+                            fake_metrics(1)),
+                 std::logic_error);
+    // No finalize: the row store is the crash artifact.
   }
+  EXPECT_FALSE(fs::exists(options.metrics_path));
   {
     // Resume keeps existing rows and only adds the new ones.
-    TelemetrySink sink(options);
-    EXPECT_EQ(sink.load_existing(), 2U);
-    sink.record(points[0], fake_metrics(1));
+    Aggregator agg{AggregatorOptions(options)};
+    EXPECT_EQ(agg.load_existing(), 2U);
+    for (const std::size_t p : {5U, 0U, 4U, 2U}) {
+      agg.record(points[p], fake_metrics(p + 1));
+    }
+    EXPECT_FALSE(fs::exists(options.metrics_path));
     io::JsonObject trailer;
     trailer["kind"] = "registry";
-    sink.finalize({io::Json(std::move(trailer))});
+    agg.finalize({io::Json(std::move(trailer))});
   }
 
-  const auto rows = parse_lines(path);
-  ASSERT_EQ(rows.size(), 4U);
-  EXPECT_DOUBLE_EQ(rows[0].at("point").as_double(), 0.0);
-  EXPECT_DOUBLE_EQ(rows[1].at("point").as_double(), 1.0);
-  EXPECT_DOUBLE_EQ(rows[2].at("point").as_double(), 3.0);
-  EXPECT_EQ(rows[3].at("kind").as_string(), "registry");
-  // Point 1 kept the first-recorded payload.
+  const auto rows = parse_lines(options.metrics_path);
+  ASSERT_EQ(rows.size(), 7U);
+  for (std::size_t i = 0; i < 6; ++i) {
+    EXPECT_DOUBLE_EQ(rows[i].at("point").as_double(), static_cast<double>(i));
+  }
+  EXPECT_EQ(rows[6].at("kind").as_string(), "registry");
+  // Point 1 kept the first-recorded payload, point 3 its resumed one.
   EXPECT_DOUBLE_EQ(rows[1].at("protocol").at("wakeups").as_double(), 28.0);
+  EXPECT_DOUBLE_EQ(rows[3].at("protocol").at("wakeups").as_double(), 20.0);
+  EXPECT_FALSE(fs::exists(RowStore::path_for(options.csv_path)));
 }
 
-TEST_F(TelemetryTest, LoadExistingDropsGarbageAndForeignRows) {
+TEST_F(TelemetryTest, ImportDropsGarbageTrailersAndOutsideGridRows) {
   const Manifest m = small_manifest();
   const auto points = expand_grid(m);
-  const std::string path = (dir_ / "metrics.jsonl").string();
+  const auto options = metrics_options(m);
   {
-    std::ofstream out(path);
+    // A finished artifact holding point 2 only: the exported files without
+    // the store.
+    Aggregator agg{AggregatorOptions(options)};
+    agg.load_existing();
+    agg.record(points[2], fake_metrics(3));
+    agg.compact();
+  }
+  fs::remove(RowStore::path_for(options.csv_path));
+  const auto good = point_lines(options.metrics_path);
+  ASSERT_EQ(good.size(), 1U);
+  {
+    std::ofstream out(options.metrics_path, std::ios::trunc);
     out << "not json at all\n";
     out << "{\"kind\":\"registry\",\"scope\":\"campaign\"}\n";  // stale trailer
     out << "{\"kind\":\"point\",\"point\":999}\n";  // outside the grid
-    out << "{\"kind\":\"point\",\"point\":2}\n";    // the one good row
+    out << "\n";
+    out << good.front() << '\n';                 // the one good row
+    out << "{\"kind\":\"point\",\"point\":4,\"se";  // torn by a kill
   }
-  TelemetryOptions options;
-  options.path = path;
-  options.axis_names = axis_columns(m);
-  options.total_points = points.size();
-  TelemetrySink sink(options);
-  EXPECT_EQ(sink.load_existing(), 1U);
-  sink.finalize();
-  const auto rows = parse_lines(path);
-  ASSERT_EQ(rows.size(), 1U);
-  EXPECT_DOUBLE_EQ(rows[0].at("point").as_double(), 2.0);
+  Aggregator agg{AggregatorOptions(options)};
+  EXPECT_EQ(agg.load_existing(), 1U);
+  EXPECT_EQ(agg.done_points(), std::vector<std::size_t>{2});
+  for (const std::size_t p : {0U, 1U, 3U, 4U, 5U}) {
+    agg.record(points[p], fake_metrics(p + 1));
+  }
+  agg.finalize();
+  const auto rows = point_lines(options.metrics_path);
+  ASSERT_EQ(rows.size(), 6U);
+  EXPECT_EQ(parse_lines(options.metrics_path).size(), 6U);  // no trailer
+  EXPECT_EQ(rows[2], good.front());
+}
+
+TEST_F(TelemetryTest, ImportRejectsTelemetryOfAnotherShard) {
+  const Manifest m = small_manifest();
+  const auto points = expand_grid(m);
+  auto options = metrics_options(m);
+  options.owned_points = {0, 2, 4};
+  std::ofstream(options.metrics_path)
+      << telemetry_point_row(points[1], axis_columns(m), fake_metrics(1))
+             .dump()
+      << '\n';
+  Aggregator agg{std::move(options)};
+  EXPECT_THROW(agg.load_existing(), std::runtime_error);
+}
+
+// A --metrics file left by another manifest (here: another seed_base) is
+// an error, like a foreign CSV, instead of rows silently kept.
+TEST_F(TelemetryTest, ResumeRejectsTelemetryOfAnotherManifest) {
+  Manifest m = small_manifest();
+  const std::string metrics = (dir_ / "metrics.jsonl").string();
+  CampaignOptions first;
+  first.jobs = 1;
+  first.out_csv = (dir_ / "first.csv").string();
+  first.metrics_path = metrics;
+  run_campaign(m, first);
+
+  m.seed_base = 99;
+  CampaignOptions second;
+  second.jobs = 1;
+  second.resume = true;
+  second.out_csv = (dir_ / "second.csv").string();
+  second.metrics_path = metrics;
+  try {
+    run_campaign(m, second);
+    FAIL() << "resume over a foreign --metrics file must throw";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find(metrics), std::string::npos) << what;
+    EXPECT_NE(what.find("--metrics"), std::string::npos) << what;
+  }
+  EXPECT_FALSE(fs::exists(RowStore::path_for(second.out_csv)));
+  EXPECT_FALSE(fs::exists(second.out_csv));
+}
+
+// A finished campaign whose --metrics file lacks a point row recomputes
+// that point on resume instead of finalizing without it.
+TEST_F(TelemetryTest, ResumeRecomputesAPointWhoseTelemetryRowIsMissing) {
+  const Manifest m = small_manifest();
+  CampaignOptions options;
+  options.jobs = 1;
+  options.out_csv = (dir_ / "out.csv").string();
+  options.metrics_path = (dir_ / "metrics.jsonl").string();
+  run_campaign(m, options);
+  const std::string complete_csv = slurp(options.out_csv);
+  const auto complete_rows = point_lines(options.metrics_path);
+  ASSERT_EQ(complete_rows.size(), 6U);
+  {
+    std::ofstream out(options.metrics_path, std::ios::trunc);
+    for (std::size_t p = 0; p < complete_rows.size(); ++p) {
+      if (p != 3) out << complete_rows[p] << '\n';
+    }
+  }
+
+  options.resume = true;
+  const auto report = run_campaign(m, options);
+  EXPECT_EQ(report.computed, 1U);
+  EXPECT_EQ(report.skipped, 5U);
+  EXPECT_EQ(slurp(options.out_csv), complete_csv);
+  EXPECT_EQ(point_lines(options.metrics_path), complete_rows);
+}
+
+// Points a campaign recorded without --metrics have no telemetry rows, so a
+// resume with --metrics neither counts nor exports them until recomputed.
+TEST_F(TelemetryTest, PointsRecordedWithoutMetricsAreNotDoneWithIt) {
+  const Manifest m = small_manifest();
+  const auto points = expand_grid(m);
+  const auto options = metrics_options(m);
+  {
+    auto without = options;
+    without.metrics_path.clear();
+    Aggregator agg{std::move(without)};
+    agg.load_existing();
+    agg.record(points[0], fake_metrics(1));
+    agg.record(points[1], fake_metrics(2));
+  }
+  Aggregator agg{AggregatorOptions(options)};
+  EXPECT_EQ(agg.load_existing(), 0U);
+  agg.compact();
+  EXPECT_EQ(slurp(options.csv_path).find('\n') + 1,
+            slurp(options.csv_path).size());  // header only
+  EXPECT_TRUE(point_lines(options.metrics_path).empty());
+  for (std::size_t p = 0; p < points.size(); ++p) {
+    agg.record(points[p], fake_metrics(p + 1));
+  }
+  agg.finalize();
+  EXPECT_EQ(point_lines(options.metrics_path).size(), 6U);
+}
+
+// A kill inside a point's batch can leave its telemetry record on disk
+// without the summary that commits it; the point is recomputed and the
+// finalized file holds exactly one row for it.
+TEST_F(TelemetryTest, TornBatchAfterTelemetryRecomputesThePointOnce) {
+  const Manifest m = small_manifest();
+  const auto points = expand_grid(m);
+  const auto options = metrics_options(m);
+  const std::string store = RowStore::path_for(options.csv_path);
+  std::uint64_t summary_offset = 0;
+  {
+    Aggregator agg{AggregatorOptions(options)};
+    agg.load_existing();
+    for (const auto& point : points) agg.record(point, fake_metrics(4));
+    std::vector<RowStore::Record> records;
+    RowStore(store, RowStore::hash_identity(agg.columns(), points.size(),
+                                            m.replications,
+                                            options.expected_identity))
+        .scan([&](const RowStore::Record& r) { records.push_back(r); });
+    // The store ends with point 5's batch: its telemetry row, then the
+    // summary that commits it.
+    ASSERT_GE(records.size(), 2U);
+    EXPECT_EQ(records[records.size() - 2].kind, RowStore::Kind::kTelemetry);
+    EXPECT_EQ(records.back().kind, RowStore::Kind::kSummary);
+    EXPECT_EQ(records.back().point, 5U);
+    summary_offset = records.back().seq;
+  }
+  fs::resize_file(store, summary_offset);
+
+  Aggregator resumed{AggregatorOptions(options)};
+  EXPECT_EQ(resumed.load_existing(), 5U);
+  EXPECT_EQ(resumed.pending(), std::vector<std::size_t>{5});
+  resumed.record(points[5], fake_metrics(4));
+  resumed.finalize();
+  const auto rows = parse_lines(options.metrics_path);
+  ASSERT_EQ(rows.size(), 6U);
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    EXPECT_DOUBLE_EQ(rows[i].at("point").as_double(), static_cast<double>(i));
+  }
 }
 
 TEST_F(TelemetryTest, MergeDeduplicatesFirstInputWins) {

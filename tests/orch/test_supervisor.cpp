@@ -301,6 +301,43 @@ TEST_F(SupervisorTest, CrashedDriveKeepsTelemetryAndDumpsFlightRecorder) {
   EXPECT_NE(dump.find("hello"), std::string::npos) << dump;
 }
 
+// pas-exp --export renders the --metrics file out of an interrupted
+// campaign's row store: the point rows a finished run writes for the points
+// the store holds, and no trailer.
+TEST_F(SupervisorTest, ExportRendersMetricsOfAnInterruptedStore) {
+  exp::CampaignOptions finished;
+  finished.jobs = 1;
+  finished.out_csv = path("done.csv");
+  finished.metrics_path = path("done.jsonl");
+  exp::run_campaign(manifest_, finished);
+
+  std::size_t recorded = 0;
+  exp::CampaignOptions interrupted;
+  interrupted.jobs = 1;
+  interrupted.out_csv = path("out.csv");
+  interrupted.metrics_path = path("metrics.jsonl");
+  interrupted.progress = [&recorded](const exp::PointSummary&, std::size_t,
+                                     std::size_t) { ++recorded; };
+  interrupted.should_stop = [&recorded] { return recorded >= 4; };
+  ASSERT_TRUE(exp::run_campaign(manifest_, interrupted).interrupted);
+  ASSERT_FALSE(fs::exists(path("metrics.jsonl")));  // the store holds the rows
+
+  const std::string command = exe_ + " --export --manifest " +
+                              manifest_path_ + " --out " + path("out.csv") +
+                              " --metrics " + path("metrics.jsonl") +
+                              " > /dev/null";
+  ASSERT_EQ(std::system(command.c_str()), 0);
+  auto want = point_rows(path("done.jsonl"));
+  ASSERT_EQ(want.size(), 6U);
+  want.resize(4);
+  EXPECT_EQ(point_rows(path("metrics.jsonl")), want);
+  std::ifstream in(path("metrics.jsonl"));
+  std::string line;
+  std::size_t lines = 0;
+  while (std::getline(in, line)) ++lines;
+  EXPECT_EQ(lines, 4U);
+}
+
 // A respawn budget of zero turns the first crash into a hard failure when
 // no other worker can pick up the queue — instead of a silent infinite
 // crash-respawn loop.

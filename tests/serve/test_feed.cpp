@@ -1,7 +1,6 @@
 // serve::CampaignFeed semantics: counters, the bounded event ring,
-// events_since's exactly-once guarantees, the point-row log, and the
-// submission queue. The SSE soak test (test_server.cpp) leans on the ring
-// properties proven here.
+// events_since's exactly-once guarantees, and the point-row log. The SSE
+// soak test (test_server.cpp) leans on the ring properties proven here.
 #include "serve/feed.hpp"
 
 #include <gtest/gtest.h>
@@ -26,7 +25,7 @@ TEST(CampaignFeed, LifecycleCountersAndState) {
   CampaignFeed feed(quiet_options());
   EXPECT_EQ(feed.status().state, CampaignFeed::State::kIdle);
 
-  feed.begin_campaign("demo", 0, 10, 3, 2);
+  feed.begin_campaign("demo", 10, 3, 2);
   auto status = feed.status();
   EXPECT_EQ(status.state, CampaignFeed::State::kRunning);
   EXPECT_EQ(status.campaign, "demo");
@@ -45,16 +44,16 @@ TEST(CampaignFeed, LifecycleCountersAndState) {
   feed.end_campaign(false);
   EXPECT_EQ(feed.status().state, CampaignFeed::State::kDone);
 
-  feed.begin_campaign("next", 1, 5, 2, 0);
+  feed.begin_campaign("next", 5, 2, 0);
   EXPECT_EQ(feed.status().state, CampaignFeed::State::kRunning);
-  EXPECT_EQ(feed.status().campaign_id, 1U);
+  EXPECT_EQ(feed.status().campaign, "next");
   feed.end_campaign(true);
   EXPECT_EQ(feed.status().state, CampaignFeed::State::kInterrupted);
 }
 
 TEST(CampaignFeed, EventSequencesAreMonotonicAndGapFree) {
   CampaignFeed feed(quiet_options());
-  feed.begin_campaign("demo", 0, 4, 1, 0);
+  feed.begin_campaign("demo", 4, 1, 0);
   for (int i = 0; i < 4; ++i) {
     feed.point_done("{\"point\":" + std::to_string(i) + "}");
   }
@@ -73,7 +72,7 @@ TEST(CampaignFeed, EventSequencesAreMonotonicAndGapFree) {
 
 TEST(CampaignFeed, EventsSinceResumesWithoutRepeatingOrSkipping) {
   CampaignFeed feed(quiet_options());
-  feed.begin_campaign("demo", 0, 6, 1, 0);
+  feed.begin_campaign("demo", 6, 1, 0);
   for (int i = 0; i < 6; ++i) {
     feed.point_done("{\"point\":" + std::to_string(i) + "}");
   }
@@ -97,7 +96,7 @@ TEST(CampaignFeed, EventsSinceResumesWithoutRepeatingOrSkipping) {
 
 TEST(CampaignFeed, BoundedRingDropsOldestButKeepsSeqNumbers) {
   CampaignFeed feed(quiet_options(true, 4));
-  feed.begin_campaign("demo", 0, 10, 1, 0);  // seq 1
+  feed.begin_campaign("demo", 10, 1, 0);  // seq 1
   for (int i = 0; i < 9; ++i) {
     feed.point_done("{\"point\":" + std::to_string(i) + "}");  // seq 2..10
   }
@@ -116,7 +115,7 @@ TEST(CampaignFeed, BoundedRingDropsOldestButKeepsSeqNumbers) {
 
 TEST(CampaignFeed, PointRowLogIsIncremental) {
   CampaignFeed feed(quiet_options());
-  feed.begin_campaign("demo", 0, 3, 1, 0);
+  feed.begin_campaign("demo", 3, 1, 0);
   feed.point_done("{\"point\":0}");
   feed.point_done("{\"point\":1}");
   feed.point_done("{\"point\":2}");
@@ -133,7 +132,7 @@ TEST(CampaignFeed, PointRowLogIsIncremental) {
 
 TEST(CampaignFeed, StorePointsOffKeepsEventsButNoRowLog) {
   CampaignFeed feed(quiet_options(/*store_points=*/false));
-  feed.begin_campaign("demo", 0, 2, 1, 0);
+  feed.begin_campaign("demo", 2, 1, 0);
   feed.point_done("{\"point\":0}");
   EXPECT_TRUE(feed.points_since(0).empty());
   // The SSE "point" event still fires; only retention is disabled.
@@ -144,7 +143,7 @@ TEST(CampaignFeed, StorePointsOffKeepsEventsButNoRowLog) {
 
 TEST(CampaignFeed, ProgressTickIsThrottledUnlessForced) {
   CampaignFeed feed(quiet_options());
-  feed.begin_campaign("demo", 0, 4, 1, 0);
+  feed.begin_campaign("demo", 4, 1, 0);
   const auto before = feed.status().last_seq;
   feed.progress_tick(false);  // inside the echo interval: suppressed
   EXPECT_EQ(feed.status().last_seq, before);
@@ -159,7 +158,7 @@ TEST(CampaignFeed, ProgressTickIsThrottledUnlessForced) {
 
 TEST(CampaignFeed, WorkerTableAndEvents) {
   CampaignFeed feed(quiet_options());
-  feed.begin_campaign("demo", 0, 4, 1, 0);
+  feed.begin_campaign("demo", 4, 1, 0);
   std::vector<CampaignFeed::WorkerRow> rows(2);
   rows[0].id = 0;
   rows[0].has_lease = true;
@@ -190,24 +189,6 @@ TEST(CampaignFeed, MetricsSourceInstallAndClear) {
   EXPECT_EQ(feed.metrics().at("scope").as_string(), "campaign");
   feed.set_metrics_source(nullptr);
   EXPECT_TRUE(feed.metrics().as_object().empty());
-}
-
-TEST(CampaignFeed, SubmissionQueueIsFifoWithStableIds) {
-  CampaignFeed feed(quiet_options());
-  EXPECT_EQ(feed.submit("{\"name\":\"a\"}"), 1U);
-  EXPECT_EQ(feed.submit("{\"name\":\"b\"}"), 2U);
-  EXPECT_EQ(feed.status().queued_campaigns, 2U);
-
-  auto first = feed.pop_submission();
-  ASSERT_TRUE(first.has_value());
-  EXPECT_EQ(first->first, 1U);
-  EXPECT_EQ(first->second, "{\"name\":\"a\"}");
-  auto second = feed.pop_submission();
-  ASSERT_TRUE(second.has_value());
-  EXPECT_EQ(second->first, 2U);
-  EXPECT_FALSE(feed.pop_submission().has_value());
-  // Ids never recycle, so /api/campaigns responses stay unambiguous.
-  EXPECT_EQ(feed.submit("{\"name\":\"c\"}"), 3U);
 }
 
 }  // namespace

@@ -1,7 +1,6 @@
-// serve::Server over real sockets: endpoint routing, the submission
-// gate, incremental /api/points, SSE framing on the wire, and the
-// 8-client soak proving no SSE consumer ever sees a dropped or
-// duplicated point-completion event.
+// serve::Server over real sockets: endpoint routing, incremental
+// /api/points, SSE framing on the wire, and the 8-client soak proving no
+// SSE consumer ever sees a dropped or duplicated point-completion event.
 #include "serve/server.hpp"
 
 #include <arpa/inet.h>
@@ -153,7 +152,7 @@ class ServerTest : public ::testing::Test {
 };
 
 TEST_F(ServerTest, StatusEndpointReflectsTheFeed) {
-  feed_.begin_campaign("wire-test", 0, 12, 5, 2);
+  feed_.begin_campaign("wire-test", 12, 5, 2);
   feed_.point_done("{\"point\":0}");
 
   const Response response = roundtrip(server_->port(), "GET", "/api/status");
@@ -171,7 +170,8 @@ TEST_F(ServerTest, RoutingErrors) {
   EXPECT_EQ(roundtrip(server_->port(), "GET", "/nope").status, 404);
   EXPECT_EQ(roundtrip(server_->port(), "POST", "/api/status").status, 405);
   EXPECT_EQ(roundtrip(server_->port(), "POST", "/api/events").status, 405);
-  EXPECT_EQ(roundtrip(server_->port(), "GET", "/api/campaigns").status, 405);
+  EXPECT_EQ(roundtrip(server_->port(), "POST", "/api/campaigns").status,
+            404);
 }
 
 TEST_F(ServerTest, DashboardIsServedAtRoot) {
@@ -191,25 +191,8 @@ TEST_F(ServerTest, MalformedRequestGetsParserStatus) {
   EXPECT_NE(raw.find("400 Bad Request"), std::string::npos);
 }
 
-TEST_F(ServerTest, CampaignSubmissionQueuesIntoTheFeed) {
-  const Response accepted = roundtrip(server_->port(), "POST",
-                                      "/api/campaigns", "{\"name\":\"x\"}");
-  EXPECT_EQ(accepted.status, 202);
-  EXPECT_DOUBLE_EQ(io::Json::parse(accepted.body).at("id").as_double(), 1.0);
-
-  const Response rejected =
-      roundtrip(server_->port(), "POST", "/api/campaigns", "not json");
-  EXPECT_EQ(rejected.status, 400);
-  EXPECT_TRUE(io::Json::parse(rejected.body).contains("error"));
-
-  auto submission = feed_.pop_submission();
-  ASSERT_TRUE(submission.has_value());
-  EXPECT_EQ(submission->second, "{\"name\":\"x\"}");
-  EXPECT_FALSE(feed_.pop_submission().has_value());  // the reject never queued
-}
-
 TEST_F(ServerTest, PointsEndpointPagesIncrementally) {
-  feed_.begin_campaign("pages", 0, 5, 1, 0);
+  feed_.begin_campaign("pages", 5, 1, 0);
   for (int i = 0; i < 5; ++i) {
     feed_.point_done("{\"point\":" + std::to_string(i) + "}");
   }
@@ -230,7 +213,7 @@ TEST_F(ServerTest, PointsEndpointPagesIncrementally) {
 }
 
 TEST_F(ServerTest, SseStreamDeliversLiveEventsInOrder) {
-  feed_.begin_campaign("sse", 0, 3, 1, 0);  // seq 1, before the client
+  feed_.begin_campaign("sse", 3, 1, 0);  // seq 1, before the client
 
   const int fd = connect_to(server_->port());
   ASSERT_GE(fd, 0);
@@ -271,7 +254,7 @@ TEST_F(ServerTest, SseStreamDeliversLiveEventsInOrder) {
 }
 
 TEST_F(ServerTest, LastEventIdResumesAfterTheGivenSeq) {
-  feed_.begin_campaign("resume", 0, 3, 1, 0);  // seq 1
+  feed_.begin_campaign("resume", 3, 1, 0);  // seq 1
   feed_.point_done("{\"point\":0}");           // seq 2
   feed_.point_done("{\"point\":1}");           // seq 3
 
@@ -354,7 +337,7 @@ TEST_F(ServerTest, EightClientSoakSeesEveryPointExactlyOnce) {
 
   // Give every client a moment to subscribe, then produce the campaign.
   std::this_thread::sleep_for(std::chrono::milliseconds(200));
-  feed_.begin_campaign("soak", 0, kPoints, 1, 0);
+  feed_.begin_campaign("soak", kPoints, 1, 0);
   for (int i = 0; i < kPoints; ++i) {
     feed_.point_done("{\"point\":" + std::to_string(i) + "}");
     feed_.progress_tick(i % 25 == 0);

@@ -37,7 +37,6 @@ EVENT_TYPES = {"campaign", "progress", "point", "worker", "shutdown"}
 STATUS_KEYS = {
     "state",
     "campaign",
-    "campaign_id",
     "total_points",
     "done_points",
     "computed",
@@ -46,11 +45,10 @@ STATUS_KEYS = {
     "elapsed_s",
     "last_seq",
     "points_logged",
-    "queued_campaigns",
     "workers",
 }
 WORKER_KEYS = {"id", "has_lease", "lease_points_left", "points_done", "hb_age_s"}
-CAMPAIGN_EVENTS = {"start", "done", "interrupted", "submitted"}
+CAMPAIGN_EVENTS = {"start", "done", "interrupted"}
 WORKER_EVENTS = {"spawn", "crash", "respawn", "recovered"}
 
 
@@ -94,7 +92,6 @@ def check_status(path, expect_state):
         "elapsed_s",
         "last_seq",
         "points_logged",
-        "queued_campaigns",
     ):
         require_uint(status, key, f"status {path}")
     if status["done_points"] > status["total_points"]:

@@ -39,7 +39,6 @@
 #include "exp/telemetry.hpp"
 #include "metrics/report.hpp"
 #include "io/cli.hpp"
-#include "io/json.hpp"
 #include "obs/export.hpp"
 #include "orch/supervisor.hpp"
 #include "orch/worker_link.hpp"
@@ -200,15 +199,15 @@ int main(int argc, char** argv) {
                  "(e.g. 127.0.0.1:8080; :0 picks a free port) while the "
                  "campaign runs; observe-only, outputs stay byte-identical");
   cli.add_flag("serve-linger", &serve_linger,
-               "With --serve: keep serving (and accept POST /api/campaigns "
-               "submissions) after the campaign finishes, until SIGINT");
+               "With --serve: keep serving the finished campaign until "
+               "SIGINT");
   cli.add_double("hang-timeout", &hang_timeout,
                  "--drive: kill a worker silent for this many seconds and "
                  "reassign its lease (0 disables)");
   cli.add_flag("export", &do_export,
-               "Render the CSV/JSONL artifacts from an existing --out row "
-               "store (e.g. after an interrupted campaign) and exit; "
-               "requires --manifest, keeps the store");
+               "Render the CSV/JSONL/--metrics artifacts from an existing "
+               "--out row store (e.g. after an interrupted campaign) and "
+               "exit; requires --manifest, keeps the store");
   cli.add_uint("agg-synth", &agg_synth,
                "Synthetic aggregation driver: record N fabricated points "
                "through the aggregator and finalize, no simulation (memory "
@@ -397,21 +396,23 @@ int main(int argc, char** argv) {
     const auto points = pas::exp::expand_grid(manifest);
 
     if (do_export) {
-      // Render the CSV/JSONL artifacts out of an existing row store without
-      // running anything — the recovery hatch for an interrupted campaign
-      // whose CSV never materialized. Keeps the store (finalize,
-      // not export, is what retires it).
+      // Render the artifacts out of an existing row store without running
+      // anything — the recovery hatch for an interrupted campaign whose
+      // files never materialized. Keeps the store (finalize, not export, is
+      // what retires it); the --metrics file gets no trailer.
       if (worker || drive_workers != 0 || dry_run || !trace_path.empty() ||
           !serve_spec.empty()) {
         std::fprintf(stderr,
                      "pas-exp: --export renders an existing row store; it "
-                     "takes only --manifest, --out, --json, and --per-run\n");
+                     "takes only --manifest, --out, --json, --per-run, and "
+                     "--metrics\n");
         return 2;
       }
       pas::exp::AggregatorOptions agg_options;
       agg_options.csv_path = out_csv;
       agg_options.json_path = out_json;
       agg_options.per_run_path = per_run_csv;
+      agg_options.metrics_path = metrics_path;
       agg_options.axis_names = pas::exp::axis_columns(manifest);
       agg_options.total_points = points.size();
       agg_options.replications = manifest.replications;
@@ -510,15 +511,6 @@ int main(int argc, char** argv) {
         return 2;
       }
       server_options.flightrec_path = out_csv + ".flightrec";
-      server_options.manifest_validator =
-          [](const std::string& body) -> std::string {
-        try {
-          pas::exp::Manifest::from_json(pas::io::Json::parse(body)).validate();
-          return "";
-        } catch (const std::exception& e) {
-          return e.what();
-        }
-      };
       server = std::make_unique<pas::serve::Server>(feed, server_options);
       std::string error;
       if (!server->start(error)) {
@@ -533,18 +525,9 @@ int main(int argc, char** argv) {
       std::signal(SIGINT, handle_stop_signal);
       std::signal(SIGTERM, handle_stop_signal);
     }
-    // Serve loop: after the primary campaign, run queued POST /api/campaigns
-    // submissions (each into <out>.c<id>.csv); with --serve-linger, keep
-    // waiting for more until SIGINT. `run_one` returns false to stop early
-    // (an interrupted submission leaves its outputs resumable).
-    const auto drain_submissions = [&](const auto& run_one) {
-      while (g_stop_requested == 0) {
-        auto submission = feed.pop_submission();
-        if (submission.has_value()) {
-          if (!run_one(submission->first, submission->second)) break;
-          continue;
-        }
-        if (!serve_linger) break;
+    // --serve-linger: keep serving the finished campaign until SIGINT.
+    const auto linger = [&] {
+      while (serving && serve_linger && g_stop_requested == 0) {
         std::this_thread::sleep_for(std::chrono::milliseconds(100));
       }
     };
@@ -618,46 +601,7 @@ int main(int argc, char** argv) {
                          drive_options.workers, drive_options.jobs_per_worker,
                          report.computed, report.wall_s);
       }
-      if (serving) {
-        drain_submissions([&](std::uint64_t id, const std::string& text) {
-          try {
-            auto sub_manifest =
-                pas::exp::Manifest::from_json(pas::io::Json::parse(text));
-            sub_manifest.validate();
-            // Workers re-load the manifest from disk, so the submitted JSON
-            // is written next to its output (and left there as a record).
-            const std::string sub_out =
-                out_csv + ".c" + std::to_string(id) + ".csv";
-            const std::string sub_manifest_path = sub_out + ".manifest.json";
-            {
-              std::ofstream mf(sub_manifest_path);
-              if (!mf) {
-                throw std::runtime_error("cannot write " + sub_manifest_path);
-              }
-              mf << text;
-            }
-            auto sub_options = drive_options;
-            sub_options.manifest_path = sub_manifest_path;
-            sub_options.out_csv = sub_out;
-            sub_options.per_run_csv.clear();
-            sub_options.metrics_path.clear();
-            sub_options.resume = false;
-            const auto sub_report = pas::orch::drive(sub_manifest, sub_options);
-            std::printf("campaign #%llu (%s): %zu points (%zu computed) -> "
-                        "%s%s\n",
-                        static_cast<unsigned long long>(id),
-                        sub_manifest.name.c_str(), sub_report.total_points,
-                        sub_report.computed, sub_out.c_str(),
-                        sub_report.interrupted ? " [interrupted]" : "");
-            return !sub_report.interrupted;
-          } catch (const std::exception& e) {
-            std::fprintf(stderr,
-                         "pas-exp: submitted campaign %llu failed: %s\n",
-                         static_cast<unsigned long long>(id), e.what());
-            return true;  // a bad submission does not end the serve loop
-          }
-        });
-      }
+      linger();
       return 0;
     }
 
@@ -728,36 +672,7 @@ int main(int argc, char** argv) {
                        options.jobs == 0 ? 0 : options.jobs, report.computed,
                        report.wall_s);
     }
-    if (serving) {
-      drain_submissions([&](std::uint64_t id, const std::string& text) {
-        try {
-          auto sub_manifest =
-              pas::exp::Manifest::from_json(pas::io::Json::parse(text));
-          sub_manifest.validate();
-          pas::exp::CampaignOptions sub_options;
-          sub_options.jobs = static_cast<std::size_t>(jobs);
-          sub_options.rep_chunk = static_cast<std::size_t>(rep_chunk);
-          sub_options.out_csv = out_csv + ".c" + std::to_string(id) + ".csv";
-          sub_options.feed = &feed;
-          sub_options.campaign_id = id;
-          sub_options.should_stop = [] { return g_stop_requested != 0; };
-          const auto sub_report =
-              pas::exp::run_campaign(sub_manifest, sub_options);
-          std::printf("campaign #%llu (%s): %zu points (%zu computed) -> "
-                      "%s%s\n",
-                      static_cast<unsigned long long>(id),
-                      sub_manifest.name.c_str(), sub_report.owned_points,
-                      sub_report.computed, sub_options.out_csv.c_str(),
-                      sub_report.interrupted ? " [interrupted]" : "");
-          return !sub_report.interrupted;
-        } catch (const std::exception& e) {
-          std::fprintf(stderr,
-                       "pas-exp: submitted campaign %llu failed: %s\n",
-                       static_cast<unsigned long long>(id), e.what());
-          return true;  // a bad submission does not end the serve loop
-        }
-      });
-    }
+    linger();
     return 0;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "pas-exp: %s\n", e.what());
