@@ -1,8 +1,9 @@
 // Ablation A1 — which PAS ingredient buys the delay win over SAS?
 //
-// PAS differs from SAS in two mechanisms (DESIGN.md §4.5): (a) alert nodes
-// participate — they answer REQUESTs and push updates, so stimulus
-// information propagates beyond one hop from the covered region; and (b)
+// PAS differs from SAS in two mechanisms (README.md, the policy table under
+// "Sleeping policies"): (a) alert nodes participate — they answer REQUESTs
+// and push updates, so stimulus information propagates beyond one hop from
+// the covered region; and (b)
 // the cosine projection makes travel-time estimates accurate. This bench
 // runs the Figure-4 scenario with each mechanism toggled independently by
 // wiring the policy knobs directly, rather than through the PAS/SAS

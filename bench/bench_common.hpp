@@ -102,7 +102,7 @@ inline runtime::ThreadPool& bench_pool() {
   return pool;
 }
 
-/// Runs one sweep point of the paper scenario through the campaign engine,
+/// Runs one sweep point of the paper scenario as a campaign job would,
 /// replications in parallel on the shared bench pool.
 inline world::ReplicatedMetrics run_point(core::Policy policy,
                                           double max_sleep_s,
@@ -111,7 +111,7 @@ inline world::ReplicatedMetrics run_point(core::Policy policy,
   const auto manifest = point_manifest(policy, max_sleep_s, alert_threshold_s,
                                        reps);
   const auto points = exp::expand_grid(manifest);
-  return exp::run_point(points.front(), reps, &bench_pool());
+  return world::run_replicated(points.front().config, reps, &bench_pool());
 }
 
 }  // namespace pas::bench

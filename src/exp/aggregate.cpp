@@ -77,18 +77,16 @@ bool is_finite_numeric_cell(const std::string& cell, bool& non_finite) {
   return true;
 }
 
-/// Export merge order within a point: tombstones first (they set the
-/// liveness threshold), then per-run rows by rep, the telemetry row and the
-/// summary; sequence numbers break ties so later appends win
+/// Export merge order within a point: per-run rows by rep, the telemetry
+/// row, then the summary; sequence numbers break ties so later appends win
 /// deterministically.
 int kind_rank(RowStore::Kind kind) {
   switch (kind) {
-    case RowStore::Kind::kTombstone: return 0;
-    case RowStore::Kind::kPerRun: return 1;
-    case RowStore::Kind::kTelemetry: return 2;
-    case RowStore::Kind::kSummary: return 3;
+    case RowStore::Kind::kPerRun: return 0;
+    case RowStore::Kind::kTelemetry: return 1;
+    case RowStore::Kind::kSummary: return 2;
   }
-  return 4;
+  return 3;
 }
 
 bool record_less(const RowStore::Record& a, const RowStore::Record& b) {
@@ -258,23 +256,6 @@ Aggregator::Aggregator(AggregatorOptions options)
   }
 }
 
-Aggregator::Aggregator(std::string csv_path, std::string json_path,
-                       std::vector<std::string> axis_names,
-                       std::size_t total_points,
-                       std::vector<std::vector<std::string>> expected_identity)
-    : Aggregator(AggregatorOptions{
-          .csv_path = std::move(csv_path),
-          .json_path = std::move(json_path),
-          .per_run_path = {},
-          .metrics_path = {},
-          .axis_names = std::move(axis_names),
-          .total_points = total_points,
-          .replications = 0,
-          .expected_identity = std::move(expected_identity),
-          .owned_points = {},
-          .store_path = {},
-          .spill_budget_bytes = 0}) {}
-
 std::string Aggregator::json_line(const std::vector<std::string>& cells) const {
   std::string out = "{";
   for (std::size_t i = 0; i < columns_.size(); ++i) {
@@ -335,6 +316,20 @@ void Aggregator::read_csv_rows(
   }
 }
 
+bool Aggregator::summary_identity_matches(
+    std::size_t point, const std::vector<std::string>& cells) const {
+  if (expected_identity_.empty()) return true;
+  // cells[1..1+axis_count] are the seed + axis values, and the replications
+  // cell follows them. Seeds are independent of the replication count,
+  // hence the separate check.
+  const auto& want = expected_identity_[point];
+  for (std::size_t k = 0; k < want.size(); ++k) {
+    if (cells[1 + k] != want[k]) return false;
+  }
+  return replications_ == 0 ||
+         cells[1 + want.size()] == std::to_string(replications_);
+}
+
 void Aggregator::ensure_store() {
   if (!store_) {
     store_ = std::make_unique<RowStore>(store_path_, identity_hash_);
@@ -367,28 +362,14 @@ void Aggregator::import_artifacts() {
     read_csv_rows(
         csv_path_, columns_, "--out", /*key_arity=*/1,
         [&](std::size_t point, std::size_t, std::vector<std::string> cells) {
-          if (!expected_identity_.empty()) {
-            // cells[1..1+axis_count] are the seed + axis values, and the
-            // replications cell follows them; a mismatch means the file was
-            // produced by a different manifest, and resuming over it would
-            // mix incompatible results. (Seeds are independent of the
-            // replication count, hence the separate check.)
-            const auto& want = expected_identity_[point];
-            bool matches = true;
-            for (std::size_t k = 0; matches && k < want.size(); ++k) {
-              matches = cells[1 + k] == want[k];
-            }
-            if (matches && replications_ > 0) {
-              matches =
-                  cells[1 + want.size()] == std::to_string(replications_);
-            }
-            if (!matches) {
-              throw std::runtime_error(
-                  "Aggregator: row for point " + std::to_string(point) +
-                  " in " + csv_path_ +
-                  " was computed with different parameters (manifest "
-                  "changed?); delete the file or change --out");
-            }
+          // A mismatch means the file was produced by a different manifest,
+          // and resuming over it would mix incompatible results.
+          if (!summary_identity_matches(point, cells)) {
+            throw std::runtime_error(
+                "Aggregator: row for point " + std::to_string(point) + " in " +
+                csv_path_ +
+                " was computed with different parameters (manifest "
+                "changed?); delete the file or change --out");
           }
           append(RowStore::Kind::kSummary, point, 0, cells);
         });
@@ -491,15 +472,6 @@ std::size_t Aggregator::load_existing() {
           " does not belong to this shard (wrong --shard/--out pairing?)");
     }
     switch (r.kind) {
-      case RowStore::Kind::kTombstone:
-        summary_live[r.point] = 0;
-        telemetry_live[r.point] = 0;
-        if (per_run) {
-          std::fill_n(rep_live.begin() +
-                          static_cast<std::ptrdiff_t>(r.point * replications_),
-                      replications_, std::uint8_t{0});
-        }
-        break;
       case RowStore::Kind::kSummary:
         summary_live[r.point] = 1;
         break;
@@ -605,23 +577,18 @@ void Aggregator::export_store(const std::vector<io::Json>& trailers) {
   csv.out() << join_csv(columns_) << '\n';
   if (per_run) per_run_file.out() << join_csv(per_run_columns_) << '\n';
 
-  // Per-point group state: last-wins by sequence number, with tombstones
-  // (which sort first) setting the liveness threshold. Only a complete
-  // group — live summary plus, in per-run mode, every replication and,
-  // with --metrics, the telemetry row — is rendered; torn batches and
-  // discarded generations vanish, exactly the points the resume scan
-  // counts as not done.
+  // Per-point group state: last-wins by sequence number. Only a complete
+  // group — a summary plus, in per-run mode, every replication and, with
+  // --metrics, the telemetry row — is rendered; torn batches vanish,
+  // exactly the points the resume scan counts as not done.
   std::size_t cur_point = SIZE_MAX;
-  std::uint64_t tomb_seq = 0;
-  bool have_tomb = false;
   std::optional<RowStore::Record> summary;
   std::optional<RowStore::Record> telemetry;
   std::vector<std::optional<RowStore::Record>> latest_rep(
       per_run ? replications_ : 0);
   const auto live = [&](const std::optional<RowStore::Record>& r,
                         std::size_t cells) {
-    return r.has_value() && (!have_tomb || r->seq > tomb_seq) &&
-           r->cells.size() == cells;
+    return r.has_value() && r->cells.size() == cells;
   };
   const auto keep_latest = [](std::optional<RowStore::Record>& slot,
                               const RowStore::Record& r) {
@@ -643,8 +610,6 @@ void Aggregator::export_store(const std::vector<io::Json>& trailers) {
       if (json.enabled()) json.out() << json_line(summary->cells) << '\n';
       if (metrics.enabled()) metrics.out() << telemetry->cells.front() << '\n';
     }
-    tomb_seq = 0;
-    have_tomb = false;
     summary.reset();
     telemetry.reset();
     std::fill(latest_rep.begin(), latest_rep.end(), std::nullopt);
@@ -659,10 +624,6 @@ void Aggregator::export_store(const std::vector<io::Json>& trailers) {
       cur_point = r.point;
     }
     switch (r.kind) {
-      case RowStore::Kind::kTombstone:
-        tomb_seq = std::max(tomb_seq, r.seq);
-        have_tomb = true;
-        break;
       case RowStore::Kind::kSummary:
         keep_latest(summary, r);
         break;
@@ -708,7 +669,7 @@ std::vector<std::size_t> Aggregator::pending() const {
 
 void Aggregator::record(const GridPoint& point,
                         const world::ReplicatedMetrics& m) {
-  record_point(point.index, point.seed, point.values, m, &point);
+  append_batch(point.index, encode_point(point, m));
 }
 
 void Aggregator::record(std::size_t point, std::uint64_t seed,
@@ -719,13 +680,18 @@ void Aggregator::record(std::size_t point, std::uint64_t seed,
         "Aggregator: with a metrics path, record the GridPoint so its "
         "telemetry row can be rendered");
   }
-  record_point(point, seed, axis_values, m, nullptr);
+  append_batch(point, encode_batch(point, seed, axis_values, m, nullptr));
 }
 
-void Aggregator::record_point(std::size_t point, std::uint64_t seed,
-                              const std::vector<std::string>& axis_values,
-                              const world::ReplicatedMetrics& m,
-                              const GridPoint* grid_point) {
+std::string Aggregator::encode_point(const GridPoint& point,
+                                     const world::ReplicatedMetrics& m) const {
+  return encode_batch(point.index, point.seed, point.values, m, &point);
+}
+
+std::string Aggregator::encode_batch(
+    std::size_t point, std::uint64_t seed,
+    const std::vector<std::string>& axis_values,
+    const world::ReplicatedMetrics& m, const GridPoint* grid_point) const {
   if (axis_values.size() != axis_names_.size()) {
     throw std::logic_error("Aggregator: axis value count mismatch");
   }
@@ -735,6 +701,38 @@ void Aggregator::record_point(std::size_t point, std::uint64_t seed,
   if (!owns(point)) {
     throw std::logic_error("Aggregator: record for a point outside the shard");
   }
+  // The whole point — per-run group, telemetry row, then summary — is one
+  // batch, written with one flush at the point boundary: the summary
+  // record doubles as the batch's commit mark, so a torn batch is dropped
+  // on resume.
+  std::string batch;
+  if (!per_run_path_.empty()) {
+    // One row per replication (seed column is the run's own seed).
+    std::vector<std::string> rc;
+    rc.reserve(per_run_columns_.size());
+    for (std::size_t r = 0; r < m.runs.size(); ++r) {
+      const auto& run = m.runs[r];
+      rc.clear();
+      rc.push_back(std::to_string(point));
+      rc.push_back(std::to_string(r));
+      rc.push_back(std::to_string(seed + r));
+      rc.insert(rc.end(), axis_values.begin(), axis_values.end());
+      for (const double v : {run.avg_delay_s, run.p95_delay_s,
+                             run.max_delay_s, run.avg_energy_j,
+                             run.avg_active_fraction}) {
+        rc.push_back(io::format_double(v));
+      }
+      rc.push_back(std::to_string(run.missed));
+      rc.push_back(std::to_string(run.censored));
+      rc.push_back(std::to_string(run.network.broadcasts));
+      RowStore::encode(batch, RowStore::Kind::kPerRun, point, r, rc);
+    }
+  }
+  if (!metrics_path_.empty()) {
+    RowStore::encode(batch, RowStore::Kind::kTelemetry, point, 0,
+                     {telemetry_point_row(*grid_point, axis_names_, m).dump()});
+  }
+
   std::vector<std::string> cells;
   cells.reserve(columns_.size());
   cells.push_back(std::to_string(point));
@@ -762,50 +760,51 @@ void Aggregator::record_point(std::size_t point, std::uint64_t seed,
         m.active_fraction.mean, m.mean_missed, m.mean_broadcasts}) {
     cells.push_back(io::format_double(v));
   }
+  RowStore::encode(batch, RowStore::Kind::kSummary, point, 0, cells);
+  return batch;
+}
 
-  // Per-run rows, one per replication (seed column is the run's own seed).
-  std::vector<std::vector<std::string>> run_rows;
-  if (!per_run_path_.empty()) {
-    for (std::size_t r = 0; r < m.runs.size(); ++r) {
-      const auto& run = m.runs[r];
-      std::vector<std::string> rc;
-      rc.reserve(per_run_columns_.size());
-      rc.push_back(std::to_string(point));
-      rc.push_back(std::to_string(r));
-      rc.push_back(std::to_string(seed + r));
-      rc.insert(rc.end(), axis_values.begin(), axis_values.end());
-      for (const double v : {run.avg_delay_s, run.p95_delay_s,
-                             run.max_delay_s, run.avg_energy_j,
-                             run.avg_active_fraction}) {
-        rc.push_back(io::format_double(v));
-      }
-      rc.push_back(std::to_string(run.missed));
-      rc.push_back(std::to_string(run.censored));
-      rc.push_back(std::to_string(run.network.broadcasts));
-      run_rows.push_back(std::move(rc));
-    }
+void Aggregator::record_encoded(std::size_t point, std::string_view bytes) {
+  const auto reject = [point](const std::string& why) {
+    throw std::runtime_error("Aggregator: rows for point " +
+                             std::to_string(point) + " rejected: " + why);
+  };
+  if (point >= total_points_ || !owns(point)) reject("not in this campaign");
+  std::vector<RowStore::Record> records;
+  if (!RowStore::decode(bytes, records)) reject("torn or corrupt record");
+  const std::size_t runs = per_run_path_.empty() ? 0 : replications_;
+  const std::size_t want = runs + (metrics_path_.empty() ? 0 : 1) + 1;
+  if (records.size() != want) {
+    reject(std::to_string(records.size()) + " records, expected " +
+           std::to_string(want));
   }
-  std::string telemetry;
-  if (!metrics_path_.empty()) {
-    telemetry = telemetry_point_row(*grid_point, axis_names_, m).dump();
+  for (std::size_t i = 0; i < want; ++i) {
+    const RowStore::Record& r = records[i];
+    const bool in_place =
+        r.point == point &&
+        (i < runs ? r.kind == RowStore::Kind::kPerRun && r.rep == i &&
+                        r.cells.size() == per_run_columns_.size()
+         : i + 1 < want
+             ? r.kind == RowStore::Kind::kTelemetry && r.rep == 0 &&
+                   r.cells.size() == 1
+             : r.kind == RowStore::Kind::kSummary && r.rep == 0 &&
+                   r.cells.size() == columns_.size());
+    if (!in_place) reject("record " + std::to_string(i) + " is out of place");
   }
+  const auto& summary = records.back().cells;
+  if (summary[0] != std::to_string(point) ||
+      !summary_identity_matches(point, summary)) {
+    reject("computed with different parameters (manifest changed?)");
+  }
+  append_batch(point, bytes);
+}
 
+void Aggregator::append_batch(std::size_t point, std::string_view batch) {
   const std::lock_guard lock(mutex_);
   if (done_[point] != 0) return;  // already recovered via resume
-  summaries_.emplace(point, PointSummary::of(point, seed, m));
   if (!csv_path_.empty()) {
-    // The whole point — per-run group, telemetry row, then summary — lands
-    // in one batched write + flush at the point boundary: the summary
-    // record doubles as the batch's commit mark, so a torn batch is dropped
-    // on resume.
     ensure_store();
-    for (std::size_t r = 0; r < run_rows.size(); ++r) {
-      store_->append(RowStore::Kind::kPerRun, point, r, run_rows[r]);
-    }
-    if (!metrics_path_.empty()) {
-      store_->append(RowStore::Kind::kTelemetry, point, 0, {telemetry});
-    }
-    store_->append(RowStore::Kind::kSummary, point, 0, cells);
+    store_->append_encoded(batch);
     store_->flush();
   }
   done_[point] = 1;
@@ -829,38 +828,10 @@ void Aggregator::compact() {
   const std::lock_guard lock(mutex_);
   if (csv_path_.empty()) return;
   // Export the current state; the store stays open and authoritative
-  // (tombstones and superseded generations resolve at export, so no store
-  // rewrite is needed).
+  // (superseded generations resolve at export, so no store rewrite is
+  // needed).
   ensure_store();
   export_store({});
-}
-
-void Aggregator::discard_points(const std::vector<std::size_t>& points) {
-  const std::lock_guard lock(mutex_);
-  bool changed = false;
-  for (const auto p : points) {
-    summaries_.erase(p);
-    if (p < done_.size() && done_[p] != 0) {
-      if (!csv_path_.empty()) {
-        ensure_store();
-        store_->append(RowStore::Kind::kTombstone, p, 0, {});
-      }
-      done_[p] = 0;
-      --done_count_;
-      changed = true;
-    }
-  }
-  if (changed && store_) store_->flush();
-}
-
-std::vector<std::size_t> Aggregator::done_points() const {
-  const std::lock_guard lock(mutex_);
-  std::vector<std::size_t> out;
-  out.reserve(done_count_);
-  for (std::size_t p = 0; p < done_.size(); ++p) {
-    if (done_[p] != 0) out.push_back(p);
-  }
-  return out;
 }
 
 std::size_t Aggregator::done_count() const {

@@ -6,8 +6,14 @@
 // a killed campaign leaves a valid, loadable record of everything it
 // finished. On resume the aggregator scans that store and reports which
 // points are already done; the runner then schedules only the rest. The
-// aggregator itself keeps only an O(grid) completion bitmap plus the
-// summaries recorded by this process.
+// aggregator itself keeps only an O(grid) completion bitmap.
+//
+// A point's rows reach the store as one encoded batch (encode_point). In a
+// single process record() encodes and appends it; under --drive each
+// worker encodes its points with an Aggregator built from the same options
+// and sends the bytes, and the driver's Aggregator checks and appends them
+// with record_encoded(). Either way the store holds the same records, so a
+// campaign resumes the same whichever topology wrote it.
 //
 // finalize()/compact() render the CSV, the optional JSON-lines mirror, the
 // optional per-replication CSV and the optional --metrics telemetry JSONL
@@ -32,10 +38,10 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "exp/grid.hpp"
@@ -99,11 +105,6 @@ class Aggregator {
  public:
   explicit Aggregator(AggregatorOptions options);
 
-  /// Convenience constructor for the common no-shard, no-per-run case.
-  Aggregator(std::string csv_path, std::string json_path,
-             std::vector<std::string> axis_names, std::size_t total_points,
-             std::vector<std::vector<std::string>> expected_identity = {});
-
   /// Loads completed points from the existing row store (resume), or —
   /// when there is no store but a finalized artifact is on disk — imports
   /// the CSV, per-run CSV and --metrics file into a fresh store first.
@@ -138,6 +139,21 @@ class Aggregator {
               const std::vector<std::string>& axis_values,
               const world::ReplicatedMetrics& m);
 
+  /// The point's batch in .pasrows framing (RowStore::encode): its per-run
+  /// rows, its telemetry row, then its summary, exactly the bytes record()
+  /// appends. Touches no file. Throws std::logic_error like record().
+  [[nodiscard]] std::string encode_point(
+      const GridPoint& point, const world::ReplicatedMetrics& m) const;
+
+  /// Appends a batch encode_point() rendered, possibly in another process.
+  /// Throws std::runtime_error, and leaves the point pending, unless
+  /// `bytes` decode into one complete batch for `point` under these
+  /// options: replications 0..R-1 with per-run output, the telemetry row
+  /// with a metrics path, and the summary last, every row at full width,
+  /// the summary carrying the point's expected seed, axis values and
+  /// replication count. Thread-safe.
+  void record_encoded(std::size_t point, std::string_view bytes);
+
   /// Exports the artifacts in point order (temp file + atomic rename) and
   /// deletes the store; `trailers` follow the point rows of the --metrics
   /// file. Requires every owned point recorded; throws std::logic_error
@@ -145,33 +161,15 @@ class Aggregator {
   void finalize(const std::vector<io::Json>& trailers = {});
 
   /// finalize() without the completeness requirement or trailers: exports
-  /// whatever is recorded so far in point order and keeps the store.
-  /// Orchestrator workers call this on clean shutdown so a part file is
-  /// always sorted and free of torn rows even though the worker owns only
-  /// the leases it happened to receive.
+  /// whatever is recorded so far in point order and keeps the store
+  /// (pas-exp --export over an interrupted campaign).
   void compact();
-
-  /// Forgets the given points (recorded or recovered) by appending a
-  /// tombstone per point to the store; the next export leaves them out. The
-  /// orchestrator's crash recovery uses this to drop rows that a dead
-  /// worker wrote for a point another worker already completed — the
-  /// duplicate would otherwise poison merge_outputs().
-  void discard_points(const std::vector<std::size_t>& points);
-
-  /// Point indices that currently have a row, ascending.
-  [[nodiscard]] std::vector<std::size_t> done_points() const;
 
   [[nodiscard]] std::size_t done_count() const;
   [[nodiscard]] std::size_t total_points() const noexcept { return total_points_; }
   /// Number of points this shard owns (== total_points() unsharded).
   [[nodiscard]] std::size_t owned_count() const noexcept {
     return owned_.empty() ? total_points_ : owned_count_;
-  }
-
-  /// Summaries recorded *this process* (resumed rows are not re-parsed into
-  /// summaries), keyed by point index.
-  [[nodiscard]] const std::map<std::size_t, PointSummary>& summaries() const noexcept {
-    return summaries_;
   }
 
   /// Full column list: "point", "seed", the axis columns, then metrics.
@@ -203,17 +201,24 @@ class Aggregator {
       const char* flag_hint, std::size_t key_arity,
       const std::function<void(std::size_t, std::size_t,
                                std::vector<std::string>)>& on_row);
+  /// True if a summary row's seed, axis and replication cells match the
+  /// point's expected identity (always, without one).
+  [[nodiscard]] bool summary_identity_matches(
+      std::size_t point, const std::vector<std::string>& cells) const;
   /// Streams the identity-checked rows of the existing CSV, per-run CSV
   /// and --metrics file into a temporary store and renames it into place
   /// once the whole import succeeded. The store scan then applies the
   /// done rule.
   void import_artifacts();
-  /// Shared body of both record() overloads; `grid_point` is null for the
-  /// index-based one.
-  void record_point(std::size_t point, std::uint64_t seed,
-                    const std::vector<std::string>& axis_values,
-                    const world::ReplicatedMetrics& m,
-                    const GridPoint* grid_point);
+  /// Renders a point's batch; `grid_point` is null for the index-based
+  /// record(), which has no telemetry row.
+  [[nodiscard]] std::string encode_batch(
+      std::size_t point, std::uint64_t seed,
+      const std::vector<std::string>& axis_values,
+      const world::ReplicatedMetrics& m, const GridPoint* grid_point) const;
+  /// Appends a checked batch and marks the point done; a no-op for a point
+  /// that is done already.
+  void append_batch(std::size_t point, std::string_view batch);
   /// Creates/opens the store lazily. Caller must hold mutex_.
   void ensure_store();
   /// External-merge export of the artifacts (spill runs + k-way merge);
@@ -240,7 +245,6 @@ class Aggregator {
   std::uint64_t identity_hash_ = 0;
 
   mutable std::mutex mutex_;
-  std::map<std::size_t, PointSummary> summaries_;
   bool loaded_ = false;
   /// The open row store (no row content is held in memory) plus the O(grid)
   /// completion bitmap indexed by point.

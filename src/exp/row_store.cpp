@@ -68,23 +68,34 @@ std::uint64_t get_u64(const char* p) {
   return v;
 }
 
-/// Serializes a record payload; `with_seq` embeds the sequence number
-/// (spill-run framing — a store record's seq is its byte offset instead).
-std::string encode_payload(RowStore::Kind kind, std::size_t point,
-                           std::size_t rep, std::uint64_t seq,
-                           const std::vector<std::string>& cells,
-                           bool with_seq) {
-  std::string payload;
-  payload.push_back(static_cast<char>(kind));
-  if (with_seq) put_u64(payload, seq);
-  put_u64(payload, static_cast<std::uint64_t>(point));
-  put_u32(payload, static_cast<std::uint32_t>(rep));
-  put_u32(payload, static_cast<std::uint32_t>(cells.size()));
-  for (const auto& cell : cells) {
-    put_u32(payload, static_cast<std::uint32_t>(cell.size()));
-    payload += cell;
+void patch_u32(std::string& out, std::size_t at, std::uint32_t v) {
+  for (int i = 0; i < 4; ++i) {
+    out[at + static_cast<std::size_t>(i)] =
+        static_cast<char>((v >> (8 * i)) & 0xFFu);
   }
-  return payload;
+}
+
+/// Appends one framed record to `out`; `with_seq` embeds the sequence
+/// number (spill-run framing — a store record's seq is its byte offset
+/// instead). The payload is serialized in place and its length and CRC
+/// patched in afterwards.
+void frame_record(std::string& out, RowStore::Kind kind, std::size_t point,
+                  std::size_t rep, std::uint64_t seq,
+                  const std::vector<std::string>& cells, bool with_seq) {
+  const std::size_t head = out.size();
+  out.append(8, '\0');
+  out.push_back(static_cast<char>(kind));
+  if (with_seq) put_u64(out, seq);
+  put_u64(out, static_cast<std::uint64_t>(point));
+  put_u32(out, static_cast<std::uint32_t>(rep));
+  put_u32(out, static_cast<std::uint32_t>(cells.size()));
+  for (const auto& cell : cells) {
+    put_u32(out, static_cast<std::uint32_t>(cell.size()));
+    out += cell;
+  }
+  const std::size_t len = out.size() - head - 8;
+  patch_u32(out, head, static_cast<std::uint32_t>(len));
+  patch_u32(out, head + 4, crc32(out.data() + head + 8, len));
 }
 
 /// Parses a record payload; returns false on any malformed field (the
@@ -94,8 +105,9 @@ bool decode_payload(const char* data, std::size_t size, bool with_seq,
   std::size_t pos = 0;
   auto need = [&](std::size_t n) { return size - pos >= n; };
   if (!need(1)) return false;
+  // Kind 3 (a tombstone of older builds) is no longer written or read.
   const auto kind = static_cast<std::uint8_t>(data[pos++]);
-  if (kind < 1 || kind > 4) return false;
+  if (kind != 1 && kind != 2 && kind != 4) return false;
   out.kind = static_cast<RowStore::Kind>(kind);
   if (with_seq) {
     if (!need(8)) return false;
@@ -120,12 +132,6 @@ bool decode_payload(const char* data, std::size_t size, bool with_seq,
     pos += len;
   }
   return pos == size;
-}
-
-void frame_record(std::string& out, const std::string& payload) {
-  put_u32(out, static_cast<std::uint32_t>(payload.size()));
-  put_u32(out, crc32(payload.data(), payload.size()));
-  out += payload;
 }
 
 /// Reads one framed record from `in`; returns false on a clean or torn end
@@ -274,8 +280,38 @@ void RowStore::append(Kind kind, std::size_t point, std::size_t rep,
   if (!out_.is_open()) {
     throw std::logic_error("RowStore: append before open_append");
   }
-  frame_record(buffer_,
-               encode_payload(kind, point, rep, 0, cells, /*with_seq=*/false));
+  encode(buffer_, kind, point, rep, cells);
+}
+
+void RowStore::append_encoded(std::string_view records) {
+  if (!out_.is_open()) {
+    throw std::logic_error("RowStore: append before open_append");
+  }
+  buffer_ += records;
+}
+
+void RowStore::encode(std::string& out, Kind kind, std::size_t point,
+                      std::size_t rep, const std::vector<std::string>& cells) {
+  frame_record(out, kind, point, rep, 0, cells, /*with_seq=*/false);
+}
+
+bool RowStore::decode(std::string_view bytes, std::vector<Record>& out) {
+  out.clear();
+  while (!bytes.empty()) {
+    if (bytes.size() < 8) return false;
+    const std::uint32_t len = get_u32(bytes.data());
+    if (len == 0 || bytes.size() - 8 < len ||
+        crc32(bytes.data() + 8, len) != get_u32(bytes.data() + 4)) {
+      return false;
+    }
+    Record record;
+    if (!decode_payload(bytes.data() + 8, len, /*with_seq=*/false, record)) {
+      return false;
+    }
+    out.push_back(std::move(record));
+    bytes.remove_prefix(8 + len);
+  }
+  return true;
 }
 
 void RowStore::flush() {
@@ -309,8 +345,8 @@ void RowStore::write_run(const std::string& path,
   }
   std::string buffer;
   for (const auto& r : records) {
-    frame_record(buffer, encode_payload(r.kind, r.point, r.rep, r.seq,
-                                        r.cells, /*with_seq=*/true));
+    frame_record(buffer, r.kind, r.point, r.rep, r.seq, r.cells,
+                 /*with_seq=*/true);
     if (buffer.size() >= (1u << 20)) {
       out.write(buffer.data(), static_cast<std::streamsize>(buffer.size()));
       buffer.clear();

@@ -3,9 +3,11 @@
 // The Aggregator's only row state: completed rows are appended to a compact
 // binary log, so aggregation memory stays O(grid) however many rows a
 // campaign writes. Each record carries its kind (per-run row, point
-// summary, telemetry row, or tombstone), its (point, rep) key, and the
-// row's cell strings verbatim, so the export step renders the CSV/JSONL/
-// --metrics bytes from the cells exactly as record() formatted them.
+// summary or telemetry row), its (point, rep) key, and the row's cell
+// strings verbatim, so the export step renders the CSV/JSONL/--metrics
+// bytes from the cells exactly as record() formatted them. Kind 3, a
+// tombstone older builds appended, is no longer written: a scan treats it
+// as a torn record, so the store is read up to it.
 //
 // Layout:
 //   header   = "PASROWS1" (8 bytes) + u64 identity hash (little-endian)
@@ -23,7 +25,9 @@
 // then its summary; the summary is the batch's commit mark. A torn trailing
 // record (short write, CRC mismatch) ends the clean prefix; open_append()
 // truncates the file back to that prefix, so a killed campaign always
-// resumes from a valid record sequence.
+// resumes from a valid record sequence. encode()/decode() expose the same
+// framing for a batch in memory, which is how a --drive worker hands a
+// point's rows to the driver.
 //
 // Spill runs: the external-merge export sorts buffered records and spills
 // them to sibling ".run<k>" files using the same framing with the record's
@@ -35,6 +39,7 @@
 #include <fstream>
 #include <functional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace pas::exp {
@@ -44,9 +49,6 @@ class RowStore {
   enum class Kind : std::uint8_t {
     kPerRun = 1,
     kSummary = 2,
-    /// Invalidates every earlier record for its point (crash recovery's
-    /// discard_points); an O(1) append instead of a file rewrite.
-    kTombstone = 3,
     /// The point's --metrics JSONL row as one cell, rendered by
     /// telemetry_point_row(...).dump().
     kTelemetry = 4,
@@ -57,8 +59,7 @@ class RowStore {
     std::size_t point = 0;
     std::size_t rep = 0;
     /// Monotonic within a store file: the record's byte offset. Later
-    /// records win when a (point, rep) appears more than once, and a
-    /// tombstone kills exactly the records appended before it.
+    /// records win when a (point, rep) appears more than once.
     std::uint64_t seq = 0;
     std::vector<std::string> cells;
   };
@@ -98,12 +99,26 @@ class RowStore {
   void append(Kind kind, std::size_t point, std::size_t rep,
               const std::vector<std::string>& cells);
 
+  /// Buffers records already framed by encode(); the caller has checked
+  /// them (the Aggregator decodes a batch before it appends it).
+  void append_encoded(std::string_view records);
+
   /// Writes the buffered batch with a single write + flush.
   void flush();
 
   void close();
   /// Closes and deletes the store file (finalize() exported everything).
   void remove_file();
+
+  /// Appends one framed record (length, CRC, payload) to `out`: the bytes
+  /// append() buffers for the same arguments.
+  static void encode(std::string& out, Kind kind, std::size_t point,
+                     std::size_t rep, const std::vector<std::string>& cells);
+
+  /// Parses a sequence of framed records. Returns false, with `out` in an
+  /// unspecified state, if any record is torn, fails its CRC or does not
+  /// decode.
+  static bool decode(std::string_view bytes, std::vector<Record>& out);
 
   // --- Spill runs for the external-merge export -----------------------------
 

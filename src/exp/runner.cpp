@@ -14,6 +14,7 @@
 
 #include "obs/export.hpp"
 #include "obs/registry.hpp"
+#include "runtime/thread_pool.hpp"
 #include "serve/feed.hpp"
 #include "world/sweep.hpp"
 
@@ -145,10 +146,39 @@ NetInstruments make_net_instruments(obs::Registry& registry) {
 
 }  // namespace
 
-world::ReplicatedMetrics run_point(const GridPoint& point,
-                                   std::size_t replications,
-                                   runtime::ThreadPool* pool) {
-  return world::run_replicated(point.config, replications, pool);
+AggregatorOptions campaign_aggregator_options(
+    const Manifest& manifest, const std::vector<GridPoint>& points,
+    const std::string& out_csv, const std::string& out_json,
+    const std::string& per_run_csv, const std::string& metrics_path) {
+  AggregatorOptions options;
+  options.csv_path = out_csv;
+  options.json_path = out_json;
+  options.per_run_path = per_run_csv;
+  options.metrics_path = metrics_path;
+  options.axis_names = axis_columns(manifest);
+  options.total_points = points.size();
+  options.replications = manifest.replications;
+  // Resume rejects rows produced by a different manifest via the expected
+  // per-point identity cells.
+  options.expected_identity = grid_identity(points);
+  return options;
+}
+
+void refuse_existing_outputs(const AggregatorOptions& options) {
+  // In flight the rows live in the row store next to the CSV (the CSV only
+  // materializes at finalize), so the store counts as existing output too.
+  const std::string store_path =
+      options.csv_path.empty() ? std::string()
+                               : RowStore::path_for(options.csv_path);
+  for (const auto& path : {options.csv_path, options.json_path,
+                           options.per_run_path, options.metrics_path,
+                           store_path}) {
+    if (!path.empty() && std::filesystem::exists(path)) {
+      throw std::runtime_error(path +
+                               " exists; pass --resume to continue it or "
+                               "remove it to start over");
+    }
+  }
 }
 
 CampaignReport run_campaign(const Manifest& manifest,
@@ -163,41 +193,16 @@ CampaignReport run_campaign(const Manifest& manifest,
         "run_campaign: shard_index must be < shard_count");
   }
   const auto points = expand_grid(manifest);
-
-  // In flight the rows live in the row store next to the CSV (the CSV only
-  // materializes at finalize), so the store counts as existing output too.
-  const std::string store_path =
-      options.out_csv.empty() ? std::string()
-                              : RowStore::path_for(options.out_csv);
-  if (!options.resume) {
-    for (const auto& path : {options.out_csv, options.out_json,
-                             options.per_run_csv, options.metrics_path,
-                             store_path}) {
-      if (!path.empty() && std::filesystem::exists(path)) {
-        throw std::runtime_error("run_campaign: " + path +
-                                 " exists; pass resume to continue it or "
-                                 "remove it to start over");
-      }
-    }
-  }
-
   if (!options.owned_points.empty() && options.shard_count > 1) {
     throw std::invalid_argument(
         "run_campaign: owned_points and shard_index/shard_count are "
         "mutually exclusive ownership specs");
   }
 
-  AggregatorOptions agg_options;
-  agg_options.csv_path = options.out_csv;
-  agg_options.json_path = options.out_json;
-  agg_options.per_run_path = options.per_run_csv;
-  agg_options.metrics_path = options.metrics_path;
-  agg_options.axis_names = axis_columns(manifest);
-  agg_options.total_points = points.size();
-  agg_options.replications = manifest.replications;
-  // Resume rejects rows produced by a different manifest via the expected
-  // per-point identity cells.
-  agg_options.expected_identity = grid_identity(points);
+  AggregatorOptions agg_options = campaign_aggregator_options(
+      manifest, points, options.out_csv, options.out_json,
+      options.per_run_csv, options.metrics_path);
+  if (!options.resume) refuse_existing_outputs(agg_options);
   if (!options.owned_points.empty()) {
     agg_options.owned_points = options.owned_points;
   } else if (options.shard_count > 1) {

@@ -24,7 +24,6 @@
 #include "exp/aggregate.hpp"
 #include "exp/grid.hpp"
 #include "exp/manifest.hpp"
-#include "runtime/thread_pool.hpp"
 
 namespace pas::serve {
 class CampaignFeed;
@@ -92,12 +91,19 @@ struct CampaignReport {
   bool interrupted = false;
 };
 
-/// Runs one replicated point exactly as a campaign job would (benches and
-/// tests share the engine's execution path through this). A non-null
-/// `pool` executes the replications in parallel with identical results.
-[[nodiscard]] world::ReplicatedMetrics run_point(
-    const GridPoint& point, std::size_t replications,
-    runtime::ThreadPool* pool = nullptr);
+/// The AggregatorOptions of a campaign over `points` (the manifest's
+/// expanded grid) writing the given artifacts; an empty path disables one.
+/// run_campaign, pas-exp --export and both ends of --drive build their
+/// Aggregator from it, so the rows a worker encodes are exactly the ones
+/// the driver's store expects. Ownership is left to the caller.
+[[nodiscard]] AggregatorOptions campaign_aggregator_options(
+    const Manifest& manifest, const std::vector<GridPoint>& points,
+    const std::string& out_csv, const std::string& out_json,
+    const std::string& per_run_csv, const std::string& metrics_path);
+
+/// Throws std::runtime_error if an artifact of `options`, or its row store,
+/// exists: a campaign that does not resume must not write over another.
+void refuse_existing_outputs(const AggregatorOptions& options);
 
 /// Executes the campaign (or this process's shard of it). Throws on
 /// manifest/IO errors; a failing point's exception propagates after

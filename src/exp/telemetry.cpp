@@ -155,7 +155,7 @@ std::size_t merge_telemetry(const std::vector<std::string>& inputs,
   std::map<std::size_t, std::string> rows;
   for (const auto& input : inputs) {
     std::ifstream in(input);
-    if (!in) continue;  // worker that never completed a point
+    if (!in) continue;
     std::string line;
     while (std::getline(in, line)) {
       const std::size_t point = parse_point_row(line, 0, nullptr);

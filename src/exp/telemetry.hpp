@@ -40,11 +40,10 @@ namespace pas::exp {
                                           std::size_t total_points,
                                           io::Json* out);
 
-/// Recombines telemetry part files (orchestrator workers' `<path>.w<k>`)
-/// into `out_path`: point rows deduplicated (first input wins, mirroring
-/// the driver's crash sanitization), sorted by point, `trailers` appended.
-/// Missing inputs are skipped — a worker that never completed a point
-/// writes no part file. Returns the number of merged point rows.
+/// Recombines --shard telemetry files (pas-exp --merge --metrics) into
+/// `out_path`: point rows deduplicated (first input wins), sorted by point,
+/// `trailers` appended. Missing inputs are skipped. Returns the number of
+/// merged point rows.
 std::size_t merge_telemetry(const std::vector<std::string>& inputs,
                             const std::string& out_path,
                             const std::vector<io::Json>& trailers = {});

@@ -30,59 +30,6 @@ io::Json snapshot_json(const Snapshot& snapshot) {
   return io::Json(std::move(out));
 }
 
-Snapshot snapshot_delta(const Snapshot& prev, const Snapshot& cur) {
-  Snapshot out;
-  out.scalars.reserve(cur.scalars.size());
-  for (const auto& scalar : cur.scalars) {
-    Snapshot::Scalar d = scalar;
-    if (scalar.kind == InstrumentKind::kCounter) {
-      for (const auto& p : prev.scalars) {
-        if (p.name == scalar.name) {
-          d.value = scalar.value >= p.value ? scalar.value - p.value : 0;
-          break;
-        }
-      }
-    }
-    out.scalars.push_back(std::move(d));
-  }
-  out.hists.reserve(cur.hists.size());
-  for (const auto& hist : cur.hists) {
-    Snapshot::Hist d;
-    d.name = hist.name;
-    d.data = hist.data;
-    for (const auto& p : prev.hists) {
-      if (p.name != hist.name || p.data.count == 0) continue;
-      for (std::size_t i = 0; i < d.data.bin_counts.size() &&
-                              i < p.data.bin_counts.size();
-           ++i) {
-        const std::uint64_t sub = p.data.bin_counts[i];
-        d.data.bin_counts[i] -= sub <= d.data.bin_counts[i]
-                                    ? sub
-                                    : d.data.bin_counts[i];
-      }
-      d.data.count -= p.data.count <= d.data.count ? p.data.count
-                                                   : d.data.count;
-      break;
-    }
-    out.hists.push_back(std::move(d));
-  }
-  return out;
-}
-
-io::Json snapshot_delta_json(const Snapshot& prev, const Snapshot& cur) {
-  const Snapshot delta = snapshot_delta(prev, cur);
-  io::JsonObject out;
-  for (const auto& scalar : delta.scalars) {
-    if (scalar.kind == InstrumentKind::kCounter && scalar.value == 0) continue;
-    out[scalar.name] = scalar.value;
-  }
-  for (const auto& hist : delta.hists) {
-    if (hist.data.count == 0) continue;
-    out[hist.name] = histogram_json(hist.data);
-  }
-  return io::Json(std::move(out));
-}
-
 std::size_t write_trace_jsonl(const sim::TraceLog& trace, std::ostream& out) {
   std::size_t lines = 0;
   for (const auto& e : trace.events()) {

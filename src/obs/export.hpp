@@ -29,20 +29,6 @@ namespace pas::obs {
 /// deterministic for a given snapshot.
 [[nodiscard]] io::Json snapshot_json(const Snapshot& snapshot);
 
-/// Instrument-wise difference `cur - prev` for two snapshots of the same
-/// registry (prev may be older and therefore missing instruments; missing
-/// means 0). Counters and histogram bins subtract; gauges are high-water
-/// marks, so the delta reports the current max. Used by the live server's
-/// incremental SSE metrics events.
-[[nodiscard]] Snapshot snapshot_delta(const Snapshot& prev,
-                                      const Snapshot& cur);
-
-/// snapshot_json of snapshot_delta, with unchanged instruments (zero
-/// counters, histograms with no new samples) omitted — the compact shape
-/// pushed to dashboard clients between full /api/metrics polls.
-[[nodiscard]] io::Json snapshot_delta_json(const Snapshot& prev,
-                                           const Snapshot& cur);
-
 /// Writes one JSONL line per trace event: structured fields plus the
 /// rendered text, e.g.
 ///   {"t":12.5,"cat":"sleep","kind":"sleep_for","node":3,"x":10.0,

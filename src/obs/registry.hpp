@@ -10,9 +10,9 @@
 // Hot-path writes go to thread_local shards of relaxed atomics, so campaign
 // pool workers never contend on a shared cache line; snapshot() merges the
 // shards (counters and histogram bins sum, gauges take the max). A disabled
-// registry hands out inert handles whose record calls are a null check —
-// and compiling with PAS_OBS_OFF removes even that, which is what the CI
-// perf gate's "telemetry costs ~nothing when off" claim is checked against.
+// registry hands out inert handles whose record calls are a null check.
+// Handles are touched once per completed point or protocol line, never per
+// simulated event.
 //
 // Registration is not thread-safe and must finish before the first write:
 // the first shard acquisition freezes the instrument table (a frozen
@@ -184,47 +184,27 @@ class Registry {
   std::vector<std::pair<std::thread::id, std::unique_ptr<Shard>>> shards_;
 };
 
-// --- Hot-path handle bodies -------------------------------------------------
-//
-// PAS_OBS_OFF compiles every record call to nothing — the switch the perf
-// harness can flip to prove the enabled-but-null-registry path costs only
-// its branch.
+// --- Handle bodies ----------------------------------------------------------
 
 inline void Counter::add(std::uint64_t n) const {
-#if !defined(PAS_OBS_OFF)
   if (registry_ != nullptr) registry_->bump(cell_, n);
-#else
-  (void)n;
-#endif
 }
 
 inline void Gauge::record_max(std::uint64_t v) const {
-#if !defined(PAS_OBS_OFF)
   if (registry_ != nullptr) registry_->bump_max(cell_, v);
-#else
-  (void)v;
-#endif
 }
 
 inline void Histogram::record(double v) const {
-#if !defined(PAS_OBS_OFF)
   if (registry_ != nullptr) registry_->bump_hist(index_, spec_.index(v), 1);
-#else
-  (void)v;
-#endif
 }
 
 inline void Histogram::merge(const HistogramData& data) const {
-#if !defined(PAS_OBS_OFF)
   if (registry_ == nullptr || data.count == 0) return;
   for (std::size_t i = 0; i < data.bin_counts.size(); ++i) {
     if (data.bin_counts[i] != 0) {
       registry_->bump_hist(index_, i, data.bin_counts[i]);
     }
   }
-#else
-  (void)data;
-#endif
 }
 
 }  // namespace pas::obs

@@ -4,8 +4,7 @@
 // grid points. The table enforces the invariants the work-stealing
 // scheduler rests on:
 //  * a point is in at most one active lease (duplicate-lease rejection —
-//    two workers computing the same point would produce duplicate rows
-//    that merge_outputs() rejects),
+//    two workers must never compute the same point),
 //  * progress (`point_done`) is only accepted for a point actually pending
 //    in that lease (a worker reporting foreign points is a protocol
 //    violation, not progress),

@@ -12,8 +12,8 @@
 // back to the *front* of the queue, so recovered work is re-issued before
 // untouched work and a crash near the end does not restart the campaign's
 // tail ordering from scratch. None of this affects output bytes: every
-// point's seeds derive from the manifest alone, and the aggregator/merge
-// layer orders rows by point index regardless of schedule.
+// point's seeds derive from the manifest alone, and the aggregator orders
+// rows by point index regardless of schedule.
 #pragma once
 
 #include <cstddef>

@@ -10,23 +10,18 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <charconv>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <filesystem>
-#include <map>
 #include <memory>
-#include <set>
 #include <stdexcept>
-#include <string_view>
 #include <thread>
 #include <vector>
 
 #include "exp/aggregate.hpp"
 #include "exp/grid.hpp"
-#include "exp/row_store.hpp"
-#include "exp/telemetry.hpp"
+#include "exp/runner.hpp"
 #include "io/json.hpp"
 #include "obs/export.hpp"
 #include "obs/flight_recorder.hpp"
@@ -47,10 +42,6 @@ std::string self_exe_path(const char* argv0) {
   if (n > 0) return std::string(buf, static_cast<std::size_t>(n));
 #endif
   return argv0 != nullptr ? std::string(argv0) : std::string();
-}
-
-std::string part_path(const std::string& base, int worker) {
-  return base + ".w" + std::to_string(worker);
 }
 
 std::string progress_line(std::size_t done, std::size_t total,
@@ -138,44 +129,6 @@ class SignalGuard {
   struct sigaction old_int_{}, old_term_{}, old_pipe_{};
 };
 
-std::vector<int> discover_part_ids(const std::string& out_csv) {
-  const fs::path out(out_csv);
-  fs::path dir = out.parent_path();
-  if (dir.empty()) dir = ".";
-  const std::string prefix = out.filename().string() + ".w";
-  std::vector<int> ids;
-  if (!fs::is_directory(dir)) return ids;
-  for (const auto& entry : fs::directory_iterator(dir)) {
-    const std::string name = entry.path().filename().string();
-    if (name.size() <= prefix.size() ||
-        name.compare(0, prefix.size(), prefix) != 0) {
-      continue;
-    }
-    std::string tail = name.substr(prefix.size());
-    // A SIGTERMed/SIGKILLed worker leaves only "<part>.pasrows" behind (the
-    // CSV materializes on compact, which a kill skips), so part discovery
-    // must see through the store extension.
-    constexpr std::string_view kStoreExt = ".pasrows";
-    if (tail.size() > kStoreExt.size() && tail.ends_with(kStoreExt)) {
-      tail.resize(tail.size() - kStoreExt.size());
-    }
-    int id = 0;
-    const auto [ptr, ec] =
-        std::from_chars(tail.data(), tail.data() + tail.size(), id);
-    // Canonical ".w<k>" names only (prescan and merge reconstruct the path
-    // from the id): reject trailing junk (".w0.tmp"), overflow-wide
-    // suffixes, and leading zeros (".w0009") rather than mis-claiming.
-    if (ec != std::errc{} || ptr != tail.data() + tail.size() || id < 0 ||
-        std::to_string(id) != tail) {
-      continue;
-    }
-    ids.push_back(id);
-  }
-  std::sort(ids.begin(), ids.end());
-  ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
-  return ids;
-}
-
 class Driver {
  public:
   Driver(const exp::Manifest& manifest, const DriveOptions& options)
@@ -190,7 +143,6 @@ class Driver {
     hb_gap_s_ = registry_.histogram("orch.heartbeat_gap_s");
     crashes_ = registry_.counter("orch.worker_crashes");
     respawns_ = registry_.counter("orch.respawns");
-    recovered_rows_ = registry_.counter("orch.recovered_rows");
 
     // Progress and worker events flow through one feed whether or not a
     // server is attached; without one the driver owns a throwaway feed so
@@ -223,15 +175,8 @@ class Driver {
     std::string doom_reason;
     Clock::time_point last_line{};
     std::size_t points_done = 0;  // completed this spawn (progress display)
-    std::string part_csv;
-    std::string part_runs;
-    std::string part_metrics;
   };
 
-  void prescan();
-  std::size_t sanitize_and_claim(const std::string& csv,
-                                 const std::string& runs,
-                                 const std::string& metrics, int tag);
   void spawn(int id);
   bool send(Worker& w, const std::string& line);
   void assign(Worker& w);
@@ -244,7 +189,6 @@ class Driver {
   void doom(Worker& w, std::string reason);
   void close_fds(Worker& w);
   void interrupt_children();
-  void merge_and_clean();
   void print_point(const Worker& w, std::size_t point);
   void print_progress(bool force);
   /// Appends the ring buffer of recent protocol exchanges to
@@ -256,13 +200,8 @@ class Driver {
   const DriveOptions& options_;
 
   std::vector<exp::GridPoint> points_;
-  std::vector<std::string> axis_names_;
-  std::vector<std::vector<std::string>> identity_;
-
-  /// point → owning source: a worker/part id, or -1 for the resumed --out.
-  std::map<std::size_t, int> claimed_;
-  std::set<int> all_part_ids_;
-  bool out_is_merge_seed_ = false;
+  /// The campaign's one row store: every point a worker sends lands here.
+  std::unique_ptr<exp::Aggregator> aggregator_;
   int next_worker_id_ = 0;
 
   std::unique_ptr<WorkQueue> queue_;
@@ -286,7 +225,6 @@ class Driver {
   obs::Histogram hb_gap_s_;
   obs::Counter crashes_;
   obs::Counter respawns_;
-  obs::Counter recovered_rows_;
   obs::FlightRecorder flightrec_{256};
 };
 
@@ -298,112 +236,28 @@ std::size_t Driver::eligible_workers() const {
   return std::max<std::size_t>(1, n);
 }
 
-std::size_t Driver::sanitize_and_claim(const std::string& csv,
-                                       const std::string& runs,
-                                       const std::string& metrics, int tag) {
-  exp::AggregatorOptions agg_options;
-  agg_options.csv_path = csv;
-  agg_options.per_run_path = runs;
-  agg_options.metrics_path = metrics;
-  agg_options.axis_names = axis_names_;
-  agg_options.total_points = points_.size();
-  agg_options.replications = manifest_.replications;
-  agg_options.expected_identity = identity_;
-  exp::Aggregator aggregator(std::move(agg_options));
-  // The identity-checked resume path: throws if the file belongs to a
-  // different manifest, silently drops rows torn by a kill. It reads
-  // `<csv>.pasrows` when present (the mid-flight ground truth) and imports
-  // the CSV into a fresh store otherwise.
-  aggregator.load_existing();
-  // A point may appear in two part files when a worker wrote its row but
-  // died before reporting it and the lease was reassigned. First claim
-  // wins; the duplicate row is physically removed so merge_outputs()
-  // (which rejects overlaps) sees each point exactly once.
-  std::vector<std::size_t> duplicates;
-  for (const auto p : aggregator.done_points()) {
-    const auto it = claimed_.find(p);
-    if (it != claimed_.end() && it->second != tag) duplicates.push_back(p);
-  }
-  aggregator.discard_points(duplicates);
-  std::size_t fresh = 0;
-  for (const auto p : aggregator.done_points()) {
-    if (claimed_.emplace(p, tag).second) ++fresh;
-  }
-  // Materialize the duplicate-free CSV (and --metrics) files now so
-  // merge_and_clean (which reads part files) sees every surviving row,
-  // including those of a killed worker that never compacted.
-  aggregator.compact();
-  return fresh;
-}
-
-void Driver::prescan() {
-  // An interrupted run may have its data only in the row store (the CSV
-  // materializes at compact/finalize), so "the output exists" must
-  // consider `<out>.pasrows` too.
-  const bool out_exists =
-      fs::exists(options_.out_csv) ||
-      fs::exists(exp::RowStore::path_for(options_.out_csv));
-  const bool runs_exists =
-      !options_.per_run_csv.empty() && fs::exists(options_.per_run_csv);
-  const bool metrics_exists =
-      !options_.metrics_path.empty() && fs::exists(options_.metrics_path);
-  const auto existing_parts = discover_part_ids(options_.out_csv);
-  if (!options_.resume) {
-    if (out_exists || runs_exists || metrics_exists ||
-        !existing_parts.empty()) {
-      throw std::runtime_error(
-          "drive: " + options_.out_csv +
-          (existing_parts.empty() ? "" : " (and .w* part files)") +
-          " exists; pass --resume to continue it or remove it to start "
-          "over");
-    }
-    return;
-  }
-  if (out_exists || runs_exists || metrics_exists) {
-    // An interrupted single-process run (or a finished merge) seeds the
-    // claim set — drive resume composes with every earlier topology.
-    report_.resumed += sanitize_and_claim(
-        options_.out_csv, options_.per_run_csv, options_.metrics_path, -1);
-    out_is_merge_seed_ = true;
-  }
-  for (const int id : existing_parts) {
-    const auto part_of = [id](const std::string& base) {
-      return base.empty() ? std::string() : part_path(base, id);
-    };
-    report_.resumed += sanitize_and_claim(
-        part_path(options_.out_csv, id), part_of(options_.per_run_csv),
-        part_of(options_.metrics_path), id);
-    all_part_ids_.insert(id);
-  }
-}
-
 void Driver::spawn(int id) {
   Worker w;
   w.id = id;
-  w.part_csv = part_path(options_.out_csv, id);
-  w.part_runs = options_.per_run_csv.empty()
-                    ? std::string()
-                    : part_path(options_.per_run_csv, id);
-  w.part_metrics = options_.metrics_path.empty()
-                       ? std::string()
-                       : part_path(options_.metrics_path, id);
 
   // argv is built *before* fork: between fork and exec only
   // async-signal-safe calls are legal (a host with threads — the tests —
   // could otherwise deadlock on an allocator lock snapshotted mid-hold).
+  // The worker gets the driver's own output paths so that it encodes the
+  // rows this store expects; it never opens them.
   std::vector<std::string> args = {
       options_.exe_path, "--worker",
       "--worker-id",     std::to_string(id),
       "--manifest",      options_.manifest_path,
-      "--out",           w.part_csv,
+      "--out",           options_.out_csv,
       "--jobs",          std::to_string(options_.jobs_per_worker)};
-  if (!w.part_runs.empty()) {
+  if (!options_.per_run_csv.empty()) {
     args.push_back("--per-run");
-    args.push_back(w.part_runs);
+    args.push_back(options_.per_run_csv);
   }
-  if (!w.part_metrics.empty()) {
+  if (!options_.metrics_path.empty()) {
     args.push_back("--metrics");
-    args.push_back(w.part_metrics);
+    args.push_back(options_.metrics_path);
   }
   std::vector<char*> argv;
   argv.reserve(args.size() + 1);
@@ -442,7 +296,6 @@ void Driver::spawn(int id) {
   w.in_fd = to_worker[1];
   w.out_fd = from_worker[0];
   w.last_line = Clock::now();
-  all_part_ids_.insert(id);
   ++report_.workers_spawned;
   workers_.push_back(std::make_unique<Worker>(std::move(w)));
   feed_->worker_event("spawn", id, "pid " + std::to_string(pid));
@@ -487,8 +340,14 @@ void Driver::close_fds(Worker& w) {
 }
 
 void Driver::handle_line(Worker& w, const std::string& line) {
-  flightrec_.note('<', w.id, line);
   const auto msg = parse_worker_line(line);
+  // A point_done line carries the point's rows; the recorder keeps their
+  // size only.
+  flightrec_.note('<', w.id,
+                  msg && msg->kind == WorkerMsg::Kind::kPointDone
+                      ? "point_done " + std::to_string(msg->point) + " <" +
+                            std::to_string(msg->rows.size()) + " bytes>"
+                      : line);
   if (!msg) {
     doom(w, "malformed protocol line: " + line);
     return;
@@ -520,22 +379,16 @@ void Driver::handle_line(Worker& w, const std::string& line) {
       }
       try {
         leases_.mark_done(w.lease, msg->point, w.last_line);
-      } catch (const std::logic_error& e) {
+        aggregator_->record_encoded(msg->point, msg->rows);
+      } catch (const std::exception& e) {
         doom(w, e.what());
-        return;
-      }
-      const auto [it, inserted] = claimed_.emplace(msg->point, w.id);
-      if (!inserted && it->second != w.id) {
-        doom(w, "point " + std::to_string(msg->point) +
-                    " already claimed by another worker");
         return;
       }
       ++report_.computed;
       ++w.points_done;
       {
-        // Identity-only row: the supervisor never parses worker CSV, so
-        // the live view carries what the protocol proves — which point
-        // finished, on which worker.
+        // Identity-only row: the live view carries which point finished,
+        // on which worker.
         io::JsonObject row;
         row["point"] = msg->point;
         row["seed"] = std::to_string(points_[msg->point].seed);
@@ -577,9 +430,13 @@ void Driver::read_worker(Worker& w) {
   while (true) {
     const ssize_t n = ::read(w.out_fd, buf, sizeof(buf));
     if (n > 0) {
+      // Only the new bytes can end a line. A point_done line spans many
+      // reads and grows with the replication count, so rescanning the
+      // partial line from its start would be quadratic in its length.
+      const std::size_t scanned = w.buf.size();
       w.buf.append(buf, static_cast<std::size_t>(n));
       std::size_t start = 0;
-      for (std::size_t i = w.buf.find('\n', start); i != std::string::npos;
+      for (std::size_t i = w.buf.find('\n', scanned); i != std::string::npos;
            i = w.buf.find('\n', start)) {
         const std::string line = w.buf.substr(start, i - start);
         start = i + 1;
@@ -608,24 +465,18 @@ void Driver::crash_recover(Worker& w) {
   dump_flight_recorder("worker " + std::to_string(w.id) + " crashed: " +
                        (w.doom_reason.empty() ? "exited unclean"
                                               : w.doom_reason));
+  // Requeue every point of the lease that the store does not hold. The
+  // lease table's pending set would miss one: a point whose rows were
+  // rejected is marked done there but has no rows.
   std::vector<std::size_t> unfinished;
-  if (w.has_lease) unfinished = leases_.revoke(w.lease);
-  // The part file is ground truth: rows are flushed before point_done is
-  // sent, so points the dead worker finished but never reported are
-  // recovered from disk instead of being recomputed (and rows duplicated
-  // against other parts are removed).
-  const std::size_t recovered_from_disk =
-      sanitize_and_claim(w.part_csv, w.part_runs, w.part_metrics, w.id);
-  report_.computed += recovered_from_disk;
-  recovered_rows_.add(recovered_from_disk);
-  feed_->add_recovered(recovered_from_disk);
-  if (recovered_from_disk > 0) {
-    feed_->worker_event("recovered", w.id,
-                        std::to_string(recovered_from_disk) +
-                            " rows from part file");
+  if (w.has_lease) {
+    if (const Lease* lease = leases_.find(w.lease); lease != nullptr) {
+      unfinished = lease->points;
+    }
+    leases_.revoke(w.lease);
+    std::erase_if(unfinished,
+                  [this](std::size_t p) { return aggregator_->is_done(p); });
   }
-  std::erase_if(unfinished,
-                [this](std::size_t p) { return claimed_.count(p) > 0; });
   queue_->put_back(unfinished);
   if (queue_->empty()) return;
   if (report_.respawns < options_.max_respawns) {
@@ -686,8 +537,8 @@ void Driver::interrupt_children() {
   for (const auto& w : workers_) {
     if (w->pid > 0) ::kill(w->pid, SIGTERM);
   }
-  // Completed rows are already flushed to the part files, so a graceful
-  // window is a courtesy, not a correctness requirement.
+  // Completed rows are already flushed to the store, so a graceful window
+  // is a courtesy, not a correctness requirement.
   const auto deadline = Clock::now() + std::chrono::seconds(2);
   for (const auto& w : workers_) {
     int status = 0;
@@ -707,75 +558,6 @@ void Driver::interrupt_children() {
   workers_.clear();
 }
 
-void Driver::merge_and_clean() {
-  std::vector<std::string> inputs;
-  std::vector<std::string> run_inputs;
-  if (out_is_merge_seed_) {
-    inputs.push_back(options_.out_csv);
-    if (!options_.per_run_csv.empty() && fs::exists(options_.per_run_csv)) {
-      run_inputs.push_back(options_.per_run_csv);
-    }
-  }
-  std::vector<std::string> part_files;
-  for (const int id : all_part_ids_) {
-    const auto csv = part_path(options_.out_csv, id);
-    if (fs::exists(csv)) {
-      inputs.push_back(csv);
-      part_files.push_back(csv);
-    }
-    if (!options_.per_run_csv.empty()) {
-      const auto runs = part_path(options_.per_run_csv, id);
-      if (fs::exists(runs)) {
-        run_inputs.push_back(runs);
-        part_files.push_back(runs);
-      }
-    }
-  }
-  // Byte-identical to a serial run: merge validates every row against the
-  // manifest, rejects overlaps and gaps, and re-emits raw rows in point
-  // order via temp file + rename.
-  report_.merged_rows =
-      exp::merge_outputs(inputs, options_.out_csv, &manifest_);
-  if (!options_.per_run_csv.empty()) {
-    exp::merge_outputs(run_inputs, options_.per_run_csv, &manifest_);
-  }
-  for (const auto& path : part_files) fs::remove(path);
-  // Row stores are stale the moment the merged CSV exists; sweep them
-  // unconditionally (no-ops when absent) so `<out>.w*` globs come up empty
-  // and a later resume never prefers a dead store over the merged output.
-  for (const int id : all_part_ids_) {
-    fs::remove(exp::RowStore::path_for(part_path(options_.out_csv, id)));
-  }
-  fs::remove(exp::RowStore::path_for(options_.out_csv));
-
-  if (!options_.metrics_path.empty()) {
-    // Crash recovery tombstoned every duplicate claim, so the resumed
-    // --metrics file and the parts hold disjoint point sets, exactly the
-    // CSV inputs' points; the merged point section is byte-identical to a
-    // single-process run's. The trailer is this drive's wall-clock story
-    // and is the one part that legitimately differs between schedules.
-    std::vector<std::string> metric_inputs;
-    std::vector<std::string> metric_parts;
-    if (out_is_merge_seed_ && fs::exists(options_.metrics_path)) {
-      metric_inputs.push_back(options_.metrics_path);
-    }
-    for (const int id : all_part_ids_) {
-      const auto part = part_path(options_.metrics_path, id);
-      if (fs::exists(part)) {
-        metric_inputs.push_back(part);
-        metric_parts.push_back(part);
-      }
-    }
-    io::JsonObject trailer;
-    trailer["kind"] = "registry";
-    trailer["scope"] = "orchestrator";
-    trailer["instruments"] = obs::snapshot_json(registry_.snapshot());
-    exp::merge_telemetry(metric_inputs, options_.metrics_path,
-                         {io::Json(std::move(trailer))});
-    for (const auto& path : metric_parts) fs::remove(path);
-  }
-}
-
 void Driver::dump_flight_recorder(const std::string& why) {
   if (flightrec_.noted() == 0) return;
   const std::string path = options_.out_csv + ".flightrec";
@@ -790,8 +572,8 @@ void Driver::dump_flight_recorder(const std::string& why) {
 
 void Driver::print_point(const Worker& w, std::size_t point) {
   if (options_.verbosity != DriveOptions::Verbosity::kPerPoint) return;
-  std::printf("[%zu/%zu] point %zu done (worker %d)\n", claimed_.size(),
-              points_.size(), point, w.id);
+  std::printf("[%zu/%zu] point %zu done (worker %d)\n",
+              aggregator_->done_count(), points_.size(), point, w.id);
   std::fflush(stdout);
 }
 
@@ -830,30 +612,27 @@ DriveReport Driver::run() {
   }
   if (options_.out_csv.empty()) {
     // Unlike run_campaign (which aggregates in memory for benches), a
-    // drive without an output would compute the whole grid into hidden
-    // ".w<k>" files and then fail at the merge.
+    // drive exists to write the campaign's artifacts.
     throw std::invalid_argument("drive: out_csv must not be empty");
   }
   points_ = exp::expand_grid(manifest_);
-  axis_names_ = exp::axis_columns(manifest_);
-  identity_ = exp::grid_identity(points_);
   report_.total_points = points_.size();
   report_.replications = manifest_.replications;
 
-  prescan();
-
-  std::vector<std::size_t> pending;
-  for (std::size_t p = 0; p < points_.size(); ++p) {
-    if (claimed_.count(p) == 0) pending.push_back(p);
-  }
-  queue_ = std::make_unique<WorkQueue>(std::move(pending),
+  // The store and its resume rule are run_campaign's, so any topology
+  // resumes any other.
+  auto agg_options = exp::campaign_aggregator_options(
+      manifest_, points_, options_.out_csv, options_.json_path,
+      options_.per_run_csv, options_.metrics_path);
+  if (!options_.resume) exp::refuse_existing_outputs(agg_options);
+  aggregator_ = std::make_unique<exp::Aggregator>(std::move(agg_options));
+  report_.resumed = aggregator_->load_existing();
+  queue_ = std::make_unique<WorkQueue>(aggregator_->pending(),
                                        options_.max_lease);
-  next_worker_id_ =
-      std::max<int>(static_cast<int>(options_.workers),
-                    all_part_ids_.empty() ? 0 : *all_part_ids_.rbegin() + 1);
+  next_worker_id_ = static_cast<int>(options_.workers);
 
   feed_->begin_campaign(manifest_.name, points_.size(),
-                        manifest_.replications, claimed_.size());
+                        manifest_.replications, report_.resumed);
   // /api/metrics serves this drive's registry while it runs; detached on
   // every exit path (the guard dies before registry_ only because feed_
   // may outlive this Driver, not because registry_ does).
@@ -973,7 +752,17 @@ DriveReport Driver::run() {
           "drive: internal error — workers exited with work outstanding");
     }
     print_progress(true);
-    merge_and_clean();
+    std::vector<io::Json> trailers;
+    if (registry_.enabled()) {
+      // The drive's wall-clock story: the one part of the --metrics file
+      // that legitimately differs between schedules.
+      io::JsonObject trailer;
+      trailer["kind"] = "registry";
+      trailer["scope"] = "orchestrator";
+      trailer["instruments"] = obs::snapshot_json(registry_.snapshot());
+      trailers.emplace_back(std::move(trailer));
+    }
+    aggregator_->finalize(trailers);
   }
   feed_->end_campaign(report_.interrupted);
   report_.wall_s =

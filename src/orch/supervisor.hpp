@@ -6,30 +6,30 @@
 // leases from a work-stealing queue (src/orch/queue.hpp — dynamic sizing
 // beats PR 2's static modulo split when points have uneven cost), tracks
 // liveness through the heartbeat/progress protocol (src/orch/worker_link
-// .hpp), and recovers from failure:
+// .hpp), and recovers from failure.
 //
-//  * Crashed worker (non-zero exit, SIGKILL, protocol violation): the
-//    driver re-reads the dead worker's part file — rows are flushed before
-//    `point_done` is sent, so the file is ground truth — claims whatever
-//    actually finished, drops rows duplicated against other parts, pushes
-//    the unfinished lease points back to the queue, and spawns a
-//    replacement (bounded by max_respawns).
+// Workers write no files. Each `point_done` carries the point's rows, and
+// the driver appends them to the campaign's one exp::Aggregator, built as
+// run_campaign builds it: the same `<out>.pasrows` row store, the same
+// resume rule (load_existing), and the same export at finalize. The output
+// is therefore byte-identical to a serial `pas-exp` run, because every
+// point's seeds derive from the manifest alone, and a drive killed
+// mid-run leaves exactly what a killed single-process run leaves.
+//
+//  * Crashed worker (non-zero exit, SIGKILL, protocol violation, rows the
+//    Aggregator rejects): every point of its lease that the store does not
+//    hold goes back to the queue, and a replacement is spawned (bounded by
+//    max_respawns).
 //  * Hung worker (no protocol line for hang_timeout_s): SIGKILLed and
 //    handled as a crash.
-//  * SIGINT/SIGTERM: children are terminated, every part file is left
-//    independently resumable, and the report says so; the CLI prints the
-//    exact command that continues the campaign.
+//  * SIGINT/SIGTERM: children are terminated, the store is left on disk,
+//    and the report says so; the CLI prints the exact command that
+//    continues the campaign.
 //
-// On completion the driver runs exp::merge_outputs over the part files
-// (validated against the manifest) and deletes them — the merged output is
-// byte-identical to a serial `pas-exp` run, because every point's seeds
-// derive from the manifest alone and merge re-emits raw rows in point
-// order.
-//
-// Resume composes across topologies: `--drive --resume` claims rows from
-// an existing --out (e.g. an interrupted single-process run) and from any
-// `<out>.w<k>` part files (from a previous drive with any worker count)
-// before scheduling only the rest.
+// Resume composes across topologies: `--drive --resume` continues a store
+// or finished artifacts left by any earlier run, single-process or driven
+// with any worker count, and a single-process `--resume` continues a
+// drive's.
 #pragma once
 
 #include <cstdint>
@@ -51,18 +51,19 @@ struct DriveOptions {
   /// which is what keeps every process's view of point seeds identical).
   std::string manifest_path;
   std::string out_csv;
-  /// Optional per-replication CSV; part files get the same ".w<k>" suffix.
+  /// Optional JSON-lines mirror of every row.
+  std::string json_path;
+  /// Optional per-replication CSV.
   std::string per_run_csv;
-  /// Optional telemetry JSONL (pas-exp --metrics). Workers write ".w<k>"
-  /// parts; the driver merges them and appends its own orchestrator-scope
-  /// registry snapshot (lease latency, heartbeat gaps, respawns) as the
-  /// trailer row. Also arms the driver-side instruments.
+  /// Optional telemetry JSONL (pas-exp --metrics). Its trailer row is the
+  /// driver's orchestrator-scope registry snapshot (lease latency,
+  /// heartbeat gaps, respawns). Also arms the driver-side instruments.
   std::string metrics_path;
   /// Worker processes to spawn (capped by the number of pending points).
   std::size_t workers = 2;
   /// Threads per worker for replication-parallel points.
   std::size_t jobs_per_worker = 1;
-  /// Claim rows from existing --out / part files instead of erroring.
+  /// Continue existing outputs instead of refusing them.
   bool resume = false;
   /// Kill a worker silent for this long (heartbeats tick every 0.5 s);
   /// 0 disables hang detection.
@@ -82,7 +83,7 @@ struct DriveOptions {
   double progress_interval_s = 1.0;
 
   /// Live-observability hub (serve/feed.hpp). The driver publishes the
-  /// worker table, point completions, crash/respawn/recovery events, and
+  /// worker table, point completions, crash/respawn events, and
   /// throttled progress into it; with --progress the feed also renders
   /// the classic status lines, so the terminal and any SSE stream are two
   /// views of the same counters. Null = the driver owns a private feed
@@ -93,29 +94,26 @@ struct DriveOptions {
 struct DriveReport {
   std::size_t total_points = 0;
   std::size_t computed = 0;  // points simulated by this invocation
-  std::size_t resumed = 0;   // rows claimed from existing outputs
+  std::size_t resumed = 0;   // points recovered from existing outputs
   std::size_t replications = 0;
   std::size_t workers_spawned = 0;  // initial spawns + respawns
   std::size_t crashes = 0;          // workers that died without clean quit
   std::size_t respawns = 0;
-  std::size_t merged_rows = 0;
   double wall_s = 0.0;
-  /// True when SIGINT/SIGTERM stopped the drive early; outputs are left
-  /// resumable and no merge was attempted.
+  /// True when SIGINT/SIGTERM stopped the drive early; the store is left
+  /// resumable and nothing was exported.
   bool interrupted = false;
 };
 
-/// Runs the supervised campaign. Throws on manifest/IO/protocol errors and
-/// when the respawn budget is exhausted with work outstanding; children
-/// never outlive the call.
+/// Runs the supervised campaign. Throws on manifest/IO errors, on existing
+/// outputs without `resume`, and when the respawn budget is exhausted with
+/// work outstanding (the store stays on disk, resumable); children never
+/// outlive the call.
 DriveReport drive(const exp::Manifest& manifest, const DriveOptions& options);
 
 /// Path of the currently running executable (/proc/self/exe when
 /// available, else the given argv[0]) — what drive() should exec.
 [[nodiscard]] std::string self_exe_path(const char* argv0);
-
-/// The ".w<k>" part-file path for worker `k` of output `base`.
-[[nodiscard]] std::string part_path(const std::string& base, int worker);
 
 /// The --progress status line shared by drive and single-process mode:
 /// "progress: done/total points (pct%) | reps/s | ETA". `computed` counts

@@ -18,6 +18,7 @@
 #include "exp/grid.hpp"
 #include "exp/runner.hpp"
 #include "runtime/thread_pool.hpp"
+#include "world/sweep.hpp"
 
 namespace pas::orch {
 
@@ -49,9 +50,29 @@ bool parse_number(const std::string& token, T& out) {
   return ec == std::errc{} && ptr == token.data() + token.size();
 }
 
+/// Decodes a lower-case hex token; false for an empty or odd-length token
+/// or any other character.
+bool parse_hex(const std::string& token, std::string& out) {
+  if (token.empty() || token.size() % 2 != 0) return false;
+  const auto nibble = [](char c) {
+    if (c >= '0' && c <= '9') return c - '0';
+    if (c >= 'a' && c <= 'f') return c - 'a' + 10;
+    return -1;
+  };
+  out.resize(token.size() / 2);
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    const int hi = nibble(token[2 * i]);
+    const int lo = nibble(token[2 * i + 1]);
+    if (hi < 0 || lo < 0) return false;
+    out[i] = static_cast<char>(hi << 4 | lo);
+  }
+  return true;
+}
+
 /// Serialized line writer shared by the worker's main loop and its
-/// heartbeat thread; one write() per line keeps lines atomic on the pipe
-/// (they are far below PIPE_BUF).
+/// heartbeat thread. A point_done line can exceed PIPE_BUF, so the kernel
+/// may split it across writes; the lock keeps any other line out of the
+/// middle.
 class LineWriter {
  public:
   explicit LineWriter(int fd) : fd_(fd) {}
@@ -164,13 +185,15 @@ std::optional<WorkerMsg> parse_worker_line(const std::string& line) {
     if (t.size() != 1) return std::nullopt;
     msg.kind = WorkerMsg::Kind::kHeartbeat;
   } else if (t[0] == "hello") {
-    if (t.size() != 3 || !parse_number(t[1], msg.worker) || msg.worker < 0 ||
-        !parse_number(t[2], msg.recovered)) {
+    if (t.size() != 2 || !parse_number(t[1], msg.worker) || msg.worker < 0) {
       return std::nullopt;
     }
     msg.kind = WorkerMsg::Kind::kHello;
   } else if (t[0] == "point_done") {
-    if (t.size() != 2 || !parse_number(t[1], msg.point)) return std::nullopt;
+    if (t.size() != 3 || !parse_number(t[1], msg.point) ||
+        !parse_hex(t[2], msg.rows)) {
+      return std::nullopt;
+    }
     msg.kind = WorkerMsg::Kind::kPointDone;
   } else if (t[0] == "lease_done") {
     if (t.size() != 2 || !parse_number(t[1], msg.lease)) return std::nullopt;
@@ -204,14 +227,22 @@ std::optional<DriverCmd> parse_driver_line(const std::string& line) {
   return cmd;
 }
 
-std::string format_hello(int worker, std::size_t recovered) {
-  return "hello " + std::to_string(worker) + ' ' + std::to_string(recovered);
+std::string format_hello(int worker) {
+  return "hello " + std::to_string(worker);
 }
 
 std::string format_heartbeat() { return "hb"; }
 
-std::string format_point_done(std::size_t point) {
-  return "point_done " + std::to_string(point);
+std::string format_point_done(std::size_t point, std::string_view rows) {
+  static constexpr char kHex[] = "0123456789abcdef";
+  std::string out = "point_done " + std::to_string(point) + ' ';
+  out.reserve(out.size() + 2 * rows.size());
+  for (const char c : rows) {
+    const auto byte = static_cast<unsigned char>(c);
+    out.push_back(kHex[byte >> 4]);
+    out.push_back(kHex[byte & 0xFu]);
+  }
+  return out;
 }
 
 std::string format_lease_done(std::uint64_t lease) {
@@ -242,39 +273,31 @@ std::string format_quit() { return "quit"; }
 // --- Worker main loop -------------------------------------------------------
 
 int run_worker(const exp::Manifest& manifest, const WorkerOptions& options) {
-  // A dead driver must surface as EPIPE from send() (→ orderly shutdown
-  // with a compacted part file), not as a SIGPIPE that kills the worker
-  // mid-record. The supervisor resets the disposition to default before
-  // exec, so this is the worker's own responsibility.
+  // A dead driver must surface as EPIPE from send() (→ orderly exit), not
+  // as a SIGPIPE that kills the worker. The supervisor resets the
+  // disposition to default before exec, so this is the worker's own
+  // responsibility.
   ::signal(SIGPIPE, SIG_IGN);
   LineWriter out(STDOUT_FILENO);
   try {
     manifest.validate();
     const auto points = exp::expand_grid(manifest);
-
-    exp::AggregatorOptions agg_options;
-    agg_options.csv_path = options.out_csv;
-    agg_options.per_run_path = options.per_run_csv;
-    agg_options.metrics_path = options.metrics_csv;
-    agg_options.axis_names = exp::axis_columns(manifest);
-    agg_options.total_points = points.size();
-    agg_options.replications = manifest.replications;
-    agg_options.expected_identity = exp::grid_identity(points);
-    // No owned_points: lease membership is decided by the driver at
-    // runtime, so the part file may legitimately hold any subset.
-    exp::Aggregator aggregator(std::move(agg_options));
-    const std::size_t recovered = aggregator.load_existing();
+    // Built like the driver's, so encode_point renders exactly the batch
+    // its store expects; no owned_points, as the driver hands out leases at
+    // runtime.
+    const exp::Aggregator aggregator(exp::campaign_aggregator_options(
+        manifest, points, options.out_csv, "", options.per_run_csv,
+        options.metrics_path));
 
     std::unique_ptr<runtime::ThreadPool> pool;
     if (options.jobs > 1) {
       pool = std::make_unique<runtime::ThreadPool>(options.jobs);
     }
 
-    const std::size_t crash_after =
-        recovered == 0 ? crash_after_points(options.worker_id) : 0;
+    const std::size_t crash_after = crash_after_points(options.worker_id);
     std::size_t done_since_start = 0;
 
-    if (!out.send(format_hello(options.worker_id, recovered))) return 1;
+    if (!out.send(format_hello(options.worker_id))) return 1;
     HeartbeatThread heartbeat(out, options.heartbeat_s);
 
     std::string line;
@@ -293,35 +316,20 @@ int run_worker(const exp::Manifest& manifest, const WorkerOptions& options) {
                                " is outside the grid"));
           return 1;
         }
-        // A point can already be on disk if the driver re-issued work the
-        // prescan had claimed (defensive — it normally never does).
-        if (!aggregator.is_done(p)) {
-          const auto metrics =
-              exp::run_point(points[p], manifest.replications, pool.get());
-          // record() appends + flushes before point_done is sent: the part
-          // file leads the protocol stream, so a crash after this line
-          // loses at most the *message*, never the data — the supervisor
-          // re-reads the file on crash recovery.
-          aggregator.record(points[p], metrics);
-        }
-        if (!out.send(format_point_done(p))) {
-          aggregator.compact();  // driver died (EPIPE); exit tidily
-          return 1;
+        const auto metrics = world::run_replicated(
+            points[p].config, manifest.replications, pool.get());
+        if (!out.send(format_point_done(
+                p, aggregator.encode_point(points[p], metrics)))) {
+          return 1;  // driver died (EPIPE)
         }
         if (crash_after != 0 && ++done_since_start >= crash_after) {
           // Deterministic mid-campaign SIGKILL for the recovery tests.
           ::raise(SIGKILL);
         }
       }
-      if (!out.send(format_lease_done(cmd->lease))) {
-        aggregator.compact();
-        return 1;
-      }
+      if (!out.send(format_lease_done(cmd->lease))) return 1;
     }
-    // `quit` or stdin EOF (driver gone): leave a sorted, torn-row-free
-    // part file behind so it is directly mergeable/resumable.
-    heartbeat.stop();
-    aggregator.compact();
+    heartbeat.stop();  // `quit` or stdin EOF (driver gone)
     return 0;
   } catch (const std::exception& e) {
     out.send(format_fail(e.what()));

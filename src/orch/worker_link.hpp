@@ -6,9 +6,9 @@
 //
 //   worker → driver                      driver → worker
 //   ---------------------------------    -------------------------
-//   hello <worker_id> <recovered>        lease <id> <p1> <p2> ...
+//   hello <worker_id>                    lease <id> <p1> <p2> ...
 //   hb                                   quit
-//   point_done <point>
+//   point_done <point> <rows>
 //   lease_done <lease_id>
 //   fail <message...>
 //
@@ -18,16 +18,17 @@
 // non-numeric ids make a line malformed (std::nullopt), and the supervisor
 // treats a malformed line as a crashed worker rather than guessing.
 //
-// The worker writes results to its own part file through the standard
-// identity-checked exp::Aggregator resume path: every completed point is
-// appended + flushed before `point_done` is sent, so the part file (not
-// the protocol stream) is the ground truth the supervisor re-reads when a
-// worker dies.
+// Workers write no files. `<rows>` is the lower-case hex of the point's
+// batch as exp::Aggregator::encode_point renders it (.pasrows framing,
+// a CRC per record); the driver appends it to the campaign's one row store
+// with Aggregator::record_encoded, which rejects a batch that is not the
+// point's complete rows.
 #pragma once
 
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "exp/manifest.hpp"
@@ -39,11 +40,11 @@ namespace pas::orch {
 struct WorkerMsg {
   enum class Kind { kHello, kHeartbeat, kPointDone, kLeaseDone, kFail };
   Kind kind = Kind::kHeartbeat;
-  int worker = -1;            // kHello
-  std::size_t recovered = 0;  // kHello: rows resumed from the part file
-  std::size_t point = 0;      // kPointDone
-  std::uint64_t lease = 0;    // kLeaseDone
-  std::string message;        // kFail
+  int worker = -1;          // kHello
+  std::size_t point = 0;    // kPointDone
+  std::string rows;         // kPointDone: the decoded batch bytes
+  std::uint64_t lease = 0;  // kLeaseDone
+  std::string message;      // kFail
 };
 
 struct DriverCmd {
@@ -59,9 +60,11 @@ struct DriverCmd {
 [[nodiscard]] std::optional<DriverCmd> parse_driver_line(
     const std::string& line);
 
-[[nodiscard]] std::string format_hello(int worker, std::size_t recovered);
+[[nodiscard]] std::string format_hello(int worker);
 [[nodiscard]] std::string format_heartbeat();
-[[nodiscard]] std::string format_point_done(std::size_t point);
+/// "point_done <point> <hex of rows>".
+[[nodiscard]] std::string format_point_done(std::size_t point,
+                                            std::string_view rows);
 [[nodiscard]] std::string format_lease_done(std::uint64_t lease);
 [[nodiscard]] std::string format_fail(const std::string& message);
 [[nodiscard]] std::string format_lease(std::uint64_t lease,
@@ -78,14 +81,12 @@ bool write_line(int fd, const std::string& line);
 // --- Worker main loop -------------------------------------------------------
 
 struct WorkerOptions {
-  /// Part files this worker owns (the driver derives them from --out).
+  /// The driver's own --out, --per-run and --metrics paths. The worker
+  /// never opens them: they select which rows its Aggregator encodes, so
+  /// its batches match the driver's store.
   std::string out_csv;
   std::string per_run_csv;
-  /// Telemetry JSONL part file (empty = no telemetry). Each point's
-  /// telemetry row is flushed to the part's row store in the same batch as
-  /// its CSV rows, before `point_done`, so crash recovery never sees a point
-  /// whose telemetry is missing.
-  std::string metrics_csv;
+  std::string metrics_path;
   int worker_id = 0;
   /// Threads for replication-parallel execution inside a point (>=1).
   std::size_t jobs = 1;
@@ -94,20 +95,17 @@ struct WorkerOptions {
 };
 
 /// Runs the `pas-exp --worker` protocol loop until `quit` or stdin EOF
-/// (driver death): resume the part file, announce `hello`, then execute
-/// leases from stdin, reporting each completed point. Returns the process
-/// exit code (0 on clean shutdown). On an execution error it sends `fail`
-/// and returns 1; completed points stay on disk either way.
+/// (driver death): announce `hello`, then execute leases from stdin,
+/// sending each completed point's rows. Returns the process exit code (0 on
+/// clean shutdown). On an execution error it sends `fail` and returns 1.
 ///
 /// Test hook: if the environment variable PAS_ORCH_TEST_CRASH is set to
-/// "<worker_id>:<n>", a worker with that id whose part file was empty at
-/// startup raises SIGKILL after its n-th point_done — the deterministic
-/// mid-campaign crash the recovery tests inject. A resumed worker recovers
-/// rows at startup, so the hook disarms itself; a respawned one gets a new
-/// id and an empty part file. "*:<n>" arms every worker, replacements
-/// included, so a crash happens whichever worker gets the work; each
-/// worker finishes n points before it dies, so a campaign of P points sees
-/// at most P / n crashes.
+/// "<worker_id>:<n>", the worker with that id raises SIGKILL after its
+/// n-th point_done — the deterministic mid-campaign crash the recovery
+/// tests inject. A respawned worker gets a new id, so it is not armed.
+/// "*:<n>" arms every worker, replacements included, so a crash happens
+/// whichever worker gets the work; each worker finishes n points before it
+/// dies, so a campaign of P points sees at most P / n crashes.
 int run_worker(const exp::Manifest& manifest, const WorkerOptions& options);
 
 }  // namespace pas::orch

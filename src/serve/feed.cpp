@@ -95,12 +95,6 @@ void CampaignFeed::point_done(std::string row_json) {
   push_event_locked("point", std::move(row_json));
 }
 
-void CampaignFeed::add_recovered(std::size_t n) {
-  const std::lock_guard lock(mutex_);
-  done_points_ += n;
-  computed_ += n;
-}
-
 void CampaignFeed::update_workers(std::vector<WorkerRow> workers) {
   const std::lock_guard lock(mutex_);
   workers_ = std::move(workers);

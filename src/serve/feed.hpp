@@ -113,17 +113,12 @@ class CampaignFeed {
   /// engine). Also advances done/computed counters.
   void point_done(std::string row_json);
 
-  /// Rows recovered from disk rather than computed live (drive crash
-  /// recovery): advances the done/computed counters without emitting
-  /// per-point events — the caller notes the recovery as a worker event.
-  void add_recovered(std::size_t n);
-
   /// Replaces the worker table (drive mode; the supervisor pushes it from
   /// its poll loop).
   void update_workers(std::vector<WorkerRow> workers);
 
-  /// Worker lifecycle: kind in {"spawn", "crash", "respawn",
-  /// "recovered"}; detail is free text (crash reason, recovered rows).
+  /// Worker lifecycle: kind in {"spawn", "crash", "respawn"}; detail is
+  /// free text (pid, crash reason, replaced worker).
   void worker_event(const std::string& kind, int worker,
                     const std::string& detail);
 

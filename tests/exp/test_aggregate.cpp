@@ -12,10 +12,13 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "exp/grid.hpp"
 #include "exp/row_store.hpp"
+#include "exp/runner.hpp"
 #include "io/csv.hpp"
 #include "io/json.hpp"
 #include "metrics/stats.hpp"
+#include "world/paper_setup.hpp"
 
 namespace pas::exp {
 namespace {
@@ -77,7 +80,9 @@ class AggregateTest : public ::testing::Test {
 };
 
 TEST_F(AggregateTest, WritesHeaderAndRowsIncrementally) {
-  Aggregator agg(csv_, "", {"policy"}, 3);
+  Aggregator agg({.csv_path = csv_,
+                  .axis_names = {"policy"},
+                  .total_points = 3});
   EXPECT_EQ(agg.load_existing(), 0U);
   agg.record(1, 111, {"SAS"}, fake_metrics(2.0));
   // The row is on disk (flushed to the store) before the campaign
@@ -95,13 +100,17 @@ TEST_F(AggregateTest, WritesHeaderAndRowsIncrementally) {
 
 TEST_F(AggregateTest, ResumeSkipsCompletedPoints) {
   {
-    Aggregator agg(csv_, "", {"policy"}, 4);
+    Aggregator agg({.csv_path = csv_,
+                    .axis_names = {"policy"},
+                    .total_points = 4});
     agg.load_existing();
     agg.record(0, 100, {"NS"}, fake_metrics(0.0));
     agg.record(2, 102, {"PAS"}, fake_metrics(1.5));
   }  // "killed" campaign: rows 0 and 2 on disk
 
-  Aggregator resumed(csv_, "", {"policy"}, 4);
+  Aggregator resumed({.csv_path = csv_,
+                      .axis_names = {"policy"},
+                      .total_points = 4});
   EXPECT_EQ(resumed.load_existing(), 2U);
   EXPECT_TRUE(resumed.is_done(0));
   EXPECT_FALSE(resumed.is_done(1));
@@ -121,7 +130,9 @@ TEST_F(AggregateTest, ResumeSkipsCompletedPoints) {
 
 TEST_F(AggregateTest, ResumeDropsTruncatedTrailingRow) {
   {
-    Aggregator agg(csv_, "", {"policy"}, 3);
+    Aggregator agg({.csv_path = csv_,
+                    .axis_names = {"policy"},
+                    .total_points = 3});
     agg.load_existing();
     agg.record(0, 100, {"NS"}, fake_metrics(0.0));
     agg.compact();
@@ -134,7 +145,9 @@ TEST_F(AggregateTest, ResumeDropsTruncatedTrailingRow) {
     std::ofstream out(csv_, std::ios::app);
     out << "1,101,SAS,2,0.5";  // far fewer cells than the header
   }
-  Aggregator resumed(csv_, "", {"policy"}, 3);
+  Aggregator resumed({.csv_path = csv_,
+                      .axis_names = {"policy"},
+                      .total_points = 3});
   EXPECT_EQ(resumed.load_existing(), 1U);
   EXPECT_FALSE(resumed.is_done(1));
   // The compacted file no longer carries the damaged point-1 line.
@@ -149,12 +162,14 @@ TEST_F(AggregateTest, HeaderMismatchThrows) {
     std::ofstream out(csv_);
     out << "point,seed,wrong,columns\n";
   }
-  Aggregator agg(csv_, "", {"policy"}, 3);
+  Aggregator agg({.csv_path = csv_,
+                  .axis_names = {"policy"},
+                  .total_points = 3});
   EXPECT_THROW(agg.load_existing(), std::runtime_error);
 }
 
 TEST_F(AggregateTest, FinalizeRequiresCompleteness) {
-  Aggregator agg(csv_, "", {}, 2);
+  Aggregator agg({.csv_path = csv_, .total_points = 2});
   agg.load_existing();
   agg.record(0, 100, {}, fake_metrics(0.0));
   EXPECT_THROW(agg.finalize(), std::logic_error);
@@ -162,7 +177,10 @@ TEST_F(AggregateTest, FinalizeRequiresCompleteness) {
 
 TEST_F(AggregateTest, JsonLinesMirrorRows) {
   const std::string jsonl = (dir_ / "out.jsonl").string();
-  Aggregator agg(csv_, jsonl, {"policy"}, 1);
+  Aggregator agg({.csv_path = csv_,
+                  .json_path = jsonl,
+                  .axis_names = {"policy"},
+                  .total_points = 1});
   agg.load_existing();
   agg.record(0, 100, {"PAS"}, fake_metrics(2.5));
   agg.finalize();
@@ -176,7 +194,10 @@ TEST_F(AggregateTest, JsonLinesMirrorRows) {
 
 TEST_F(AggregateTest, NonFiniteMetricsBecomeJsonNull) {
   const std::string jsonl = (dir_ / "out.jsonl").string();
-  Aggregator agg(csv_, jsonl, {"policy"}, 1);
+  Aggregator agg({.csv_path = csv_,
+                  .json_path = jsonl,
+                  .axis_names = {"policy"},
+                  .total_points = 1});
   agg.load_existing();
   auto m = fake_metrics(std::numeric_limits<double>::quiet_NaN());
   m.energy_j.mean = std::numeric_limits<double>::infinity();
@@ -191,24 +212,33 @@ TEST_F(AggregateTest, NonFiniteMetricsBecomeJsonNull) {
 
 TEST_F(AggregateTest, ResumeRejectsRowsFromDifferentManifest) {
   {
-    Aggregator agg(csv_, "", {"max_sleep_s"}, 2,
-                   {{"100", "5"}, {"101", "10"}});
+    Aggregator agg({.csv_path = csv_,
+                    .axis_names = {"max_sleep_s"},
+                    .total_points = 2,
+                    .expected_identity = {{"100", "5"}, {"101", "10"}}});
     agg.load_existing();
     agg.record(0, 100, {"5"}, fake_metrics(1.0));
   }
   // Same columns, but the campaign now expects different axis values for
   // point 0 (as if the manifest's sweep values changed).
-  Aggregator changed(csv_, "", {"max_sleep_s"}, 2,
-                     {{"100", "7"}, {"101", "10"}});
+  Aggregator changed({.csv_path = csv_,
+                      .axis_names = {"max_sleep_s"},
+                      .total_points = 2,
+                      .expected_identity = {{"100", "7"}, {"101", "10"}}});
   EXPECT_THROW(changed.load_existing(), std::runtime_error);
 
   // A changed seed_base is caught the same way.
-  Aggregator reseeded(csv_, "", {"max_sleep_s"}, 2,
-                      {{"999", "5"}, {"998", "10"}});
+  Aggregator reseeded({.csv_path = csv_,
+                       .axis_names = {"max_sleep_s"},
+                       .total_points = 2,
+                       .expected_identity = {{"999", "5"}, {"998", "10"}}});
   EXPECT_THROW(reseeded.load_existing(), std::runtime_error);
 
   // The matching manifest still resumes cleanly.
-  Aggregator same(csv_, "", {"max_sleep_s"}, 2, {{"100", "5"}, {"101", "10"}});
+  Aggregator same({.csv_path = csv_,
+                   .axis_names = {"max_sleep_s"},
+                   .total_points = 2,
+                   .expected_identity = {{"100", "5"}, {"101", "10"}}});
   EXPECT_EQ(same.load_existing(), 1U);
 }
 
@@ -297,7 +327,9 @@ TEST_F(AggregateTest, ResumeDropsPointsWithTornPerRunGroups) {
 }
 
 TEST_F(AggregateTest, MainCsvCarriesDelayPercentileColumns) {
-  Aggregator agg(csv_, "", {"policy"}, 1);
+  Aggregator agg({.csv_path = csv_,
+                  .axis_names = {"policy"},
+                  .total_points = 1});
   agg.load_existing();
   auto m = fake_metrics(2.0);
   m.runs[0].avg_delay_s = 1.0;
@@ -318,20 +350,19 @@ TEST_F(AggregateTest, MainCsvCarriesDelayPercentileColumns) {
 }
 
 TEST_F(AggregateTest, InMemoryAggregationNeedsNoFiles) {
-  Aggregator agg("", "", {"policy"}, 2);
+  Aggregator agg({.axis_names = {"policy"}, .total_points = 2});
   agg.load_existing();
   agg.record(0, 1, {"NS"}, fake_metrics(0.0));
   agg.record(1, 2, {"PAS"}, fake_metrics(1.0));
   agg.finalize();
   EXPECT_EQ(agg.done_count(), 2U);
-  EXPECT_EQ(agg.summaries().at(1).delay_s.mean, 1.0);
   EXPECT_TRUE(fs::directory_iterator(dir_) == fs::directory_iterator());
 }
 
 TEST_F(AggregateTest, RecordRejectsPointOutsideTheGrid) {
   // Unsharded, every in-range point is owned; an index past the grid must
   // not reach the completion bitmap.
-  Aggregator in_memory("", "", {"policy"}, 2);
+  Aggregator in_memory({.axis_names = {"policy"}, .total_points = 2});
   in_memory.load_existing();
   EXPECT_THROW(in_memory.record(2, 102, {"PAS"}, fake_metrics(1.0)),
                std::logic_error);
@@ -339,7 +370,9 @@ TEST_F(AggregateTest, RecordRejectsPointOutsideTheGrid) {
                std::logic_error);
   EXPECT_EQ(in_memory.done_count(), 0U);
 
-  Aggregator on_disk(csv_, "", {"policy"}, 2);
+  Aggregator on_disk({.csv_path = csv_,
+                      .axis_names = {"policy"},
+                      .total_points = 2});
   on_disk.load_existing();
   EXPECT_THROW(on_disk.record(2, 102, {"PAS"}, fake_metrics(1.0)),
                std::logic_error);
@@ -456,27 +489,6 @@ TEST_F(StoreAggregateTest, ResumeDropsTornBinaryTail) {
   }
 }
 
-TEST_F(StoreAggregateTest, DiscardPointsTombstonesWithoutRewrite) {
-  const auto options = store_options("s", 3, 2, 0);
-  Aggregator agg{AggregatorOptions(options)};
-  agg.load_existing();
-  for (std::size_t p = 0; p < 3; ++p) {
-    agg.record(p, 100 + p, {std::to_string(p)}, synth_metrics(p, 2));
-  }
-  agg.discard_points({1});
-  EXPECT_EQ(agg.done_points(), (std::vector<std::size_t>{0, 2}));
-  agg.compact();
-  const auto lines = read_lines(options.csv_path);
-  ASSERT_EQ(lines.size(), 3U);
-  EXPECT_EQ(lines[1].substr(0, 2), "0,");
-  EXPECT_EQ(lines[2].substr(0, 2), "2,");
-  // The point is recordable again, and finalize completes normally.
-  agg.record(1, 101, {"1"}, synth_metrics(1, 2));
-  agg.finalize();
-  EXPECT_EQ(read_lines(options.csv_path).size(), 4U);
-  EXPECT_FALSE(fs::exists(RowStore::path_for(options.csv_path)));
-}
-
 TEST_F(StoreAggregateTest, SeedsFreshStoreFromFinalizedCsv) {
   const auto options = store_options("s", 2, 2, 0);
   {
@@ -576,13 +588,113 @@ TEST_F(StoreAggregateTest, FinalizeRejectsIncompleteCampaignBeforeExport) {
   EXPECT_TRUE(fs::exists(RowStore::path_for(options.csv_path)));
 }
 
+// --- Encoded batches (the --drive worker → driver path) ---------------------
+
+class EncodedBatchTest : public StoreAggregateTest {
+ protected:
+  static Manifest manifest(std::uint64_t seed_base = 3) {
+    Manifest m;
+    m.name = "encoded-batch-test";
+    m.base = world::paper_scenario();
+    m.replications = 2;
+    m.seed_base = seed_base;
+    m.axes = {
+        Axis{.kind = AxisKind::kPolicy, .labels = {"NS", "SAS", "PAS"}},
+        Axis{.kind = AxisKind::kMaxSleep, .numbers = {5.0, 15.0}},
+    };
+    return m;
+  }
+
+  /// A campaign's options writing every artifact under `sub`; an empty
+  /// flag drops that artifact.
+  AggregatorOptions options(const Manifest& m, const char* sub,
+                            bool per_run = true, bool metrics = true) {
+    fs::create_directories(dir_ / sub);
+    const auto file = [&](const char* name) {
+      return (dir_ / sub / name).string();
+    };
+    return campaign_aggregator_options(
+        m, expand_grid(m), file("out.csv"), file("out.jsonl"),
+        per_run ? file("runs.csv") : "", metrics ? file("m.jsonl") : "");
+  }
+
+  /// Per-point metrics whose telemetry row differs between points too.
+  static world::ReplicatedMetrics metrics(std::size_t point) {
+    auto m = synth_metrics(point, 2);
+    for (auto& run : m.runs) run.kernel.events_dispatched = 10 + point;
+    return m;
+  }
+};
+
+TEST_F(EncodedBatchTest, RecordEncodedFinalizesLikeRecord) {
+  const Manifest m = manifest();
+  const auto points = expand_grid(m);
+  const Aggregator encoder(options(m, "encoder"));
+  Aggregator direct(options(m, "direct"));
+  Aggregator relayed(options(m, "relayed"));
+  direct.load_existing();
+  relayed.load_existing();
+  for (const std::size_t p : {4U, 0U, 5U, 2U, 1U, 3U}) {
+    direct.record(points[p], metrics(p));
+    relayed.record_encoded(p, encoder.encode_point(points[p], metrics(p)));
+  }
+  // The relayed store holds the very bytes record() appended.
+  EXPECT_EQ(slurp(dir_ / "relayed" / "out.csv.pasrows"),
+            slurp(dir_ / "direct" / "out.csv.pasrows"));
+  EXPECT_TRUE(fs::is_empty(dir_ / "encoder"));
+  io::JsonObject trailer;
+  trailer["kind"] = "registry";
+  direct.finalize({io::Json(trailer)});
+  relayed.finalize({io::Json(trailer)});
+  for (const char* name : {"out.csv", "out.jsonl", "runs.csv", "m.jsonl"}) {
+    const std::string bytes = slurp(dir_ / "direct" / name);
+    EXPECT_FALSE(bytes.empty()) << name;
+    EXPECT_EQ(slurp(dir_ / "relayed" / name), bytes) << name;
+  }
+}
+
+TEST_F(EncodedBatchTest, RecordEncodedRejectsAnythingButThePointsBatch) {
+  const Manifest m = manifest();
+  const auto points = expand_grid(m);
+  const Aggregator encoder(options(m, "encoder"));
+  Aggregator driver(options(m, "driver"));
+  driver.load_existing();
+  const std::string store = (dir_ / "driver" / "out.csv.pasrows").string();
+  const auto store_bytes = fs::file_size(store);
+
+  std::string flipped = encoder.encode_point(points[1], metrics(1));
+  flipped[flipped.size() / 2] ^= 0x20;
+  const Manifest reseeded = manifest(99);
+  const std::string foreign[] = {
+      flipped,
+      encoder.encode_point(points[2], metrics(2)),
+      Aggregator(options(m, "no-runs", /*per_run=*/false))
+          .encode_point(points[1], metrics(1)),
+      Aggregator(options(m, "no-metrics", true, /*metrics=*/false))
+          .encode_point(points[1], metrics(1)),
+      Aggregator(options(reseeded, "reseeded"))
+          .encode_point(expand_grid(reseeded)[1], metrics(1)),
+  };
+  for (const auto& bytes : foreign) {
+    EXPECT_THROW(driver.record_encoded(1, bytes), std::runtime_error);
+    EXPECT_FALSE(driver.is_done(1));
+  }
+  EXPECT_EQ(fs::file_size(store), store_bytes);
+
+  driver.record_encoded(1, encoder.encode_point(points[1], metrics(1)));
+  EXPECT_TRUE(driver.is_done(1));
+  EXPECT_GT(fs::file_size(store), store_bytes);
+}
+
 TEST_F(AggregateTest, SketchQuantilesEngageBeyondExactThreshold) {
   // Above the exact-quantile retention bound (256 reps) record() reads the
   // delay percentiles from the streaming digest fed by reduce_runs; with
   // the digest absent (hand-built metrics, as here) it must fall back to
   // the exact sort so partial fixtures keep working.
   constexpr std::size_t kReps = 300;
-  Aggregator agg(csv_, "", {"policy"}, 1);
+  Aggregator agg({.csv_path = csv_,
+                  .axis_names = {"policy"},
+                  .total_points = 1});
   agg.load_existing();
   world::ReplicatedMetrics m = fake_metrics(1.0);
   m.runs.resize(kReps);

@@ -43,7 +43,7 @@ TEST_F(RowStoreTest, RoundTripsRecordsThroughScan) {
   store.open_append();
   store.append(RowStore::Kind::kPerRun, 3, 1, {"3", "1", "abc", ""});
   store.append(RowStore::Kind::kSummary, 3, 0, {"3", "0.5"});
-  store.append(RowStore::Kind::kTombstone, 7, 0, {});
+  store.append(RowStore::Kind::kSummary, 7, 0, {});
   store.append(RowStore::Kind::kTelemetry, 3, 0, {"{\"kind\":\"point\"}"});
   store.flush();
   store.close();
@@ -57,8 +57,9 @@ TEST_F(RowStoreTest, RoundTripsRecordsThroughScan) {
   EXPECT_EQ(records[0].cells,
             (std::vector<std::string>{"3", "1", "abc", ""}));
   EXPECT_EQ(records[1].kind, RowStore::Kind::kSummary);
-  EXPECT_EQ(records[2].kind, RowStore::Kind::kTombstone);
+  EXPECT_EQ(records[2].kind, RowStore::Kind::kSummary);
   EXPECT_EQ(records[2].point, 7U);
+  EXPECT_TRUE(records[2].cells.empty());
   EXPECT_EQ(records[3].kind, RowStore::Kind::kTelemetry);
   EXPECT_EQ(records[3].cells,
             (std::vector<std::string>{"{\"kind\":\"point\"}"}));

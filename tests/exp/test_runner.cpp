@@ -171,28 +171,6 @@ TEST_F(RunnerTest, ProgressReportsMonotonicCompletion) {
   EXPECT_EQ(done_counts.back(), 6U);
 }
 
-TEST_F(RunnerTest, RunPointMatchesDirectReplication) {
-  const Manifest m = small_manifest();
-  const auto points = expand_grid(m);
-  const auto engine = run_point(points[4], m.replications);
-  const auto direct =
-      world::run_replicated(points[4].config, m.replications, nullptr);
-  EXPECT_DOUBLE_EQ(engine.delay_s.mean, direct.delay_s.mean);
-  EXPECT_DOUBLE_EQ(engine.energy_j.mean, direct.energy_j.mean);
-  EXPECT_EQ(engine.runs.size(), direct.runs.size());
-}
-
-TEST_F(RunnerTest, RunPointOnPoolMatchesSerial) {
-  const Manifest m = small_manifest();
-  const auto points = expand_grid(m);
-  runtime::ThreadPool pool(4);
-  const auto parallel = run_point(points[2], 4, &pool);
-  const auto serial = run_point(points[2], 4);
-  EXPECT_DOUBLE_EQ(parallel.delay_s.mean, serial.delay_s.mean);
-  EXPECT_DOUBLE_EQ(parallel.delay_s.stddev, serial.delay_s.stddev);
-  EXPECT_DOUBLE_EQ(parallel.energy_j.mean, serial.energy_j.mean);
-}
-
 // A replication-heavy single point split into sub-jobs must reproduce the
 // serial bytes exactly: the split only changes the schedule, never the
 // per-replication seeds or the reduction order.

@@ -10,7 +10,7 @@
 // committed truth both pipelines agreed on.
 //
 // The metrics digest covers only the "kind":"point" rows: the trailing
-// registry snapshot is wall-clock data (and is empty under -DPAS_OBS_OFF).
+// registry snapshot is wall-clock data.
 // A second digest covers the same rows without their "kernel" object. The
 // kernel counters measure how the simulator got to the result (events
 // scheduled, dispatched, cancelled, queue shape), so a change to the event

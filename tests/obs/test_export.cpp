@@ -53,72 +53,6 @@ TEST(HistogramJson, QuantileKeysOnlyWhenRecorded) {
   EXPECT_FALSE(empty.contains("p99"));
 }
 
-TEST(SnapshotDelta, CountersSubtractGaugesPassThrough) {
-  Snapshot prev;
-  prev.scalars.push_back({"kernel.events", InstrumentKind::kCounter, 10});
-  prev.scalars.push_back({"kernel.max_pending", InstrumentKind::kGauge, 7});
-  Snapshot cur;
-  cur.scalars.push_back({"kernel.events", InstrumentKind::kCounter, 25});
-  cur.scalars.push_back({"kernel.max_pending", InstrumentKind::kGauge, 5});
-  cur.scalars.push_back({"orch.leases", InstrumentKind::kCounter, 3});
-
-  const Snapshot delta = snapshot_delta(prev, cur);
-  ASSERT_EQ(delta.scalars.size(), 3U);
-  EXPECT_EQ(delta.scalars[0].value, 15U);  // counter: cur - prev
-  EXPECT_EQ(delta.scalars[1].value, 5U);   // gauge: current high-water mark
-  EXPECT_EQ(delta.scalars[2].value, 3U);   // new instrument: full value
-}
-
-TEST(SnapshotDelta, HistogramBinsSubtract) {
-  Snapshot prev;
-  {
-    Snapshot::Hist h;
-    h.name = "sleep_s";
-    h.data.spec = LogBuckets{1.0, 4};
-    h.data.record(3.0);
-    prev.hists.push_back(std::move(h));
-  }
-  Snapshot cur;
-  {
-    Snapshot::Hist h;
-    h.name = "sleep_s";
-    h.data.spec = LogBuckets{1.0, 4};
-    h.data.record(3.0);
-    h.data.record(3.5);
-    h.data.record(12.0);
-    cur.hists.push_back(std::move(h));
-  }
-
-  const Snapshot delta = snapshot_delta(prev, cur);
-  ASSERT_EQ(delta.hists.size(), 1U);
-  EXPECT_EQ(delta.hists[0].data.count, 2U);
-  EXPECT_EQ(delta.hists[0].data.bin_counts[2], 1U);  // one new in (2, 4]
-  EXPECT_EQ(delta.hists[0].data.bin_counts[4], 1U);  // one new in (8, 16]
-}
-
-TEST(SnapshotDeltaJson, OmitsUnchangedInstruments) {
-  Snapshot prev;
-  prev.scalars.push_back({"kernel.events", InstrumentKind::kCounter, 10});
-  prev.scalars.push_back({"orch.respawns", InstrumentKind::kCounter, 2});
-  Snapshot cur;
-  cur.scalars.push_back({"kernel.events", InstrumentKind::kCounter, 10});
-  cur.scalars.push_back({"orch.respawns", InstrumentKind::kCounter, 4});
-  {
-    Snapshot::Hist h;  // histogram with no new samples since prev
-    h.name = "sleep_s";
-    h.data.spec = LogBuckets{1.0, 4};
-    h.data.record(3.0);
-    prev.hists.push_back(h);
-    cur.hists.push_back(std::move(h));
-  }
-
-  const io::Json j = snapshot_delta_json(prev, cur);
-  EXPECT_FALSE(j.contains("kernel.events"));  // unchanged counter dropped
-  EXPECT_FALSE(j.contains("sleep_s"));        // quiet histogram dropped
-  ASSERT_TRUE(j.contains("orch.respawns"));
-  EXPECT_DOUBLE_EQ(j.at("orch.respawns").as_double(), 2.0);
-}
-
 TEST(SnapshotJson, MapsNamesToValues) {
   Snapshot snap;
   snap.scalars.push_back({"kernel.events", InstrumentKind::kCounter, 42});

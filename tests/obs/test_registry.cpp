@@ -9,10 +9,6 @@
 namespace pas::obs {
 namespace {
 
-// These tests exercise the enabled-registry bookkeeping, which PAS_OBS_OFF
-// compiles away by design; nothing to verify in that configuration.
-#if !defined(PAS_OBS_OFF)
-
 TEST(Registry, CountersAccumulateAcrossSnapshots) {
   Registry registry;
   const Counter c = registry.counter("events");
@@ -145,8 +141,6 @@ TEST(Registry, TwoRegistriesDoNotAliasShards) {
   }
   EXPECT_EQ(first.snapshot().scalars[0].value, 5U);
 }
-
-#endif  // !defined(PAS_OBS_OFF)
 
 TEST(Registry, DisabledHandsOutInertHandles) {
   Registry registry(false);

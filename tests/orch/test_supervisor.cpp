@@ -1,6 +1,6 @@
 // Supervised multi-process campaigns, end to end against the real pas-exp
-// binary: byte-identity with a serial run, SIGKILL crash recovery,
-// duplicate-row sanitization on resume, and SIGINT interruption.
+// binary: byte-identity with a serial run, SIGKILL crash recovery, rejected
+// rows, resume across topologies, and SIGINT interruption.
 //
 // The tests fork/exec the pas-exp executable (the --worker child mode), so
 // they need its path: the PAS_EXP_BIN environment variable if set, else
@@ -100,20 +100,23 @@ class SupervisorTest : public ::testing::Test {
     return o;
   }
 
-  /// Asserts `out` matches the serial reference and all .w* parts are gone.
-  void expect_merged_identical(const char* out,
-                               const char* per_run = nullptr) {
+  /// Asserts `out` matches the serial reference.
+  void expect_serial_bytes(const char* out, const char* per_run = nullptr) {
     EXPECT_EQ(slurp(path(out)), slurp(path("ref.csv")));
     if (per_run != nullptr) {
       EXPECT_EQ(slurp(path(per_run)), slurp(path("ref_runs.csv")));
     }
-    std::size_t parts = 0;
+    expect_no_part_files();
+  }
+
+  /// Workers write no files: nothing named like an older build's
+  /// `<out>.w<k>` part file may appear.
+  void expect_no_part_files() {
     for (const auto& entry : fs::directory_iterator(dir_)) {
-      if (entry.path().filename().string().find(".w") != std::string::npos) {
-        ++parts;
-      }
+      EXPECT_EQ(entry.path().filename().string().find(".w"),
+                std::string::npos)
+          << entry.path();
     }
-    EXPECT_EQ(parts, 0U) << "part files should be deleted after the merge";
   }
 
   /// The "point" rows of a telemetry JSONL file (trailers are wall-clock
@@ -143,14 +146,13 @@ TEST_F(SupervisorTest, DriveIsByteIdenticalToSerial) {
   EXPECT_EQ(report.resumed, 0U);
   EXPECT_EQ(report.crashes, 0U);
   EXPECT_FALSE(report.interrupted);
-  EXPECT_EQ(report.merged_rows, 6U);
-  expect_merged_identical("out.csv", "runs.csv");
+  expect_serial_bytes("out.csv", "runs.csv");
 }
 
 // The acceptance-criteria scenario: a worker is SIGKILLed mid-campaign
-// (after flushing + reporting the first point of its two-point lease), the
-// rest of its lease is reassigned to a respawned worker, and the merged
-// output is still byte-identical to an undisturbed run. One worker, so the
+// (after reporting the first point of its two-point lease), the rest of its
+// lease is reassigned to a respawned worker, and the output is still
+// byte-identical to an undisturbed run. One worker, so the
 // crash always leaves work queued: with two, the survivor can drain the
 // queue before the crash is handled, and then no respawn is needed.
 TEST_F(SupervisorTest, SigkilledWorkerLeaseIsReassigned) {
@@ -159,36 +161,36 @@ TEST_F(SupervisorTest, SigkilledWorkerLeaseIsReassigned) {
   EXPECT_GE(report.crashes, 1U);
   EXPECT_GE(report.respawns, 1U);
   EXPECT_EQ(report.computed, 6U);
-  EXPECT_EQ(report.merged_rows, 6U);
-  expect_merged_identical("out.csv", "runs.csv");
+  expect_serial_bytes("out.csv", "runs.csv");
 }
 
-// Crash-race aftermath: two part files both carry a row for the same point
-// (a worker wrote its row, died unreported, and the point was reassigned).
-// Resume must claim one copy, physically drop the other, and still merge
-// to the exact serial bytes.
-TEST_F(SupervisorTest, ResumeDropsDuplicateRowsAcrossParts) {
-  const std::string w0 = part_path(path("out.csv"), 0);
-  const std::string w1 = part_path(path("out.csv"), 1);
-  exp::CampaignOptions fabricate;
-  fabricate.jobs = 1;
-  fabricate.owned_points = {0, 1, 2};
-  fabricate.out_csv = w0;
-  exp::run_campaign(manifest_, fabricate);
-  fabricate.owned_points = {2, 4};  // point 2 duplicated across parts
-  fabricate.out_csv = w1;
-  exp::run_campaign(manifest_, fabricate);
-
-  auto o = options(2, "out.csv");
-  o.resume = true;
+// Worker 0's first point_done reaches the driver with its first payload
+// byte overwritten. The driver must reject those rows, doom the worker, and
+// requeue that point although the lease table already counts it done. One
+// worker, so worker 0 always gets the work: a second one could drain the
+// queue while the wrapper is still starting.
+TEST_F(SupervisorTest, CorruptRowsAreRejectedAndRecomputed) {
+  const std::string wrapper = path("worker.sh");
+  std::ofstream(wrapper)
+      << "#!/bin/sh\n"
+      << "case \" $* \" in\n"
+      << "  *\" --worker-id 0 \"*)\n"
+      << "    '" << exe_ << "' \"$@\" | sed -u "
+      << "'0,/^point_done [0-9]* ../s/^\\(point_done [0-9]* \\)../\\1ff/' ;;\n"
+      << "  *) exec '" << exe_ << "' \"$@\" ;;\n"
+      << "esac\n";
+  fs::permissions(wrapper, fs::perms::owner_all);
+  auto o = options(1, "out.csv", "runs.csv");
+  o.exe_path = wrapper;
   const auto report = drive(manifest_, o);
-  EXPECT_EQ(report.resumed, 4U);   // 0,1,2 from w0; 4 from w1 (2 dropped)
-  EXPECT_EQ(report.computed, 2U);  // 3 and 5
-  expect_merged_identical("out.csv");
+  EXPECT_GE(report.crashes, 1U);
+  expect_serial_bytes("out.csv", "runs.csv");
+  EXPECT_NE(slurp(path("out.csv.flightrec")).find("rejected"),
+            std::string::npos);
 }
 
-// Resume also composes with an interrupted *single-process* run: rows
-// already in --out seed the claim set and the drive computes only the rest.
+// Resume also composes with a partial *single-process* run: the drive
+// imports the rows already in --out and computes only the rest.
 TEST_F(SupervisorTest, ResumeClaimsRowsFromSingleProcessOut) {
   exp::CampaignOptions partial;
   partial.jobs = 1;
@@ -201,7 +203,7 @@ TEST_F(SupervisorTest, ResumeClaimsRowsFromSingleProcessOut) {
   const auto report = drive(manifest_, o);
   EXPECT_EQ(report.resumed, 3U);
   EXPECT_EQ(report.computed, 3U);
-  expect_merged_identical("out.csv");
+  expect_serial_bytes("out.csv");
 }
 
 TEST_F(SupervisorTest, RefusesExistingOutputWithoutResume) {
@@ -239,12 +241,12 @@ TEST_F(SupervisorTest, SigintLeavesResumableStateAndResumeCompletes) {
     EXPECT_FALSE(second.interrupted);
     EXPECT_EQ(second.resumed + second.computed, 6U);
   }
-  expect_merged_identical("out.csv", "runs.csv");
+  expect_serial_bytes("out.csv", "runs.csv");
 }
 
-// Drive-mode telemetry: workers write metrics part files, the driver merges
-// them, and the merged point rows are byte-identical to a serial campaign's
-// (only the trailer — wall-clock orchestrator instruments — may differ).
+// Drive-mode telemetry: workers send each point's telemetry row with its CSV
+// rows, and the point rows are byte-identical to a serial campaign's (only
+// the trailer — wall-clock orchestrator instruments — may differ).
 TEST_F(SupervisorTest, DriveMetricsMergeMatchesSerialPointRows) {
   exp::CampaignOptions serial;
   serial.jobs = 1;
@@ -256,7 +258,7 @@ TEST_F(SupervisorTest, DriveMetricsMergeMatchesSerialPointRows) {
   o.metrics_path = path("metrics.jsonl");
   const auto report = drive(manifest_, o);
   EXPECT_EQ(report.computed, 6U);
-  expect_merged_identical("out.csv");  // also: no .w* metrics parts left
+  expect_serial_bytes("out.csv");
 
   const auto serial_rows = point_rows(path("ref.jsonl"));
   const auto drive_rows = point_rows(path("metrics.jsonl"));
@@ -277,9 +279,9 @@ TEST_F(SupervisorTest, DriveMetricsMergeMatchesSerialPointRows) {
   EXPECT_EQ(trailer.string_or("scope", ""), "orchestrator");
 }
 
-// A crashed worker's telemetry part survives (rows are flushed before
-// point_done, like the CSV), the reassigned points fill the gaps, and the
-// crash dumps the protocol flight recorder next to the output. Every worker
+// Crashed workers' reported points keep their telemetry rows, the
+// reassigned points fill the gaps, and the crash dumps the protocol flight
+// recorder next to the output. Every worker
 // is armed: with only worker 0 armed, worker 1 could drain the queue before
 // worker 0 got a lease, and then nothing crashed. Each armed worker dies
 // after one point, so there are at most six crashes, within the default
@@ -290,7 +292,7 @@ TEST_F(SupervisorTest, CrashedDriveKeepsTelemetryAndDumpsFlightRecorder) {
   o.metrics_path = path("metrics.jsonl");
   const auto report = drive(manifest_, o);
   EXPECT_GE(report.crashes, 1U);
-  expect_merged_identical("out.csv");
+  expect_serial_bytes("out.csv");
 
   EXPECT_EQ(point_rows(path("metrics.jsonl")).size(), 6U);
 
@@ -340,12 +342,47 @@ TEST_F(SupervisorTest, ExportRendersMetricsOfAnInterruptedStore) {
 
 // A respawn budget of zero turns the first crash into a hard failure when
 // no other worker can pick up the queue — instead of a silent infinite
-// crash-respawn loop.
+// crash-respawn loop. The aborted drive leaves what a killed single-process
+// run leaves, so a single-process resume finishes it.
 TEST_F(SupervisorTest, ExhaustedRespawnBudgetAborts) {
   ::setenv("PAS_ORCH_TEST_CRASH", "0:1", 1);
-  auto o = options(1, "out.csv");
+  auto o = options(1, "out.csv", "runs.csv");
   o.max_respawns = 0;
   EXPECT_THROW((void)drive(manifest_, o), std::runtime_error);
+  EXPECT_TRUE(fs::exists(path("out.csv.pasrows")));
+  EXPECT_TRUE(fs::exists(path("out.csv.flightrec")));
+  EXPECT_FALSE(fs::exists(path("out.csv")));
+  expect_no_part_files();
+
+  exp::CampaignOptions resume;
+  resume.jobs = 1;
+  resume.resume = true;
+  resume.out_csv = path("out.csv");
+  resume.per_run_csv = path("runs.csv");
+  const auto report = exp::run_campaign(manifest_, resume);
+  EXPECT_EQ(report.skipped, 1U);
+  EXPECT_EQ(report.computed, 5U);
+  expect_serial_bytes("out.csv", "runs.csv");
+}
+
+// pas-exp --drive accepts --json: the mirror comes out of the same export
+// as the CSV, so it equals a serial run's.
+TEST_F(SupervisorTest, DriveWritesTheJsonMirrorLikeSerial) {
+  const std::string common = " --manifest " + manifest_path_ + " --quiet";
+  ASSERT_EQ(std::system((exe_ + common + " --jobs 1 --out " +
+                         path("s.csv") + " --json " + path("s.jsonl") +
+                         " > /dev/null")
+                            .c_str()),
+            0);
+  ASSERT_EQ(std::system((exe_ + common + " --drive 3 --out " +
+                         path("d.csv") + " --json " + path("d.jsonl") +
+                         " > /dev/null")
+                            .c_str()),
+            0);
+  EXPECT_EQ(slurp(path("d.csv")), slurp(path("ref.csv")));
+  EXPECT_EQ(slurp(path("d.jsonl")), slurp(path("s.jsonl")));
+  EXPECT_FALSE(slurp(path("s.jsonl")).empty());
+  expect_no_part_files();
 }
 
 }  // namespace

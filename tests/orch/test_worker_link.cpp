@@ -8,20 +8,20 @@ namespace pas::orch {
 namespace {
 
 TEST(WorkerProtocol, ParsesWellFormedWorkerLines) {
-  const auto hello = parse_worker_line("hello 3 17");
+  const auto hello = parse_worker_line("hello 3");
   ASSERT_TRUE(hello.has_value());
   EXPECT_EQ(hello->kind, WorkerMsg::Kind::kHello);
   EXPECT_EQ(hello->worker, 3);
-  EXPECT_EQ(hello->recovered, 17U);
 
   const auto hb = parse_worker_line("hb");
   ASSERT_TRUE(hb.has_value());
   EXPECT_EQ(hb->kind, WorkerMsg::Kind::kHeartbeat);
 
-  const auto done = parse_worker_line("point_done 42");
+  const auto done = parse_worker_line("point_done 42 00ff7a");
   ASSERT_TRUE(done.has_value());
   EXPECT_EQ(done->kind, WorkerMsg::Kind::kPointDone);
   EXPECT_EQ(done->point, 42U);
+  EXPECT_EQ(done->rows, std::string("\x00\xff\x7a", 3));
 
   const auto lease = parse_worker_line("lease_done 7");
   ASSERT_TRUE(lease.has_value());
@@ -50,17 +50,24 @@ TEST(WorkerProtocol, RejectsMalformedWorkerLines) {
 
   EXPECT_FALSE(parse_worker_line("").has_value());
   EXPECT_FALSE(parse_worker_line("point_done").has_value());
-  EXPECT_FALSE(parse_worker_line("point_done abc").has_value());
-  EXPECT_FALSE(parse_worker_line("point_done -3").has_value());
-  EXPECT_FALSE(parse_worker_line("point_done 1 2").has_value());
-  EXPECT_FALSE(parse_worker_line("point_done 1.5").has_value());
+  EXPECT_FALSE(parse_worker_line("point_done abc 00").has_value());
+  EXPECT_FALSE(parse_worker_line("point_done -3 00").has_value());
+  EXPECT_FALSE(parse_worker_line("point_done 1.5 00").has_value());
+  // The rows payload: present, even-length, lower-case hex, last token.
+  EXPECT_FALSE(parse_worker_line("point_done 1").has_value());
+  EXPECT_FALSE(parse_worker_line("point_done 1 ").has_value());
+  EXPECT_FALSE(parse_worker_line("point_done 1 abc").has_value());
+  EXPECT_FALSE(parse_worker_line("point_done 1 00FF").has_value());
+  EXPECT_FALSE(parse_worker_line("point_done 1 0g").has_value());
+  EXPECT_FALSE(parse_worker_line("point_done 1 00 11").has_value());
+  EXPECT_FALSE(parse_worker_line("point_done 1 00\r").has_value());
   EXPECT_FALSE(parse_worker_line("lease_done").has_value());
-  EXPECT_FALSE(parse_worker_line("hello 1").has_value());
-  EXPECT_FALSE(parse_worker_line("hello -1 0").has_value());
-  EXPECT_FALSE(parse_worker_line("hello x 0").has_value());
+  EXPECT_FALSE(parse_worker_line("hello").has_value());
+  EXPECT_FALSE(parse_worker_line("hello 1 0").has_value());
+  EXPECT_FALSE(parse_worker_line("hello -1").has_value());
+  EXPECT_FALSE(parse_worker_line("hello x").has_value());
   EXPECT_FALSE(parse_worker_line("fail").has_value());  // needs a message
   EXPECT_FALSE(parse_worker_line("restart 1").has_value());
-  EXPECT_FALSE(parse_worker_line("point_done 1\r").has_value());
 }
 
 TEST(WorkerProtocol, ParsesWellFormedDriverLines) {
@@ -86,16 +93,21 @@ TEST(WorkerProtocol, RejectsMalformedDriverLines) {
 }
 
 TEST(WorkerProtocol, FormatAndParseRoundTrip) {
-  const auto hello = parse_worker_line(format_hello(5, 12));
+  const auto hello = parse_worker_line(format_hello(5));
   ASSERT_TRUE(hello.has_value());
   EXPECT_EQ(hello->worker, 5);
-  EXPECT_EQ(hello->recovered, 12U);
 
   EXPECT_TRUE(parse_worker_line(format_heartbeat()).has_value());
 
-  const auto done = parse_worker_line(format_point_done(107));
+  // Every byte value survives the hex payload.
+  std::string rows;
+  for (int b = 0; b < 256; ++b) rows.push_back(static_cast<char>(b));
+  const std::string line = format_point_done(107, rows);
+  EXPECT_EQ(line.substr(0, 17), "point_done 107 00");
+  const auto done = parse_worker_line(line);
   ASSERT_TRUE(done.has_value());
   EXPECT_EQ(done->point, 107U);
+  EXPECT_EQ(done->rows, rows);
 
   const auto lease =
       parse_driver_line(format_lease(3, {8, 9, 10}));

@@ -36,10 +36,9 @@ TEST(CampaignFeed, LifecycleCountersAndState) {
   EXPECT_EQ(status.replications, 3U);
 
   feed.point_done("{\"point\":4}");
-  feed.add_recovered(3);
   status = feed.status();
-  EXPECT_EQ(status.done_points, 6U);
-  EXPECT_EQ(status.computed, 4U);
+  EXPECT_EQ(status.done_points, 3U);
+  EXPECT_EQ(status.computed, 1U);
 
   feed.end_campaign(false);
   EXPECT_EQ(feed.status().state, CampaignFeed::State::kDone);

@@ -49,7 +49,7 @@ STATUS_KEYS = {
 }
 WORKER_KEYS = {"id", "has_lease", "lease_points_left", "points_done", "hb_age_s"}
 CAMPAIGN_EVENTS = {"start", "done", "interrupted"}
-WORKER_EVENTS = {"spawn", "crash", "respawn", "recovered"}
+WORKER_EVENTS = {"spawn", "crash", "respawn"}
 
 
 def fail(message):

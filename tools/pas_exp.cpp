@@ -4,7 +4,8 @@
 //   pas-exp --manifest examples/campaign.json --jobs 8 --out out.csv --resume
 //
 //   # one command instead of N terminals: a supervised multi-process
-//   # campaign with work-stealing leases, crash recovery, and auto-merge
+//   # campaign with work-stealing leases and crash recovery, writing the
+//   # same files a single process would
 //   pas-exp --drive 4 --manifest examples/campaign.json --out out.csv
 //
 //   # split one manifest across machines by hand, then recombine:
@@ -166,11 +167,11 @@ int main(int argc, char** argv) {
   cli.add_uint("rep-chunk", &rep_chunk,
                "Replications per sub-job within a point (0 = automatic)");
   cli.add_uint("drive", &drive_workers,
-               "Supervise N worker processes with work-stealing leases, "
-               "crash recovery, and automatic merge into --out");
+               "Supervise N worker processes with work-stealing leases and "
+               "crash recovery; they send their rows to this process, which "
+               "writes --out");
   cli.add_flag("resume", &resume,
-               "Reload --out (and, with --drive, any .w* part files) and "
-               "compute only the missing points");
+               "Reload --out and compute only the missing points");
   cli.add_flag("merge", &merge,
                "Merge finalized shard CSVs (positional args) into --out");
   cli.add_flag("progress", &progress,
@@ -373,7 +374,7 @@ int main(int argc, char** argv) {
       pas::orch::WorkerOptions options;
       options.out_csv = out_csv;
       options.per_run_csv = per_run_csv;
-      options.metrics_csv = metrics_path;
+      options.metrics_path = metrics_path;
       options.worker_id = static_cast<int>(worker_id);
       options.jobs = std::max<std::size_t>(1, static_cast<std::size_t>(jobs));
       return pas::orch::run_worker(manifest, options);
@@ -408,16 +409,8 @@ int main(int argc, char** argv) {
                      "--metrics\n");
         return 2;
       }
-      pas::exp::AggregatorOptions agg_options;
-      agg_options.csv_path = out_csv;
-      agg_options.json_path = out_json;
-      agg_options.per_run_path = per_run_csv;
-      agg_options.metrics_path = metrics_path;
-      agg_options.axis_names = pas::exp::axis_columns(manifest);
-      agg_options.total_points = points.size();
-      agg_options.replications = manifest.replications;
-      agg_options.expected_identity = pas::exp::grid_identity(points);
-      pas::exp::Aggregator aggregator(std::move(agg_options));
+      pas::exp::Aggregator aggregator(pas::exp::campaign_aggregator_options(
+          manifest, points, out_csv, out_json, per_run_csv, metrics_path));
       aggregator.load_existing();
       aggregator.compact();
       std::printf("exported %zu of %zu points from %s -> %s\n",
@@ -533,17 +526,17 @@ int main(int argc, char** argv) {
     };
 
     if (drive_workers > 0) {
-      if (!shard_spec.empty() || rep_chunk != 0 || !out_json.empty()) {
+      if (!shard_spec.empty() || rep_chunk != 0) {
         std::fprintf(stderr,
-                     "pas-exp: --drive is incompatible with --shard, "
-                     "--rep-chunk, and --json (drive owns the process "
-                     "split; JSON-lines shards cannot be merged)\n");
+                     "pas-exp: --drive is incompatible with --shard and "
+                     "--rep-chunk (drive owns the process split)\n");
         return 2;
       }
       pas::orch::DriveOptions drive_options;
       drive_options.exe_path = pas::orch::self_exe_path(argv[0]);
       drive_options.manifest_path = manifest_path;
       drive_options.out_csv = out_csv;
+      drive_options.json_path = out_json;
       drive_options.per_run_csv = per_run_csv;
       drive_options.metrics_path = metrics_path;
       drive_options.workers = static_cast<std::size_t>(drive_workers);
@@ -567,6 +560,7 @@ int main(int argc, char** argv) {
                                  std::to_string(drive_options.workers) +
                                  " --manifest " + manifest_path + " --out " +
                                  out_csv;
+        if (!out_json.empty()) resume_cmd += " --json " + out_json;
         if (!per_run_csv.empty()) resume_cmd += " --per-run " + per_run_csv;
         if (!metrics_path.empty()) resume_cmd += " --metrics " + metrics_path;
         if (jobs != 0) resume_cmd += " --jobs " + std::to_string(jobs);
@@ -579,7 +573,7 @@ int main(int argc, char** argv) {
         if (quiet) resume_cmd += " --quiet";
         if (progress) resume_cmd += " --progress";
         std::printf(
-            "interrupted: %zu of %zu points on disk; every part file is "
+            "interrupted: %zu of %zu points on disk; the output is "
             "resumable\nresume with: %s --resume\n",
             report.computed + report.resumed, report.total_points,
             resume_cmd.c_str());
