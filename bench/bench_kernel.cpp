@@ -14,7 +14,6 @@
 #include <cstddef>
 #include <filesystem>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -22,6 +21,7 @@
 #include "core/observation.hpp"
 #include "exp/aggregate.hpp"
 #include "exp/manifest.hpp"
+#include "geom/disk_graph.hpp"
 #include "net/channel.hpp"
 #include "net/message.hpp"
 #include "net/network.hpp"
@@ -324,8 +324,9 @@ BENCHMARK(BM_Net_MacScenario)->Unit(benchmark::kMillisecond);
 void BM_Core_RefreshEstimates(benchmark::State& state) {
   // An alert node's work per RESPONSE heard: fold the observation into its
   // PeerTable, then formula 2 (expected velocity) and formula 3 (predicted
-  // arrival) over entries(). Degree 8, neighbors heard round-robin in
-  // scrambled id order; items are RESPONSEs.
+  // arrival) from the table's cached per-peer terms, as
+  // Protocol::refresh_estimates runs them. Degree 8, neighbors heard
+  // round-robin in scrambled id order; items are RESPONSEs.
   constexpr std::uint32_t kDegree = 8;
   pas::sim::Pcg32 rng(11, 3);
   std::vector<pas::core::PeerObservation> heard(kDegree);
@@ -350,9 +351,8 @@ void BM_Core_RefreshEstimates(benchmark::State& state) {
     pas::core::PeerObservation obs = heard[k];
     obs.received_at = now;
     table.update(obs);
-    const auto velocity = pas::core::expected_velocity(table.entries());
-    const auto arrival =
-        pas::core::predict_arrival(self, now, table.entries(), policy);
+    const auto velocity = table.expected_velocity();
+    const auto arrival = table.predict_arrival(self, now, policy);
     benchmark::DoNotOptimize(velocity);
     benchmark::DoNotOptimize(arrival);
     if (++k == kDegree) k = 0;
@@ -362,16 +362,18 @@ void BM_Core_RefreshEstimates(benchmark::State& state) {
 }
 BENCHMARK(BM_Core_RefreshEstimates);
 
-void BM_World_Setup(benchmark::State& state) {
-  // The set-up world::Workspace runs before each replication's simulation:
-  // deployment draws until connected, the arrival map, and Network::reset
-  // (neighbor lists) on a warm network. Items are replications.
-  const auto cfg = pas::world::paper_scenario();
+/// The set-up world::Workspace runs before each replication's simulation:
+/// deployment draws until the disk graph is connected (one graph per
+/// attempt, storage reused), the arrival map, and Network::reset taking the
+/// accepted graph on a warm network. Items are replications.
+void world_setup(benchmark::State& state,
+                 const pas::world::ScenarioConfig& cfg) {
   const auto model = pas::world::make_stimulus(cfg);
   const auto channel = std::make_shared<pas::net::PerfectChannel>();
   pas::stimulus::ArrivalMap arrivals;
   pas::sim::Simulator sim;
-  std::optional<pas::net::Network> network;
+  pas::net::Network network(sim);
+  pas::geom::DiskGraph graph;
   std::uint64_t seed = 1;
   for (auto _ : state) {
     const pas::sim::SeedSequence seeds(seed++);
@@ -381,19 +383,32 @@ void BM_World_Setup(benchmark::State& state) {
          !connected && attempt < cfg.max_deployment_attempts; ++attempt) {
       auto rng = seeds.stream(pas::sim::SeedSequence::kDeployment, attempt);
       positions = pas::world::generate_deployment(cfg.deployment, rng);
-      connected = pas::world::is_connected(positions, cfg.radio.range_m);
+      graph.build(positions, cfg.radio.range_m);
+      connected = graph.connected();
     }
     arrivals.assign(*model, positions, cfg.duration_s);
-    if (network.has_value()) {
-      network->reset(positions, cfg.radio, channel, seeds);
-    } else {
-      network.emplace(sim, positions, cfg.radio, channel, seeds);
-    }
-    benchmark::DoNotOptimize(network->mean_degree());
+    network.reset(positions, cfg.radio, channel, seeds, graph);
+    benchmark::DoNotOptimize(network.mean_degree());
   }
   state.SetItemsProcessed(state.iterations());
 }
+
+void BM_World_Setup(benchmark::State& state) {
+  // The paper scenario: radial front, whose arrival map is closed-form.
+  world_setup(state, pas::world::paper_scenario());
+}
 BENCHMARK(BM_World_Setup);
+
+void BM_World_SetupPlume(benchmark::State& state) {
+  // examples/campaign.json's plume half: the arrival map searches the
+  // plume's coarse probe grid for every node.
+  const std::string here = __FILE__;
+  const std::string root = here.substr(0, here.find("bench/bench_kernel.cpp"));
+  auto cfg = pas::exp::Manifest::load(root + "examples/campaign.json").base;
+  cfg.stimulus = pas::world::StimulusKind::kPlume;
+  world_setup(state, cfg);
+}
+BENCHMARK(BM_World_SetupPlume);
 
 // --- Aggregation pipeline ---------------------------------------------------
 

@@ -70,9 +70,33 @@ struct PredictionPolicy {
 /// deliberately not clamped to `now`: a clamped estimate re-broadcast by an
 /// alert node would look perpetually fresh to its neighbors and a boundary
 /// alert belt could then keep itself awake forever after the front stops.
+///
+/// Computed as fold_arrival() over fresh arrival_term()s; PeerTable's
+/// cached form must equal it bit for bit.
 [[nodiscard]] sim::Time predict_arrival(geom::Vec2 x_position, sim::Time now,
                                         std::span<const PeerObservation> peers,
                                         const PredictionPolicy& policy);
+
+/// arrival_term() of an eligible peer at X's own position: the front is at
+/// X now. No real term is -∞, since reference times are finite.
+inline constexpr sim::Time kFrontHere = sim::kLongAgo;
+
+/// Formula 3's per-peer term: `ref + travel` for a peer that can
+/// contribute, kNever for one that cannot (wrong state, no valid velocity,
+/// speed ≤ 0, or cos φ ≤ 0 under cosine projection; checked in that
+/// order), kFrontHere for an eligible co-located peer. Depends on the peer's
+/// row, X's position and the policy's use_alert_peers/cosine_projection —
+/// never on `now` or the overdue tolerance.
+[[nodiscard]] sim::Time arrival_term(geom::Vec2 x_position,
+                                     const PeerObservation& peer,
+                                     const PredictionPolicy& policy);
+
+/// Formula 3's fold over per-peer terms: `now` if any term is kFrontHere,
+/// else the minimum of the terms not older than now − overdue_tolerance_s
+/// (kNever if none).
+[[nodiscard]] sim::Time fold_arrival(sim::Time now,
+                                     std::span<const sim::Time> terms,
+                                     sim::Duration overdue_tolerance_s);
 
 /// Re-broadcast trigger (§3.2): a prediction change is significant when it
 /// moved by more than `rel` of the previously announced remaining time

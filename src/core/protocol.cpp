@@ -358,16 +358,17 @@ void Protocol::refresh_estimates(std::uint32_t i) {
   if (config_.observation_ttl_s > 0.0) {
     rt.table.expire_older_than(simulator_.now() - config_.observation_ttl_s);
   }
-  const auto peers = rt.table.entries();
+  // The table answers from its cached per-peer terms and velocity sum,
+  // bit for bit what the free functions give over entries().
   if (rt.state != NodeState::kCovered) {
-    if (const auto expected = expected_velocity(peers)) {
+    if (const auto expected = rt.table.expected_velocity()) {
       rt.velocity = *expected;
       rt.velocity_valid = true;
     }
   }
   rt.predicted_arrival =
-      predict_arrival(nodes_[i].position, simulator_.now(), peers,
-                      policy_->prediction_policy(rt.state));
+      rt.table.predict_arrival(nodes_[i].position, simulator_.now(),
+                               policy_->prediction_policy(rt.state));
 }
 
 void Protocol::on_message(std::uint32_t i, const net::Message& msg) {

@@ -1,5 +1,6 @@
 #include "exp/axis.hpp"
 
+#include <cmath>
 #include <stdexcept>
 
 #include "io/csv.hpp"
@@ -77,8 +78,9 @@ void Axis::apply(world::ScenarioConfig& config, std::size_t i) const {
           world::deployment_kind_from_string(labels.at(i));
       break;
     case AxisKind::kRadioRange:
-      if (numbers.at(i) <= 0.0) {
-        throw std::invalid_argument("Axis radio_range_m: value must be > 0");
+      if (!(numbers.at(i) > 0.0) || !std::isfinite(numbers.at(i))) {
+        throw std::invalid_argument(
+            "Axis radio_range_m: value must be finite and > 0");
       }
       config.radio.range_m = numbers.at(i);
       break;

@@ -1,10 +1,8 @@
 #include "net/network.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 #include <type_traits>
 
-#include "geom/aabb.hpp"
 #include "net/mac.hpp"
 
 namespace pas::net {
@@ -19,6 +17,27 @@ Network::Network(sim::Simulator& simulator, std::vector<geom::Vec2> positions,
 void Network::reset(std::vector<geom::Vec2> positions, RadioConfig config,
                     std::shared_ptr<Channel> channel,
                     const sim::SeedSequence& seeds) {
+  assign(std::move(positions), config, std::move(channel), seeds);
+  // Precompute the neighbor lists once; nodes are static for a run. The
+  // graph keeps its storage across resets.
+  graph_.build(positions_, config_.range_m);
+  graph_.sort_neighbors();
+}
+
+void Network::reset(std::vector<geom::Vec2> positions, RadioConfig config,
+                    std::shared_ptr<Channel> channel,
+                    const sim::SeedSequence& seeds, geom::DiskGraph& graph) {
+  if (graph.size() != positions.size()) {
+    throw std::invalid_argument("Network: disk graph size must match");
+  }
+  assign(std::move(positions), config, std::move(channel), seeds);
+  graph_.swap(graph);
+  graph_.sort_neighbors();
+}
+
+void Network::assign(std::vector<geom::Vec2> positions, RadioConfig config,
+                     std::shared_ptr<Channel> channel,
+                     const sim::SeedSequence& seeds) {
   if (positions.empty()) {
     throw std::invalid_argument("Network: need at least one node");
   }
@@ -38,27 +57,6 @@ void Network::reset(std::vector<geom::Vec2> positions, RadioConfig config,
   rx_hook_ = EnergyHook{};
   alert_handler_ = AlertHandler{};
   mac_ = nullptr;
-
-  // Precompute the neighbor lists once; nodes are static for a run. The
-  // per-node vectors keep their capacity across resets.
-  geom::Aabb bounds{positions_.front(), positions_.front()};
-  for (const auto& p : positions_) {
-    bounds.lo.x = std::min(bounds.lo.x, p.x);
-    bounds.lo.y = std::min(bounds.lo.y, p.y);
-    bounds.hi.x = std::max(bounds.hi.x, p.x);
-    bounds.hi.y = std::max(bounds.hi.y, p.y);
-  }
-  const geom::GridIndex index(positions_, bounds.inflated(1.0), config_.range_m);
-  neighbors_.resize(positions_.size());
-  for (std::uint32_t i = 0; i < positions_.size(); ++i) {
-    std::vector<std::uint32_t>& list = neighbors_[i];
-    list.clear();
-    index.for_each_in_radius(positions_[i], config_.range_m,
-                             [&list, i](std::uint32_t j) {
-                               if (j != i) list.push_back(j);
-                             });
-    std::sort(list.begin(), list.end());
-  }
 
   handlers_.clear();
   handlers_.resize(positions_.size());
@@ -145,7 +143,7 @@ void Network::broadcast(std::uint32_t from, Message msg) {
 }
 
 void Network::fan_out(const Message& msg) {
-  for (const std::uint32_t to : neighbors_[msg.sender]) {
+  for (const std::uint32_t to : graph_.neighbors(msg.sender)) {
     if (failed_[to] != 0) {
       ++stats_.dropped_failed;
       continue;
@@ -165,10 +163,12 @@ void Network::fan_out(const Message& msg) {
 }
 
 double Network::mean_degree() const noexcept {
-  if (neighbors_.empty()) return 0.0;
+  if (graph_.size() == 0) return 0.0;
   std::size_t total = 0;
-  for (const auto& n : neighbors_) total += n.size();
-  return static_cast<double>(total) / static_cast<double>(neighbors_.size());
+  for (std::size_t i = 0; i < graph_.size(); ++i) {
+    total += graph_.neighbors(i).size();
+  }
+  return static_cast<double>(total) / static_cast<double>(graph_.size());
 }
 
 }  // namespace pas::net

@@ -17,9 +17,11 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
+#include <stdexcept>
 #include <vector>
 
-#include "geom/grid_index.hpp"
+#include "geom/disk_graph.hpp"
 #include "geom/vec2.hpp"
 #include "net/channel.hpp"
 #include "net/message.hpp"
@@ -50,12 +52,24 @@ class Network {
           RadioConfig config, std::shared_ptr<Channel> channel,
           const sim::SeedSequence& seeds);
 
+  /// A fabric with no nodes yet; reset() gives it a world.
+  explicit Network(sim::Simulator& simulator) : simulator_(simulator) {}
+
   /// Rebuilds the fabric for a new world (positions/config/channel/seeds)
-  /// while reusing neighbor-list, handler and RNG storage — the
-  /// world::Workspace path between replications. Equivalent to constructing
-  /// a fresh Network with the same arguments (the bound simulator stays).
+  /// while reusing neighbor-list, handler and RNG storage. Equivalent to
+  /// constructing a fresh Network with the same arguments (the bound
+  /// simulator stays).
   void reset(std::vector<geom::Vec2> positions, RadioConfig config,
              std::shared_ptr<Channel> channel, const sim::SeedSequence& seeds);
+
+  /// reset() with the disk graph already built: `graph` must be
+  /// geom::DiskGraph::build(positions, config.range_m)'s result, sorted or
+  /// not. It is swapped in and sorted, and `graph` gets the previous world's
+  /// graph back, so both sides keep their capacity — the world::Workspace
+  /// path, which built the graph to check connectivity.
+  void reset(std::vector<geom::Vec2> positions, RadioConfig config,
+             std::shared_ptr<Channel> channel, const sim::SeedSequence& seeds,
+             geom::DiskGraph& graph);
 
   [[nodiscard]] std::size_t size() const noexcept { return positions_.size(); }
   [[nodiscard]] const RadioConfig& radio_config() const noexcept {
@@ -66,9 +80,12 @@ class Network {
   }
 
   /// Neighbor ids within radio range (excluding `id` itself), ascending.
-  [[nodiscard]] const std::vector<std::uint32_t>& neighbors_of(
+  [[nodiscard]] std::span<const std::uint32_t> neighbors_of(
       std::uint32_t id) const {
-    return neighbors_.at(id);
+    if (id >= size()) {
+      throw std::out_of_range("Network::neighbors_of: unknown node");
+    }
+    return graph_.neighbors(id);
   }
 
   /// Handler invoked on successful packet reception.
@@ -132,6 +149,10 @@ class Network {
   [[nodiscard]] double mean_degree() const noexcept;
 
  private:
+  /// Everything reset() does but the neighbor lists.
+  void assign(std::vector<geom::Vec2> positions, RadioConfig config,
+              std::shared_ptr<Channel> channel, const sim::SeedSequence& seeds);
+
   /// The body of a mac-off broadcast's delivery event.
   void fan_out(const Message& msg);
 
@@ -139,7 +160,7 @@ class Network {
   std::vector<geom::Vec2> positions_;
   RadioConfig config_;
   std::shared_ptr<Channel> channel_;
-  std::vector<std::vector<std::uint32_t>> neighbors_;
+  geom::DiskGraph graph_;  // every node's neighbors ascending
   std::vector<RxHandler> handlers_;
   AlertHandler alert_handler_;
   SlottedLplMac* mac_ = nullptr;

@@ -17,6 +17,9 @@
 
 namespace pas::stimulus {
 
+/// Width of the bracket first_crossing() bisects an arrival down to.
+inline constexpr sim::Duration kCrossingTolerance = 1e-4;
+
 class StimulusModel {
  public:
   virtual ~StimulusModel() = default;
@@ -69,9 +72,15 @@ class StimulusModel {
   /// increments for the first covered sample, then bisects the bracketing
   /// interval down to `tol`. Exact only for coverage that, once gained, is
   /// not lost within a coarse step — true for all models in this library.
-  [[nodiscard]] sim::Time first_crossing(geom::Vec2 p, sim::Time horizon,
-                                         sim::Duration coarse_step,
-                                         sim::Duration tol = 1e-4) const;
+  ///
+  /// The probes are accumulated (t += coarse_step, clamped to the horizon),
+  /// never k · coarse_step. This scan backs the default arrival_time(); a
+  /// model that finds arrivals faster (GaussianPlumeModel searches the same
+  /// probes) must return its bits exactly, and the tests use this scan as
+  /// the oracle.
+  [[nodiscard]] sim::Time first_crossing(
+      geom::Vec2 p, sim::Time horizon, sim::Duration coarse_step,
+      sim::Duration tol = kCrossingTolerance) const;
 };
 
 }  // namespace pas::stimulus

@@ -7,7 +7,17 @@
 // and eventually *recedes* as it dilutes — which exercises the paper's
 // covered → (detection timeout) → safe transition that the monotone models
 // never trigger.
+//
+// Arrival times are first_crossing()'s, found by search. At any position c
+// rises to one peak and then falls, so coverage over the coarse probes is
+// monotone before the peak; a binary search finds the first covered probe
+// there, and at most the probes around the peak are tested one by one. The
+// bisection after that is first_crossing()'s own, so the result has the
+// same bits as the scan, with O(log n) probes instead of up to n.
 #pragma once
+
+#include <span>
+#include <vector>
 
 #include "geom/vec2.hpp"
 #include "stimulus/field.hpp"
@@ -37,8 +47,16 @@ class GaussianPlumeModel final : public StimulusModel {
   [[nodiscard]] bool covered(geom::Vec2 p, sim::Time t) const override;
   [[nodiscard]] double concentration(geom::Vec2 p, sim::Time t) const override;
   [[nodiscard]] geom::Vec2 source() const noexcept override { return cfg_.source; }
+  /// first_crossing() with probe_step(), bit for bit, but the first
+  /// covered probe is found by search: c(p, t) is unimodal in t, so
+  /// coverage is monotone over the probes before its peak and at most the
+  /// probes around the peak need testing one by one. O(log n) probes
+  /// instead of up to n; the bisection that follows is first_crossing's.
   [[nodiscard]] sim::Time arrival_time(geom::Vec2 p,
                                        sim::Time horizon) const override;
+  /// arrival_time() for every position, building the probe times once.
+  void arrival_many(std::span<const geom::Vec2> ps, sim::Time horizon,
+                    std::span<sim::Time> out) const override;
   /// Closed-form Gaussian evaluated in one vectorizable loop: the advected
   /// center and 1/(4Dτ) terms are hoisted out of the per-point work.
   void sample_many(std::span<const geom::Vec2> ps, sim::Time t,
@@ -57,7 +75,18 @@ class GaussianPlumeModel final : public StimulusModel {
 
   [[nodiscard]] const GaussianPlumeConfig& config() const noexcept { return cfg_; }
 
+  /// The coarse step of the arrival search: 1/2048 of the dissolve window,
+  /// at least 1 ms.
+  [[nodiscard]] sim::Duration probe_step() const noexcept;
+
  private:
+  /// first_crossing's probe times up to `horizon`, without those after the
+  /// puff has dissolved (never covered anywhere).
+  [[nodiscard]] std::vector<sim::Time> probe_times(sim::Time horizon) const;
+  /// arrival_time(p, horizon) over probe_times(horizon).
+  [[nodiscard]] sim::Time arrival_on(geom::Vec2 p, sim::Time horizon,
+                                     std::span<const sim::Time> probes) const;
+
   GaussianPlumeConfig cfg_;
 };
 

@@ -1,5 +1,6 @@
 #include "world/config_json.hpp"
 
+#include <cmath>
 #include <stdexcept>
 #include <string>
 
@@ -345,6 +346,10 @@ ScenarioConfig scenario_from_json(const io::Json& j, ScenarioConfig base) {
                     {"range_m", "data_rate_bps", "max_jitter_s",
                      "propagation_s"});
     base.radio.range_m = r.number_or("range_m", base.radio.range_m);
+    if (!(base.radio.range_m > 0.0) || !std::isfinite(base.radio.range_m)) {
+      throw std::runtime_error(
+          "scenario_from_json: radio.range_m must be finite and > 0");
+    }
     base.radio.data_rate_bps =
         r.number_or("data_rate_bps", base.radio.data_rate_bps);
     base.radio.max_jitter_s =

@@ -4,7 +4,7 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "geom/grid_index.hpp"
+#include "geom/disk_graph.hpp"
 
 namespace pas::world {
 
@@ -95,32 +95,9 @@ std::vector<geom::Vec2> generate_deployment(const DeploymentConfig& config,
 }
 
 bool is_connected(const std::vector<geom::Vec2>& positions, double range) {
-  if (positions.empty()) return true;
-  geom::Aabb bounds{positions.front(), positions.front()};
-  for (const auto& p : positions) {
-    bounds.lo.x = std::min(bounds.lo.x, p.x);
-    bounds.lo.y = std::min(bounds.lo.y, p.y);
-    bounds.hi.x = std::max(bounds.hi.x, p.x);
-    bounds.hi.y = std::max(bounds.hi.y, p.y);
-  }
-  const geom::GridIndex index(positions, bounds.inflated(1.0), range);
-  // BFS from node 0. `order` holds every node reached so far, in visit
-  // order; the nodes from `head` on are the frontier.
-  std::vector<char> seen(positions.size(), 0);
-  std::vector<std::uint32_t> order;
-  order.reserve(positions.size());
-  order.push_back(0);
-  seen[0] = 1;
-  for (std::size_t head = 0; head < order.size(); ++head) {
-    index.for_each_in_radius(positions[order[head]], range,
-                             [&](std::uint32_t next) {
-                               if (seen[next] == 0) {
-                                 seen[next] = 1;
-                                 order.push_back(next);
-                               }
-                             });
-  }
-  return order.size() == positions.size();
+  geom::DiskGraph graph;
+  graph.build(positions, range);
+  return graph.connected();
 }
 
 }  // namespace pas::world

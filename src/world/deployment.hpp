@@ -58,7 +58,8 @@ struct DeploymentConfig {
     std::size_t count, geom::Aabb region, double min_separation,
     sim::Pcg32& rng);
 
-/// True if the disk graph over `positions` with radius `range` is connected.
+/// True if the disk graph over `positions` with radius `range` is
+/// connected: geom::DiskGraph::build, then DiskGraph::connected.
 [[nodiscard]] bool is_connected(const std::vector<geom::Vec2>& positions,
                                 double range);
 

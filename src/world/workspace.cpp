@@ -1,5 +1,6 @@
 #include "world/workspace.hpp"
 
+#include <cmath>
 #include <stdexcept>
 #include <utility>
 
@@ -58,17 +59,24 @@ void Workspace::execute(const ScenarioConfig& config,
   if (config.duration_s <= 0.0) {
     throw std::invalid_argument("run_scenario: duration must be > 0");
   }
+  if (!(config.radio.range_m > 0.0) || !std::isfinite(config.radio.range_m)) {
+    throw std::invalid_argument(
+        "run_scenario: radio.range_m must be finite and > 0");
+  }
 
   const sim::SeedSequence seeds(config.seed);
 
   // Deployment: redraw until the disk graph is connected, exactly like a
-  // fresh run (each attempt advances the dedicated deployment stream).
+  // fresh run (each attempt advances the dedicated deployment stream). Each
+  // attempt builds its disk graph once: the search checks it, and the
+  // accepted attempt's lists become the network's neighbor lists.
   bool connected = false;
   for (std::size_t attempt = 0; attempt < config.max_deployment_attempts;
        ++attempt) {
     sim::Pcg32 rng = seeds.stream(sim::SeedSequence::kDeployment, attempt);
     positions_ = generate_deployment(config.deployment, rng);
-    if (is_connected(positions_, config.radio.range_m)) {
+    graph_.build(positions_, config.radio.range_m);
+    if (graph_.connected()) {
       deployment_attempts_ = attempt + 1;
       connected = true;
       break;
@@ -84,12 +92,9 @@ void Workspace::execute(const ScenarioConfig& config,
   arrivals_.assign(model, positions_, config.duration_s);
 
   simulator_.reset();
-  if (network_.has_value()) {
-    network_->reset(positions_, config.radio, make_channel(config), seeds);
-  } else {
-    network_.emplace(simulator_, positions_, config.radio,
-                     make_channel(config), seeds);
-  }
+  if (!network_.has_value()) network_.emplace(simulator_);
+  network_->reset(positions_, config.radio, make_channel(config), seeds,
+                  graph_);
 
   nodes_.resize(positions_.size());
   for (std::uint32_t i = 0; i < nodes_.size(); ++i) {

@@ -9,11 +9,16 @@
 // place instead of reallocated.
 //
 // A Workspace owns the world's storage across runs: the simulator's event
-// slab, the network's neighbor lists, the node and outcome tables, the
+// slab, a disk graph, the network, the node and outcome tables, the
 // arrival-map buffer, and a stimulus-model cache keyed by the config's
 // stimulus section. Each run() re-seeds and resets them. Results are
 // guaranteed byte-identical to a fresh run_scenario() — the reuse is purely
 // allocational — and tests/world/test_workspace.cpp enforces it.
+//
+// Each deployment attempt builds its disk graph once, into graph_: the
+// connectivity check searches it, and the accepted attempt's graph is
+// swapped into the network as its neighbor lists, handing the network's
+// previous graph back for the next run's attempts.
 //
 // A Workspace is single-threaded like the simulations it hosts; give each
 // worker thread its own (exp::run_campaign and world::run_replicated do).
@@ -23,6 +28,7 @@
 #include <optional>
 #include <vector>
 
+#include "geom/disk_graph.hpp"
 #include "metrics/report.hpp"
 #include "net/network.hpp"
 #include "node/sensor_node.hpp"
@@ -78,6 +84,8 @@ class Workspace {
   bool model_valid_ = false;
 
   std::vector<geom::Vec2> positions_;
+  // The current deployment attempt's disk graph; swapped into network_.
+  geom::DiskGraph graph_;
   stimulus::ArrivalMap arrivals_;
   std::vector<node::SensorNode> nodes_;
   std::vector<metrics::NodeOutcome> outcomes_;

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "world/config_json.hpp"
 
 namespace pas::exp {
@@ -113,6 +115,26 @@ TEST(Manifest, NegativeCountsRejected) {
   EXPECT_THROW(Manifest::from_json(io::Json::parse(
                    R"({"base": {"deployment": {"count": -3}}})")),
                std::runtime_error);
+}
+
+TEST(Manifest, NonPositiveRadioRangeRejectedAtLoadTime) {
+  // The manifest author hears about the key at load time, not from the
+  // spatial index mid-run. (JSON cannot spell a non-finite range: the
+  // parser refuses 1e999.)
+  for (const std::string range : {"0", "-3", "-0"}) {
+    for (const std::string& text :
+         {R"({"base": {"radio": {"range_m": )" + range + "}}}",
+          R"({"axes": [{"axis": "radio_range_m", "values": [)" + range +
+              "]}]}"}) {
+      try {
+        (void)Manifest::from_json(io::Json::parse(text));
+        ADD_FAILURE() << "accepted " << text;
+      } catch (const std::exception& e) {
+        EXPECT_NE(std::string(e.what()).find("range_m"), std::string::npos)
+            << text << ": " << e.what();
+      }
+    }
+  }
 }
 
 TEST(Manifest, BadAxisValueFailsAtLoadTime) {

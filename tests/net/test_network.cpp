@@ -5,8 +5,17 @@
 #include <utility>
 #include <vector>
 
+#include "geom/disk_graph.hpp"
+#include "sim/rng.hpp"
+
 namespace pas::net {
 namespace {
+
+/// A node's neighbor ids as a vector, for comparisons.
+std::vector<std::uint32_t> neighbors(const Network& network, std::uint32_t id) {
+  const auto ids = network.neighbors_of(id);
+  return {ids.begin(), ids.end()};
+}
 
 struct NetworkFixture : ::testing::Test {
   // Chain topology: 0 -- 1 -- 2, spacing 8 m, range 10 m (0 and 2 are 16 m
@@ -20,9 +29,9 @@ struct NetworkFixture : ::testing::Test {
 };
 
 TEST_F(NetworkFixture, NeighborListsFromRange) {
-  EXPECT_EQ(network.neighbors_of(0), (std::vector<std::uint32_t>{1}));
-  EXPECT_EQ(network.neighbors_of(1), (std::vector<std::uint32_t>{0, 2}));
-  EXPECT_EQ(network.neighbors_of(2), (std::vector<std::uint32_t>{1}));
+  EXPECT_EQ(neighbors(network, 0), (std::vector<std::uint32_t>{1}));
+  EXPECT_EQ(neighbors(network, 1), (std::vector<std::uint32_t>{0, 2}));
+  EXPECT_EQ(neighbors(network, 2), (std::vector<std::uint32_t>{1}));
   EXPECT_NEAR(network.mean_degree(), 4.0 / 3.0, 1e-12);
 }
 
@@ -128,8 +137,7 @@ struct StarFixture : ::testing::Test {
 };
 
 TEST_F(StarFixture, HandlerFailingALaterReceiverDropsItsDelivery) {
-  ASSERT_EQ(network.neighbors_of(0),
-            (std::vector<std::uint32_t>{1, 2, 3, 4}));
+  ASSERT_EQ(neighbors(network, 0), (std::vector<std::uint32_t>{1, 2, 3, 4}));
   std::vector<std::uint32_t> received;
   for (std::uint32_t i = 1; i <= 4; ++i) {
     network.set_rx_handler(i, [&, i](const Message&) {
@@ -230,6 +238,52 @@ TEST(Network, ValidationErrors) {
                std::invalid_argument);
   EXPECT_THROW(Network(simulator, {{0.0, 0.0}}, RadioConfig{}, nullptr, seeds),
                std::invalid_argument);
+}
+
+TEST(Network, HandedDiskGraphEqualsItsOwnBuild) {
+  // The world::Workspace path: a disk graph built (unsorted) for the
+  // connectivity check is swapped into reset(). The network must end up with
+  // the neighbor lists a fresh Network builds, and hand back its previous
+  // graph.
+  sim::Pcg32 rng(8, 1);
+  sim::Simulator simulator;
+  const sim::SeedSequence seeds(5);
+  Network handed(simulator);
+  geom::DiskGraph graph;
+  std::size_t previous = 0;
+  for (int round = 0; round < 300; ++round) {
+    const auto n = static_cast<std::size_t>(1 + rng.next() % 50);
+    RadioConfig config;
+    config.range_m = rng.uniform(1.0, 15.0);
+    std::vector<geom::Vec2> positions;
+    for (std::size_t i = 0; i < n; ++i) {
+      positions.push_back({rng.uniform(0.0, 40.0), rng.uniform(0.0, 40.0)});
+    }
+    graph.build(positions, config.range_m);
+    handed.reset(positions, config, std::make_shared<PerfectChannel>(), seeds,
+                 graph);
+    EXPECT_EQ(graph.size(), previous);
+    previous = n;
+    const Network fresh(simulator, positions, config,
+                        std::make_shared<PerfectChannel>(), seeds);
+    ASSERT_EQ(handed.size(), fresh.size());
+    for (std::uint32_t i = 0; i < n; ++i) {
+      ASSERT_EQ(neighbors(handed, i), neighbors(fresh, i)) << "round " << round;
+    }
+  }
+}
+
+TEST(Network, HandedDiskGraphMustMatchPositions) {
+  sim::Simulator simulator;
+  const sim::SeedSequence seeds(1);
+  Network network(simulator);
+  geom::DiskGraph graph;
+  const std::vector<geom::Vec2> two{{0.0, 0.0}, {5.0, 0.0}};
+  graph.build(two, 10.0);
+  EXPECT_THROW(network.reset({{0.0, 0.0}}, RadioConfig{},
+                             std::make_shared<PerfectChannel>(), seeds, graph),
+               std::invalid_argument);
+  EXPECT_THROW((void)network.neighbors_of(0), std::out_of_range);
 }
 
 TEST(Network, BroadcastFromUnknownSenderThrows) {

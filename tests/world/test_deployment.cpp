@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "geom/disk_graph.hpp"
+
 namespace pas::world {
 namespace {
 
@@ -82,6 +86,53 @@ TEST(IsConnected, DetectsChainAndGap) {
   EXPECT_FALSE(is_connected({{0.0, 0.0}, {8.0, 0.0}, {30.0, 0.0}}, 10.0));
   EXPECT_TRUE(is_connected({}, 10.0));
   EXPECT_TRUE(is_connected({{1.0, 1.0}}, 10.0));
+}
+
+/// Connectivity by union-find over every in-range pair.
+bool brute_force_connected(const std::vector<geom::Vec2>& pts, double range) {
+  std::vector<std::size_t> parent(pts.size());
+  for (std::size_t i = 0; i < pts.size(); ++i) parent[i] = i;
+  const auto root = [&](std::size_t v) {
+    while (parent[v] != v) v = parent[v] = parent[parent[v]];
+    return v;
+  };
+  std::size_t components = pts.size();
+  for (std::size_t i = 0; i < pts.size(); ++i) {
+    for (std::size_t j = i + 1; j < pts.size(); ++j) {
+      if (geom::distance2(pts[i], pts[j]) <= range * range &&
+          root(i) != root(j)) {
+        parent[root(i)] = root(j);
+        --components;
+      }
+    }
+  }
+  return components <= 1;
+}
+
+TEST(IsConnected, ReusedDiskGraphAgreesWithPositionFormAndBruteForce) {
+  // The workspace checks each deployment attempt on one reused DiskGraph;
+  // is_connected(positions, range) builds a fresh one. Over grid, uniform
+  // and Poisson-disk deployments at ranges that connect some and not
+  // others, both agree with brute force.
+  geom::DiskGraph graph;
+  std::size_t connected = 0;
+  constexpr int kDeployments = 10'000;
+  for (int k = 0; k < kDeployments; ++k) {
+    DeploymentConfig cfg;
+    cfg.kind = static_cast<DeploymentKind>(k % 3);
+    cfg.count = 10 + static_cast<std::size_t>(k % 31);
+    sim::Pcg32 rng(static_cast<std::uint64_t>(k), 9);
+    const double range = rng.uniform(4.0, 14.0);
+    const auto positions = generate_deployment(cfg, rng);
+    graph.build(positions, range);
+    const bool want = brute_force_connected(positions, range);
+    ASSERT_EQ(graph.connected(), want) << "deployment " << k;
+    ASSERT_EQ(is_connected(positions, range), want) << "deployment " << k;
+    connected += want ? 1 : 0;
+  }
+  // Both outcomes are well represented.
+  EXPECT_GT(connected, kDeployments / 5);
+  EXPECT_LT(connected, kDeployments - kDeployments / 5);
 }
 
 TEST(DeploymentKindNames, Stable) {
