@@ -122,6 +122,20 @@ bool telemetry_identity_matches(const io::Json& row,
               static_cast<double>(replications));
 }
 
+/// True if `line` is a JSON object of kind "point" or "registry": the
+/// first row of a --metrics file, even of one whose shard owned no points
+/// and so holds only its trailer.
+bool is_metrics_line(const std::string& line) {
+  try {
+    const io::Json row = io::Json::parse(line);
+    if (!row.is_object()) return false;
+    const std::string kind = row.string_or("kind", "");
+    return kind == "point" || kind == "registry";
+  } catch (const std::runtime_error&) {
+    return false;
+  }
+}
+
 /// One exported artifact, written to `<path>.tmp` and renamed over `path`
 /// by commit() so a reader never sees a half-written file. An empty path
 /// disables it.
@@ -134,6 +148,15 @@ class ExportFile {
       throw std::runtime_error("Aggregator: cannot write " + path_ + ".tmp");
     }
   }
+  ExportFile(const ExportFile&) = delete;
+  ExportFile& operator=(const ExportFile&) = delete;
+  /// A failed export leaves no temp file behind.
+  ~ExportFile() {
+    if (path_.empty() || committed_) return;
+    out_.close();
+    std::error_code ec;
+    std::filesystem::remove(path_ + ".tmp", ec);
+  }
   [[nodiscard]] bool enabled() const { return !path_.empty(); }
   std::ofstream& out() { return out_; }
   void commit() {
@@ -142,11 +165,13 @@ class ExportFile {
     if (std::rename((path_ + ".tmp").c_str(), path_.c_str()) != 0) {
       throw std::runtime_error("Aggregator: cannot replace " + path_);
     }
+    committed_ = true;
   }
 
  private:
   std::string path_;
   std::ofstream out_;
+  bool committed_ = false;
 };
 
 /// Approximate in-memory footprint of a buffered record, for the spill
@@ -225,15 +250,18 @@ Aggregator::Aggregator(AggregatorOptions options)
     throw std::logic_error(
         "Aggregator: a row-store path requires a summary CSV path");
   }
-  if (!options.owned_points.empty()) {
+  if (options.owned_points.has_value()) {
     owned_.assign(total_points_, 0);
-    for (const auto p : options.owned_points) {
+    for (const auto p : *options.owned_points) {
       if (p >= total_points_) {
         throw std::logic_error("Aggregator: owned point out of range");
       }
       if (owned_[p] == 0) ++owned_count_;
       owned_[p] = 1;
     }
+  } else {
+    owned_.assign(total_points_, 1);
+    owned_count_ = total_points_;
   }
   columns_ = {"point", "seed"};
   columns_.insert(columns_.end(), options.axis_names.begin(),
@@ -279,11 +307,12 @@ std::string Aggregator::json_line(const std::vector<std::string>& cells) const {
 }
 
 void Aggregator::read_csv_rows(
-    const std::string& path, const std::vector<std::string>& want_header,
-    const char* flag_hint, std::size_t key_arity,
+    const Import& file,
     const std::function<void(std::size_t, std::size_t,
                              std::vector<std::string>)>& on_row) {
-  std::ifstream in(path);
+  const bool per_run = file.kind == RowStore::Kind::kPerRun;
+  const auto& want_header = per_run ? per_run_columns_ : columns_;
+  std::ifstream in(file.path);
   if (!in) return;
   std::string line;
   bool first = true;
@@ -292,9 +321,9 @@ void Aggregator::read_csv_rows(
     if (first) {
       first = false;
       if (split_join_csv(line) != want_header) {
-        throw std::runtime_error(
-            "Aggregator: existing output header does not match this "
-            "campaign (" + path + "); delete it or change " + flag_hint);
+        throw std::runtime_error("Aggregator: the header of " + file.path +
+                                 " does not match this campaign's columns "
+                                 "(another manifest?)");
       }
       continue;
     }
@@ -304,13 +333,12 @@ void Aggregator::read_csv_rows(
     if (cells.size() != want_header.size()) continue;
     std::size_t point = 0, rep = 0;
     if (!parse_index(cells[0], point)) continue;
-    if (key_arity > 1 && !parse_index(cells[1], rep)) continue;
+    if (per_run && !parse_index(cells[1], rep)) continue;
     if (point >= total_points_) continue;
     if (!owns(point)) {
       throw std::runtime_error(
           "Aggregator: row for point " + std::to_string(point) + " in " +
-          path +
-          " does not belong to this shard (wrong --shard/--out pairing?)");
+          file.path + " does not belong to this shard (wrong --shard?)");
     }
     on_row(point, rep, std::move(cells));
   }
@@ -337,47 +365,70 @@ void Aggregator::ensure_store() {
   if (!store_->is_open()) store_->open_append();
 }
 
-void Aggregator::import_artifacts() {
-  // No store but an artifact is on disk: a finalized campaign (or a stale
-  // file from another one). Every row passes the header, identity and shard
-  // checks on its way into a temporary store, which replaces nothing until
-  // the whole import succeeded — a failed or killed import leaves no store
-  // that a later resume would trust over the artifacts. Rows are streamed,
-  // never held: the scan after the rename decides which points are done.
+void Aggregator::import_artifacts(const std::vector<Import>& files) {
+  // No store but files to import: a finalized campaign (or a stale file
+  // from another one) on resume, or the shard files of a merge. Every row
+  // passes the header, identity, shard and repeat checks on its way into a
+  // temporary store, which replaces nothing until the whole import
+  // succeeded — a failed or killed import leaves no store that a later
+  // resume would trust over the artifacts. Rows are streamed, never held:
+  // the scan after the rename decides which points are done.
   const std::string tmp_path = store_path_ + ".tmp";
   std::error_code ec;
   std::filesystem::remove(tmp_path, ec);
   try {
     RowStore tmp(tmp_path, identity_hash_);
     tmp.open_append();
+    // A finalized artifact never repeats a row, so a row imported twice
+    // means two inputs overlap. A point's byte holds one bit per kind
+    // (kSummary and kTelemetry are distinct bits); per-run rows get a byte
+    // per (point, rep).
+    std::vector<std::uint8_t> seen(total_points_, 0);
+    std::vector<std::uint8_t> seen_runs(
+        per_run_path_.empty() ? 0 : total_points_ * replications_, 0);
     // RowStore buffers appends until flush(); flushing every 1024 rows keeps
     // that buffer small however large the artifact is.
     std::size_t batched = 0;
-    const auto append = [&](RowStore::Kind kind, std::size_t point,
+    const auto append = [&](const Import& file, std::size_t point,
                             std::size_t rep,
                             const std::vector<std::string>& cells) {
-      tmp.append(kind, point, rep, cells);
+      std::uint8_t& flags = file.kind == RowStore::Kind::kPerRun
+                                ? seen_runs[point * replications_ + rep]
+                                : seen[point];
+      const auto bit = static_cast<std::uint8_t>(file.kind);
+      if ((flags & bit) != 0) {
+        throw std::runtime_error("Aggregator: " + file.path +
+                                 " repeats a row of point " +
+                                 std::to_string(point) +
+                                 " (overlapping shards?)");
+      }
+      flags |= bit;
+      tmp.append(file.kind, point, rep, cells);
       if (++batched % 1024 == 0) tmp.flush();
     };
-    read_csv_rows(
-        csv_path_, columns_, "--out", /*key_arity=*/1,
-        [&](std::size_t point, std::size_t, std::vector<std::string> cells) {
-          // A mismatch means the file was produced by a different manifest,
-          // and resuming over it would mix incompatible results.
-          if (!summary_identity_matches(point, cells)) {
-            throw std::runtime_error(
-                "Aggregator: row for point " + std::to_string(point) + " in " +
-                csv_path_ +
-                " was computed with different parameters (manifest "
-                "changed?); delete the file or change --out");
-          }
-          append(RowStore::Kind::kSummary, point, 0, cells);
-        });
-    if (!per_run_path_.empty()) {
-      read_csv_rows(
-          per_run_path_, per_run_columns_, "--per-run", /*key_arity=*/2,
-          [&](std::size_t point, std::size_t rep,
-              std::vector<std::string> cells) {
+    const auto mismatch = [](const char* row, std::size_t point,
+                             const Import& file) {
+      // A mismatch means the file was produced by a different manifest,
+      // and importing it would mix incompatible results.
+      return std::runtime_error(
+          std::string("Aggregator: ") + row + " for point " +
+          std::to_string(point) + " in " + file.path +
+          " was computed with different parameters (manifest changed?)");
+    };
+    for (const Import& file : files) {
+      switch (file.kind) {
+        case RowStore::Kind::kSummary:
+          read_csv_rows(file, [&](std::size_t point, std::size_t,
+                                  std::vector<std::string> cells) {
+            if (!summary_identity_matches(point, cells)) {
+              throw mismatch("row", point, file);
+            }
+            append(file, point, 0, cells);
+          });
+          break;
+        case RowStore::Kind::kPerRun:
+          read_csv_rows(file, [&](std::size_t point, std::size_t rep,
+                                  std::vector<std::string> cells) {
             if (rep >= replications_) return;
             if (!expected_identity_.empty()) {
               // Cells are point,rep,seed,axes...; the run's seed must be
@@ -390,44 +441,37 @@ void Aggregator::import_artifacts() {
               for (std::size_t k = 1; matches && k < want.size(); ++k) {
                 matches = cells[2 + k] == want[k];
               }
-              if (!matches) {
-                throw std::runtime_error(
-                    "Aggregator: run row for point " + std::to_string(point) +
-                    " in " + per_run_path_ +
-                    " was computed with different parameters (manifest "
-                    "changed?); delete the file or change --per-run");
-              }
+              if (!matches) throw mismatch("--per-run row", point, file);
             }
-            append(RowStore::Kind::kPerRun, point, rep, cells);
+            append(file, point, rep, cells);
           });
-    }
-    if (!metrics_path_.empty()) {
-      std::ifstream in(metrics_path_);
-      std::string line;
-      while (std::getline(in, line)) {
-        // Trailers, torn or unparsable lines and points outside the grid
-        // are dropped; their points are recomputed.
-        io::Json row;
-        const std::size_t point = parse_point_row(line, total_points_, &row);
-        if (point == SIZE_MAX) continue;
-        if (!owns(point)) {
-          throw std::runtime_error(
-              "Aggregator: telemetry row for point " + std::to_string(point) +
-              " in " + metrics_path_ +
-              " does not belong to this shard (wrong --shard/--metrics "
-              "pairing?)");
+          break;
+        case RowStore::Kind::kTelemetry: {
+          std::ifstream in(file.path);
+          std::string line;
+          while (std::getline(in, line)) {
+            // Trailers, torn or unparsable lines and points outside the
+            // grid are dropped; their points are recomputed.
+            io::Json row;
+            const std::size_t point =
+                parse_point_row(line, total_points_, &row);
+            if (point == SIZE_MAX) continue;
+            if (!owns(point)) {
+              throw std::runtime_error(
+                  "Aggregator: telemetry row for point " +
+                  std::to_string(point) + " in " + file.path +
+                  " does not belong to this shard (wrong --shard?)");
+            }
+            if (!expected_identity_.empty() &&
+                !telemetry_identity_matches(row, axis_names_,
+                                            expected_identity_[point],
+                                            replications_)) {
+              throw mismatch("--metrics row", point, file);
+            }
+            append(file, point, 0, {line});
+          }
+          break;
         }
-        if (!expected_identity_.empty() &&
-            !telemetry_identity_matches(row, axis_names_,
-                                        expected_identity_[point],
-                                        replications_)) {
-          throw std::runtime_error(
-              "Aggregator: telemetry row for point " + std::to_string(point) +
-              " in " + metrics_path_ +
-              " was computed with different parameters (manifest "
-              "changed?); delete the file or change --metrics");
-        }
-        append(RowStore::Kind::kTelemetry, point, 0, {line});
       }
     }
     tmp.close();
@@ -439,19 +483,54 @@ void Aggregator::import_artifacts() {
 }
 
 std::size_t Aggregator::load_existing() {
+  std::vector<Import> own;
+  for (Import file : {Import{csv_path_, RowStore::Kind::kSummary},
+                      Import{per_run_path_, RowStore::Kind::kPerRun},
+                      Import{metrics_path_, RowStore::Kind::kTelemetry}}) {
+    std::error_code ec;
+    if (!file.path.empty() && std::filesystem::exists(file.path, ec)) {
+      own.push_back(file);
+    }
+  }
+  return load(own);
+}
+
+std::size_t Aggregator::load_existing(const std::vector<std::string>& inputs) {
+  std::vector<Import> files;
+  files.reserve(inputs.size());
+  for (const auto& path : inputs) {
+    std::ifstream in(path);
+    if (!in) throw std::runtime_error("Aggregator: cannot read " + path);
+    std::string first;
+    while (first.empty() && std::getline(in, first)) {
+    }
+    const auto cells = split_join_csv(first);
+    if (cells == columns_) {
+      files.push_back({path, RowStore::Kind::kSummary});
+    } else if (!per_run_path_.empty() && cells == per_run_columns_) {
+      files.push_back({path, RowStore::Kind::kPerRun});
+    } else if (!metrics_path_.empty() && is_metrics_line(first)) {
+      files.push_back({path, RowStore::Kind::kTelemetry});
+    } else {
+      throw std::runtime_error(
+          "Aggregator: cannot import " + path +
+          ": expected this campaign's summary CSV, its per-run CSV (with "
+          "--per-run output) or a --metrics file (with --metrics output); a "
+          "--json mirror is rendered, not imported");
+    }
+  }
+  return load(files);
+}
+
+std::size_t Aggregator::load(const std::vector<Import>& imports) {
   const std::lock_guard lock(mutex_);
   if (loaded_) throw std::logic_error("Aggregator: load_existing called twice");
   loaded_ = true;
   if (csv_path_.empty()) return 0;
 
-  const auto on_disk = [](const std::string& path) {
-    std::error_code ec;
-    return !path.empty() && std::filesystem::exists(path, ec);
-  };
-  if (!on_disk(store_path_) &&
-      (on_disk(csv_path_) || on_disk(per_run_path_) ||
-       on_disk(metrics_path_))) {
-    import_artifacts();
+  std::error_code ec;
+  if (!imports.empty() && !std::filesystem::exists(store_path_, ec)) {
+    import_artifacts(imports);
   }
   // Validates the header against this campaign's identity hash and
   // truncates a torn trailing record before we scan.
@@ -516,6 +595,10 @@ void Aggregator::export_store(const std::vector<io::Json>& trailers) {
   store_->flush();
   const std::size_t budget =
       spill_budget_bytes_ != 0 ? spill_budget_bytes_ : kDefaultSpillBudgetBytes;
+  // Opened first, so an unwritable artifact fails before any spill run
+  // exists; an uncommitted one removes its temp file.
+  ExportFile csv(csv_path_), json(json_path_), per_run_file(per_run_path_),
+      metrics(metrics_path_);
 
   // A crashed export leaves numbered run files behind; they are always
   // consecutive from 0, so delete until the first gap.
@@ -571,8 +654,6 @@ void Aggregator::export_store(const std::vector<io::Json>& trailers) {
     if (s.advance()) heap.push(&s);
   }
 
-  ExportFile csv(csv_path_), json(json_path_), per_run_file(per_run_path_),
-      metrics(metrics_path_);
   const bool per_run = per_run_file.enabled();
   csv.out() << join_csv(columns_) << '\n';
   if (per_run) per_run_file.out() << join_csv(per_run_columns_) << '\n';
@@ -837,279 +918,6 @@ void Aggregator::compact() {
 std::size_t Aggregator::done_count() const {
   const std::lock_guard lock(mutex_);
   return done_count_;
-}
-
-// --- Shard merging ----------------------------------------------------------
-
-namespace {
-
-struct MergeExpectations {
-  std::vector<std::string> want_point_header;
-  std::vector<std::string> want_per_run_header;
-  std::vector<GridPoint> grid;
-};
-
-MergeExpectations merge_expectations(const Manifest* manifest) {
-  MergeExpectations e;
-  if (manifest != nullptr) {
-    manifest->validate();
-    const auto axes = axis_columns(*manifest);
-    e.want_point_header = {"point", "seed"};
-    e.want_point_header.insert(e.want_point_header.end(), axes.begin(),
-                               axes.end());
-    const auto metrics = Aggregator::metric_columns();
-    e.want_point_header.insert(e.want_point_header.end(), metrics.begin(),
-                               metrics.end());
-    e.want_per_run_header = {"point", "rep", "seed"};
-    e.want_per_run_header.insert(e.want_per_run_header.end(), axes.begin(),
-                                 axes.end());
-    const auto run_metrics = Aggregator::per_run_metric_columns();
-    e.want_per_run_header.insert(e.want_per_run_header.end(),
-                                 run_metrics.begin(), run_metrics.end());
-    e.grid = expand_grid(*manifest);
-  }
-  return e;
-}
-
-/// Validates one data row's manifest identity (seed/axis cells, summary
-/// replication count); mirrors the resume-path checks.
-void check_manifest_row(const std::vector<std::string>& cells,
-                        std::size_t point, std::size_t rep, bool per_run,
-                        const std::string& path, const Manifest& manifest,
-                        const std::vector<GridPoint>& grid) {
-  if (point >= grid.size()) {
-    throw std::runtime_error("merge_outputs: " + path + " has point " +
-                             std::to_string(point) +
-                             " beyond the manifest's grid");
-  }
-  if (per_run && rep >= manifest.replications) {
-    throw std::runtime_error("merge_outputs: " + path + " has replication " +
-                             std::to_string(rep) +
-                             " beyond the manifest's count");
-  }
-  const std::size_t seed_cell = per_run ? 2 : 1;
-  const std::uint64_t want_seed = grid[point].seed + (per_run ? rep : 0);
-  bool matches = cells[seed_cell] == std::to_string(want_seed);
-  for (std::size_t a = 0; matches && a < grid[point].values.size(); ++a) {
-    matches = cells[seed_cell + 1 + a] == grid[point].values[a];
-  }
-  // Point seeds do not depend on the replication count, so a summary
-  // row's "replications" cell (right after the axes) is the only
-  // evidence of a changed count; per-run rows are caught by the
-  // rectangularity check instead.
-  if (matches && !per_run) {
-    matches = cells[seed_cell + 1 + grid[point].values.size()] ==
-              std::to_string(manifest.replications);
-  }
-  if (!matches) {
-    throw std::runtime_error(
-        "merge_outputs: row for point " + std::to_string(point) + " in " +
-        path + " was computed with different parameters (manifest mismatch)");
-  }
-}
-
-}  // namespace
-
-// Every input is read once through a k-way heap merge by (point, rep),
-// holding one row per input — O(inputs) memory, not O(rows).
-std::size_t merge_outputs(const std::vector<std::string>& inputs,
-                          const std::string& out_path,
-                          const Manifest* manifest) {
-  if (inputs.empty()) {
-    throw std::invalid_argument("merge_outputs: no input files");
-  }
-  const MergeExpectations expect = merge_expectations(manifest);
-
-  struct Input {
-    std::string path;
-    std::ifstream in;
-    std::string line;
-    std::size_t point = 0;
-    std::size_t rep = 0;
-    bool started = false;  // true once the first data row was read
-  };
-
-  std::string header_line;
-  std::vector<std::string> header;
-  bool per_run = false;
-
-  std::vector<std::unique_ptr<Input>> open_inputs;
-  for (const auto& path : inputs) {
-    auto input = std::make_unique<Input>();
-    input->path = path;
-    input->in.open(path);
-    if (!input->in) {
-      throw std::runtime_error("merge_outputs: cannot open " + path);
-    }
-    // Header line (skipping leading blank lines).
-    std::string line;
-    bool have_header = false;
-    while (std::getline(input->in, line)) {
-      if (line.empty()) continue;
-      have_header = true;
-      break;
-    }
-    if (!have_header) continue;  // empty file contributes nothing
-    if (header.empty()) {
-      header_line = line;
-      header = split_join_csv(line);
-      per_run = header.size() > 1 && header[1] == "rep";
-      if (manifest != nullptr &&
-          header != (per_run ? expect.want_per_run_header
-                             : expect.want_point_header)) {
-        throw std::runtime_error("merge_outputs: header of " + path +
-                                 " does not match the manifest's output "
-                                 "columns");
-      }
-    } else if (split_join_csv(line) != header) {
-      throw std::runtime_error("merge_outputs: header of " + path +
-                               " does not match " + inputs.front() +
-                               " (shards of different campaigns?)");
-    }
-    open_inputs.push_back(std::move(input));
-  }
-  if (header.empty()) {
-    throw std::runtime_error("merge_outputs: inputs contain no header");
-  }
-
-  // Advances an input to its next valid data row: validates the row and
-  // enforces ascending (point, rep) within the input.
-  const auto advance = [&](Input& input) -> bool {
-    std::string line;
-    while (std::getline(input.in, line)) {
-      if (line.empty()) continue;
-      const auto cells = split_join_csv(line);
-      if (cells.size() != header.size()) {
-        throw std::runtime_error(
-            "merge_outputs: truncated row in " + input.path +
-            "; resume that shard to completion before merging");
-      }
-      std::size_t point = 0, rep = 0;
-      if (!parse_index(cells[0], point) ||
-          (per_run && !parse_index(cells[1], rep))) {
-        throw std::runtime_error("merge_outputs: unparsable row key in " +
-                                 input.path);
-      }
-      if (manifest != nullptr) {
-        check_manifest_row(cells, point, rep, per_run, input.path, *manifest,
-                           expect.grid);
-      }
-      if (input.started &&
-          std::make_pair(point, rep) <=
-              std::make_pair(input.point, input.rep)) {
-        throw std::runtime_error(
-            "merge_outputs: " + input.path +
-            " is not sorted by (point, rep); merge only finalized outputs");
-      }
-      input.started = true;
-      input.point = point;
-      input.rep = rep;
-      input.line = std::move(line);
-      return true;
-    }
-    return false;
-  };
-
-  const auto input_after = [](const Input* a, const Input* b) {
-    return std::make_pair(b->point, b->rep) < std::make_pair(a->point, a->rep);
-  };
-  std::priority_queue<Input*, std::vector<Input*>, decltype(input_after)> heap(
-      input_after);
-  for (auto& input : open_inputs) {
-    if (advance(*input)) heap.push(input.get());
-  }
-
-  const std::string tmp = out_path + ".tmp";
-  std::size_t merged = 0;
-  try {
-    std::ofstream out(tmp, std::ios::trunc);
-    if (!out) throw std::runtime_error("merge_outputs: cannot write " + tmp);
-    out << header_line << '\n';
-
-    // Walking the merged stream in key order makes every global check
-    // local: duplicates are consecutive equal keys, point gaps are jumps
-    // in the point sequence, and rectangularity is a per-point rep count.
-    std::size_t prev_point = SIZE_MAX, prev_rep = 0;
-    std::size_t cur_reps = 0;       // rows seen for the current point
-    std::size_t points_seen = 0;
-    std::size_t first_point_reps = 0;
-    const auto want_reps_known = manifest != nullptr;
-    const std::size_t manifest_reps =
-        manifest != nullptr ? (per_run ? manifest->replications : 1) : 0;
-    const auto check_point_complete = [&](std::size_t point) {
-      const std::size_t want =
-          want_reps_known ? manifest_reps
-                          : (points_seen == 1 ? cur_reps : first_point_reps);
-      if (points_seen == 1 && !want_reps_known) first_point_reps = cur_reps;
-      if (cur_reps != want) {
-        throw std::runtime_error(
-            "merge_outputs: point " + std::to_string(point) + " has " +
-            std::to_string(cur_reps) + " of " + std::to_string(want) +
-            " replication rows; a shard output is incomplete");
-      }
-    };
-
-    while (!heap.empty()) {
-      Input* input = heap.top();
-      heap.pop();
-      const std::size_t point = input->point, rep = input->rep;
-      if (prev_point != SIZE_MAX && point == prev_point && rep == prev_rep) {
-        throw std::runtime_error(
-            "merge_outputs: point " + std::to_string(point) +
-            (per_run ? " replication " + std::to_string(rep) : std::string()) +
-            " appears in multiple inputs (overlapping shards?)");
-      }
-      if (point != prev_point) {
-        if (prev_point != SIZE_MAX) check_point_complete(prev_point);
-        const std::size_t want_next = prev_point == SIZE_MAX ? 0
-                                                             : prev_point + 1;
-        if (point != want_next) {
-          throw std::runtime_error(
-              "merge_outputs: merged inputs cover " +
-              std::to_string(points_seen) + " points up to " +
-              std::to_string(prev_point == SIZE_MAX ? 0 : prev_point) +
-              " but point " + std::to_string(want_next) +
-              " is missing; a shard output is missing or incomplete");
-        }
-        ++points_seen;
-        cur_reps = 0;
-      }
-      ++cur_reps;
-      // Sorted unique keys mean the rep sequence within a point must be
-      // 0,1,2,…; a jump is a missing replication row.
-      if (per_run && rep != cur_reps - 1) {
-        throw std::runtime_error(
-            "merge_outputs: point " + std::to_string(point) + " has " +
-            std::to_string(cur_reps) + " of " + std::to_string(rep + 1) +
-            " replication rows; a shard output is incomplete");
-      }
-      prev_point = point;
-      prev_rep = rep;
-      out << input->line << '\n';
-      ++merged;
-      if (advance(*input)) heap.push(input);
-    }
-    if (prev_point != SIZE_MAX) check_point_complete(prev_point);
-
-    const std::size_t want_points =
-        manifest != nullptr ? manifest->point_count() : points_seen;
-    if (merged == 0 || points_seen != want_points || points_seen == 0) {
-      throw std::runtime_error(
-          "merge_outputs: merged inputs cover " +
-          std::to_string(points_seen) + " of " + std::to_string(want_points) +
-          " points; a shard output is missing or incomplete");
-    }
-    out.close();
-    if (!out) throw std::runtime_error("merge_outputs: cannot write " + tmp);
-  } catch (...) {
-    std::error_code ec;
-    std::filesystem::remove(tmp, ec);
-    throw;
-  }
-  if (std::rename(tmp.c_str(), out_path.c_str()) != 0) {
-    throw std::runtime_error("merge_outputs: cannot replace " + out_path);
-  }
-  return merged;
 }
 
 }  // namespace pas::exp

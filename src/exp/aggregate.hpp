@@ -32,20 +32,22 @@
 //
 // Sharding: a campaign may be split across processes/machines with
 // `owned_points` — each shard aggregates only its own subset of the grid
-// into its own files, and merge_outputs() recombines the finalized shard
-// files into the exact bytes an unsharded run would have written.
+// into its own files. merge_outputs() (runner.hpp) recombines the finished
+// shard files the way resume recovers a campaign's own artifacts: it
+// imports them into one store through load_existing(inputs) and renders
+// the unsharded bytes with finalize().
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "exp/grid.hpp"
-#include "exp/manifest.hpp"
 #include "exp/row_store.hpp"
 #include "io/json.hpp"
 #include "world/sweep.hpp"
@@ -88,10 +90,11 @@ struct AggregatorOptions {
   /// reject rows computed under a different manifest. Empty disables the
   /// check (unit tests); the runner always passes it from the grid.
   std::vector<std::vector<std::string>> expected_identity;
-  /// Point indices this shard owns, ascending. Empty means all points.
-  /// pending()/finalize() consider only owned points, and resume rejects
-  /// rows for foreign points (they signal a wrong --shard/--out pairing).
-  std::vector<std::size_t> owned_points;
+  /// Point indices this shard owns; unset means every point, and an empty
+  /// list none (a shard past the end of a small grid). pending()/finalize()
+  /// consider only owned points, and resume rejects rows for foreign points
+  /// (they signal a wrong --shard/--out pairing).
+  std::optional<std::vector<std::size_t>> owned_points;
   /// Binary row-store path; empty means RowStore::path_for(csv_path).
   /// Setting it requires csv_path.
   std::string store_path;
@@ -111,13 +114,25 @@ class Aggregator {
   /// Throws std::runtime_error if the store was written for another
   /// campaign, if a CSV's header does not match this campaign's columns, if
   /// a recovered row's seed/axis values (or replication count) disagree
-  /// with the expected identity, or if a row belongs to a point outside
-  /// this shard (all are manifest/output mismatches: resuming would
-  /// silently produce wrong data). A failed import leaves no store behind.
-  /// Torn rows, --metrics trailers and unparsable lines are dropped, and
-  /// points that are not done (above) are recomputed. Returns the number of
-  /// points recovered. Call before the first record().
+  /// with the expected identity, if a row belongs to a point outside this
+  /// shard, or if an imported row repeats one already imported (all are
+  /// manifest/output mismatches: resuming would silently produce wrong
+  /// data). A failed import leaves no store behind. Torn rows, --metrics
+  /// trailers and unparsable lines are dropped, and points that are not
+  /// done (above) are recomputed. Returns the number of points recovered.
+  /// Call before the first record().
   std::size_t load_existing();
+
+  /// load_existing() importing `inputs` instead of the campaign's own
+  /// artifacts when no store exists (pas-exp --merge). Each file is
+  /// classified by its first non-blank line — this campaign's summary
+  /// header, its per-run header, or a JSON object of kind "point" or
+  /// "registry" (a --metrics file) — and read like the artifact of that
+  /// kind; the inputs may come in any order and need not be sorted. Throws
+  /// std::runtime_error naming the file for an unreadable input, for
+  /// anything else (a --json mirror included), and for a per-run or
+  /// --metrics input when this aggregator writes no such artifact.
+  std::size_t load_existing(const std::vector<std::string>& inputs);
 
   /// True if `point` already has a row (recorded now or recovered).
   [[nodiscard]] bool is_done(std::size_t point) const;
@@ -169,7 +184,7 @@ class Aggregator {
   [[nodiscard]] std::size_t total_points() const noexcept { return total_points_; }
   /// Number of points this shard owns (== total_points() unsharded).
   [[nodiscard]] std::size_t owned_count() const noexcept {
-    return owned_.empty() ? total_points_ : owned_count_;
+    return owned_count_;
   }
 
   /// Full column list: "point", "seed", the axis columns, then metrics.
@@ -191,25 +206,31 @@ class Aggregator {
  private:
   [[nodiscard]] std::string json_line(const std::vector<std::string>& cells) const;
   [[nodiscard]] bool owns(std::size_t point) const {
-    return owned_.empty() || (point < owned_.size() && owned_[point] != 0);
+    return point < owned_.size() && owned_[point] != 0;
   }
+  /// A file to import and the artifact it holds.
+  struct Import {
+    std::string path;
+    RowStore::Kind kind;
+  };
+  /// The body of both load_existing() overloads.
+  std::size_t load(const std::vector<Import>& imports);
   /// Shared CSV reader for the import: header validation, torn-row
   /// dropping, bounds and shard-ownership checks; `on_row` receives each
-  /// surviving row's (point, rep, cells) — rep is 0 when key_arity is 1.
+  /// surviving row's (point, rep, cells) — rep is 0 for a summary CSV.
   void read_csv_rows(
-      const std::string& path, const std::vector<std::string>& want_header,
-      const char* flag_hint, std::size_t key_arity,
+      const Import& file,
       const std::function<void(std::size_t, std::size_t,
                                std::vector<std::string>)>& on_row);
   /// True if a summary row's seed, axis and replication cells match the
   /// point's expected identity (always, without one).
   [[nodiscard]] bool summary_identity_matches(
       std::size_t point, const std::vector<std::string>& cells) const;
-  /// Streams the identity-checked rows of the existing CSV, per-run CSV
-  /// and --metrics file into a temporary store and renames it into place
-  /// once the whole import succeeded. The store scan then applies the
-  /// done rule.
-  void import_artifacts();
+  /// Streams the identity-checked rows of `files` into a temporary store
+  /// and renames it into place once the whole import succeeded; a row
+  /// whose (kind, point, rep) was already imported is an error. The store
+  /// scan then applies the done rule.
+  void import_artifacts(const std::vector<Import>& files);
   /// Renders a point's batch; `grid_point` is null for the index-based
   /// record(), which has no telemetry row.
   [[nodiscard]] std::string encode_batch(
@@ -235,7 +256,7 @@ class Aggregator {
   std::vector<std::string> columns_;
   std::vector<std::string> per_run_columns_;
   std::vector<std::vector<std::string>> expected_identity_;
-  /// Ownership bitmap indexed by point; empty means "owns everything".
+  /// Ownership bitmap indexed by point.
   std::vector<std::uint8_t> owned_;
   std::size_t owned_count_ = 0;
 
@@ -252,26 +273,5 @@ class Aggregator {
   std::vector<std::uint8_t> done_;
   std::size_t done_count_ = 0;
 };
-
-/// Recombines finalized shard outputs into `out_path`, byte-identical to
-/// the file an unsharded run would have produced. All inputs must carry an
-/// identical header; every (point, rep) may appear in exactly one input;
-/// the merged point set must be gap-free from 0. Works for both the
-/// point-summary CSV and the per-run CSV (recognized by its "rep" column).
-///
-/// Each input must be sorted by (point, rep) — finalized and compacted
-/// outputs always are — and the merge streams them in one pass; an input
-/// out of order is a std::runtime_error naming the file.
-///
-/// When `manifest` is non-null the merge additionally validates the inputs
-/// against it: the header must match the manifest's output columns, every
-/// row's seed/axis cells must match the expanded grid, and the merged file
-/// must cover the full grid — so shards of *different* manifests (or stale
-/// outputs) are rejected instead of silently combined.
-///
-/// Returns the number of merged data rows.
-std::size_t merge_outputs(const std::vector<std::string>& inputs,
-                          const std::string& out_path,
-                          const Manifest* manifest = nullptr);
 
 }  // namespace pas::exp

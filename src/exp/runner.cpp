@@ -164,7 +164,8 @@ AggregatorOptions campaign_aggregator_options(
   return options;
 }
 
-void refuse_existing_outputs(const AggregatorOptions& options) {
+void refuse_existing_outputs(const AggregatorOptions& options,
+                             const std::string& remedy) {
   // In flight the rows live in the row store next to the CSV (the CSV only
   // materializes at finalize), so the store counts as existing output too.
   const std::string store_path =
@@ -174,9 +175,7 @@ void refuse_existing_outputs(const AggregatorOptions& options) {
                            options.per_run_path, options.metrics_path,
                            store_path}) {
     if (!path.empty() && std::filesystem::exists(path)) {
-      throw std::runtime_error(path +
-                               " exists; pass --resume to continue it or "
-                               "remove it to start over");
+      throw std::runtime_error(path + " exists; " + remedy);
     }
   }
 }
@@ -193,22 +192,18 @@ CampaignReport run_campaign(const Manifest& manifest,
         "run_campaign: shard_index must be < shard_count");
   }
   const auto points = expand_grid(manifest);
-  if (!options.owned_points.empty() && options.shard_count > 1) {
-    throw std::invalid_argument(
-        "run_campaign: owned_points and shard_index/shard_count are "
-        "mutually exclusive ownership specs");
-  }
 
   AggregatorOptions agg_options = campaign_aggregator_options(
       manifest, points, options.out_csv, options.out_json,
       options.per_run_csv, options.metrics_path);
   if (!options.resume) refuse_existing_outputs(agg_options);
-  if (!options.owned_points.empty()) {
-    agg_options.owned_points = options.owned_points;
-  } else if (options.shard_count > 1) {
+  if (options.shard_count > 1) {
+    // Empty when the shard index is past the grid: the shard computes
+    // nothing and finalizes header-only artifacts.
+    auto& owned = agg_options.owned_points.emplace();
     for (std::size_t p = options.shard_index; p < points.size();
          p += options.shard_count) {
-      agg_options.owned_points.push_back(p);
+      owned.push_back(p);
     }
   }
   Aggregator aggregator(std::move(agg_options));
@@ -446,6 +441,42 @@ CampaignReport run_campaign(const Manifest& manifest,
                       std::chrono::steady_clock::now() - t0)
                       .count();
   return report;
+}
+
+std::size_t merge_outputs(const Manifest& manifest,
+                          const std::vector<std::string>& inputs,
+                          const AggregatorOptions& outputs) {
+  if (inputs.empty() || outputs.csv_path.empty()) {
+    throw std::invalid_argument(
+        "merge_outputs: needs input files and an output CSV path");
+  }
+  manifest.validate();
+  const auto points = expand_grid(manifest);
+  AggregatorOptions options = campaign_aggregator_options(
+      manifest, points, outputs.csv_path, outputs.json_path,
+      outputs.per_run_path, outputs.metrics_path);
+  options.spill_budget_bytes = outputs.spill_budget_bytes;
+  refuse_existing_outputs(options, "remove it first, a merge writes new files");
+  const std::string store_path = RowStore::path_for(options.csv_path);
+  try {
+    Aggregator aggregator(std::move(options));
+    aggregator.load_existing(inputs);
+    const auto missing = aggregator.pending();
+    if (!missing.empty()) {
+      throw std::runtime_error(
+          "merge_outputs: " + std::to_string(missing.size()) + " of " +
+          std::to_string(points.size()) + " points are missing, first point " +
+          std::to_string(missing.front()) +
+          " (a shard file missing or incomplete?)");
+    }
+    aggregator.finalize();
+  } catch (...) {
+    // The store is this merge's own: the outputs were refused above.
+    std::error_code ec;
+    std::filesystem::remove(store_path, ec);
+    throw;
+  }
+  return points.size();
 }
 
 }  // namespace pas::exp

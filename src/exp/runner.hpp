@@ -9,9 +9,10 @@
 //
 // Two scale-out directions compose with that guarantee:
 //  * Process-level sharding (`shard_index`/`shard_count`): each process
-//    owns the points with index ≡ shard_index (mod shard_count), writes an
-//    independently resumable output, and merge_outputs() (aggregate.hpp)
-//    recombines the shard files into the unsharded bytes.
+//    owns the points with index ≡ shard_index (mod shard_count) — possibly
+//    none — and writes an independently resumable output. merge_outputs()
+//    imports the finished shard files into one row store, as resume
+//    imports a campaign's own artifacts, and finalizes the unsharded bytes.
 //  * Replication-level parallelism (`rep_chunk`): a point's replications
 //    are split into contiguous sub-jobs that run concurrently on the pool
 //    and meet in an order-independent reduction (world::reduce_runs), so a
@@ -20,6 +21,7 @@
 
 #include <functional>
 #include <string>
+#include <vector>
 
 #include "exp/aggregate.hpp"
 #include "exp/grid.hpp"
@@ -49,15 +51,10 @@ struct CampaignOptions {
   /// whose snapshot trails the file.
   std::string metrics_path;
   /// This process executes points with index ≡ shard_index (mod
-  /// shard_count). The default 0/1 runs the whole grid.
+  /// shard_count), none when shard_index is past the grid. The default 0/1
+  /// runs the whole grid.
   std::size_t shard_index = 0;
   std::size_t shard_count = 1;
-  /// Explicit point ownership: this process computes exactly these indices
-  /// (any order; duplicates collapse). Overrides the modulo split above —
-  /// setting both is an error. This is the lease shape the src/orch driver
-  /// hands to workers; arbitrary subsets also let tests fabricate partial
-  /// shard files directly.
-  std::vector<std::size_t> owned_points;
   /// Replications per sub-job within a point. 0 = automatic: whole points
   /// when the grid alone saturates the pool, smaller chunks otherwise.
   /// manifest.replications (or larger) forces one job per point.
@@ -103,12 +100,31 @@ struct CampaignReport {
 
 /// Throws std::runtime_error if an artifact of `options`, or its row store,
 /// exists: a campaign that does not resume must not write over another.
-void refuse_existing_outputs(const AggregatorOptions& options);
+/// The message ends with `remedy`.
+void refuse_existing_outputs(
+    const AggregatorOptions& options,
+    const std::string& remedy =
+        "pass --resume to continue it or remove it to start over");
 
 /// Executes the campaign (or this process's shard of it). Throws on
 /// manifest/IO errors; a failing point's exception propagates after
 /// in-flight jobs drain.
 CampaignReport run_campaign(const Manifest& manifest,
                             const CampaignOptions& options);
+
+/// Recombines finished shard files (pas-exp --merge) into the artifacts
+/// `outputs` names — its csv_path (required), json_path, per_run_path and
+/// metrics_path; the rest of the campaign's options come from `manifest`.
+/// The inputs, in any order, are imported into one row store like a
+/// resumed campaign's artifacts (Aggregator::load_existing(inputs)) and
+/// exported by finalize(), so the artifacts are the bytes an unsharded run
+/// writes; the --metrics file gets no trailer. Throws std::runtime_error if
+/// an output or its store exists, if an input is unreadable, of another
+/// kind or from another manifest, if two inputs overlap, or if any point is
+/// still missing after the import; a failed merge leaves no artifact and
+/// no store. Returns the number of merged points.
+std::size_t merge_outputs(const Manifest& manifest,
+                          const std::vector<std::string>& inputs,
+                          const AggregatorOptions& outputs);
 
 }  // namespace pas::exp

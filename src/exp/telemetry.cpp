@@ -1,9 +1,6 @@
 #include "exp/telemetry.hpp"
 
 #include <cmath>
-#include <filesystem>
-#include <fstream>
-#include <map>
 #include <stdexcept>
 #include <utility>
 
@@ -79,21 +76,6 @@ io::Json net_json(const net::MacStats& mac, const net::CollectionStats& c) {
   return io::Json(std::move(out));
 }
 
-void write_sorted(const std::string& path,
-                  const std::map<std::size_t, std::string>& rows,
-                  const std::vector<io::Json>& trailers) {
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::trunc);
-    if (!out) {
-      throw std::runtime_error("telemetry: cannot write " + tmp);
-    }
-    for (const auto& entry : rows) out << entry.second << '\n';
-    for (const auto& trailer : trailers) out << trailer.dump() << '\n';
-  }
-  std::filesystem::rename(tmp, path);
-}
-
 }  // namespace
 
 io::Json telemetry_point_row(const GridPoint& point,
@@ -147,24 +129,6 @@ std::size_t parse_point_row(const std::string& line, std::size_t total_points,
   } catch (const std::runtime_error&) {
     return SIZE_MAX;
   }
-}
-
-std::size_t merge_telemetry(const std::vector<std::string>& inputs,
-                            const std::string& out_path,
-                            const std::vector<io::Json>& trailers) {
-  std::map<std::size_t, std::string> rows;
-  for (const auto& input : inputs) {
-    std::ifstream in(input);
-    if (!in) continue;
-    std::string line;
-    while (std::getline(in, line)) {
-      const std::size_t point = parse_point_row(line, 0, nullptr);
-      if (point == SIZE_MAX) continue;
-      rows.emplace(point, line);  // first input wins, like the CSV merge
-    }
-  }
-  write_sorted(out_path, rows, trailers);
-  return rows.size();
 }
 
 }  // namespace pas::exp

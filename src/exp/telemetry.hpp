@@ -10,7 +10,10 @@
 // A point row is a pure function of the point's identity and its
 // replications' RunMetrics, so `--jobs 1`, `--jobs 8`, `--shard`, and
 // `--drive` all produce identical point rows; only wall-clock trailer
-// content (orchestrator latencies) may differ between schedules.
+// content (orchestrator latencies) may differ between schedules. Shard
+// files recombine through the same store: pas-exp --merge imports them
+// with parse_point_row() like a resume and exports the rows without a
+// trailer (exp::merge_outputs, runner.hpp).
 //
 // Row schema (keys sorted by io::Json):
 //   {"kind":"point","point":N,"seed":"<u64>","replications":R,
@@ -39,13 +42,5 @@ namespace pas::exp {
 [[nodiscard]] std::size_t parse_point_row(const std::string& line,
                                           std::size_t total_points,
                                           io::Json* out);
-
-/// Recombines --shard telemetry files (pas-exp --merge --metrics) into
-/// `out_path`: point rows deduplicated (first input wins), sorted by point,
-/// `trailers` appended. Missing inputs are skipped. Returns the number of
-/// merged point rows.
-std::size_t merge_telemetry(const std::vector<std::string>& inputs,
-                            const std::string& out_path,
-                            const std::vector<io::Json>& trailers = {});
 
 }  // namespace pas::exp

@@ -205,45 +205,6 @@ TEST_F(RunnerTest, ReplicationSplitIsByteIdenticalToSerial) {
   EXPECT_EQ(slurp(dir_ / "auto.csv"), slurp(dir_ / "serial.csv"));
 }
 
-// Explicit lease-shaped ownership: an arbitrary subset of the grid runs
-// into its own file, and a foreign-point row is rejected on resume just
-// like modulo shards — the contract the orchestrator's workers rest on.
-TEST_F(RunnerTest, ExplicitOwnedPointsRunExactlyThatSubset) {
-  const Manifest m = small_manifest();
-  CampaignOptions options;
-  options.jobs = 1;
-  options.owned_points = {0, 3, 4};  // not expressible as index % N == i
-  options.out_csv = (dir_ / "lease.csv").string();
-  const auto report = run_campaign(m, options);
-  EXPECT_EQ(report.total_points, 6U);
-  EXPECT_EQ(report.owned_points, 3U);
-  EXPECT_EQ(report.computed, 3U);
-
-  std::ifstream in(dir_ / "lease.csv");
-  std::string line;
-  ASSERT_TRUE(std::getline(in, line));  // header
-  std::vector<std::string> first_cells;
-  while (std::getline(in, line)) {
-    first_cells.push_back(line.substr(0, line.find(',')));
-  }
-  EXPECT_EQ(first_cells, (std::vector<std::string>{"0", "3", "4"}));
-
-  // The same file under modulo ownership holds foreign points → refused.
-  CampaignOptions shard;
-  shard.jobs = 1;
-  shard.shard_index = 0;
-  shard.shard_count = 2;
-  shard.resume = true;
-  shard.out_csv = options.out_csv;
-  EXPECT_THROW((void)run_campaign(m, shard), std::runtime_error);
-
-  // Both ownership specs at once is a caller bug, not a silent pick.
-  CampaignOptions both = options;
-  both.shard_count = 2;
-  both.resume = true;
-  EXPECT_THROW((void)run_campaign(m, both), std::invalid_argument);
-}
-
 TEST_F(RunnerTest, PerRunOutputHasOneRowPerReplication) {
   const Manifest m = small_manifest();
   CampaignOptions options;

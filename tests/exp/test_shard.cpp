@@ -1,6 +1,6 @@
 // Process-level sharding: deterministic grid partitioning, independently
-// resumable shard outputs, and merge_outputs() recombination that is
-// byte-identical to an unsharded run.
+// resumable shard outputs, and merge_outputs() recombination through the
+// row store that is byte-identical to an unsharded run.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "exp/aggregate.hpp"
+#include "exp/row_store.hpp"
 #include "exp/runner.hpp"
 #include "world/paper_setup.hpp"
 
@@ -51,7 +52,57 @@ class ShardTest : public ::testing::Test {
     return buffer.str();
   }
 
-  std::string path(const char* name) const { return (dir_ / name).string(); }
+  std::string path(const std::string& name) const {
+    return (dir_ / name).string();
+  }
+
+  /// Merge outputs: `<stem>.csv`, plus `<stem>_runs.csv` with `per_run`
+  /// and `<stem>.jsonl` with `json`.
+  AggregatorOptions outputs(const std::string& stem, bool per_run = false,
+                            bool json = false) const {
+    AggregatorOptions out;
+    out.csv_path = path(stem + ".csv");
+    if (per_run) out.per_run_path = path(stem + "_runs.csv");
+    if (json) out.json_path = path(stem + ".jsonl");
+    return out;
+  }
+
+  /// A failed merge leaves no artifact, no store and no temp file.
+  static void expect_nothing_written(const AggregatorOptions& out) {
+    const std::string store = RowStore::path_for(out.csv_path);
+    for (const auto& p : {out.csv_path, out.json_path, out.per_run_path,
+                          out.metrics_path, store}) {
+      if (p.empty()) continue;
+      EXPECT_FALSE(fs::exists(p)) << p;
+      EXPECT_FALSE(fs::exists(p + ".tmp")) << p << ".tmp";
+    }
+  }
+
+  /// Runs the merge expecting a std::runtime_error whose message contains
+  /// every one of `needles`.
+  static void expect_merge_error(const Manifest& m,
+                                 const std::vector<std::string>& inputs,
+                                 const AggregatorOptions& out,
+                                 const std::vector<std::string>& needles) {
+    try {
+      (void)merge_outputs(m, inputs, out);
+      ADD_FAILURE() << "the merge must fail";
+    } catch (const std::runtime_error& e) {
+      for (const auto& needle : needles) {
+        EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
+            << "\"" << needle << "\" not in: " << e.what();
+      }
+    }
+  }
+
+  /// The unsharded serial reference: full.csv and full_runs.csv.
+  void run_full(const Manifest& m) {
+    CampaignOptions full;
+    full.jobs = 1;
+    full.out_csv = path("full.csv");
+    full.per_run_csv = path("full_runs.csv");
+    run_campaign(m, full);
+  }
 
   /// Runs one shard of the manifest; returns the report.
   CampaignReport run_shard(const Manifest& m, std::size_t index,
@@ -97,6 +148,7 @@ TEST_F(ShardTest, MergedShardsAreByteIdenticalToUnshardedRun) {
   CampaignOptions full;
   full.jobs = 1;
   full.out_csv = path("full.csv");
+  full.out_json = path("full.jsonl");
   full.per_run_csv = path("full_runs.csv");
   run_campaign(m, full);
 
@@ -104,18 +156,44 @@ TEST_F(ShardTest, MergedShardsAreByteIdenticalToUnshardedRun) {
   run_shard(m, 1, 3, path("s1.csv"), path("s1_runs.csv"));
   run_shard(m, 2, 3, path("s2.csv"), path("s2_runs.csv"));
 
-  const auto rows = merge_outputs(
-      {path("s0.csv"), path("s1.csv"), path("s2.csv")}, path("merged.csv"),
-      &m);
-  EXPECT_EQ(rows, 6U);
-  EXPECT_EQ(slurp(path("merged.csv")), slurp(path("full.csv")));
+  // One call takes every shard file in any order, summary and per-run
+  // alike (each is classified by its header), and renders the JSON mirror
+  // from the summary rows.
+  const auto out = outputs("merged", /*per_run=*/true, /*json=*/true);
+  EXPECT_EQ(merge_outputs(m,
+                          {path("s2_runs.csv"), path("s1.csv"),
+                           path("s0_runs.csv"), path("s2.csv"),
+                           path("s0.csv"), path("s1_runs.csv")},
+                          out),
+            6U);
+  EXPECT_EQ(slurp(out.csv_path), slurp(path("full.csv")));
+  EXPECT_EQ(slurp(out.per_run_path), slurp(path("full_runs.csv")));
+  EXPECT_EQ(slurp(out.json_path), slurp(path("full.jsonl")));
+  EXPECT_FALSE(fs::exists(RowStore::path_for(out.csv_path)));
+}
 
-  // The per-run CSVs merge the same way (layout detected via the header).
-  const auto run_rows = merge_outputs(
-      {path("s0_runs.csv"), path("s1_runs.csv"), path("s2_runs.csv")},
-      path("merged_runs.csv"), &m);
-  EXPECT_EQ(run_rows, 12U);  // 6 points x 2 replications
-  EXPECT_EQ(slurp(path("merged_runs.csv")), slurp(path("full_runs.csv")));
+// A shard past the end of the grid owns no point: it computes nothing,
+// finalizes header-only files, and merges with the others into the
+// unsharded bytes.
+TEST_F(ShardTest, ShardPastTheGridComputesNothingAndMergesIdentically) {
+  const Manifest m = small_manifest();  // 6 points
+  run_full(m);
+  std::vector<std::string> inputs;
+  for (std::size_t i = 0; i < 8; ++i) {
+    const std::string stem = path("s") + std::to_string(i);
+    const auto report = run_shard(m, i, 8, stem + ".csv", stem + "_runs.csv");
+    EXPECT_EQ(report.owned_points, i < 6 ? 1U : 0U) << stem;
+    EXPECT_EQ(report.computed, i < 6 ? 1U : 0U) << stem;
+    inputs.push_back(stem + ".csv");
+    inputs.push_back(stem + "_runs.csv");
+  }
+  const std::string full = slurp(path("full.csv"));
+  EXPECT_EQ(slurp(path("s7.csv")), full.substr(0, full.find('\n') + 1));
+
+  const auto out = outputs("merged", /*per_run=*/true);
+  EXPECT_EQ(merge_outputs(m, inputs, out), 6U);
+  EXPECT_EQ(slurp(out.csv_path), full);
+  EXPECT_EQ(slurp(out.per_run_path), slurp(path("full_runs.csv")));
 }
 
 TEST_F(ShardTest, TruncatedShardResumesToIdenticalBytes) {
@@ -160,47 +238,46 @@ TEST_F(ShardTest, ResumeRejectsRowsFromAnotherShard) {
 TEST_F(ShardTest, MergeRejectsOverlappingShards) {
   const Manifest m = small_manifest();
   run_shard(m, 0, 2, path("s0.csv"));
-  EXPECT_THROW(
-      (void)merge_outputs({path("s0.csv"), path("s0.csv")}, path("out.csv")),
-      std::runtime_error);
+  run_shard(m, 1, 2, path("s1.csv"));
+  const auto out = outputs("out");
+  expect_merge_error(m, {path("s0.csv"), path("s1.csv"), path("s0.csv")}, out,
+                     {path("s0.csv"), "overlapping shards"});
+  expect_nothing_written(out);
 }
 
 TEST_F(ShardTest, MergeRejectsMissingShard) {
   const Manifest m = small_manifest();
   run_shard(m, 0, 2, path("s0.csv"));
-  // Without the odd-point shard there are gaps; with or without a manifest
-  // the merge must refuse to write a partial "full" output.
-  EXPECT_THROW((void)merge_outputs({path("s0.csv")}, path("out.csv")),
-               std::runtime_error);
-  EXPECT_THROW((void)merge_outputs({path("s0.csv")}, path("out.csv"), &m),
-               std::runtime_error);
+  // Without the odd-point shard there are gaps; the merge must refuse to
+  // write a partial "full" output.
+  const auto out = outputs("out");
+  expect_merge_error(m, {path("s0.csv")}, out,
+                     {"3 of 6 points", "first point 1"});
+  expect_nothing_written(out);
 }
 
 TEST_F(ShardTest, MergeRejectsTruncatedRow) {
   const Manifest m = small_manifest();
   run_shard(m, 0, 2, path("s0.csv"));
   run_shard(m, 1, 2, path("s1.csv"));
-  {
-    std::ofstream out(path("s1.csv"), std::ios::app);
-    out << "5,12345,PAS";  // torn mid-write
-  }
-  EXPECT_THROW((void)merge_outputs({path("s0.csv"), path("s1.csv")},
-                                   path("out.csv")),
-               std::runtime_error);
+  // Point 5's row torn mid-write: the import drops it like resume does,
+  // so point 5 is missing and the merge fails as incomplete.
+  std::string s1 = slurp(path("s1.csv"));
+  s1.replace(s1.find("\n5,") + 1, std::string::npos, "5,12345,PAS");
+  std::ofstream(path("s1.csv"), std::ios::trunc) << s1;
+  const auto out = outputs("out");
+  expect_merge_error(m, {path("s0.csv"), path("s1.csv")}, out,
+                     {"1 of 6 points", "first point 5"});
+  expect_nothing_written(out);
 }
 
-TEST_F(ShardTest, MergeRejectsUnsortedPerRunInputNamingTheFile) {
+TEST_F(ShardTest, MergeSortsRepMajorPerRunInput) {
   const Manifest m = small_manifest();
-  CampaignOptions full;
-  full.jobs = 1;
-  full.out_csv = path("full.csv");
-  full.per_run_csv = path("full_runs.csv");
-  run_campaign(m, full);
+  run_full(m);
 
   // The same rows in rep-major order (every rep-0 row, then every rep-1
-  // row). No writer produces this — finalize and compact export sorted
-  // rows — so the merge refuses it instead of sorting it in memory, even
-  // without a manifest.
+  // row). No writer produces this, but the export sorts whatever the
+  // import took in.
   std::istringstream in(slurp(path("full_runs.csv")));
   std::string header, line;
   std::getline(in, header);
@@ -215,24 +292,20 @@ TEST_F(ShardTest, MergeRejectsUnsortedPerRunInputNamingTheFile) {
       for (const auto& row : rows) out << row << '\n';
     }
   }
-  try {
-    (void)merge_outputs({path("rep_major.csv")}, path("out.csv"));
-    FAIL() << "an unsorted per-run input must not merge";
-  } catch (const std::runtime_error& e) {
-    EXPECT_NE(std::string(e.what()).find(path("rep_major.csv")),
-              std::string::npos)
-        << e.what();
-  }
-  EXPECT_FALSE(fs::exists(path("out.csv")));
-  EXPECT_FALSE(fs::exists(path("out.csv.tmp")));
+  const auto out = outputs("out", /*per_run=*/true);
+  EXPECT_EQ(merge_outputs(m, {path("rep_major.csv"), path("full.csv")}, out),
+            6U);
+  EXPECT_EQ(slurp(out.per_run_path), slurp(path("full_runs.csv")));
+  EXPECT_EQ(slurp(out.csv_path), slurp(path("full.csv")));
 }
 
-TEST_F(ShardTest, MergeRejectsOutOfOrderSummaryRow) {
+TEST_F(ShardTest, MergeSortsOutOfOrderSummaryRows) {
   const Manifest m = small_manifest();
+  run_full(m);
   run_shard(m, 0, 2, path("s0.csv"));
   run_shard(m, 1, 2, path("s1.csv"));
-  // Swap shard 1's first two rows (points 1 and 3). The merge meets point
-  // 3 before point 1 and must refuse, with or without a manifest.
+  // Swap shard 1's first two rows (points 1 and 3): the merge still
+  // writes them in point order.
   std::istringstream in(slurp(path("s1.csv")));
   std::string header, first, second, rest;
   std::getline(in, header);
@@ -241,43 +314,101 @@ TEST_F(ShardTest, MergeRejectsOutOfOrderSummaryRow) {
   std::getline(in, rest, '\0');
   std::ofstream(path("s1.csv"), std::ios::trunc)
       << header << '\n' << second << '\n' << first << '\n' << rest;
-  EXPECT_THROW((void)merge_outputs({path("s0.csv"), path("s1.csv")},
-                                   path("out.csv")),
-               std::runtime_error);
-  EXPECT_THROW((void)merge_outputs({path("s0.csv"), path("s1.csv")},
-                                   path("out.csv"), &m),
-               std::runtime_error);
-  EXPECT_FALSE(fs::exists(path("out.csv")));
+  const auto out = outputs("out");
+  EXPECT_EQ(merge_outputs(m, {path("s1.csv"), path("s0.csv")}, out), 6U);
+  EXPECT_EQ(slurp(out.csv_path), slurp(path("full.csv")));
 }
 
 TEST_F(ShardTest, MergeRejectsMismatchedHeaders) {
+  const Manifest m = small_manifest();
   {
     std::ofstream a(path("a.csv"));
     a << "point,seed,policy,replications\n0,1,NS,2\n";
     std::ofstream b(path("b.csv"));
     b << "point,seed,max_sleep_s,replications\n1,2,5,2\n";
   }
-  EXPECT_THROW(
-      (void)merge_outputs({path("a.csv"), path("b.csv")}, path("out.csv")),
-      std::runtime_error);
+  const auto out = outputs("out");
+  expect_merge_error(m, {path("a.csv"), path("b.csv")}, out, {path("a.csv")});
+  expect_nothing_written(out);
 }
 
 TEST_F(ShardTest, MergeRejectsShardsOfADifferentManifest) {
   const Manifest m = small_manifest();
   run_shard(m, 0, 2, path("s0.csv"));
   run_shard(m, 1, 2, path("s1.csv"));
+  const auto out = outputs("out");
   Manifest other = m;
   other.seed_base = 99;  // same columns, different seeds per point
-  EXPECT_THROW((void)merge_outputs({path("s0.csv"), path("s1.csv")},
-                                   path("out.csv"), &other),
+  EXPECT_THROW((void)merge_outputs(other, {path("s0.csv"), path("s1.csv")},
+                                   out),
                std::runtime_error);
+  expect_nothing_written(out);
   // Seeds are independent of the replication count, so this mismatch is
   // only visible in the rows' replications cell — it must still be caught.
   Manifest recount = m;
   recount.replications = 5;
-  EXPECT_THROW((void)merge_outputs({path("s0.csv"), path("s1.csv")},
-                                   path("out.csv"), &recount),
+  EXPECT_THROW((void)merge_outputs(recount, {path("s0.csv"), path("s1.csv")},
+                                   out),
                std::runtime_error);
+  expect_nothing_written(out);
+
+  // One shard of another manifest among the right ones is named.
+  Manifest reseeded = m;
+  reseeded.seed_base += 1000;
+  run_shard(reseeded, 1, 2, path("f1.csv"));
+  expect_merge_error(m, {path("s0.csv"), path("f1.csv")}, out,
+                     {path("f1.csv"), "different parameters"});
+  expect_nothing_written(out);
+}
+
+// Inputs the merge cannot use are errors naming the file, and an existing
+// output is refused like a campaign without --resume refuses it — but
+// without suggesting --resume, which a merge does not take.
+TEST_F(ShardTest, MergeRejectsUnusableInputsAndExistingOutputByName) {
+  const Manifest m = small_manifest();
+  CampaignOptions full;
+  full.jobs = 1;
+  full.out_csv = path("full.csv");
+  full.out_json = path("full.jsonl");
+  full.per_run_csv = path("full_runs.csv");
+  run_campaign(m, full);
+  const auto out = outputs("out");
+
+  // The JSON mirror is rendered from the summary rows, never imported.
+  expect_merge_error(m, {path("full.csv"), path("full.jsonl")}, out,
+                     {path("full.jsonl")});
+  expect_nothing_written(out);
+  // Per-run rows need a per-run output to go to.
+  expect_merge_error(m, {path("full.csv"), path("full_runs.csv")}, out,
+                     {path("full_runs.csv"), "--per-run"});
+  expect_nothing_written(out);
+  // A path that cannot be read.
+  expect_merge_error(m, {path("full.csv"), path("nope.csv")}, out,
+                     {path("nope.csv")});
+  expect_nothing_written(out);
+  // Empty input list.
+  EXPECT_THROW((void)merge_outputs(m, {}, out), std::invalid_argument);
+  // An output that cannot be written fails the export, and the artifacts
+  // already opened take their temp files with them.
+  auto unwritable = out;
+  unwritable.json_path = path("no_such_dir/out.jsonl");
+  EXPECT_THROW((void)merge_outputs(m, {path("full.csv")}, unwritable),
+               std::runtime_error);
+  expect_nothing_written(unwritable);
+
+  // An existing output, or the store of one, is refused untouched.
+  std::ofstream(out.csv_path) << "keep me\n";
+  try {
+    (void)merge_outputs(m, {path("full.csv")}, out);
+    FAIL() << "an existing output must be refused";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find(out.csv_path), std::string::npos) << what;
+    EXPECT_NE(what.find("remove it"), std::string::npos) << what;
+    EXPECT_EQ(what.find("--resume"), std::string::npos) << what;
+  }
+  EXPECT_EQ(slurp(out.csv_path), "keep me\n");
+  EXPECT_FALSE(fs::exists(RowStore::path_for(out.csv_path)));
 }
 
 TEST_F(ShardTest, RunCampaignValidatesShardSpec) {

@@ -1,6 +1,6 @@
 // Campaign telemetry: the row schema, the rows' life in the Aggregator's
-// row store (record, resume, import, export), shard-file merging, and the
-// hard invariant that --metrics never changes the CSV.
+// row store (record, resume, import, export), shard-file merging through
+// that store, and the hard invariant that --metrics never changes the CSV.
 #include "exp/telemetry.hpp"
 
 #include <gtest/gtest.h>
@@ -85,6 +85,20 @@ class TelemetryTest : public ::testing::Test {
     options.replications = m.replications;
     options.expected_identity = grid_identity(points);
     return options;
+  }
+
+  /// Runs shard `index` of `count` into `<stem>.csv`, its JSON mirror
+  /// `<stem>.jsonl` and `<stem>_m.jsonl`.
+  static void run_shard(const Manifest& m, std::size_t index,
+                        std::size_t count, const std::string& stem) {
+    CampaignOptions options;
+    options.jobs = 1;
+    options.shard_index = index;
+    options.shard_count = count;
+    options.out_csv = stem + ".csv";
+    options.out_json = stem + ".jsonl";
+    options.metrics_path = stem + "_m.jsonl";
+    run_campaign(m, options);
   }
 
   /// A fabricated two-run ReplicatedMetrics with recognizable counters.
@@ -342,46 +356,99 @@ TEST_F(TelemetryTest, TornBatchAfterTelemetryRecomputesThePointOnce) {
   }
 }
 
-TEST_F(TelemetryTest, MergeDeduplicatesFirstInputWins) {
+// --metrics shard files merge like the CSVs, in one call: the point rows
+// equal the unsharded ones, and a shard past the end of the grid leaves a
+// trailer-only file that the merge still accepts.
+TEST_F(TelemetryTest, MetricsShardsMergeToUnshardedPointRows) {
+  const Manifest m = small_manifest();  // 6 points
+  CampaignOptions full;
+  full.jobs = 1;
+  full.out_csv = (dir_ / "full.csv").string();
+  full.metrics_path = (dir_ / "full_m.jsonl").string();
+  run_campaign(m, full);
+
+  std::vector<std::string> inputs;
+  for (std::size_t i = 0; i < 8; ++i) {
+    const std::string stem = (dir_ / "s").string() + std::to_string(i);
+    run_shard(m, i, 8, stem);
+    inputs.push_back(stem + "_m.jsonl");  // metrics first: order is free
+    inputs.push_back(stem + ".csv");
+  }
+  const auto trailer_only = parse_lines(dir_ / "s7_m.jsonl");
+  ASSERT_EQ(trailer_only.size(), 1U);
+  EXPECT_EQ(trailer_only.front().at("kind").as_string(), "registry");
+
+  AggregatorOptions out;
+  out.csv_path = (dir_ / "merged.csv").string();
+  out.metrics_path = (dir_ / "merged_m.jsonl").string();
+  EXPECT_EQ(merge_outputs(m, inputs, out), 6U);
+  EXPECT_EQ(slurp(out.csv_path), slurp(full.out_csv));
+  const auto merged = point_lines(out.metrics_path);
+  EXPECT_EQ(merged.size(), 6U);
+  EXPECT_EQ(merged, point_lines(full.metrics_path));
+  EXPECT_EQ(parse_lines(out.metrics_path).size(), 6U);  // no trailer
+}
+
+// A missing, foreign or repeated --metrics shard fails the merge, however
+// complete the CSVs are, and so does a JSON mirror among the inputs; no
+// failure leaves anything behind.
+TEST_F(TelemetryTest, MetricsMergeRejectsMissingForeignAndRepeatedShards) {
   const Manifest m = small_manifest();
-  const auto points = expand_grid(m);
-  const auto names = axis_columns(m);
-  const std::string a = (dir_ / "m.w0").string();
-  const std::string b = (dir_ / "m.w1").string();
-  {
-    std::ofstream out(a);
-    out << telemetry_point_row(points[0], names, fake_metrics(1)).dump()
-        << '\n';
-    out << telemetry_point_row(points[2], names, fake_metrics(2)).dump()
-        << '\n';
-  }
-  {
-    std::ofstream out(b);
-    out << telemetry_point_row(points[2], names, fake_metrics(50)).dump()
-        << '\n';
-    out << telemetry_point_row(points[1], names, fake_metrics(3)).dump()
-        << '\n';
-  }
+  const std::string s0 = (dir_ / "s0").string();
+  const std::string s1 = (dir_ / "s1").string();
+  const std::string f1 = (dir_ / "f1").string();
+  run_shard(m, 0, 2, s0);
+  run_shard(m, 1, 2, s1);
+  Manifest reseeded = m;
+  reseeded.seed_base += 1000;
+  run_shard(reseeded, 1, 2, f1);
 
-  const std::string merged = (dir_ / "merged.jsonl").string();
-  io::JsonObject trailer;
-  trailer["kind"] = "registry";
-  trailer["scope"] = "orchestrator";
-  // A missing input contributes nothing.
-  EXPECT_EQ(merge_telemetry({a, b, (dir_ / "m.w2").string()}, merged,
-                            {io::Json(std::move(trailer))}),
-            3U);
+  AggregatorOptions out;
+  out.csv_path = (dir_ / "out.csv").string();
+  out.metrics_path = (dir_ / "out_m.jsonl").string();
+  const std::vector<std::string> csvs = {s0 + ".csv", s1 + ".csv"};
+  const auto with = [&csvs](std::vector<std::string> metrics) {
+    metrics.insert(metrics.begin(), csvs.begin(), csvs.end());
+    return metrics;
+  };
+  const auto expect_rejected = [&](const std::vector<std::string>& inputs,
+                                   const AggregatorOptions& outputs,
+                                   const std::string& needle) {
+    try {
+      (void)merge_outputs(m, inputs, outputs);
+      ADD_FAILURE() << "the merge must fail (" << needle << ")";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
+          << e.what();
+    }
+    for (const auto& p :
+         {outputs.csv_path, outputs.metrics_path,
+          RowStore::path_for(outputs.csv_path)}) {
+      if (p.empty()) continue;
+      EXPECT_FALSE(fs::exists(p)) << p;
+      EXPECT_FALSE(fs::exists(p + ".tmp")) << p;
+    }
+  };
 
-  const auto rows = parse_lines(merged);
-  ASSERT_EQ(rows.size(), 4U);
-  for (std::size_t i = 0; i < 3; ++i) {
-    EXPECT_DOUBLE_EQ(rows[i].at("point").as_double(),
-                     static_cast<double>(i));
-  }
-  // Point 2 came from the first input, not the duplicate in the second.
-  EXPECT_DOUBLE_EQ(rows[2].at("kernel").at("events_dispatched").as_double(),
-                   4.0);
-  EXPECT_EQ(rows[3].at("scope").as_string(), "orchestrator");
+  // Shard 1's telemetry missing: its points are incomplete.
+  expect_rejected(with({s0 + "_m.jsonl"}), out, "first point 1");
+  // Shard 1's telemetry from another manifest (CSVs from the right one).
+  expect_rejected(with({s0 + "_m.jsonl", f1 + "_m.jsonl"}), out,
+                  f1 + "_m.jsonl");
+  // Shard 1's telemetry given twice.
+  expect_rejected(with({s0 + "_m.jsonl", s1 + "_m.jsonl", s1 + "_m.jsonl"}),
+                  out, "overlapping shards");
+  // A JSON mirror row is no telemetry row, even where one could go.
+  expect_rejected(with({s0 + "_m.jsonl", s1 + "_m.jsonl", s0 + ".jsonl"}),
+                  out, s0 + ".jsonl");
+  // Telemetry rows need a --metrics output to go to.
+  AggregatorOptions csv_only;
+  csv_only.csv_path = out.csv_path;
+  expect_rejected(with({s0 + "_m.jsonl"}), csv_only, s0 + "_m.jsonl");
+
+  // The right set merges.
+  EXPECT_EQ(merge_outputs(m, with({s1 + "_m.jsonl", s0 + "_m.jsonl"}), out),
+            6U);
 }
 
 TEST_F(TelemetryTest, MetricsOnAndOffProduceIdenticalCsv) {

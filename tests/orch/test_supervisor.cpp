@@ -194,7 +194,8 @@ TEST_F(SupervisorTest, CorruptRowsAreRejectedAndRecomputed) {
 TEST_F(SupervisorTest, ResumeClaimsRowsFromSingleProcessOut) {
   exp::CampaignOptions partial;
   partial.jobs = 1;
-  partial.owned_points = {0, 1, 5};
+  partial.shard_index = 0;
+  partial.shard_count = 2;
   partial.out_csv = path("out.csv");
   exp::run_campaign(manifest_, partial);
 

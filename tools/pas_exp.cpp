@@ -8,18 +8,22 @@
 //   # same files a single process would
 //   pas-exp --drive 4 --manifest examples/campaign.json --out out.csv
 //
-//   # split one manifest across machines by hand, then recombine:
-//   pas-exp --manifest c.json --shard 0/2 --out s0.csv     # machine A
-//   pas-exp --manifest c.json --shard 1/2 --out s1.csv     # machine B
-//   pas-exp --merge s0.csv s1.csv --out full.csv --manifest c.json
+//   # split one manifest across machines by hand, then recombine every
+//   # shard file (summary, --per-run and --metrics, any order) in one call
+//   # that writes every output it names:
+//   pas-exp --manifest c.json --shard 0/2 --out s0.csv --per-run r0.csv  # A
+//   pas-exp --manifest c.json --shard 1/2 --out s1.csv --per-run r1.csv  # B
+//   pas-exp --merge --manifest c.json --out full.csv --per-run runs.csv
+//       s0.csv s1.csv r0.csv r1.csv
 //
 // The manifest declares the base scenario, the axes to sweep, and the
 // replication count (see src/exp/manifest.hpp for the schema). Output is
 // one CSV row per grid point (plus optional per-replication rows via
 // --per-run); --resume reloads an interrupted campaign's file and computes
-// only the missing points. Results are independent of --jobs, --shard,
-// --rep-chunk, and --drive: the completed (merged) file is byte-identical
-// for any parallel schedule, single- or multi-process.
+// only the missing points, and --merge imports shard files the same way.
+// Results are independent of --jobs, --shard, --rep-chunk, and --drive:
+// the completed (merged) file is byte-identical for any parallel schedule,
+// single- or multi-process.
 #include <algorithm>
 #include <charconv>
 #include <chrono>
@@ -37,7 +41,6 @@
 #include "exp/manifest.hpp"
 #include "exp/row_store.hpp"
 #include "exp/runner.hpp"
-#include "exp/telemetry.hpp"
 #include "metrics/report.hpp"
 #include "io/cli.hpp"
 #include "obs/export.hpp"
@@ -149,10 +152,10 @@ int main(int argc, char** argv) {
                    "manifest, sharded across worker threads, worker "
                    "processes (--drive), or machines (--shard), with "
                    "resumable CSV/JSON output. --merge recombines "
-                   "finalized shard outputs.");
+                   "finished shard files.");
   cli.add_string("manifest", &manifest_path,
-                 "Path to the campaign manifest (required except --merge, "
-                 "where it optionally validates the shard files)");
+                 "Path to the campaign manifest (required; --merge checks "
+                 "every shard row against its grid)");
   cli.add_string("out", &out_csv, "Output CSV path");
   cli.add_string("json", &out_json, "Optional JSON-lines output path");
   cli.add_string("per-run", &per_run_csv,
@@ -173,7 +176,9 @@ int main(int argc, char** argv) {
   cli.add_flag("resume", &resume,
                "Reload --out and compute only the missing points");
   cli.add_flag("merge", &merge,
-               "Merge finalized shard CSVs (positional args) into --out");
+               "Merge finished shard files (positional args: summary CSVs, "
+               "per-run CSVs and --metrics files, any order) into --out and "
+               "the --json/--per-run/--metrics outputs named");
   cli.add_flag("progress", &progress,
                "Periodic one-line status (points done/total, reps/s, ETA) "
                "instead of per-point lines");
@@ -230,50 +235,33 @@ int main(int argc, char** argv) {
 
     if (merge) {
       const auto& inputs = cli.positional();
-      if (inputs.empty()) {
+      if (inputs.empty() || manifest_path.empty()) {
         std::fprintf(stderr,
-                     "pas-exp: --merge needs shard CSVs as positional "
-                     "arguments (try --help)\n");
+                     "pas-exp: --merge needs --manifest and the shard files "
+                     "as positional arguments (try --help)\n");
         return 2;
       }
       // Campaign-execution options have no meaning here; accepting them
-      // would let e.g. --json name a file that is never written, or
-      // --dry-run suggest no output gets touched when --out is overwritten.
-      if (!out_json.empty() || !per_run_csv.empty() || !shard_spec.empty() ||
-          resume || dry_run || progress || jobs != 0 || rep_chunk != 0 ||
-          drive_workers != 0 || worker || worker_id != 0 ||
+      // would suggest e.g. that --dry-run leaves the outputs untouched.
+      if (!shard_spec.empty() || resume || dry_run || progress || jobs != 0 ||
+          rep_chunk != 0 || drive_workers != 0 || worker || worker_id != 0 ||
           !bench_json.empty() || hang_timeout != 120.0 ||
           !trace_path.empty() || trace_point != 0 || !serve_spec.empty() ||
           serve_linger || do_export || agg_synth != 0 || agg_reps != 4) {
         std::fprintf(stderr,
-                     "pas-exp: --merge takes only input CSVs, --out, and "
-                     "--manifest (merge per-run shard files in a separate "
-                     "--merge invocation)\n");
+                     "pas-exp: --merge takes only the shard files, "
+                     "--manifest, --out, --json, --per-run and --metrics\n");
         return 2;
       }
-      if (!metrics_path.empty()) {
-        // Telemetry merge: the positional inputs are telemetry JSONL shard
-        // files, recombined into --metrics. A separate invocation from the
-        // CSV merge, like per-run shard files.
-        if (!manifest_path.empty()) {
-          std::fprintf(stderr,
-                       "pas-exp: a telemetry merge (--merge --metrics) does "
-                       "not validate against a manifest; drop --manifest\n");
-          return 2;
-        }
-        const auto rows = pas::exp::merge_telemetry(inputs, metrics_path);
-        std::printf("merged %zu telemetry rows from %zu shard files -> %s\n",
-                    rows, inputs.size(), metrics_path.c_str());
-        return 0;
-      }
-      pas::exp::Manifest manifest;
-      const bool validate = !manifest_path.empty();
-      if (validate) manifest = pas::exp::Manifest::load(manifest_path);
-      const auto rows = pas::exp::merge_outputs(
-          inputs, out_csv, validate ? &manifest : nullptr);
-      std::printf("merged %zu rows from %zu shard files -> %s%s\n", rows,
-                  inputs.size(), out_csv.c_str(),
-                  validate ? " (validated against manifest)" : "");
+      pas::exp::AggregatorOptions outputs;
+      outputs.csv_path = out_csv;
+      outputs.json_path = out_json;
+      outputs.per_run_path = per_run_csv;
+      outputs.metrics_path = metrics_path;
+      const auto points = pas::exp::merge_outputs(
+          pas::exp::Manifest::load(manifest_path), inputs, outputs);
+      std::printf("merged %zu points from %zu shard files -> %s\n", points,
+                  inputs.size(), out_csv.c_str());
       return 0;
     }
 
@@ -281,8 +269,8 @@ int main(int argc, char** argv) {
       // Without this, a forgotten --merge would silently launch a full
       // campaign over the shard CSVs instead of merging them.
       std::fprintf(stderr,
-                   "pas-exp: unexpected positional argument \"%s\" (input "
-                   "CSVs are only accepted with --merge)\n",
+                   "pas-exp: unexpected positional argument \"%s\" (shard "
+                   "files are only accepted with --merge)\n",
                    cli.positional().front().c_str());
       return 2;
     }
@@ -518,6 +506,37 @@ int main(int argc, char** argv) {
       std::signal(SIGINT, handle_stop_signal);
       std::signal(SIGTERM, handle_stop_signal);
     }
+    // An interrupted campaign leaves its output as resumable as a kill
+    // does. Names the exact command that finishes it — every non-default
+    // knob this invocation carried, plus --resume — and returns the exit
+    // status.
+    const auto report_interrupted = [&](std::size_t on_disk,
+                                        std::size_t total) {
+      std::string cmd = "pas-exp";
+      if (drive_workers != 0) {
+        cmd += " --drive " + std::to_string(drive_workers);
+      }
+      cmd += " --manifest " + manifest_path + " --out " + out_csv;
+      if (!out_json.empty()) cmd += " --json " + out_json;
+      if (!per_run_csv.empty()) cmd += " --per-run " + per_run_csv;
+      if (!metrics_path.empty()) cmd += " --metrics " + metrics_path;
+      if (!shard_spec.empty()) cmd += " --shard " + shard_spec;
+      if (jobs != 0) cmd += " --jobs " + std::to_string(jobs);
+      if (rep_chunk != 0) cmd += " --rep-chunk " + std::to_string(rep_chunk);
+      if (hang_timeout != 120.0) {
+        char buf[48];
+        std::snprintf(buf, sizeof(buf), " --hang-timeout %g", hang_timeout);
+        cmd += buf;
+      }
+      if (!bench_json.empty()) cmd += " --bench-json " + bench_json;
+      if (quiet) cmd += " --quiet";
+      if (progress) cmd += " --progress";
+      std::printf(
+          "interrupted: %zu of %zu points on disk; the output is resumable\n"
+          "resume with: %s --resume\n",
+          on_disk, total, cmd.c_str());
+      return 130;
+    };
     // --serve-linger: keep serving the finished campaign until SIGINT.
     const auto linger = [&] {
       while (serving && serve_linger && g_stop_requested == 0) {
@@ -553,31 +572,8 @@ int main(int argc, char** argv) {
 
       const auto report = pas::orch::drive(manifest, drive_options);
       if (report.interrupted) {
-        // The *exact* command that continues this campaign: every
-        // non-default knob the interrupted invocation carried, plus
-        // --resume.
-        std::string resume_cmd = "pas-exp --drive " +
-                                 std::to_string(drive_options.workers) +
-                                 " --manifest " + manifest_path + " --out " +
-                                 out_csv;
-        if (!out_json.empty()) resume_cmd += " --json " + out_json;
-        if (!per_run_csv.empty()) resume_cmd += " --per-run " + per_run_csv;
-        if (!metrics_path.empty()) resume_cmd += " --metrics " + metrics_path;
-        if (jobs != 0) resume_cmd += " --jobs " + std::to_string(jobs);
-        if (hang_timeout != 120.0) {
-          char buf[48];
-          std::snprintf(buf, sizeof(buf), " --hang-timeout %g", hang_timeout);
-          resume_cmd += buf;
-        }
-        if (!bench_json.empty()) resume_cmd += " --bench-json " + bench_json;
-        if (quiet) resume_cmd += " --quiet";
-        if (progress) resume_cmd += " --progress";
-        std::printf(
-            "interrupted: %zu of %zu points on disk; the output is "
-            "resumable\nresume with: %s --resume\n",
-            report.computed + report.resumed, report.total_points,
-            resume_cmd.c_str());
-        return 130;
+        return report_interrupted(report.computed + report.resumed,
+                                  report.total_points);
       }
       std::printf(
           "done: %zu points (%zu computed, %zu resumed) via %zu workers "
@@ -626,26 +622,8 @@ int main(int argc, char** argv) {
 
     const auto report = pas::exp::run_campaign(manifest, options);
     if (report.interrupted) {
-      // Mirrors the --drive interrupt path: name the exact command that
-      // finishes the campaign. The unfinalized output resumes like a kill.
-      std::string resume_cmd =
-          "pas-exp --manifest " + manifest_path + " --out " + out_csv;
-      if (!out_json.empty()) resume_cmd += " --json " + out_json;
-      if (!per_run_csv.empty()) resume_cmd += " --per-run " + per_run_csv;
-      if (!metrics_path.empty()) resume_cmd += " --metrics " + metrics_path;
-      if (!shard_spec.empty()) resume_cmd += " --shard " + shard_spec;
-      if (jobs != 0) resume_cmd += " --jobs " + std::to_string(jobs);
-      if (rep_chunk != 0) {
-        resume_cmd += " --rep-chunk " + std::to_string(rep_chunk);
-      }
-      if (quiet) resume_cmd += " --quiet";
-      if (progress) resume_cmd += " --progress";
-      std::printf(
-          "interrupted: %zu of %zu points on disk; the output is resumable\n"
-          "resume with: %s --resume\n",
-          report.computed + report.skipped, report.owned_points,
-          resume_cmd.c_str());
-      return 130;
+      return report_interrupted(report.computed + report.skipped,
+                                report.owned_points);
     }
     if (options.shard_count > 1) {
       std::printf("shard %zu/%zu: %zu of %zu points\n", options.shard_index,
