@@ -22,13 +22,6 @@ namespace {
 /// Default spill-buffer budget for the external-merge export.
 constexpr std::size_t kDefaultSpillBudgetBytes = 32u << 20;
 
-/// Replication counts up to this use exact (sort-based) delay quantiles in
-/// record(); beyond it the streaming t-digest answers instead. The
-/// threshold keeps every existing golden CSV bit-identical (campaign
-/// manifests run far fewer replications) while bounding the sort cost for
-/// sketch-scale points.
-constexpr std::size_t kExactQuantileMaxReps = 256;
-
 std::vector<std::string> split_join_csv(const std::string& line) {
   std::vector<std::string> cells;
   std::string cell;
@@ -820,20 +813,10 @@ std::string Aggregator::encode_batch(
   cells.push_back(std::to_string(seed));
   cells.insert(cells.end(), axis_values.begin(), axis_values.end());
   cells.push_back(std::to_string(m.runs.size()));
-  metrics::Percentiles delay_pct;
-  if (m.runs.size() > kExactQuantileMaxReps &&
-      m.delay_digest.count() == m.runs.size()) {
-    // Sketch-scale point: read the streamed digest instead of sorting the
-    // full per-run sample.
-    delay_pct = metrics::Percentiles{.p50 = m.delay_digest.quantile(0.50),
-                                     .p95 = m.delay_digest.quantile(0.95),
-                                     .p99 = m.delay_digest.quantile(0.99)};
-  } else {
-    std::vector<double> delays;
-    delays.reserve(m.runs.size());
-    for (const auto& run : m.runs) delays.push_back(run.avg_delay_s);
-    delay_pct = metrics::Percentiles::of_inplace(delays);
-  }
+  std::vector<double> delays;
+  delays.reserve(m.runs.size());
+  for (const auto& run : m.runs) delays.push_back(run.avg_delay_s);
+  const auto delay_pct = metrics::Percentiles::of_inplace(delays);
   for (const double v :
        {m.delay_s.mean, m.delay_s.ci95_half, m.delay_s.min, m.delay_s.max,
         delay_pct.p50, delay_pct.p95, delay_pct.p99, m.energy_j.mean,

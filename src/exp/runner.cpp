@@ -5,15 +5,13 @@
 #include <chrono>
 #include <filesystem>
 #include <future>
-#include <map>
 #include <mutex>
 #include <optional>
 #include <stdexcept>
 #include <thread>
 #include <vector>
 
-#include "obs/export.hpp"
-#include "obs/registry.hpp"
+#include "exp/telemetry.hpp"
 #include "runtime/thread_pool.hpp"
 #include "serve/feed.hpp"
 #include "world/sweep.hpp"
@@ -70,78 +68,6 @@ std::string feed_point_row(const GridPoint& point, std::size_t replications,
   row["mean_missed"] = summary.mean_missed;
   row["mean_broadcasts"] = summary.mean_broadcasts;
   return io::Json(std::move(row)).dump();
-}
-
-/// Registry handles for one policy's campaign-level instruments, resolved
-/// once before the first point completes (registration freezes on first
-/// write; completion callbacks run on pool threads).
-struct PolicyInstruments {
-  obs::Counter wakeups;
-  obs::Counter requests_sent;
-  obs::Counter responses_sent;
-  obs::Counter responses_pushed;
-  obs::Counter pushes_suppressed;
-  obs::Counter prediction_hits;
-  obs::Counter prediction_misses;
-  obs::Histogram sleep_s;
-};
-
-PolicyInstruments make_policy_instruments(obs::Registry& registry,
-                                          core::Policy policy) {
-  const std::string prefix = "policy." + std::string(core::to_string(policy));
-  PolicyInstruments out;
-  out.wakeups = registry.counter(prefix + ".wakeups");
-  out.requests_sent = registry.counter(prefix + ".requests_sent");
-  out.responses_sent = registry.counter(prefix + ".responses_sent");
-  out.responses_pushed = registry.counter(prefix + ".responses_pushed");
-  out.pushes_suppressed = registry.counter(prefix + ".pushes_suppressed");
-  out.prediction_hits = registry.counter(prefix + ".prediction_hits");
-  out.prediction_misses = registry.counter(prefix + ".prediction_misses");
-  out.sleep_s =
-      registry.histogram(prefix + ".sleep_s", core::kSleepHistSpec);
-  return out;
-}
-
-/// Campaign-level net.mac.* / net.collection.* instruments, registered only
-/// when at least one grid point runs with the MAC enabled — MAC-free
-/// campaigns keep their registry trailer byte-identical to pre-MAC builds.
-struct NetInstruments {
-  obs::Counter data_tx;
-  obs::Counter rendezvous_tx;
-  obs::Counter cca_busy;
-  obs::Counter backoffs;
-  obs::Counter retries;
-  obs::Counter collisions;
-  obs::Counter captures;
-  obs::Counter delivered;
-  obs::Counter drops;
-  obs::Counter lpl_samples;
-  obs::Counter lpl_wakeups;
-  obs::Counter alerts_originated;
-  obs::Counter alerts_forwarded;
-  obs::Counter alerts_delivered;
-  obs::Counter alerts_predicted;
-};
-
-NetInstruments make_net_instruments(obs::Registry& registry) {
-  NetInstruments out;
-  out.data_tx = registry.counter("net.mac.data_tx");
-  out.rendezvous_tx = registry.counter("net.mac.rendezvous_tx");
-  out.cca_busy = registry.counter("net.mac.cca_busy");
-  out.backoffs = registry.counter("net.mac.backoffs");
-  out.retries = registry.counter("net.mac.retries");
-  out.collisions = registry.counter("net.mac.collisions");
-  out.captures = registry.counter("net.mac.captures");
-  out.delivered = registry.counter("net.mac.delivered");
-  out.drops = registry.counter("net.mac.drops");
-  out.lpl_samples = registry.counter("net.mac.lpl_samples");
-  out.lpl_wakeups = registry.counter("net.mac.lpl_wakeups");
-  out.alerts_originated = registry.counter("net.collection.originated");
-  out.alerts_forwarded = registry.counter("net.collection.forwarded");
-  out.alerts_delivered = registry.counter("net.collection.delivered");
-  out.alerts_predicted =
-      registry.counter("net.collection.delivered_predicted");
-  return out;
 }
 
 }  // namespace
@@ -217,59 +143,14 @@ CampaignReport run_campaign(const Manifest& manifest,
   }
 
   // Telemetry: the aggregator stores a point row per point, and a
-  // campaign-scoped registry rolls the points up for the trailer. Both are
-  // armed only when --metrics was given; a disabled registry hands out
-  // inert handles, and nothing in the simulation path ever sees either
-  // (run_replication is telemetry-blind), so metrics on/off cannot change a
-  // single output byte.
-  obs::Registry registry(!options.metrics_path.empty());
-  std::map<core::Policy, PolicyInstruments> policy_instruments;
-  std::optional<NetInstruments> net_instruments;
-  if (registry.enabled()) {
-    for (const auto& point : points) {
-      const core::Policy policy = point.config.protocol.policy;
-      if (!policy_instruments.contains(policy)) {
-        policy_instruments.emplace(policy,
-                                   make_policy_instruments(registry, policy));
-      }
-      if (point.config.mac.enabled && !net_instruments.has_value()) {
-        net_instruments = make_net_instruments(registry);
-      }
-    }
-  }
-  const obs::Counter k_scheduled = registry.counter("kernel.events_scheduled");
-  const obs::Counter k_dispatched =
-      registry.counter("kernel.events_dispatched");
-  const obs::Counter k_cancelled = registry.counter("kernel.events_cancelled");
-  const obs::Gauge k_max_pending = registry.gauge("kernel.max_pending");
-  const obs::Counter k_reschedules =
-      registry.counter("kernel.timer_reschedules");
-  const obs::Counter k_rung_spawns = registry.counter("kernel.rung_spawns");
-  const obs::Counter k_bucket_resizes =
-      registry.counter("kernel.bucket_resizes");
-  const obs::Gauge k_max_bucket = registry.gauge("kernel.max_bucket");
-  const obs::Counter k_dead_skips = registry.counter("kernel.dead_skips");
-  const obs::Counter points_completed =
-      registry.counter("campaign.points_completed");
-
-  // The feed's /api/metrics source snapshots this campaign's registry.
-  // The guard (declared after the registry, destroyed before it) detaches
-  // the closure on every exit path so the server can never snapshot a
-  // dead registry.
-  struct FeedMetricsGuard {
-    serve::CampaignFeed* feed = nullptr;
-    ~FeedMetricsGuard() {
-      if (feed != nullptr) feed->set_metrics_source(nullptr);
-    }
-  } metrics_guard;
-  if (feed != nullptr && registry.enabled()) {
-    metrics_guard.feed = feed;
-    feed->set_metrics_source([&registry] {
-      io::JsonObject out;
-      out["scope"] = "campaign";
-      out["instruments"] = obs::snapshot_json(registry.snapshot());
-      return io::Json(std::move(out));
-    });
+  // campaign rollup folds the points for the trailer and /api/metrics.
+  // Both are armed only when --metrics was given, and nothing in the
+  // simulation path ever sees either (run_replication is telemetry-blind),
+  // so metrics on/off cannot change a single output byte.
+  std::optional<CampaignTelemetry> telemetry;
+  if (!options.metrics_path.empty()) {
+    telemetry.emplace(points);
+    if (feed != nullptr) feed->set_metrics(telemetry->snapshot());
   }
 
   const std::size_t reps = manifest.replications;
@@ -294,51 +175,7 @@ CampaignReport run_campaign(const Manifest& manifest,
     const GridPoint& point = *task.point;
     const auto metrics = world::reduce_runs(std::move(task.runs));
     aggregator.record(point, metrics);
-    if (registry.enabled()) {
-      // Roll the point's run telemetry into the campaign registry. This
-      // runs on whichever pool thread finished the point's last chunk, so
-      // the thread-shard merge is exercised by every parallel campaign.
-      world::RunTelemetry telemetry;
-      for (const auto& run : metrics.runs) telemetry.add(run);
-      k_scheduled.add(telemetry.kernel.events_scheduled);
-      k_dispatched.add(telemetry.kernel.events_dispatched);
-      k_cancelled.add(telemetry.kernel.events_cancelled);
-      k_max_pending.record_max(telemetry.kernel.max_pending);
-      k_reschedules.add(telemetry.kernel.timer_reschedules);
-      k_rung_spawns.add(telemetry.kernel.rung_spawns);
-      k_bucket_resizes.add(telemetry.kernel.bucket_resizes);
-      k_max_bucket.record_max(telemetry.kernel.max_bucket);
-      k_dead_skips.add(telemetry.kernel.dead_skips);
-      const PolicyInstruments& pi =
-          policy_instruments.at(point.config.protocol.policy);
-      pi.wakeups.add(telemetry.protocol.wakeups);
-      pi.requests_sent.add(telemetry.protocol.requests_sent);
-      pi.responses_sent.add(telemetry.protocol.responses_sent);
-      pi.responses_pushed.add(telemetry.protocol.responses_pushed);
-      pi.pushes_suppressed.add(telemetry.protocol.pushes_suppressed);
-      pi.prediction_hits.add(telemetry.protocol.prediction_hits);
-      pi.prediction_misses.add(telemetry.protocol.prediction_misses);
-      pi.sleep_s.merge(telemetry.protocol.sleep_s);
-      if (point.config.mac.enabled && net_instruments.has_value()) {
-        const NetInstruments& ni = *net_instruments;
-        ni.data_tx.add(telemetry.mac.data_tx);
-        ni.rendezvous_tx.add(telemetry.mac.rendezvous_tx);
-        ni.cca_busy.add(telemetry.mac.cca_busy);
-        ni.backoffs.add(telemetry.mac.backoffs);
-        ni.retries.add(telemetry.mac.retries);
-        ni.collisions.add(telemetry.mac.collisions);
-        ni.captures.add(telemetry.mac.captures);
-        ni.delivered.add(telemetry.mac.delivered);
-        ni.drops.add(telemetry.mac.drops_cca + telemetry.mac.drops_retry);
-        ni.lpl_samples.add(telemetry.mac.lpl_samples);
-        ni.lpl_wakeups.add(telemetry.mac.lpl_wakeups);
-        ni.alerts_originated.add(telemetry.collection.originated);
-        ni.alerts_forwarded.add(telemetry.collection.forwarded);
-        ni.alerts_delivered.add(telemetry.collection.delivered);
-        ni.alerts_predicted.add(telemetry.collection.delivered_predicted);
-      }
-      points_completed.add();
-    }
+    if (telemetry) telemetry->add(point, metrics);
     if (options.progress || feed != nullptr) {
       const std::lock_guard lock(progress_mutex);
       const auto summary = PointSummary::of(point.index, point.seed, metrics);
@@ -347,6 +184,9 @@ CampaignReport run_campaign(const Manifest& manifest,
       if (options.progress) options.progress(summary, done, owned);
       if (feed != nullptr) {
         feed->point_done(feed_point_row(point, reps, summary));
+        // Pushed under this lock, each snapshot taken after its own fold:
+        // the last push holds every completed point.
+        if (telemetry) feed->set_metrics(telemetry->snapshot());
         feed->progress_tick(done == owned);
       }
     }
@@ -413,15 +253,13 @@ CampaignReport run_campaign(const Manifest& manifest,
   const bool interrupted = stop_requested();
   if (!interrupted) {
     std::vector<io::Json> trailers;
-    if (registry.enabled()) {
-      // The registry snapshot covers the points computed *this invocation*
-      // (resumed rows were recovered, not re-simulated); points_completed
-      // records exactly that.
-      io::JsonObject trailer;
+    if (telemetry) {
+      // The rollup covers the points computed *this invocation* (resumed
+      // rows were recovered, not re-simulated); points_completed records
+      // exactly that.
+      io::Json trailer = telemetry->snapshot();
       trailer["kind"] = "registry";
-      trailer["scope"] = "campaign";
-      trailer["instruments"] = obs::snapshot_json(registry.snapshot());
-      trailers.emplace_back(std::move(trailer));
+      trailers.push_back(std::move(trailer));
     }
     aggregator.finalize(trailers);
   }

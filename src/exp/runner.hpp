@@ -47,8 +47,8 @@ struct CampaignOptions {
   std::string per_run_csv;
   /// Optional telemetry JSONL (one row per point: kernel + protocol
   /// counters, sleep histogram; see exp/telemetry.hpp), kept in the row
-  /// store with the CSV rows. Also enables the campaign-wide obs::Registry
-  /// whose snapshot trails the file.
+  /// store with the CSV rows. Also arms the campaign rollup
+  /// (exp::CampaignTelemetry) whose snapshot trails the file.
   std::string metrics_path;
   /// This process executes points with index ≡ shard_index (mod
   /// shard_count), none when shard_index is past the grid. The default 0/1
@@ -64,10 +64,10 @@ struct CampaignOptions {
                      std::size_t total)>
       progress;
   /// Live-observability hub (serve/feed.hpp). When set, the campaign
-  /// publishes begin/point/progress/end into it and installs a registry
-  /// snapshot as the feed's metrics source (cleared again before return).
-  /// The feed only ever receives copies — attaching one cannot change a
-  /// single output byte.
+  /// publishes begin/point/progress/end into it and, with metrics_path,
+  /// pushes the rollup snapshot at the start and after every completed
+  /// point. The feed only ever receives copies — attaching one cannot
+  /// change a single output byte.
   serve::CampaignFeed* feed = nullptr;
   /// Polled between replication chunks; returning true stops the campaign
   /// gracefully: in-flight points finish or are abandoned whole (a partial

@@ -107,6 +107,77 @@ io::Json telemetry_point_row(const GridPoint& point,
   return io::Json(std::move(row));
 }
 
+CampaignTelemetry::CampaignTelemetry(const std::vector<GridPoint>& points) {
+  for (const auto& point : points) {
+    policies_.try_emplace(point.config.protocol.policy);
+    mac_ = mac_ || point.config.mac.enabled;
+  }
+}
+
+void CampaignTelemetry::add(const GridPoint& point,
+                            const world::ReplicatedMetrics& m) {
+  const std::lock_guard lock(mutex_);
+  core::ProtocolStats& protocol = policies_.at(point.config.protocol.policy);
+  for (const auto& run : m.runs) {
+    total_.add(run);
+    protocol.add(run.protocol);
+  }
+  ++points_;
+}
+
+io::Json CampaignTelemetry::snapshot() const {
+  const std::lock_guard lock(mutex_);
+  io::JsonObject in;
+  in["campaign.points_completed"] = points_;
+  const metrics::KernelStats& k = total_.kernel;
+  in["kernel.events_scheduled"] = k.events_scheduled;
+  in["kernel.events_dispatched"] = k.events_dispatched;
+  in["kernel.events_cancelled"] = k.events_cancelled;
+  in["kernel.max_pending"] = k.max_pending;
+  in["kernel.timer_reschedules"] = k.timer_reschedules;
+  in["kernel.rung_spawns"] = k.rung_spawns;
+  in["kernel.bucket_resizes"] = k.bucket_resizes;
+  in["kernel.max_bucket"] = k.max_bucket;
+  in["kernel.dead_skips"] = k.dead_skips;
+  for (const auto& [policy, p] : policies_) {
+    const std::string prefix =
+        "policy." + std::string(core::to_string(policy)) + ".";
+    in[prefix + "wakeups"] = p.wakeups;
+    in[prefix + "requests_sent"] = p.requests_sent;
+    in[prefix + "responses_sent"] = p.responses_sent;
+    in[prefix + "responses_pushed"] = p.responses_pushed;
+    in[prefix + "pushes_suppressed"] = p.pushes_suppressed;
+    in[prefix + "prediction_hits"] = p.prediction_hits;
+    in[prefix + "prediction_misses"] = p.prediction_misses;
+    in[prefix + "sleep_s"] = obs::histogram_json(p.sleep_s);
+  }
+  // Mac-off runs report zero MAC and collection stats, so the totals are
+  // the MAC points' sums.
+  if (mac_) {
+    const net::MacStats& mac = total_.mac;
+    in["net.mac.data_tx"] = mac.data_tx;
+    in["net.mac.rendezvous_tx"] = mac.rendezvous_tx;
+    in["net.mac.cca_busy"] = mac.cca_busy;
+    in["net.mac.backoffs"] = mac.backoffs;
+    in["net.mac.retries"] = mac.retries;
+    in["net.mac.collisions"] = mac.collisions;
+    in["net.mac.captures"] = mac.captures;
+    in["net.mac.delivered"] = mac.delivered;
+    in["net.mac.drops"] = mac.drops_cca + mac.drops_retry;
+    in["net.mac.lpl_samples"] = mac.lpl_samples;
+    in["net.mac.lpl_wakeups"] = mac.lpl_wakeups;
+    const net::CollectionStats& c = total_.collection;
+    in["net.collection.originated"] = c.originated;
+    in["net.collection.forwarded"] = c.forwarded;
+    in["net.collection.delivered"] = c.delivered;
+    in["net.collection.delivered_predicted"] = c.delivered_predicted;
+  }
+  io::JsonObject out;
+  out["scope"] = "campaign";
+  out["instruments"] = std::move(in);
+  return io::Json(std::move(out));
+}
+
 std::size_t parse_point_row(const std::string& line, std::size_t total_points,
                             io::Json* out) {
   if (line.empty()) return SIZE_MAX;

@@ -19,17 +19,6 @@ io::Json histogram_json(const HistogramData& data) {
   return io::Json(std::move(hist));
 }
 
-io::Json snapshot_json(const Snapshot& snapshot) {
-  io::JsonObject out;
-  for (const auto& scalar : snapshot.scalars) {
-    out[scalar.name] = scalar.value;
-  }
-  for (const auto& hist : snapshot.hists) {
-    out[hist.name] = histogram_json(hist.data);
-  }
-  return io::Json(std::move(out));
-}
-
 std::size_t write_trace_jsonl(const sim::TraceLog& trace, std::ostream& out) {
   std::size_t lines = 0;
   for (const auto& e : trace.events()) {

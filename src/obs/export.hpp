@@ -1,5 +1,5 @@
-// Telemetry serialization: registry snapshots and structured traces out to
-// JSON / JSONL through io/json.
+// Telemetry serialization: histograms and structured traces out to JSON /
+// JSONL through io/json.
 //
 // Conventions shared with the campaign telemetry file (exp/telemetry.hpp):
 //  * 64-bit counts are emitted as JSON numbers (telemetry counts stay far
@@ -12,7 +12,7 @@
 #include <ostream>
 
 #include "io/json.hpp"
-#include "obs/registry.hpp"
+#include "obs/histogram.hpp"
 #include "sim/trace.hpp"
 
 namespace pas::obs {
@@ -23,11 +23,6 @@ namespace pas::obs {
 /// buckets (obs::quantile) — a pure function of the bins, so the keys never
 /// break byte-identity across schedules.
 [[nodiscard]] io::Json histogram_json(const HistogramData& data);
-
-/// One object mapping instrument name → value (counters/gauges) or
-/// histogram object. Key order is io::Json's (sorted), so serialization is
-/// deterministic for a given snapshot.
-[[nodiscard]] io::Json snapshot_json(const Snapshot& snapshot);
 
 /// Writes one JSONL line per trace event: structured fields plus the
 /// rendered text, e.g.

@@ -6,12 +6,8 @@
 // (lo*2^(i-1), lo*2^i], and bin count+1 is the overflow. The bucket layout
 // is a pure function of the spec — two histograms with the same spec merge
 // bin-by-bin, which is what lets per-run records sum into per-point rows
-// and thread shards sum into one snapshot without losing anything but
+// and per-point rows into the campaign rollup without losing anything but
 // intra-bucket resolution.
-//
-// HistogramData is the plain (non-atomic) value type; the concurrent
-// registry (obs/registry.hpp) keeps per-thread atomic bins and merges them
-// into this shape on snapshot.
 #pragma once
 
 #include <cmath>

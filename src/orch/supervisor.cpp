@@ -15,6 +15,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -25,7 +26,6 @@
 #include "io/json.hpp"
 #include "obs/export.hpp"
 #include "obs/flight_recorder.hpp"
-#include "obs/registry.hpp"
 #include "orch/lease.hpp"
 #include "orch/queue.hpp"
 #include "orch/worker_link.hpp"
@@ -132,18 +132,7 @@ class SignalGuard {
 class Driver {
  public:
   Driver(const exp::Manifest& manifest, const DriveOptions& options)
-      : manifest_(manifest),
-        options_(options),
-        registry_(!options.metrics_path.empty()) {
-    // Resolve the orchestrator instruments once, before any worker can
-    // make the registry freeze itself. All of these measure wall-clock
-    // behaviour of this drive, so they live in the trailer row only —
-    // never in the deterministic per-point telemetry.
-    lease_latency_s_ = registry_.histogram("orch.lease_latency_s");
-    hb_gap_s_ = registry_.histogram("orch.heartbeat_gap_s");
-    crashes_ = registry_.counter("orch.worker_crashes");
-    respawns_ = registry_.counter("orch.respawns");
-
+      : manifest_(manifest), options_(options) {
     // Progress and worker events flow through one feed whether or not a
     // server is attached; without one the driver owns a throwaway feed so
     // the --progress rendering path is identical either way.
@@ -191,6 +180,11 @@ class Driver {
   void interrupt_children();
   void print_point(const Worker& w, std::size_t point);
   void print_progress(bool force);
+  /// The drive's wall-clock instruments as an /api/metrics body.
+  [[nodiscard]] io::Json metrics_snapshot() const;
+  /// With --metrics, pushes metrics_snapshot() into the feed if a value
+  /// was recorded since the last push.
+  void publish_metrics();
   /// Appends the ring buffer of recent protocol exchanges to
   /// `<out_csv>.flightrec` (crash/abort forensics) and notes it on stderr.
   void dump_flight_recorder(const std::string& why);
@@ -216,15 +210,16 @@ class Driver {
   serve::CampaignFeed* feed_ = nullptr;
   std::unique_ptr<serve::CampaignFeed> local_feed_;
 
-  // Observability: inert (and the registry snapshot empty) unless --metrics
-  // was given; the flight recorder always runs — noting a protocol line is
-  // one small string copy, and its dump is the only record of what the
-  // driver and a dead worker last said to each other.
-  obs::Registry registry_;
-  obs::Histogram lease_latency_s_;
-  obs::Histogram hb_gap_s_;
-  obs::Counter crashes_;
-  obs::Counter respawns_;
+  // Observability. Lease latency, heartbeat gaps and report_'s crash and
+  // respawn counts measure this drive's wall-clock behaviour, so they
+  // reach the --metrics trailer and /api/metrics only, never the
+  // deterministic point rows. The flight recorder always runs — noting a
+  // protocol line is one small string copy, and its dump is the only
+  // record of what the driver and a dead worker last said to each other.
+  obs::HistogramData lease_latency_s_;
+  obs::HistogramData hb_gap_s_;
+  /// Values recorded when publish_metrics() last pushed.
+  std::optional<std::uint64_t> published_;
   obs::FlightRecorder flightrec_{256};
 };
 
@@ -458,7 +453,6 @@ void Driver::read_worker(Worker& w) {
 
 void Driver::crash_recover(Worker& w) {
   ++report_.crashes;
-  crashes_.add();
   feed_->worker_event("crash", w.id,
                       w.doom_reason.empty() ? "exited unclean"
                                             : w.doom_reason);
@@ -481,7 +475,6 @@ void Driver::crash_recover(Worker& w) {
   if (queue_->empty()) return;
   if (report_.respawns < options_.max_respawns) {
     ++report_.respawns;
-    respawns_.add();
     feed_->worker_event("respawn", next_worker_id_,
                         "replacing worker " + std::to_string(w.id));
     spawn(next_worker_id_++);
@@ -600,6 +593,29 @@ void Driver::print_progress(bool force) {
   feed_->progress_tick(force);
 }
 
+io::Json Driver::metrics_snapshot() const {
+  io::JsonObject instruments;
+  instruments["orch.lease_latency_s"] = obs::histogram_json(lease_latency_s_);
+  instruments["orch.heartbeat_gap_s"] = obs::histogram_json(hb_gap_s_);
+  instruments["orch.worker_crashes"] = report_.crashes;
+  instruments["orch.respawns"] = report_.respawns;
+  io::JsonObject out;
+  out["scope"] = "orchestrator";
+  out["instruments"] = std::move(instruments);
+  return io::Json(std::move(out));
+}
+
+void Driver::publish_metrics() {
+  if (options_.metrics_path.empty()) return;
+  // Every recorded value bumps one of these counts, so their sum changes
+  // exactly when the snapshot does.
+  const std::uint64_t recorded = lease_latency_s_.count + hb_gap_s_.count +
+                                 report_.crashes + report_.respawns;
+  if (published_ == recorded) return;
+  published_ = recorded;
+  feed_->set_metrics(metrics_snapshot());
+}
+
 DriveReport Driver::run() {
   t0_ = Clock::now();
   manifest_.validate();
@@ -633,24 +649,7 @@ DriveReport Driver::run() {
 
   feed_->begin_campaign(manifest_.name, points_.size(),
                         manifest_.replications, report_.resumed);
-  // /api/metrics serves this drive's registry while it runs; detached on
-  // every exit path (the guard dies before registry_ only because feed_
-  // may outlive this Driver, not because registry_ does).
-  struct FeedMetricsGuard {
-    serve::CampaignFeed* feed = nullptr;
-    ~FeedMetricsGuard() {
-      if (feed != nullptr) feed->set_metrics_source(nullptr);
-    }
-  } metrics_guard;
-  if (registry_.enabled()) {
-    metrics_guard.feed = feed_;
-    feed_->set_metrics_source([this] {
-      io::JsonObject out;
-      out["scope"] = "orchestrator";
-      out["instruments"] = obs::snapshot_json(registry_.snapshot());
-      return io::Json(std::move(out));
-    });
-  }
+  publish_metrics();
 
   // Destruction order matters: the SignalGuard (constructed second) is
   // destroyed first, detaching the handler before the pipe fds close — a
@@ -727,6 +726,7 @@ DriveReport Driver::run() {
         }
       }
       reap();
+      publish_metrics();
       print_progress(false);
     }
   } catch (...) {
@@ -753,14 +753,12 @@ DriveReport Driver::run() {
     }
     print_progress(true);
     std::vector<io::Json> trailers;
-    if (registry_.enabled()) {
+    if (!options_.metrics_path.empty()) {
       // The drive's wall-clock story: the one part of the --metrics file
       // that legitimately differs between schedules.
-      io::JsonObject trailer;
+      io::Json trailer = metrics_snapshot();
       trailer["kind"] = "registry";
-      trailer["scope"] = "orchestrator";
-      trailer["instruments"] = obs::snapshot_json(registry_.snapshot());
-      trailers.emplace_back(std::move(trailer));
+      trailers.push_back(std::move(trailer));
     }
     aggregator_->finalize(trailers);
   }

@@ -55,9 +55,9 @@ struct DriveOptions {
   std::string json_path;
   /// Optional per-replication CSV.
   std::string per_run_csv;
-  /// Optional telemetry JSONL (pas-exp --metrics). Its trailer row is the
-  /// driver's orchestrator-scope registry snapshot (lease latency,
-  /// heartbeat gaps, respawns). Also arms the driver-side instruments.
+  /// Optional telemetry JSONL (pas-exp --metrics). Its trailer row holds
+  /// the driver's orchestrator-scope instruments (lease latency, heartbeat
+  /// gaps, crashes, respawns), which are also pushed to `feed`.
   std::string metrics_path;
   /// Worker processes to spawn (capped by the number of pending points).
   std::size_t workers = 2;
@@ -83,8 +83,9 @@ struct DriveOptions {
   double progress_interval_s = 1.0;
 
   /// Live-observability hub (serve/feed.hpp). The driver publishes the
-  /// worker table, point completions, crash/respawn events, and
-  /// throttled progress into it; with --progress the feed also renders
+  /// worker table, point completions, crash/respawn events, throttled
+  /// progress and (with metrics_path) its instruments into it; with
+  /// --progress the feed also renders
   /// the classic status lines, so the terminal and any SSE stream are two
   /// views of the same counters. Null = the driver owns a private feed
   /// (progress unification still applies; nothing is retained).

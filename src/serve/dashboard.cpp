@@ -155,12 +155,12 @@ a { color: var(--series-1); }
 
 <div class="card" style="margin-top:12px">
   <h2>Metrics</h2>
-  <table aria-label="Live instrument registry">
+  <table aria-label="Live instruments">
     <thead><tr><th>instrument</th><th class="num">value / count</th>
       <th class="num">p50</th><th class="num">p95</th><th class="num">p99</th>
     </tr></thead>
     <tbody id="metric-rows">
-      <tr><td colspan="5" style="color:var(--muted)">no metrics source
+      <tr><td colspan="5" style="color:var(--muted)">no metrics
         (run with --metrics)</td></tr>
     </tbody>
   </table>

@@ -151,9 +151,9 @@ void CampaignFeed::publish(const std::string& type, std::string data_json) {
   push_event_locked(type, std::move(data_json));
 }
 
-void CampaignFeed::set_metrics_source(std::function<io::Json()> source) {
+void CampaignFeed::set_metrics(io::Json snapshot) {
   const std::lock_guard lock(mutex_);
-  metrics_source_ = std::move(source);
+  metrics_ = std::move(snapshot);
 }
 
 CampaignFeed::Status CampaignFeed::status() const {
@@ -210,15 +210,8 @@ std::vector<std::string> CampaignFeed::points_since(
 }
 
 io::Json CampaignFeed::metrics() const {
-  std::function<io::Json()> source;
-  {
-    const std::lock_guard lock(mutex_);
-    source = metrics_source_;
-  }
-  // Invoked outside the feed lock: the source snapshots a registry with
-  // its own mutex, and producers publish into the feed while holding none.
-  if (!source) return io::Json(io::JsonObject{});
-  return source();
+  const std::lock_guard lock(mutex_);
+  return metrics_;
 }
 
 }  // namespace pas::serve

@@ -3,7 +3,7 @@
 //
 // The campaign engine (exp::run_campaign) and the orchestrator
 // (orch::drive) publish progress, point completions, worker lifecycle
-// events, and a live metrics source into one thread-safe feed; consumers
+// events, and metrics snapshots into one thread-safe feed; consumers
 // read from it without ever touching the producers:
 //
 //  * the --progress stderr/stdout lines are rendered by the feed itself
@@ -29,7 +29,6 @@
 #include <chrono>
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -70,7 +69,7 @@ class CampaignFeed {
     std::uint64_t seq = 0;
     double t_s = 0.0;  // seconds since feed construction
     /// SSE event type: "campaign", "progress", "point", "worker",
-    /// "metrics", "shutdown".
+    /// "shutdown".
     std::string type;
     /// Compact single-line JSON payload.
     std::string data;
@@ -127,13 +126,13 @@ class CampaignFeed {
   /// set. Producers call it as often as they like.
   void progress_tick(bool force);
 
-  /// Publishes an already-built event verbatim (the server uses this for
-  /// periodic "metrics" delta events, pas-exp for "shutdown").
+  /// Publishes an already-built event verbatim (pas-exp's "shutdown").
   void publish(const std::string& type, std::string data_json);
 
-  /// Live metrics provider (a registry-snapshot closure). The producer
-  /// must clear it (nullptr) before the registry it captures dies.
-  void set_metrics_source(std::function<io::Json()> source);
+  /// Replaces the /api/metrics snapshot. Producers push a copy of their
+  /// telemetry whenever it changes (--metrics only); the last one stays
+  /// after the campaign ends.
+  void set_metrics(io::Json snapshot);
 
   // --- Consumer side (HTTP server) -----------------------------------------
 
@@ -151,7 +150,7 @@ class CampaignFeed {
   [[nodiscard]] std::vector<std::string> points_since(
       std::size_t after, std::size_t max_rows = 1024) const;
 
-  /// Snapshot of the live metrics source ({} when none installed).
+  /// The last pushed metrics snapshot ({} before the first push).
   [[nodiscard]] io::Json metrics() const;
 
  private:
@@ -187,7 +186,7 @@ class CampaignFeed {
   std::size_t points_logged_ = 0;
   std::deque<std::string> point_rows_;
 
-  std::function<io::Json()> metrics_source_;
+  io::Json metrics_ = io::Json(io::JsonObject{});
 };
 
 }  // namespace pas::serve

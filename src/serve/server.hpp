@@ -10,7 +10,7 @@
 // Endpoints:
 //   GET  /               embedded dashboard (self-contained HTML)
 //   GET  /api/status     campaign identity, completion, worker table
-//   GET  /api/metrics    live obs::Registry snapshot (quantiles included)
+//   GET  /api/metrics    last pushed metrics snapshot (quantiles included)
 //   GET  /api/points?since=N   completion-ordered point rows, incremental
 //   GET  /api/events     SSE stream (campaign/progress/point/worker/...)
 //

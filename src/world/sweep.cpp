@@ -37,7 +37,6 @@ ReplicatedMetrics reduce_runs(std::vector<metrics::RunMetrics> runs) {
     broadcasts += static_cast<double>(m.network.broadcasts);
   }
   out.delay_s = metrics::Summary::of(delays);
-  for (const double d : delays) out.delay_digest.add(d);
   out.energy_j = metrics::Summary::of(energies);
   out.active_fraction = metrics::Summary::of(fractions);
   out.mean_missed = missed / static_cast<double>(runs.size());

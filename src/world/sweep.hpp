@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "metrics/stats.hpp"
-#include "metrics/tdigest.hpp"
 #include "runtime/thread_pool.hpp"
 #include "world/scenario.hpp"
 #include "world/workspace.hpp"
@@ -23,11 +22,6 @@ struct ReplicatedMetrics {
   metrics::Summary active_fraction;
   double mean_missed = 0.0;       // reached-but-undetected nodes per run
   double mean_broadcasts = 0.0;
-  /// Streaming sketch over per-run average delays, fed in replication
-  /// order by reduce_runs. The Aggregator reads p50/p95/p99 from it for
-  /// large replication counts instead of sorting the full sample (exact
-  /// quantiles are kept for small counts, so golden CSVs don't move).
-  metrics::TDigest delay_digest;
   std::vector<metrics::RunMetrics> runs;
 };
 

@@ -19,6 +19,7 @@
 #include "io/json.hpp"
 #include "metrics/stats.hpp"
 #include "world/paper_setup.hpp"
+#include "world/sweep.hpp"
 
 namespace pas::exp {
 namespace {
@@ -686,37 +687,31 @@ TEST_F(EncodedBatchTest, RecordEncodedRejectsAnythingButThePointsBatch) {
   EXPECT_GT(fs::file_size(store), store_bytes);
 }
 
-TEST_F(AggregateTest, SketchQuantilesEngageBeyondExactThreshold) {
-  // Above the exact-quantile retention bound (256 reps) record() reads the
-  // delay percentiles from the streaming digest fed by reduce_runs; with
-  // the digest absent (hand-built metrics, as here) it must fall back to
-  // the exact sort so partial fixtures keep working.
+TEST_F(AggregateTest, DelayQuantilesAreExactAtAnyReplicationCount) {
+  // 300 replications reduced as a campaign reduces them: the summary's
+  // delay p50/p95/p99 are the exact sample quantiles of the per-run
+  // delays, the numbers --per-run rows give.
   constexpr std::size_t kReps = 300;
   Aggregator agg({.csv_path = csv_,
                   .axis_names = {"policy"},
                   .total_points = 1});
   agg.load_existing();
-  world::ReplicatedMetrics m = fake_metrics(1.0);
-  m.runs.resize(kReps);
+  std::vector<metrics::RunMetrics> runs(kReps);
   std::vector<double> delays;
   for (std::size_t r = 0; r < kReps; ++r) {
-    m.runs[r] = metrics::RunMetrics{};
-    m.runs[r].avg_delay_s = static_cast<double>((r * 37) % kReps);
-    delays.push_back(m.runs[r].avg_delay_s);
-    m.delay_digest.add(m.runs[r].avg_delay_s);
+    const double x = static_cast<double>((r * 37) % kReps);
+    runs[r].avg_delay_s = 1e-3 * x * x;  // skewed, like real delays
+    delays.push_back(runs[r].avg_delay_s);
   }
-  agg.record(0, 100, {"PAS"}, m);
+  agg.record(0, 100, {"PAS"}, world::reduce_runs(std::move(runs)));
   agg.finalize();
   const auto lines = read_lines(csv_);
   ASSERT_EQ(lines.size(), 2U);
-  const std::string want = "," + io::format_double(m.delay_digest.quantile(0.50)) +
-                           "," + io::format_double(m.delay_digest.quantile(0.95)) +
-                           "," + io::format_double(m.delay_digest.quantile(0.99)) + ",";
-  EXPECT_NE(lines[1].find(want), std::string::npos);
-  // And the sketch sits within rank tolerance of the exact quantiles.
   const auto exact = metrics::Percentiles::of(delays);
-  EXPECT_NEAR(m.delay_digest.quantile(0.95), exact.p95,
-              0.02 * static_cast<double>(kReps));
+  const std::string want = "," + io::format_double(exact.p50) + "," +
+                           io::format_double(exact.p95) + "," +
+                           io::format_double(exact.p99) + ",";
+  EXPECT_NE(lines[1].find(want), std::string::npos) << lines[1];
 }
 
 }  // namespace

@@ -1,20 +1,27 @@
 // Campaign telemetry: the row schema, the rows' life in the Aggregator's
 // row store (record, resume, import, export), shard-file merging through
-// that store, and the hard invariant that --metrics never changes the CSV.
+// that store, the campaign trailer as a fold of the point rows, and the
+// hard invariant that --metrics never changes the CSV.
 #include "exp/telemetry.hpp"
 
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
 
+#include "core/protocol.hpp"
 #include "exp/aggregate.hpp"
 #include "exp/row_store.hpp"
 #include "exp/runner.hpp"
+#include "obs/export.hpp"
 #include "world/paper_setup.hpp"
 
 namespace pas::exp {
@@ -34,6 +41,104 @@ Manifest small_manifest() {
       Axis{.kind = AxisKind::kMaxSleep, .numbers = {5.0, 15.0}},
   };
   return m;
+}
+
+/// NS/SAS/PAS with the slotted LPL MAC off and on (6 points, policy
+/// slowest: points 0 and 1 are NS).
+Manifest mac_manifest() {
+  Manifest m = small_manifest();
+  m.name = "telemetry-mac-test";
+  m.axes = {
+      Axis{.kind = AxisKind::kPolicy, .labels = {"NS", "SAS", "PAS"}},
+      Axis{.kind = AxisKind::kMacEnabled, .labels = {"off", "on"}},
+  };
+  return m;
+}
+
+/// The campaign trailer's instruments as a fold of point rows, computed
+/// from the rows' JSON alone: per-policy protocol sums and sleep-histogram
+/// bins, kernel sums with the two high-water marks maxed, net.* summed
+/// over the MAC rows (net.mac.drops = drops_cca + drops_retry) and the
+/// number of rows. `policies` get entries even without a row, as every
+/// grid policy does; `mac` says whether any grid point runs the MAC.
+io::Json fold_point_rows(const std::vector<io::Json>& rows,
+                         const std::vector<std::string>& policies, bool mac) {
+  static const std::vector<std::string> kKernel = {
+      "events_scheduled", "events_dispatched", "events_cancelled",
+      "max_pending",      "timer_reschedules", "rung_spawns",
+      "bucket_resizes",   "max_bucket",        "dead_skips"};
+  static const std::vector<std::string> kProtocol = {
+      "wakeups",           "requests_sent",   "responses_sent",
+      "responses_pushed",  "pushes_suppressed", "prediction_hits",
+      "prediction_misses"};
+  static const std::vector<std::string> kMac = {
+      "data_tx",    "rendezvous_tx", "cca_busy",  "backoffs",
+      "retries",    "collisions",    "captures",  "delivered",
+      "lpl_samples", "lpl_wakeups"};
+  static const std::vector<std::string> kCollection = {
+      "originated", "forwarded", "delivered", "delivered_predicted"};
+
+  io::JsonObject out;
+  const auto sum = [&out](const std::string& name, double v) {
+    io::Json& slot = out[name];
+    slot = (slot.is_number() ? slot.as_double() : 0.0) + v;
+  };
+  const auto max = [&out](const std::string& name, double v) {
+    io::Json& slot = out[name];
+    slot = std::max(slot.is_number() ? slot.as_double() : 0.0, v);
+  };
+  std::map<std::string, obs::HistogramData> sleep;
+  for (const auto& policy : policies) {
+    for (const auto& key : kProtocol) sum("policy." + policy + "." + key, 0);
+    sleep.emplace(policy, obs::HistogramData{core::kSleepHistSpec, {}, 0});
+  }
+  for (const auto& key : kKernel) sum("kernel." + key, 0);
+  if (mac) {
+    for (const auto& key : kMac) sum("net.mac." + key, 0);
+    sum("net.mac.drops", 0);
+    for (const auto& key : kCollection) sum("net.collection." + key, 0);
+  }
+  sum("campaign.points_completed", static_cast<double>(rows.size()));
+
+  for (const auto& row : rows) {
+    for (const auto& key : kKernel) {
+      const double v = row.at("kernel").at(key).as_double();
+      if (key == "max_pending" || key == "max_bucket") {
+        max("kernel." + key, v);
+      } else {
+        sum("kernel." + key, v);
+      }
+    }
+    const std::string policy = row.at("policy").as_string();
+    const io::Json& protocol = row.at("protocol");
+    for (const auto& key : kProtocol) {
+      sum("policy." + policy + "." + key, protocol.at(key).as_double());
+    }
+    obs::HistogramData& hist = sleep.at(policy);
+    const auto& bins = protocol.at("sleep_s").at("bins").as_array();
+    if (!bins.empty() && hist.bin_counts.empty()) {
+      hist.bin_counts.assign(bins.size(), 0);
+    }
+    for (std::size_t i = 0; i < bins.size(); ++i) {
+      hist.bin_counts[i] += static_cast<std::uint64_t>(bins[i].as_double());
+    }
+    hist.count += static_cast<std::uint64_t>(
+        protocol.at("sleep_s").at("total").as_double());
+    if (row.contains("net")) {
+      const io::Json& m = row.at("net").at("mac");
+      for (const auto& key : kMac) sum("net.mac." + key, m.at(key).as_double());
+      sum("net.mac.drops",
+          m.at("drops_cca").as_double() + m.at("drops_retry").as_double());
+      const io::Json& c = row.at("net").at("collection");
+      for (const auto& key : kCollection) {
+        sum("net.collection." + key, c.at(key).as_double());
+      }
+    }
+  }
+  for (const auto& [policy, hist] : sleep) {
+    out["policy." + policy + ".sleep_s"] = obs::histogram_json(hist);
+  }
+  return io::Json(std::move(out));
 }
 
 class TelemetryTest : public ::testing::Test {
@@ -72,6 +177,19 @@ class TelemetryTest : public ::testing::Test {
       if (parse_point_row(line, 0, nullptr) != SIZE_MAX) rows.push_back(line);
     }
     return rows;
+  }
+
+  /// The point rows of a telemetry file and its last row, the trailer.
+  static std::pair<std::vector<io::Json>, io::Json> rows_and_trailer(
+      const fs::path& path) {
+    auto rows = parse_lines(path);
+    EXPECT_FALSE(rows.empty());
+    if (rows.empty()) return {};
+    io::Json trailer = rows.back();
+    rows.pop_back();
+    EXPECT_EQ(trailer.at("kind").as_string(), "registry");
+    EXPECT_EQ(trailer.at("scope").as_string(), "campaign");
+    return {std::move(rows), std::move(trailer)};
   }
 
   /// Aggregator options writing out.csv and metrics.jsonl for `m`'s grid.
@@ -514,6 +632,78 @@ TEST_F(TelemetryTest, CampaignTelemetryIsScheduleIndependent) {
                    6.0);
   EXPECT_GT(instruments.at("kernel.events_dispatched").as_double(), 0.0);
   EXPECT_GT(instruments.at("policy.PAS.wakeups").as_double(), 0.0);
+}
+
+// Every trailer instrument is the fold of the point rows, byte for byte:
+// with MAC points the net.* entries sum the MAC rows, and a mac-off grid
+// has no net.* entries at all.
+TEST_F(TelemetryTest, TrailerIsTheFoldOfThePointRows) {
+  for (const bool mac : {true, false}) {
+    SCOPED_TRACE(mac ? "mac off/on grid" : "mac-off grid");
+    const Manifest m = mac ? mac_manifest() : small_manifest();
+    const std::string stem = mac ? "mac" : "plain";
+    CampaignOptions options;
+    options.jobs = 2;
+    options.out_csv = (dir_ / (stem + ".csv")).string();
+    options.metrics_path = (dir_ / (stem + "_m.jsonl")).string();
+    run_campaign(m, options);
+
+    const auto [rows, trailer] = rows_and_trailer(options.metrics_path);
+    ASSERT_EQ(rows.size(), 6U);
+    std::size_t net_rows = 0;
+    for (const auto& row : rows) net_rows += row.contains("net") ? 1 : 0;
+    EXPECT_EQ(net_rows, mac ? 3U : 0U);
+    EXPECT_EQ(trailer.at("instruments").dump(),
+              fold_point_rows(rows, {"NS", "SAS", "PAS"}, mac).dump());
+    const auto& instruments = trailer.at("instruments").as_object();
+    const bool has_net =
+        std::any_of(instruments.begin(), instruments.end(),
+                    [](const auto& kv) { return kv.first.starts_with("net."); });
+    EXPECT_EQ(has_net, mac);
+  }
+}
+
+// A resume's trailer folds only the points it recomputed, and still lists
+// every grid policy: here NS, whose points were all resumed, reports zeros
+// and an empty sleep histogram.
+TEST_F(TelemetryTest, ResumedTrailerFoldsOnlyTheRecomputedPoints) {
+  const Manifest m = mac_manifest();
+  CampaignOptions options;
+  options.jobs = 1;
+  options.out_csv = (dir_ / "out.csv").string();
+  options.metrics_path = (dir_ / "metrics.jsonl").string();
+  run_campaign(m, options);
+  const std::string complete_csv = slurp(options.out_csv);
+  const auto complete_rows = point_lines(options.metrics_path);
+  ASSERT_EQ(complete_rows.size(), 6U);
+
+  // The finalized artifacts cut short to points 0 and 1 (both NS).
+  {
+    std::istringstream in(complete_csv);
+    std::ofstream out(options.out_csv, std::ios::trunc);
+    std::string line;
+    for (int n = 0; n < 3 && std::getline(in, line); ++n) out << line << '\n';
+    std::ofstream metrics(options.metrics_path, std::ios::trunc);
+    metrics << complete_rows[0] << '\n' << complete_rows[1] << '\n';
+  }
+  options.resume = true;
+  const auto report = run_campaign(m, options);
+  EXPECT_EQ(report.computed, 4U);
+  EXPECT_EQ(report.skipped, 2U);
+  EXPECT_EQ(slurp(options.out_csv), complete_csv);
+
+  const auto [rows, trailer] = rows_and_trailer(options.metrics_path);
+  ASSERT_EQ(rows.size(), 6U);
+  const std::vector<io::Json> recomputed(rows.begin() + 2, rows.end());
+  EXPECT_EQ(trailer.at("instruments").dump(),
+            fold_point_rows(recomputed, {"NS", "SAS", "PAS"}, true).dump());
+  const io::Json& instruments = trailer.at("instruments");
+  EXPECT_DOUBLE_EQ(instruments.at("policy.NS.prediction_misses").as_double(),
+                   0.0);
+  EXPECT_TRUE(instruments.at("policy.NS.sleep_s").at("bins").as_array()
+                  .empty());
+  EXPECT_DOUBLE_EQ(instruments.at("campaign.points_completed").as_double(),
+                   4.0);
 }
 
 TEST_F(TelemetryTest, ResumeCompletesTheTelemetryFile) {

@@ -53,27 +53,6 @@ TEST(HistogramJson, QuantileKeysOnlyWhenRecorded) {
   EXPECT_FALSE(empty.contains("p99"));
 }
 
-TEST(SnapshotJson, MapsNamesToValues) {
-  Snapshot snap;
-  snap.scalars.push_back({"kernel.events", InstrumentKind::kCounter, 42});
-  snap.scalars.push_back({"kernel.max_pending", InstrumentKind::kGauge, 7});
-  Snapshot::Hist hist;
-  hist.name = "policy.PAS.sleep_s";
-  hist.data.spec = LogBuckets{0.25, 12};
-  hist.data.record(2.0);
-  snap.hists.push_back(std::move(hist));
-
-  const io::Json j = snapshot_json(snap);
-  EXPECT_DOUBLE_EQ(j.at("kernel.events").as_double(), 42.0);
-  EXPECT_DOUBLE_EQ(j.at("kernel.max_pending").as_double(), 7.0);
-  EXPECT_TRUE(j.at("policy.PAS.sleep_s").is_object());
-  EXPECT_DOUBLE_EQ(j.at("policy.PAS.sleep_s").at("total").as_double(), 1.0);
-
-  // dump() round-trips and is deterministic (sorted keys).
-  const std::string text = j.dump();
-  EXPECT_EQ(io::Json::parse(text).dump(), text);
-}
-
 TEST(WriteTraceJsonl, OneParsableLinePerEvent) {
   sim::TraceLog log;
   log.enable();

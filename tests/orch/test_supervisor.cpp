@@ -20,6 +20,7 @@
 
 #include "exp/runner.hpp"
 #include "io/json.hpp"
+#include "serve/feed.hpp"
 #include "world/paper_setup.hpp"
 
 namespace pas::orch {
@@ -257,6 +258,8 @@ TEST_F(SupervisorTest, DriveMetricsMergeMatchesSerialPointRows) {
 
   auto o = options(3, "out.csv");
   o.metrics_path = path("metrics.jsonl");
+  serve::CampaignFeed feed;
+  o.feed = &feed;
   const auto report = drive(manifest_, o);
   EXPECT_EQ(report.computed, 6U);
   expect_serial_bytes("out.csv");
@@ -278,6 +281,19 @@ TEST_F(SupervisorTest, DriveMetricsMergeMatchesSerialPointRows) {
   const io::Json trailer = io::Json::parse(last_line);
   EXPECT_EQ(trailer.string_or("kind", ""), "registry");
   EXPECT_EQ(trailer.string_or("scope", ""), "orchestrator");
+
+  // The drive leaves its last snapshot in the feed: the trailer's four
+  // wall-clock instruments.
+  const io::Json live = feed.metrics();
+  EXPECT_EQ(live.string_or("scope", ""), "orchestrator");
+  std::vector<std::string> names;
+  for (const auto& [name, value] : live.at("instruments").as_object()) {
+    names.push_back(name);
+  }
+  EXPECT_EQ(names, (std::vector<std::string>{
+                       "orch.heartbeat_gap_s", "orch.lease_latency_s",
+                       "orch.respawns", "orch.worker_crashes"}));
+  EXPECT_EQ(live.at("instruments").dump(), trailer.at("instruments").dump());
 }
 
 // Crashed workers' reported points keep their telemetry rows, the

@@ -177,17 +177,19 @@ TEST(CampaignFeed, WorkerTableAndEvents) {
   EXPECT_EQ(data.at("detail").as_string(), "exit 9");
 }
 
-TEST(CampaignFeed, MetricsSourceInstallAndClear) {
+TEST(CampaignFeed, MetricsHoldTheLastPushedSnapshot) {
   CampaignFeed feed(quiet_options());
-  EXPECT_TRUE(feed.metrics().as_object().empty());
-  feed.set_metrics_source([] {
+  EXPECT_TRUE(feed.metrics().as_object().empty());  // {} before any push
+  for (const char* scope : {"campaign", "orchestrator"}) {
     io::JsonObject o;
-    o["scope"] = "campaign";
-    return io::Json(std::move(o));
-  });
-  EXPECT_EQ(feed.metrics().at("scope").as_string(), "campaign");
-  feed.set_metrics_source(nullptr);
-  EXPECT_TRUE(feed.metrics().as_object().empty());
+    o["scope"] = scope;
+    feed.set_metrics(io::Json(std::move(o)));
+  }
+  EXPECT_EQ(feed.metrics().at("scope").as_string(), "orchestrator");
+  // The campaign's end does not clear it.
+  feed.begin_campaign("c", 2, 1, 0);
+  feed.end_campaign(false);
+  EXPECT_EQ(feed.metrics().at("scope").as_string(), "orchestrator");
 }
 
 }  // namespace

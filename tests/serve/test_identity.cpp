@@ -1,7 +1,8 @@
 // The serving contract: attaching a CampaignFeed + live Server to a
-// running campaign is observe-only — CSV/JSONL/per-run outputs are
-// byte-identical to an unobserved run — and a should_stop interrupt
-// leaves outputs resumable to the same final bytes.
+// running campaign is observe-only — CSV/JSONL/per-run/--metrics outputs
+// are byte-identical to an unobserved run, and /api/metrics ends on the
+// trailer's rollup — and a should_stop interrupt leaves outputs resumable
+// to the same final bytes.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -9,10 +10,12 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <string>
 #include <thread>
 
 #include "exp/manifest.hpp"
 #include "exp/runner.hpp"
+#include "io/json.hpp"
 #include "serve/feed.hpp"
 #include "serve/server.hpp"
 #include "world/paper_setup.hpp"
@@ -64,6 +67,7 @@ TEST_F(ServeIdentityTest, ObservedRunIsByteIdenticalToUnobserved) {
   plain.out_csv = (dir_ / "plain.csv").string();
   plain.out_json = (dir_ / "plain.jsonl").string();
   plain.per_run_csv = (dir_ / "plain_runs.csv").string();
+  plain.metrics_path = (dir_ / "plain_m.jsonl").string();
   const auto plain_report = exp::run_campaign(m, plain);
   EXPECT_EQ(plain_report.computed, 4U);
 
@@ -94,6 +98,7 @@ TEST_F(ServeIdentityTest, ObservedRunIsByteIdenticalToUnobserved) {
   observed.out_csv = (dir_ / "observed.csv").string();
   observed.out_json = (dir_ / "observed.jsonl").string();
   observed.per_run_csv = (dir_ / "observed_runs.csv").string();
+  observed.metrics_path = (dir_ / "observed_m.jsonl").string();
   observed.feed = &feed;
   const auto observed_report = exp::run_campaign(m, observed);
   EXPECT_EQ(observed_report.computed, 4U);
@@ -106,10 +111,22 @@ TEST_F(ServeIdentityTest, ObservedRunIsByteIdenticalToUnobserved) {
   EXPECT_EQ(slurp(dir_ / "plain.csv"), slurp(dir_ / "observed.csv"));
   EXPECT_EQ(slurp(dir_ / "plain.jsonl"), slurp(dir_ / "observed.jsonl"));
   EXPECT_EQ(slurp(dir_ / "plain_runs.csv"), slurp(dir_ / "observed_runs.csv"));
+  const std::string metrics = slurp(dir_ / "observed_m.jsonl");
+  EXPECT_EQ(slurp(dir_ / "plain_m.jsonl"), metrics);
 
   // The feed retained a row per point and marked the campaign done.
   EXPECT_EQ(feed.points_since(0).size(), 4U);
   EXPECT_EQ(feed.status().state, CampaignFeed::State::kDone);
+
+  // /api/metrics keeps the final rollup: the trailer's instruments.
+  std::istringstream lines(metrics);
+  std::string line, last_line;
+  while (std::getline(lines, line)) last_line = line;
+  const io::Json trailer = io::Json::parse(last_line);
+  ASSERT_EQ(trailer.at("kind").as_string(), "registry");
+  const io::Json live = feed.metrics();
+  EXPECT_EQ(live.at("scope").as_string(), "campaign");
+  EXPECT_EQ(live.at("instruments").dump(), trailer.at("instruments").dump());
 }
 
 TEST_F(ServeIdentityTest, InterruptLeavesResumableOutput) {

@@ -13,9 +13,11 @@ docs/FORMATS.md ("HTTP API"):
   status:   the /api/status object — key set, enum state, counter sanity
             (done_points <= total_points, non-negative everything), and
             the worker-table row shape.
-  metrics:  the /api/metrics registry snapshot — {} (registry not armed)
-            or {"scope":...,"instruments":{...}} whose histograms carry
-            ordered p50 <= p95 <= p99 quantiles and self-consistent bins.
+  metrics:  the /api/metrics snapshot — {} (nothing pushed: no --metrics)
+            or {"scope":...,"instruments":{...}} whose histograms pass
+            check_metrics_schema.py's histogram check, so both checkers
+            accept the same shapes (bins empty or count+2 long, summing
+            to total; ordered p50/p95/p99 exactly when total > 0).
   events:   a raw /api/events capture (e.g. `curl -N --max-time 5`).
             Frames must parse as `id:`/`event:`/`data:` with one-line
             JSON payloads, sequence ids must be strictly increasing (and
@@ -31,6 +33,8 @@ Exits non-zero with a pointed message on the first violation.
 import argparse
 import json
 import sys
+
+import check_metrics_schema
 
 STATES = {"idle", "running", "done", "interrupted"}
 EVENT_TYPES = {"campaign", "progress", "point", "worker", "shutdown"}
@@ -119,31 +123,12 @@ def check_status(path, expect_state):
     )
 
 
-def check_histogram(name, hist, where):
-    for key in ("lo", "count", "bins", "total"):
-        if key not in hist:
-            fail(f"{where}: histogram {name!r} missing {key!r}")
-    bins = hist["bins"]
-    if not isinstance(bins, list) or len(bins) != hist["count"] + 2:
-        fail(f"{where}: histogram {name!r} wants count+2 bins, got {len(bins)}")
-    if sum(bins) != hist["total"]:
-        fail(f"{where}: histogram {name!r} bins sum {sum(bins)} != total {hist['total']}")
-    if hist["total"] > 0:
-        quantiles = [hist.get(q) for q in ("p50", "p95", "p99")]
-        if any(not isinstance(q, (int, float)) for q in quantiles):
-            fail(f"{where}: histogram {name!r} has samples but no p50/p95/p99")
-        if not quantiles[0] <= quantiles[1] <= quantiles[2]:
-            fail(f"{where}: histogram {name!r} quantiles not ordered: {quantiles}")
-    elif any(q in hist for q in ("p50", "p95", "p99")):
-        fail(f"{where}: empty histogram {name!r} must omit quantile keys")
-
-
 def check_metrics(path):
     snapshot = load_json(path, "metrics")
     if not isinstance(snapshot, dict):
         fail(f"metrics {path}: not a JSON object")
     if not snapshot:
-        print("metrics OK: registry not armed (empty snapshot)")
+        print("metrics OK: empty snapshot (nothing pushed)")
         return
     if snapshot.get("scope") not in {"campaign", "orchestrator"}:
         fail(f"metrics {path}: scope {snapshot.get('scope')!r} is not campaign/orchestrator")
@@ -154,7 +139,8 @@ def check_metrics(path):
     for name, value in instruments.items():
         if isinstance(value, dict):
             histograms += 1
-            check_histogram(name, value, f"metrics {path}")
+            # The body is one line, so the schema checker's line number is 1.
+            check_metrics_schema.check_histogram(path, 1, name, value)
         elif not isinstance(value, (int, float)) or isinstance(value, bool):
             fail(f"metrics {path}: instrument {name!r} is neither number nor histogram")
     print(
