@@ -158,10 +158,7 @@ CampaignReport run_campaign(const Manifest& manifest,
       options.jobs != 0
           ? options.jobs
           : std::max<std::size_t>(1, std::thread::hardware_concurrency());
-  const std::size_t chunk =
-      options.rep_chunk != 0
-          ? std::min(options.rep_chunk, reps)
-          : auto_rep_chunk(pending.size(), reps, jobs);
+  const std::size_t chunk = auto_rep_chunk(pending.size(), reps, jobs);
   const std::size_t chunks_per_point = (reps + chunk - 1) / chunk;
 
   std::vector<PointTask> tasks(pending.size());
@@ -236,7 +233,7 @@ CampaignReport run_campaign(const Manifest& manifest,
       }
     }
   } else {
-    runtime::ThreadPool pool(options.jobs);
+    runtime::ThreadPool pool(jobs);
     std::vector<std::future<void>> futures;
     futures.reserve(tasks.size() * chunks_per_point);
     for (auto& task : tasks) {
@@ -274,6 +271,7 @@ CampaignReport run_campaign(const Manifest& manifest,
   report.computed = aggregator.done_count() - recovered;
   report.skipped = recovered;
   report.replications = manifest.replications;
+  report.jobs = jobs;
   report.interrupted = interrupted;
   report.wall_s = std::chrono::duration<double>(
                       std::chrono::steady_clock::now() - t0)

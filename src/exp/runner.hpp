@@ -13,10 +13,11 @@
 //    none — and writes an independently resumable output. merge_outputs()
 //    imports the finished shard files into one row store, as resume
 //    imports a campaign's own artifacts, and finalizes the unsharded bytes.
-//  * Replication-level parallelism (`rep_chunk`): a point's replications
-//    are split into contiguous sub-jobs that run concurrently on the pool
-//    and meet in an order-independent reduction (world::reduce_runs), so a
-//    one-point 10k-replication study still saturates every core.
+//  * Replication-level parallelism: when the pending points alone cannot
+//    keep the pool busy, a point's replications are split into contiguous
+//    sub-jobs that run concurrently and meet in an order-independent
+//    reduction (world::reduce_runs), so a one-point 10k-replication study
+//    still saturates every core.
 #pragma once
 
 #include <functional>
@@ -55,10 +56,6 @@ struct CampaignOptions {
   /// runs the whole grid.
   std::size_t shard_index = 0;
   std::size_t shard_count = 1;
-  /// Replications per sub-job within a point. 0 = automatic: whole points
-  /// when the grid alone saturates the pool, smaller chunks otherwise.
-  /// manifest.replications (or larger) forces one job per point.
-  std::size_t rep_chunk = 0;
   /// Invoked after each point completes (serialized; never concurrently).
   std::function<void(const PointSummary&, std::size_t done,
                      std::size_t total)>
@@ -82,6 +79,7 @@ struct CampaignReport {
   std::size_t computed = 0;      // points simulated by this invocation
   std::size_t skipped = 0;       // points recovered from the resume file
   std::size_t replications = 0;
+  std::size_t jobs = 0;  // worker threads used: options.jobs, 0 resolved
   double wall_s = 0.0;
   /// True when should_stop ended the campaign early; outputs are left
   /// resumable (no finalize pass ran).

@@ -1,5 +1,6 @@
 #include "io/cli.hpp"
 
+#include <algorithm>
 #include <charconv>
 #include <cstdio>
 #include <sstream>
@@ -145,6 +146,9 @@ bool Cli::parse(int argc, const char* const* argv) {
                    value.data());
       status_ = 2;
       return false;
+    }
+    if (std::find(given_.begin(), given_.end(), opt->name) == given_.end()) {
+      given_.push_back(opt->name);
     }
   }
   status_ = 1;

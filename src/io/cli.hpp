@@ -41,6 +41,13 @@ class Cli {
     return positional_;
   }
 
+  /// Names of the options given on the command line (without dashes), once
+  /// each, in the order first given; a default value given explicitly
+  /// counts. Lets a program reject options its chosen mode would ignore.
+  [[nodiscard]] const std::vector<std::string>& given() const noexcept {
+    return given_;
+  }
+
  private:
   struct Option {
     std::string name;  // without leading dashes
@@ -57,6 +64,7 @@ class Cli {
   std::string description_;
   std::vector<Option> options_;
   std::vector<std::string> positional_;
+  std::vector<std::string> given_;
   int status_ = 1;
 };
 

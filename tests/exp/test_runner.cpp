@@ -71,6 +71,15 @@ TEST_F(RunnerTest, SerialAndParallelOutputsAreByteIdentical) {
   const std::string b = slurp(dir_ / "parallel.csv");
   ASSERT_FALSE(a.empty());
   EXPECT_EQ(a, b);
+
+  // The report names the thread count it ran with, also when the default
+  // (0 = hardware concurrency) picked it.
+  EXPECT_EQ(serial_report.jobs, 1U);
+  EXPECT_EQ(parallel_report.jobs, 4U);
+  CampaignOptions hardware;
+  hardware.out_csv = (dir_ / "hardware.csv").string();
+  EXPECT_GE(run_campaign(m, hardware).jobs, 1U);
+  EXPECT_EQ(slurp(dir_ / "hardware.csv"), a);
 }
 
 TEST_F(RunnerTest, ResumeRecomputesOnlyMissingPoints) {
@@ -185,24 +194,18 @@ TEST_F(RunnerTest, ReplicationSplitIsByteIdenticalToSerial) {
   serial.per_run_csv = (dir_ / "serial_runs.csv").string();
   run_campaign(m, serial);
 
+  // One point at four jobs: the automatic split gives every replication
+  // its own sub-job.
   CampaignOptions split;
   split.jobs = 4;
-  split.rep_chunk = 1;  // every replication its own sub-job
   split.out_csv = (dir_ / "split.csv").string();
   split.per_run_csv = (dir_ / "split_runs.csv").string();
   const auto report = run_campaign(m, split);
   EXPECT_EQ(report.computed, 1U);
+  EXPECT_EQ(report.jobs, 4U);
 
   EXPECT_EQ(slurp(dir_ / "split.csv"), slurp(dir_ / "serial.csv"));
   EXPECT_EQ(slurp(dir_ / "split_runs.csv"), slurp(dir_ / "serial_runs.csv"));
-
-  // The automatic chunk (rep_chunk = 0) picks some split for a one-point
-  // campaign; whatever it picks, the bytes must not change.
-  CampaignOptions autosplit;
-  autosplit.jobs = 4;
-  autosplit.out_csv = (dir_ / "auto.csv").string();
-  run_campaign(m, autosplit);
-  EXPECT_EQ(slurp(dir_ / "auto.csv"), slurp(dir_ / "serial.csv"));
 }
 
 TEST_F(RunnerTest, PerRunOutputHasOneRowPerReplication) {

@@ -94,6 +94,24 @@ TEST(Cli, PositionalArgumentsCollected) {
   EXPECT_EQ(cli.positional(), (std::vector<std::string>{"pos1", "pos2"}));
 }
 
+TEST(Cli, RecordsGivenOptionsOnceInOrder) {
+  std::int64_t n = 5;
+  double x = 0.0;
+  bool verbose = false;
+  std::string name;
+  Cli cli("prog", "test");
+  cli.add_int("n", &n, "n");
+  cli.add_double("x", &x, "x");
+  cli.add_flag("verbose", &verbose, "v");
+  cli.add_string("name", &name, "name");
+  const std::array<const char*, 7> argv{
+      "prog", "--verbose", "--n=5", "pos", "--x", "2", "--n=6"};
+  ASSERT_TRUE(cli.parse(static_cast<int>(argv.size()), argv.data()));
+  // --n given at its default still counts; --name was never given.
+  EXPECT_EQ(cli.given(), (std::vector<std::string>{"verbose", "n", "x"}));
+  EXPECT_EQ(n, 6);
+}
+
 TEST(Cli, DuplicateOptionThrows) {
   std::int64_t n = 0;
   Cli cli("prog", "test");

@@ -11,7 +11,7 @@ directory. Absolute URLs (http/https/mailto) are skipped; `#fragment`
 suffixes are checked against the target file's headings using
 GitHub-style slugs. Exits non-zero listing every broken link.
 
-Stdlib only; used by the CI `docs` job.
+Stdlib only; run by the `smoke.docs.links` ctest case.
 """
 
 import pathlib

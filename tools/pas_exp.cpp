@@ -21,7 +21,7 @@
 // one CSV row per grid point (plus optional per-replication rows via
 // --per-run); --resume reloads an interrupted campaign's file and computes
 // only the missing points, and --merge imports shard files the same way.
-// Results are independent of --jobs, --shard, --rep-chunk, and --drive:
+// Results are independent of --jobs, --shard and --drive:
 // the completed (merged) file is byte-identical for any parallel schedule,
 // single- or multi-process.
 #include <algorithm>
@@ -33,7 +33,9 @@
 #include <fstream>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <thread>
+#include <vector>
 
 #include "core/policy.hpp"
 #include "exp/aggregate.hpp"
@@ -93,6 +95,44 @@ std::string json_escape(const std::string& s) {
   return out;
 }
 
+/// The options each mode reads besides the flag that selects it, in the
+/// order main() picks modes; a campaign runs when no other mode is
+/// selected. Any other option given would be ignored, so it is an error.
+struct ModeReads {
+  std::string_view mode;
+  std::string_view options;  // space-separated, without dashes
+};
+constexpr ModeReads kModeReads[] = {
+    {"list-policies", ""},
+    {"merge", "manifest out json per-run metrics"},
+    {"agg-synth", "agg-reps out json per-run resume"},
+    {"worker", "worker-id manifest out per-run metrics jobs"},
+    {"export", "manifest out json per-run metrics"},
+    {"dry-run", "manifest shard"},
+    {"trace", "trace-point manifest"},
+    {"drive",
+     "manifest out json per-run metrics jobs resume hang-timeout bench-json "
+     "quiet progress serve serve-linger"},
+    {"campaign",
+     "manifest out json per-run metrics jobs resume shard bench-json quiet "
+     "progress serve serve-linger"},
+};
+
+/// The first of `given` that `mode` does not read, or "" if it reads all.
+std::string_view foreign_option(std::string_view mode,
+                                const std::vector<std::string>& given) {
+  for (const auto& row : kModeReads) {
+    if (row.mode != mode) continue;
+    const std::string reads = " " + std::string(row.options) + " ";
+    for (const auto& name : given) {
+      if (name != mode && reads.find(" " + name + " ") == std::string::npos) {
+        return name;
+      }
+    }
+  }
+  return {};
+}
+
 /// Appends one perf sample to the trajectory file (BENCH_orch.json in CI):
 /// flat JSON, one object per line, so runs accumulate append-only.
 void write_bench_json(const std::string& path,
@@ -130,7 +170,6 @@ int main(int argc, char** argv) {
   std::string trace_path;
   std::uint64_t trace_point = 0;
   std::uint64_t jobs = 0;
-  std::uint64_t rep_chunk = 0;
   std::uint64_t drive_workers = 0;
   std::uint64_t worker_id = 0;
   double hang_timeout = 120.0;
@@ -167,8 +206,6 @@ int main(int argc, char** argv) {
   cli.add_uint("jobs", &jobs,
                "Worker threads (0 = hardware concurrency, 1 = serial; with "
                "--drive: threads per worker process, 0 = 1)");
-  cli.add_uint("rep-chunk", &rep_chunk,
-               "Replications per sub-job within a point (0 = automatic)");
   cli.add_uint("drive", &drive_workers,
                "Supervise N worker processes with work-stealing leases and "
                "crash recovery; they send their rows to this process, which "
@@ -226,6 +263,21 @@ int main(int argc, char** argv) {
                "stdin/stdout)");
   cli.add_uint("worker-id", &worker_id, "Internal: this worker's id");
   if (!cli.parse(argc, argv)) return cli.status();
+  const std::string_view mode = list_policies         ? "list-policies"
+                                : merge               ? "merge"
+                                : agg_synth > 0       ? "agg-synth"
+                                : worker              ? "worker"
+                                : do_export           ? "export"
+                                : dry_run             ? "dry-run"
+                                : !trace_path.empty() ? "trace"
+                                : drive_workers > 0   ? "drive"
+                                                      : "campaign";
+  if (const auto name = foreign_option(mode, cli.given()); !name.empty()) {
+    std::fprintf(stderr, "pas-exp: --%.*s is not read in %.*s mode\n",
+                 static_cast<int>(name.size()), name.data(),
+                 static_cast<int>(mode.size()), mode.data());
+    return 2;
+  }
 
   try {
     if (list_policies) {
@@ -239,18 +291,6 @@ int main(int argc, char** argv) {
         std::fprintf(stderr,
                      "pas-exp: --merge needs --manifest and the shard files "
                      "as positional arguments (try --help)\n");
-        return 2;
-      }
-      // Campaign-execution options have no meaning here; accepting them
-      // would suggest e.g. that --dry-run leaves the outputs untouched.
-      if (!shard_spec.empty() || resume || dry_run || progress || jobs != 0 ||
-          rep_chunk != 0 || drive_workers != 0 || worker || worker_id != 0 ||
-          !bench_json.empty() || hang_timeout != 120.0 ||
-          !trace_path.empty() || trace_point != 0 || !serve_spec.empty() ||
-          serve_linger || do_export || agg_synth != 0 || agg_reps != 4) {
-        std::fprintf(stderr,
-                     "pas-exp: --merge takes only the shard files, "
-                     "--manifest, --out, --json, --per-run and --metrics\n");
         return 2;
       }
       pas::exp::AggregatorOptions outputs;
@@ -277,18 +317,9 @@ int main(int argc, char** argv) {
     if (agg_synth > 0) {
       // Synthetic aggregation driver: pushes N fabricated points through
       // record()/finalize() without simulating anything — the workload the
-      // CI max-RSS gate and the aggregation benches measure. Inputs are a
-      // pure function of (point, rep), so the artifacts have pinned
-      // digests.
-      if (worker || drive_workers != 0 || do_export || !serve_spec.empty() ||
-          !trace_path.empty() || dry_run || !shard_spec.empty() ||
-          !metrics_path.empty() || !manifest_path.empty()) {
-        std::fprintf(stderr,
-                     "pas-exp: --agg-synth drives the aggregator alone; it "
-                     "takes only --out/--json/--per-run/--agg-reps/"
-                     "--resume\n");
-        return 2;
-      }
+      // smoke.scale max-RSS ceilings and the aggregation benches measure.
+      // Inputs are a pure function of (point, rep), so the artifacts have
+      // pinned digests.
       const auto n_points = static_cast<std::size_t>(agg_synth);
       const auto reps =
           std::max<std::size_t>(1, static_cast<std::size_t>(agg_reps));
@@ -349,12 +380,6 @@ int main(int argc, char** argv) {
                    "pas-exp: --serve-linger needs --serve <host:port>\n");
       return 2;
     }
-    if (!serve_spec.empty() && (worker || dry_run || !trace_path.empty())) {
-      std::fprintf(stderr,
-                   "pas-exp: --serve watches a running campaign; it is "
-                   "incompatible with --worker, --dry-run, and --trace\n");
-      return 2;
-    }
 
     if (worker) {
       // Internal child mode of --drive: no human output, protocol only.
@@ -389,14 +414,6 @@ int main(int argc, char** argv) {
       // anything — the recovery hatch for an interrupted campaign whose
       // files never materialized. Keeps the store (finalize, not export, is
       // what retires it); the --metrics file gets no trailer.
-      if (worker || drive_workers != 0 || dry_run || !trace_path.empty() ||
-          !serve_spec.empty()) {
-        std::fprintf(stderr,
-                     "pas-exp: --export renders an existing row store; it "
-                     "takes only --manifest, --out, --json, --per-run, and "
-                     "--metrics\n");
-        return 2;
-      }
       pas::exp::Aggregator aggregator(pas::exp::campaign_aggregator_options(
           manifest, points, out_csv, out_json, per_run_csv, metrics_path));
       aggregator.load_existing();
@@ -425,13 +442,6 @@ int main(int argc, char** argv) {
       // Single-point structured trace export: run one grid point with the
       // event trace enabled and dump it as JSONL, then exit — a debugging
       // companion to a campaign, not part of one.
-      if (drive_workers > 0 || !shard_spec.empty() || resume ||
-          !out_json.empty() || !per_run_csv.empty() || !metrics_path.empty()) {
-        std::fprintf(stderr,
-                     "pas-exp: --trace runs one point and exits; it is "
-                     "incompatible with campaign output options\n");
-        return 2;
-      }
       if (trace_point >= points.size()) {
         std::fprintf(stderr,
                      "pas-exp: --trace-point %llu is outside the grid "
@@ -522,7 +532,6 @@ int main(int argc, char** argv) {
       if (!metrics_path.empty()) cmd += " --metrics " + metrics_path;
       if (!shard_spec.empty()) cmd += " --shard " + shard_spec;
       if (jobs != 0) cmd += " --jobs " + std::to_string(jobs);
-      if (rep_chunk != 0) cmd += " --rep-chunk " + std::to_string(rep_chunk);
       if (hang_timeout != 120.0) {
         char buf[48];
         std::snprintf(buf, sizeof(buf), " --hang-timeout %g", hang_timeout);
@@ -545,12 +554,6 @@ int main(int argc, char** argv) {
     };
 
     if (drive_workers > 0) {
-      if (!shard_spec.empty() || rep_chunk != 0) {
-        std::fprintf(stderr,
-                     "pas-exp: --drive is incompatible with --shard and "
-                     "--rep-chunk (drive owns the process split)\n");
-        return 2;
-      }
       pas::orch::DriveOptions drive_options;
       drive_options.exe_path = pas::orch::self_exe_path(argv[0]);
       drive_options.manifest_path = manifest_path;
@@ -596,7 +599,6 @@ int main(int argc, char** argv) {
     }
 
     options.jobs = static_cast<std::size_t>(jobs);
-    options.rep_chunk = static_cast<std::size_t>(rep_chunk);
     options.resume = resume;
     options.out_csv = out_csv;
     options.out_json = out_json;
@@ -640,9 +642,8 @@ int main(int argc, char** argv) {
             : 0.0,
         out_csv.c_str());
     if (!bench_json.empty()) {
-      write_bench_json(bench_json, manifest, "single", 1,
-                       options.jobs == 0 ? 0 : options.jobs, report.computed,
-                       report.wall_s);
+      write_bench_json(bench_json, manifest, "single", 1, report.jobs,
+                       report.computed, report.wall_s);
     }
     linger();
     return 0;
