@@ -442,9 +442,6 @@ pas::exp::AggregatorOptions bench_agg_options(const std::filesystem::path& dir,
   options.axis_names = {"x"};
   options.total_points = points;
   options.replications = reps;
-  // Small budget relative to the campaign so finalize really runs the
-  // external merge instead of a single-buffer fast path.
-  options.spill_budget_bytes = 256 * 1024;
   return options;
 }
 
@@ -473,8 +470,9 @@ void BM_Aggregator_Record(benchmark::State& state) {
 BENCHMARK(BM_Aggregator_Record)->Unit(benchmark::kMillisecond);
 
 void BM_Aggregator_Finalize(benchmark::State& state) {
-  // External-merge finalize over a recorded store: spill sorted runs, k-way
-  // merge, stream the CSV/JSONL artifacts. Timed without the record phase.
+  // Finalize over a recorded store: index the records' offsets, read the
+  // rows back in point order, stream the CSV/JSONL artifacts. Timed without
+  // the record phase.
   constexpr std::size_t kPoints = 2048;
   constexpr std::size_t kReps = 4;
   const auto dir = std::filesystem::temp_directory_path() / "pas_bench_agg_f";

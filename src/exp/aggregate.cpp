@@ -6,8 +6,6 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
-#include <optional>
-#include <queue>
 #include <stdexcept>
 #include <utility>
 
@@ -18,9 +16,6 @@
 namespace pas::exp {
 
 namespace {
-
-/// Default spill-buffer budget for the external-merge export.
-constexpr std::size_t kDefaultSpillBudgetBytes = 32u << 20;
 
 std::vector<std::string> split_join_csv(const std::string& line) {
   std::vector<std::string> cells;
@@ -68,26 +63,6 @@ bool is_finite_numeric_cell(const std::string& cell, bool& non_finite) {
     return false;
   }
   return true;
-}
-
-/// Export merge order within a point: per-run rows by rep, the telemetry
-/// row, then the summary; sequence numbers break ties so later appends win
-/// deterministically.
-int kind_rank(RowStore::Kind kind) {
-  switch (kind) {
-    case RowStore::Kind::kPerRun: return 0;
-    case RowStore::Kind::kTelemetry: return 1;
-    case RowStore::Kind::kSummary: return 2;
-  }
-  return 3;
-}
-
-bool record_less(const RowStore::Record& a, const RowStore::Record& b) {
-  if (a.point != b.point) return a.point < b.point;
-  const int ra = kind_rank(a.kind), rb = kind_rank(b.kind);
-  if (ra != rb) return ra < rb;
-  if (a.rep != b.rep) return a.rep < b.rep;
-  return a.seq < b.seq;
 }
 
 /// True if a --metrics point row carries the point's expected identity:
@@ -167,14 +142,6 @@ class ExportFile {
   bool committed_ = false;
 };
 
-/// Approximate in-memory footprint of a buffered record, for the spill
-/// budget accounting.
-std::size_t record_bytes(const RowStore::Record& r) {
-  std::size_t n = sizeof(RowStore::Record) + 32;
-  for (const auto& cell : r.cells) n += cell.size() + sizeof(std::string);
-  return n;
-}
-
 }  // namespace
 
 PointSummary PointSummary::of(std::size_t point, std::uint64_t seed,
@@ -216,7 +183,6 @@ Aggregator::Aggregator(AggregatorOptions options)
       replications_(options.replications),
       expected_identity_(std::move(options.expected_identity)),
       store_path_(std::move(options.store_path)),
-      spill_budget_bytes_(options.spill_budget_bytes),
       done_(total_points_, 0) {
   if (!expected_identity_.empty() &&
       expected_identity_.size() != total_points_) {
@@ -530,11 +496,18 @@ std::size_t Aggregator::load(const std::vector<Import>& imports) {
   store_ = std::make_unique<RowStore>(store_path_, identity_hash_);
   store_->open_append();
 
-  const bool per_run = !per_run_path_.empty();
-  std::vector<std::uint8_t> summary_live(total_points_, 0);
-  std::vector<std::uint8_t> telemetry_live(total_points_, 0);
-  std::vector<std::uint8_t> rep_live;
-  if (per_run) rep_live.assign(total_points_ * replications_, 0);
+  const auto index = index_store();
+  for (std::size_t p = 0; p < total_points_; ++p) {
+    if (!complete(index, p)) continue;
+    done_[p] = 1;
+    ++done_count_;
+  }
+  return done_count_;
+}
+
+std::vector<std::uint64_t> Aggregator::index_store() const {
+  const std::size_t stride = index_stride();
+  std::vector<std::uint64_t> index(total_points_ * stride, 0);
   store_->scan([&](const RowStore::Record& r) {
     if (r.point >= total_points_) return;
     if (!owns(r.point)) {
@@ -543,174 +516,67 @@ std::size_t Aggregator::load(const std::vector<Import>& imports) {
           store_path_ +
           " does not belong to this shard (wrong --shard/--out pairing?)");
     }
-    switch (r.kind) {
-      case RowStore::Kind::kSummary:
-        summary_live[r.point] = 1;
-        break;
-      case RowStore::Kind::kTelemetry:
-        telemetry_live[r.point] = 1;
-        break;
-      case RowStore::Kind::kPerRun:
-        if (per_run && r.rep < replications_) {
-          rep_live[r.point * replications_ + r.rep] = 1;
-        }
-        break;
+    std::size_t slot = 0;
+    std::size_t width = columns_.size();
+    if (r.kind == RowStore::Kind::kTelemetry) {
+      slot = 1;
+      width = 1;
+    } else if (r.kind == RowStore::Kind::kPerRun) {
+      if (r.rep >= stride - 2) return;  // no per-run output, or past R
+      slot = 2 + r.rep;
+      width = per_run_columns_.size();
     }
+    // The later record wins, even a malformed one: its row is then missing.
+    index[r.point * stride + slot] = r.cells.size() == width ? r.offset : 0;
   });
+  return index;
+}
 
-  for (std::size_t p = 0; p < total_points_; ++p) {
-    if (summary_live[p] == 0) continue;
-    // With --metrics a point without its telemetry row (a campaign first
-    // run without it, a row lost from the file) is recomputed, so the
-    // finalized file holds every point.
-    if (!metrics_path_.empty() && telemetry_live[p] == 0) continue;
-    if (per_run) {
-      // A summary without its full per-run group is torn (kill between the
-      // group and the summary, a partial batch, or a CSV pair cut short) —
-      // recompute the point.
-      bool complete = true;
-      for (std::size_t r = 0; complete && r < replications_; ++r) {
-        complete = rep_live[p * replications_ + r] != 0;
-      }
-      if (!complete) continue;
-    }
-    done_[p] = 1;
-    ++done_count_;
-  }
-  return done_count_;
+bool Aggregator::complete(const std::vector<std::uint64_t>& index,
+                          std::size_t p) const {
+  // With --metrics a point without its telemetry row (a campaign first run
+  // without it, a row lost from the file) is recomputed, so the finalized
+  // file holds every point. A summary without its full per-run group is
+  // torn (kill between the group and the summary, a partial batch, or a
+  // CSV pair cut short), and its point is recomputed too.
+  const std::uint64_t* slots = index.data() + p * index_stride();
+  return slots[0] != 0 && (metrics_path_.empty() || slots[1] != 0) &&
+         std::all_of(slots + 2, slots + index_stride(),
+                     [](std::uint64_t offset) { return offset != 0; });
 }
 
 void Aggregator::export_store(const std::vector<io::Json>& trailers) {
-  // Caller holds mutex_; store_ is open. External merge: buffer records up
-  // to the spill budget, spill sorted runs, then k-way merge the runs with
-  // the final in-memory batch and render the artifacts in one streaming
-  // pass — memory stays O(budget) + O(one per-run group).
+  // Caller holds mutex_; store_ is open. Opened first, so an unwritable
+  // artifact fails before the scan; an uncommitted one removes its temp
+  // file.
   store_->flush();
-  const std::size_t budget =
-      spill_budget_bytes_ != 0 ? spill_budget_bytes_ : kDefaultSpillBudgetBytes;
-  // Opened first, so an unwritable artifact fails before any spill run
-  // exists; an uncommitted one removes its temp file.
   ExportFile csv(csv_path_), json(json_path_), per_run_file(per_run_path_),
       metrics(metrics_path_);
-
-  // A crashed export leaves numbered run files behind; they are always
-  // consecutive from 0, so delete until the first gap.
-  for (std::size_t k = 0;; ++k) {
-    std::error_code ec;
-    if (!std::filesystem::remove(store_path_ + ".run" + std::to_string(k),
-                                 ec)) {
-      break;
-    }
-  }
-
-  std::vector<std::string> run_paths;
-  std::vector<RowStore::Record> buffer;
-  std::size_t buffered = 0;
-  const auto spill = [&] {
-    std::sort(buffer.begin(), buffer.end(), record_less);
-    std::string path = store_path_ + ".run" + std::to_string(run_paths.size());
-    RowStore::write_run(path, buffer);
-    run_paths.push_back(std::move(path));
-    buffer.clear();
-    buffered = 0;
-  };
-  store_->scan([&](const RowStore::Record& r) {
-    buffered += record_bytes(r);
-    buffer.push_back(r);
-    if (buffered >= budget) spill();
-  });
-  std::sort(buffer.begin(), buffer.end(), record_less);
-
-  struct Source {
-    std::unique_ptr<RowStore::RunReader> reader;
-    const std::vector<RowStore::Record>* mem = nullptr;
-    std::size_t mem_idx = 0;
-    RowStore::Record cur;
-    bool advance() {
-      if (reader) return reader->next(cur);
-      if (mem_idx >= mem->size()) return false;
-      cur = (*mem)[mem_idx++];
-      return true;
-    }
-  };
-  std::vector<Source> sources(run_paths.size() + 1);
-  for (std::size_t i = 0; i < run_paths.size(); ++i) {
-    sources[i].reader = std::make_unique<RowStore::RunReader>(run_paths[i]);
-  }
-  sources.back().mem = &buffer;
-  const auto source_after = [](const Source* a, const Source* b) {
-    return record_less(b->cur, a->cur);
-  };
-  std::priority_queue<Source*, std::vector<Source*>, decltype(source_after)>
-      heap(source_after);
-  for (auto& s : sources) {
-    if (s.advance()) heap.push(&s);
-  }
-
-  const bool per_run = per_run_file.enabled();
+  const auto index = index_store();
+  const std::size_t stride = index_stride();
   csv.out() << join_csv(columns_) << '\n';
-  if (per_run) per_run_file.out() << join_csv(per_run_columns_) << '\n';
-
-  // Per-point group state: last-wins by sequence number. Only a complete
-  // group — a summary plus, in per-run mode, every replication and, with
-  // --metrics, the telemetry row — is rendered; torn batches vanish,
-  // exactly the points the resume scan counts as not done.
-  std::size_t cur_point = SIZE_MAX;
-  std::optional<RowStore::Record> summary;
-  std::optional<RowStore::Record> telemetry;
-  std::vector<std::optional<RowStore::Record>> latest_rep(
-      per_run ? replications_ : 0);
-  const auto live = [&](const std::optional<RowStore::Record>& r,
-                        std::size_t cells) {
-    return r.has_value() && r->cells.size() == cells;
-  };
-  const auto keep_latest = [](std::optional<RowStore::Record>& slot,
-                              const RowStore::Record& r) {
-    if (!slot.has_value() || slot->seq < r.seq) slot = r;
-  };
-
-  const auto emit_group = [&] {
-    if (cur_point == SIZE_MAX) return;
-    bool complete = live(summary, columns_.size()) &&
-                    (!metrics.enabled() || live(telemetry, 1));
-    for (std::size_t r = 0; complete && r < latest_rep.size(); ++r) {
-      complete = live(latest_rep[r], per_run_columns_.size());
-    }
-    if (complete) {
-      for (const auto& run : latest_rep) {
-        per_run_file.out() << join_csv(run->cells) << '\n';
-      }
-      csv.out() << join_csv(summary->cells) << '\n';
-      if (json.enabled()) json.out() << json_line(summary->cells) << '\n';
-      if (metrics.enabled()) metrics.out() << telemetry->cells.front() << '\n';
-    }
-    summary.reset();
-    telemetry.reset();
-    std::fill(latest_rep.begin(), latest_rep.end(), std::nullopt);
-  };
-
-  while (!heap.empty()) {
-    Source* s = heap.top();
-    heap.pop();
-    const RowStore::Record& r = s->cur;
-    if (r.point != cur_point) {
-      emit_group();
-      cur_point = r.point;
-    }
-    switch (r.kind) {
-      case RowStore::Kind::kSummary:
-        keep_latest(summary, r);
-        break;
-      case RowStore::Kind::kTelemetry:
-        keep_latest(telemetry, r);
-        break;
-      case RowStore::Kind::kPerRun:
-        if (r.rep < latest_rep.size()) keep_latest(latest_rep[r.rep], r);
-        break;
-    }
-    if (s->advance()) heap.push(s);
+  if (per_run_file.enabled()) {
+    per_run_file.out() << join_csv(per_run_columns_) << '\n';
   }
-  emit_group();
+  // Rows are read in the order a point's batch wrote them, so a store
+  // recorded in point order is read front to back without a seek.
+  RowStore::Reader reader(store_path_);
+  RowStore::Record row;
+  for (std::size_t p = 0; p < total_points_; ++p) {
+    if (!owns(p) || !complete(index, p)) continue;
+    const std::uint64_t* slots = index.data() + p * stride;
+    for (std::size_t r = 2; r < stride; ++r) {
+      reader.read(slots[r], row);
+      per_run_file.out() << join_csv(row.cells) << '\n';
+    }
+    if (metrics.enabled()) {
+      reader.read(slots[1], row);
+      metrics.out() << row.cells.front() << '\n';
+    }
+    reader.read(slots[0], row);
+    csv.out() << join_csv(row.cells) << '\n';
+    if (json.enabled()) json.out() << json_line(row.cells) << '\n';
+  }
 
   csv.commit();
   json.commit();
@@ -719,11 +585,6 @@ void Aggregator::export_store(const std::vector<io::Json>& trailers) {
     if (metrics.enabled()) metrics.out() << trailer.dump() << '\n';
   }
   metrics.commit();
-  sources.clear();  // closes the run readers before unlinking
-  for (const auto& path : run_paths) {
-    std::error_code ec;
-    std::filesystem::remove(path, ec);
-  }
 }
 
 bool Aggregator::is_done(std::size_t point) const {

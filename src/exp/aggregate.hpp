@@ -17,18 +17,20 @@
 //
 // finalize()/compact() render the CSV, the optional JSON-lines mirror, the
 // optional per-replication CSV and the optional --metrics telemetry JSONL
-// through an external-merge export — sorted spill runs of bounded size,
-// k-way merged by (point, rep) — so the artifacts come out in point order,
-// byte-identical no matter how many threads produced them or how many
-// times the campaign was resumed, and memory stays O(spill budget) however
-// large the campaign is. In flight the store is the ground truth (the
-// artifacts only materialize at export); finalize deletes the store, and
-// resuming from bare artifacts imports their rows into a fresh store first.
+// by record offset: one scan of the store notes the byte offset of the
+// last record of every (kind, point, rep), 8 bytes per record, and the
+// export walks the points in order and reads each done point's rows back
+// from those offsets. The artifacts come out in point order, byte-identical
+// no matter how many threads produced them or how many times the campaign
+// was resumed, and no row content is held in memory. In flight the store
+// is the ground truth (the artifacts only materialize at export); finalize
+// deletes the store, and resuming from bare artifacts imports their rows
+// into a fresh store first.
 //
 // A point is done when its summary, its per-run group (with per-run
-// output) and its telemetry row (with --metrics output) are all live in
-// the store; anything less is recomputed, and the export renders exactly
-// the done points.
+// output) and its telemetry row (with --metrics output) are all in the
+// store, each at full width, its last record winning; anything less is
+// recomputed. Resume and export decide this with the same complete().
 //
 // Sharding: a campaign may be split across processes/machines with
 // `owned_points` — each shard aggregates only its own subset of the grid
@@ -98,10 +100,6 @@ struct AggregatorOptions {
   /// Binary row-store path; empty means RowStore::path_for(csv_path).
   /// Setting it requires csv_path.
   std::string store_path;
-  /// Spill-buffer budget for the external-merge export, in bytes.
-  /// 0 selects the default (32 MiB); tests shrink it to force multi-run
-  /// spills on small campaigns.
-  std::size_t spill_budget_bytes = 0;
 };
 
 class Aggregator {
@@ -242,8 +240,24 @@ class Aggregator {
   void append_batch(std::size_t point, std::string_view batch);
   /// Creates/opens the store lazily. Caller must hold mutex_.
   void ensure_store();
-  /// External-merge export of the artifacts (spill runs + k-way merge);
-  /// `trailers` end the --metrics file. Caller must hold mutex_.
+  /// Index slots per point: the summary, the telemetry row, then one per
+  /// replication with per-run output.
+  [[nodiscard]] std::size_t index_stride() const {
+    return 2 + (per_run_path_.empty() ? 0 : replications_);
+  }
+  /// Scans the open store for the byte offset of the last record of every
+  /// (kind, point, rep), index_stride() slots per point; 0 marks a row with
+  /// no record, or whose last record has the wrong width. Throws
+  /// std::runtime_error for a row of a point outside this shard. Caller
+  /// must hold mutex_.
+  [[nodiscard]] std::vector<std::uint64_t> index_store() const;
+  /// The done rule: true if `index` holds point p's summary, its telemetry
+  /// row with a metrics path and its whole per-run group with per-run
+  /// output.
+  [[nodiscard]] bool complete(const std::vector<std::uint64_t>& index,
+                              std::size_t p) const;
+  /// Renders the complete points' rows in point order, read from the store
+  /// by offset; `trailers` end the --metrics file. Caller must hold mutex_.
   void export_store(const std::vector<io::Json>& trailers);
 
   std::string csv_path_;
@@ -262,7 +276,6 @@ class Aggregator {
 
   /// Empty exactly when csv_path_ is (in-memory aggregation).
   std::string store_path_;
-  std::size_t spill_budget_bytes_ = 0;
   std::uint64_t identity_hash_ = 0;
 
   mutable std::mutex mutex_;

@@ -75,32 +75,9 @@ void patch_u32(std::string& out, std::size_t at, std::uint32_t v) {
   }
 }
 
-/// Appends one framed record to `out`; `with_seq` embeds the sequence
-/// number (spill-run framing — a store record's seq is its byte offset
-/// instead). The payload is serialized in place and its length and CRC
-/// patched in afterwards.
-void frame_record(std::string& out, RowStore::Kind kind, std::size_t point,
-                  std::size_t rep, std::uint64_t seq,
-                  const std::vector<std::string>& cells, bool with_seq) {
-  const std::size_t head = out.size();
-  out.append(8, '\0');
-  out.push_back(static_cast<char>(kind));
-  if (with_seq) put_u64(out, seq);
-  put_u64(out, static_cast<std::uint64_t>(point));
-  put_u32(out, static_cast<std::uint32_t>(rep));
-  put_u32(out, static_cast<std::uint32_t>(cells.size()));
-  for (const auto& cell : cells) {
-    put_u32(out, static_cast<std::uint32_t>(cell.size()));
-    out += cell;
-  }
-  const std::size_t len = out.size() - head - 8;
-  patch_u32(out, head, static_cast<std::uint32_t>(len));
-  patch_u32(out, head + 4, crc32(out.data() + head + 8, len));
-}
-
 /// Parses a record payload; returns false on any malformed field (the
 /// caller treats that as a torn record).
-bool decode_payload(const char* data, std::size_t size, bool with_seq,
+bool decode_payload(const char* data, std::size_t size,
                     RowStore::Record& out) {
   std::size_t pos = 0;
   auto need = [&](std::size_t n) { return size - pos >= n; };
@@ -109,11 +86,6 @@ bool decode_payload(const char* data, std::size_t size, bool with_seq,
   const auto kind = static_cast<std::uint8_t>(data[pos++]);
   if (kind != 1 && kind != 2 && kind != 4) return false;
   out.kind = static_cast<RowStore::Kind>(kind);
-  if (with_seq) {
-    if (!need(8)) return false;
-    out.seq = get_u64(data + pos);
-    pos += 8;
-  }
   if (!need(8 + 4 + 4)) return false;
   out.point = static_cast<std::size_t>(get_u64(data + pos));
   pos += 8;
@@ -199,11 +171,6 @@ std::uint64_t RowStore::hash_identity(
   return h;
 }
 
-bool RowStore::file_exists() const {
-  std::error_code ec;
-  return std::filesystem::exists(path_, ec);
-}
-
 std::uint64_t RowStore::scan_impl(
     const std::function<void(const Record&)>& on_record,
     bool* header_present) const {
@@ -231,11 +198,10 @@ std::uint64_t RowStore::scan_impl(
   Record record;
   bool torn = false;
   while (read_frame(in, payload, torn)) {
-    if (!decode_payload(payload.data(), payload.size(), /*with_seq=*/false,
-                        record)) {
+    if (!decode_payload(payload.data(), payload.size(), record)) {
       break;  // undecodable but CRC-valid payload: treat as torn
     }
-    record.seq = clean;
+    record.offset = clean;
     if (on_record) on_record(record);
     clean += 8 + payload.size();
   }
@@ -292,7 +258,21 @@ void RowStore::append_encoded(std::string_view records) {
 
 void RowStore::encode(std::string& out, Kind kind, std::size_t point,
                       std::size_t rep, const std::vector<std::string>& cells) {
-  frame_record(out, kind, point, rep, 0, cells, /*with_seq=*/false);
+  // The payload is serialized in place; its length and CRC are patched in
+  // afterwards.
+  const std::size_t head = out.size();
+  out.append(8, '\0');
+  out.push_back(static_cast<char>(kind));
+  put_u64(out, static_cast<std::uint64_t>(point));
+  put_u32(out, static_cast<std::uint32_t>(rep));
+  put_u32(out, static_cast<std::uint32_t>(cells.size()));
+  for (const auto& cell : cells) {
+    put_u32(out, static_cast<std::uint32_t>(cell.size()));
+    out += cell;
+  }
+  const std::size_t len = out.size() - head - 8;
+  patch_u32(out, head, static_cast<std::uint32_t>(len));
+  patch_u32(out, head + 4, crc32(out.data() + head + 8, len));
 }
 
 bool RowStore::decode(std::string_view bytes, std::vector<Record>& out) {
@@ -305,7 +285,7 @@ bool RowStore::decode(std::string_view bytes, std::vector<Record>& out) {
       return false;
     }
     Record record;
-    if (!decode_payload(bytes.data() + 8, len, /*with_seq=*/false, record)) {
+    if (!decode_payload(bytes.data() + 8, len, record)) {
       return false;
     }
     out.push_back(std::move(record));
@@ -337,49 +317,27 @@ void RowStore::remove_file() {
   std::filesystem::remove(path_, ec);
 }
 
-void RowStore::write_run(const std::string& path,
-                         const std::vector<Record>& records) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) {
-    throw std::runtime_error("RowStore: cannot write spill run " + path);
-  }
-  std::string buffer;
-  for (const auto& r : records) {
-    frame_record(buffer, r.kind, r.point, r.rep, r.seq, r.cells,
-                 /*with_seq=*/true);
-    if (buffer.size() >= (1u << 20)) {
-      out.write(buffer.data(), static_cast<std::streamsize>(buffer.size()));
-      buffer.clear();
-    }
-  }
-  out.write(buffer.data(), static_cast<std::streamsize>(buffer.size()));
-  out.flush();
-  if (!out) {
-    throw std::runtime_error("RowStore: write failed on spill run " + path);
-  }
-}
-
-RowStore::RunReader::RunReader(const std::string& path)
+RowStore::Reader::Reader(const std::string& path)
     : path_(path), in_(path, std::ios::binary) {
   if (!in_) {
-    throw std::runtime_error("RowStore: cannot open spill run " + path);
+    throw std::runtime_error("RowStore: cannot read " + path);
   }
 }
 
-bool RowStore::RunReader::next(Record& out) {
-  std::string payload;
+void RowStore::Reader::read(std::uint64_t offset, Record& out) {
+  if (offset != at_) {
+    in_.clear();
+    in_.seekg(static_cast<std::streamoff>(offset));
+  }
   bool torn = false;
-  if (!read_frame(in_, payload, torn)) {
-    if (torn) {
-      throw std::runtime_error("RowStore: corrupt spill run " + path_);
-    }
-    return false;
+  if (!read_frame(in_, payload_, torn) ||
+      !decode_payload(payload_.data(), payload_.size(), out)) {
+    at_ = UINT64_MAX;  // the stream position is unknown: seek next time
+    throw std::runtime_error("RowStore: no intact record at byte " +
+                             std::to_string(offset) + " of " + path_);
   }
-  if (!decode_payload(payload.data(), payload.size(), /*with_seq=*/true,
-                      out)) {
-    throw std::runtime_error("RowStore: corrupt spill run " + path_);
-  }
-  return true;
+  out.offset = offset;
+  at_ = offset + 8 + payload_.size();
 }
 
 }  // namespace pas::exp

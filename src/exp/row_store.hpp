@@ -1,7 +1,7 @@
 // Binary campaign row store (".pasrows").
 //
 // The Aggregator's only row state: completed rows are appended to a compact
-// binary log, so aggregation memory stays O(grid) however many rows a
+// binary log, so no row content is held in memory however many rows a
 // campaign writes. Each record carries its kind (per-run row, point
 // summary or telemetry row), its (point, rep) key, and the row's cell
 // strings verbatim, so the export step renders the CSV/JSONL/--metrics
@@ -29,10 +29,9 @@
 // framing for a batch in memory, which is how a --drive worker hands a
 // point's rows to the driver.
 //
-// Spill runs: the external-merge export sorts buffered records and spills
-// them to sibling ".run<k>" files using the same framing with the record's
-// store sequence number embedded in the payload (a store record's sequence
-// number is implicit: its byte offset).
+// Export: a record's byte offset names it. The export scans the store for
+// the offset of each row's last record, then reads the rows back in point
+// order through a Reader, one seek per record out of place.
 #pragma once
 
 #include <cstdint>
@@ -58,9 +57,9 @@ class RowStore {
     Kind kind = Kind::kSummary;
     std::size_t point = 0;
     std::size_t rep = 0;
-    /// Monotonic within a store file: the record's byte offset. Later
+    /// The record's byte offset in the store file, set by scan(). Later
     /// records win when a (point, rep) appears more than once.
-    std::uint64_t seq = 0;
+    std::uint64_t offset = 0;
     std::vector<std::string> cells;
   };
 
@@ -80,7 +79,6 @@ class RowStore {
       const std::vector<std::vector<std::string>>& expected_identity);
 
   [[nodiscard]] const std::string& path() const noexcept { return path_; }
-  [[nodiscard]] bool file_exists() const;
 
   /// Streams every record of the clean prefix in file order. Returns the
   /// clean-prefix byte count (header included). Throws std::runtime_error
@@ -120,24 +118,20 @@ class RowStore {
   /// decode.
   static bool decode(std::string_view bytes, std::vector<Record>& out);
 
-  // --- Spill runs for the external-merge export -----------------------------
-
-  /// Writes `records` (already sorted by the caller) as a spill run.
-  static void write_run(const std::string& path,
-                        const std::vector<Record>& records);
-
-  /// Sequential reader over a spill run. Runs are written and read within
-  /// one export pass, so corruption is an I/O error, not a torn tail:
-  /// next() throws std::runtime_error instead of stopping early.
-  class RunReader {
+  /// Reads records back by the byte offsets scan() reported.
+  class Reader {
    public:
-    explicit RunReader(const std::string& path);
-    /// Reads the next record; returns false at end of file.
-    bool next(Record& out);
+    explicit Reader(const std::string& path);
+    /// Reads the record at `offset` into `out`. Throws std::runtime_error
+    /// if the bytes there are not one whole, intact record.
+    void read(std::uint64_t offset, Record& out);
 
    private:
     std::string path_;
     std::ifstream in_;
+    /// The offset the stream is at, so in-order reads never seek.
+    std::uint64_t at_ = 0;
+    std::string payload_;
   };
 
  private:

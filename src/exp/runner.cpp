@@ -291,7 +291,6 @@ std::size_t merge_outputs(const Manifest& manifest,
   AggregatorOptions options = campaign_aggregator_options(
       manifest, points, outputs.csv_path, outputs.json_path,
       outputs.per_run_path, outputs.metrics_path);
-  options.spill_budget_bytes = outputs.spill_budget_bytes;
   refuse_existing_outputs(options, "remove it first, a merge writes new files");
   const std::string store_path = RowStore::path_for(options.csv_path);
   try {

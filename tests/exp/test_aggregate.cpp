@@ -404,8 +404,7 @@ class StoreAggregateTest : public AggregateTest {
 
   AggregatorOptions store_options(const fs::path& sub,
                                   std::size_t total_points,
-                                  std::size_t reps,
-                                  std::size_t spill_budget) {
+                                  std::size_t reps) {
     fs::create_directories(dir_ / sub);
     AggregatorOptions options;
     options.csv_path = (dir_ / sub / "out.csv").string();
@@ -414,32 +413,25 @@ class StoreAggregateTest : public AggregateTest {
     options.axis_names = {"x"};
     options.total_points = total_points;
     options.replications = reps;
-    options.spill_budget_bytes = spill_budget;
     return options;
   }
 };
 
-TEST_F(StoreAggregateTest, SpillBudgetDoesNotChangeBytes) {
+TEST_F(StoreAggregateTest, ScrambledOrderExportsPinnedBytes) {
   constexpr std::size_t kPoints = 37;
   constexpr std::size_t kReps = 3;
-  // A tiny spill budget forces many sorted runs and a genuine k-way merge
-  // even on this small campaign; the default budget exports from a single
-  // in-memory batch.
-  for (const auto& [sub, budget] :
-       {std::pair<const char*, std::size_t>{"tiny", 512},
-        std::pair<const char*, std::size_t>{"default", 0}}) {
-    const auto options = store_options(sub, kPoints, kReps, budget);
-    Aggregator agg{AggregatorOptions(options)};
-    agg.load_existing();
-    // Record in a scrambled (but deterministic) completion order.
-    for (std::size_t i = 0; i < kPoints; ++i) {
-      const std::size_t p = (i * 17) % kPoints;
-      agg.record(p, 1000 + p, {std::to_string(p)}, synth_metrics(p, kReps));
-    }
-    agg.finalize();
-    // finalize retires the store.
-    EXPECT_FALSE(fs::exists(RowStore::path_for(options.csv_path)));
+  const auto options = store_options("s", kPoints, kReps);
+  Aggregator agg{AggregatorOptions(options)};
+  agg.load_existing();
+  // Record in a scrambled (but deterministic) completion order: the export
+  // reads the store out of order and must still write point order.
+  for (std::size_t i = 0; i < kPoints; ++i) {
+    const std::size_t p = (i * 17) % kPoints;
+    agg.record(p, 1000 + p, {std::to_string(p)}, synth_metrics(p, kReps));
   }
+  agg.finalize();
+  // finalize retires the store.
+  EXPECT_FALSE(fs::exists(RowStore::path_for(options.csv_path)));
   // Recorded while the in-memory aggregator still produced these exact
   // bytes alongside the store.
   const std::pair<const char*, std::uint64_t> golden[] = {
@@ -447,51 +439,63 @@ TEST_F(StoreAggregateTest, SpillBudgetDoesNotChangeBytes) {
       {"out.jsonl", 10358593192240084000ULL},
       {"runs.csv", 12214723954500783299ULL}};
   for (const auto& [name, digest] : golden) {
-    const std::string bytes = slurp(dir_ / "tiny" / name);
-    EXPECT_EQ(bytes, slurp(dir_ / "default" / name)) << name;
+    const std::string bytes = slurp(dir_ / "s" / name);
     EXPECT_EQ(fnv1a(bytes), digest)
         << name << " digest is now " << fnv1a(bytes);
   }
 }
 
-TEST_F(StoreAggregateTest, ResumeDropsTornBinaryTail) {
-  const auto options = store_options("s", 2, 2, 0);
+TEST_F(StoreAggregateTest, ResumeRecomputesTornOrMalformedPoint) {
+  // The recovered campaign's artifacts must equal an uninterrupted run's.
+  const auto clean = store_options("clean", 2, 2);
   {
-    Aggregator agg{AggregatorOptions(options)};
-    agg.load_existing();
-    agg.record(0, 100, {"0"}, synth_metrics(0, 2));
-    agg.record(1, 101, {"1"}, synth_metrics(1, 2));
-    // No finalize: the campaign dies here, rows live only in the store.
+    Aggregator oracle{AggregatorOptions(clean)};
+    oracle.load_existing();
+    oracle.record(0, 100, {"0"}, synth_metrics(0, 2));
+    oracle.record(1, 101, {"1"}, synth_metrics(1, 2));
+    oracle.finalize();
   }
-  EXPECT_FALSE(fs::exists(options.csv_path));
-  ASSERT_TRUE(fs::exists(RowStore::path_for(options.csv_path)));
-  // Tear into point 1's trailing summary record, as a kill mid-write would.
-  const std::string store = RowStore::path_for(options.csv_path);
-  fs::resize_file(store, fs::file_size(store) - 3);
+  for (const std::string sub : {"torn", "malformed"}) {
+    const auto options = store_options(sub, 2, 2);
+    const std::string store = RowStore::path_for(options.csv_path);
+    std::vector<std::string> columns;
+    {
+      Aggregator agg{AggregatorOptions(options)};
+      agg.load_existing();
+      agg.record(0, 100, {"0"}, synth_metrics(0, 2));
+      agg.record(1, 101, {"1"}, synth_metrics(1, 2));
+      columns = agg.columns();
+      // No finalize: the campaign dies here, rows live only in the store.
+    }
+    EXPECT_FALSE(fs::exists(options.csv_path));
+    ASSERT_TRUE(fs::exists(store));
+    if (sub == "torn") {
+      // Tear into point 1's trailing summary, as a kill mid-write would.
+      fs::resize_file(store, fs::file_size(store) - 3);
+    } else {
+      // A later summary of the wrong width. Resume once counted the point
+      // done while the export dropped it, so the CSV silently lacked it.
+      RowStore damaged(store, RowStore::hash_identity(columns, 2, 2, {}));
+      damaged.open_append();
+      damaged.append(RowStore::Kind::kSummary, 1, 0, {"1"});
+      damaged.flush();
+    }
 
-  Aggregator resumed{AggregatorOptions(options)};
-  EXPECT_EQ(resumed.load_existing(), 1U);
-  EXPECT_TRUE(resumed.is_done(0));
-  EXPECT_FALSE(resumed.is_done(1));
-  resumed.record(1, 101, {"1"}, synth_metrics(1, 2));
-  resumed.finalize();
-
-  // The recovered campaign's artifacts equal an uninterrupted run's.
-  const auto clean = store_options("clean", 2, 2, 0);
-  Aggregator oracle{AggregatorOptions(clean)};
-  oracle.load_existing();
-  oracle.record(0, 100, {"0"}, synth_metrics(0, 2));
-  oracle.record(1, 101, {"1"}, synth_metrics(1, 2));
-  oracle.finalize();
-  for (const char* name : {"out.csv", "out.jsonl", "runs.csv"}) {
-    EXPECT_EQ(read_lines((dir_ / "s" / name).string()),
-              read_lines((dir_ / "clean" / name).string()))
-        << name;
+    Aggregator resumed{AggregatorOptions(options)};
+    EXPECT_EQ(resumed.load_existing(), 1U) << sub;
+    EXPECT_TRUE(resumed.is_done(0)) << sub;
+    EXPECT_FALSE(resumed.is_done(1)) << sub;
+    resumed.record(1, 101, {"1"}, synth_metrics(1, 2));
+    resumed.finalize();
+    for (const char* name : {"out.csv", "out.jsonl", "runs.csv"}) {
+      EXPECT_EQ(slurp(dir_ / sub / name), slurp(dir_ / "clean" / name))
+          << sub << " " << name;
+    }
   }
 }
 
 TEST_F(StoreAggregateTest, SeedsFreshStoreFromFinalizedCsv) {
-  const auto options = store_options("s", 2, 2, 0);
+  const auto options = store_options("s", 2, 2);
   {
     Aggregator agg{AggregatorOptions(options)};
     agg.load_existing();
@@ -511,7 +515,7 @@ TEST_F(StoreAggregateTest, SeedsFreshStoreFromFinalizedCsv) {
 }
 
 TEST_F(StoreAggregateTest, FailedImportLeavesNoStore) {
-  auto options = store_options("s", 3, 2, 0);
+  auto options = store_options("s", 3, 2);
   options.expected_identity = {{"100", "0"}, {"101", "1"}, {"102", "2"}};
   {
     Aggregator agg{AggregatorOptions(options)};
@@ -579,7 +583,7 @@ TEST_F(StoreAggregateTest, StorePathRequiresCsvPath) {
 }
 
 TEST_F(StoreAggregateTest, FinalizeRejectsIncompleteCampaignBeforeExport) {
-  const auto options = store_options("s", 2, 2, 0);
+  const auto options = store_options("s", 2, 2);
   Aggregator agg{AggregatorOptions(options)};
   agg.load_existing();
   agg.record(0, 100, {"0"}, synth_metrics(0, 2));

@@ -1,4 +1,5 @@
-// RowStore: binary framing, torn-tail truncation, identity hash, spill runs.
+// RowStore: binary framing, torn-tail truncation, identity hash, reads by
+// offset.
 #include "exp/row_store.hpp"
 
 #include <gtest/gtest.h>
@@ -63,10 +64,10 @@ TEST_F(RowStoreTest, RoundTripsRecordsThroughScan) {
   EXPECT_EQ(records[3].kind, RowStore::Kind::kTelemetry);
   EXPECT_EQ(records[3].cells,
             (std::vector<std::string>{"{\"kind\":\"point\"}"}));
-  // seq is the record's byte offset: strictly increasing.
-  EXPECT_LT(records[0].seq, records[1].seq);
-  EXPECT_LT(records[1].seq, records[2].seq);
-  EXPECT_LT(records[2].seq, records[3].seq);
+  // offset is the record's byte offset: strictly increasing.
+  EXPECT_LT(records[0].offset, records[1].offset);
+  EXPECT_LT(records[1].offset, records[2].offset);
+  EXPECT_LT(records[2].offset, records[3].offset);
   // Every record is part of the clean prefix, so reopening truncates none.
   store.open_append();
   store.close();
@@ -138,35 +139,6 @@ TEST_F(RowStoreTest, CorruptPayloadEndsScanAtCleanPrefix) {
   const auto records = scan_all(reader);
   ASSERT_EQ(records.size(), 1U);
   EXPECT_EQ(records[0].cells, (std::vector<std::string>{"good"}));
-}
-
-TEST_F(RowStoreTest, SpillRunRoundTripsThroughRunReader) {
-  std::vector<RowStore::Record> records;
-  for (std::uint64_t i = 0; i < 100; ++i) {
-    RowStore::Record r;
-    r.kind = RowStore::Kind::kPerRun;
-    r.point = i / 4;
-    r.rep = static_cast<std::uint32_t>(i % 4);
-    r.seq = i * 10;
-    r.cells = {std::to_string(i), std::string(i % 7, 'x')};
-    records.push_back(std::move(r));
-  }
-  const std::string run_path = (dir_ / "spill.run0").string();
-  RowStore::write_run(run_path, records);
-
-  RowStore::RunReader reader(run_path);
-  RowStore::Record r;
-  std::size_t n = 0;
-  while (reader.next(r)) {
-    ASSERT_LT(n, records.size());
-    EXPECT_EQ(r.kind, records[n].kind);
-    EXPECT_EQ(r.point, records[n].point);
-    EXPECT_EQ(r.rep, records[n].rep);
-    EXPECT_EQ(r.seq, records[n].seq);
-    EXPECT_EQ(r.cells, records[n].cells);
-    ++n;
-  }
-  EXPECT_EQ(n, records.size());
 }
 
 TEST_F(RowStoreTest, HashIdentityCoversColumnsPointsAndIdentity) {

@@ -458,7 +458,7 @@ TEST_F(TelemetryTest, TornBatchAfterTelemetryRecomputesThePointOnce) {
     EXPECT_EQ(records[records.size() - 2].kind, RowStore::Kind::kTelemetry);
     EXPECT_EQ(records.back().kind, RowStore::Kind::kSummary);
     EXPECT_EQ(records.back().point, 5U);
-    summary_offset = records.back().seq;
+    summary_offset = records.back().offset;
   }
   fs::resize_file(store, summary_offset);
 

@@ -25,6 +25,7 @@
 // the completed (merged) file is byte-identical for any parallel schedule,
 // single- or multi-process.
 #include <algorithm>
+#include <atomic>
 #include <charconv>
 #include <chrono>
 #include <csignal>
@@ -54,13 +55,17 @@
 
 namespace {
 
-/// Set by SIGINT/SIGTERM while --serve is active; the campaign engine polls
-/// it (CampaignOptions::should_stop) and the serve loop exits its drain.
-/// --drive installs its own guard for the duration of the drive and restores
-/// this one afterwards, so both topologies drain gracefully.
-volatile std::sig_atomic_t g_stop_requested = 0;
+/// Set by SIGINT/SIGTERM during a campaign or drive (never in a --worker,
+/// which the driver's SIGTERM must end); the campaign engine polls it
+/// (CampaignOptions::should_stop) and --serve-linger exits on it. --drive
+/// installs its own guard for the duration of the drive and restores this
+/// one afterwards, so both topologies drain gracefully. Atomic, because
+/// the campaign's pool threads read it while the handler writes it.
+std::atomic<bool> g_stop_requested{false};
+static_assert(std::atomic<bool>::is_always_lock_free,
+              "the signal handler needs a lock-free flag");
 
-void handle_stop_signal(int) { g_stop_requested = 1; }
+void handle_stop_signal(int) { g_stop_requested.store(true); }
 
 /// Parses "i/N" into shard index + count. Returns false on malformed input.
 bool parse_shard(const std::string& spec, std::size_t& index,
@@ -513,9 +518,9 @@ int main(int argc, char** argv) {
                   static_cast<unsigned>(server->port()));
       std::fflush(stdout);
       server_thread = std::thread([&server] { server->run(); });
-      std::signal(SIGINT, handle_stop_signal);
-      std::signal(SIGTERM, handle_stop_signal);
     }
+    std::signal(SIGINT, handle_stop_signal);
+    std::signal(SIGTERM, handle_stop_signal);
     // An interrupted campaign leaves its output as resumable as a kill
     // does. Names the exact command that finishes it — every non-default
     // knob this invocation carried, plus --resume — and returns the exit
@@ -548,7 +553,7 @@ int main(int argc, char** argv) {
     };
     // --serve-linger: keep serving the finished campaign until SIGINT.
     const auto linger = [&] {
-      while (serving && serve_linger && g_stop_requested == 0) {
+      while (serving && serve_linger && !g_stop_requested.load()) {
         std::this_thread::sleep_for(std::chrono::milliseconds(100));
       }
     };
@@ -605,9 +610,7 @@ int main(int argc, char** argv) {
     options.per_run_csv = per_run_csv;
     options.metrics_path = metrics_path;
     options.feed = &feed;
-    if (serving) {
-      options.should_stop = [] { return g_stop_requested != 0; };
-    }
+    options.should_stop = [] { return g_stop_requested.load(); };
     // --progress is rendered by the feed (serve/feed.hpp): the terminal
     // line and any SSE "progress" event are two views of the same counters.
     feed.set_echo(progress && !quiet, /*drive_style=*/false, 1.0);
