@@ -13,6 +13,7 @@
 #include <chrono>
 #include <csignal>
 #include <cstdio>
+#include <deque>
 #include <filesystem>
 #include <memory>
 #include <optional>
@@ -26,8 +27,6 @@
 #include "io/json.hpp"
 #include "obs/export.hpp"
 #include "obs/flight_recorder.hpp"
-#include "orch/lease.hpp"
-#include "orch/queue.hpp"
 #include "orch/worker_link.hpp"
 #include "serve/feed.hpp"
 
@@ -44,43 +43,9 @@ std::string self_exe_path(const char* argv0) {
   return argv0 != nullptr ? std::string(argv0) : std::string();
 }
 
-std::string progress_line(std::size_t done, std::size_t total,
-                          std::size_t computed, std::size_t replications,
-                          double elapsed_s) {
-  const double reps = static_cast<double>(computed * replications);
-  const double rate = elapsed_s > 0.0 ? reps / elapsed_s : 0.0;
-  const double eta =
-      rate > 0.0
-          ? static_cast<double>((total - done) * replications) / rate
-          : 0.0;
-  char buf[160];
-  std::snprintf(buf, sizeof(buf),
-                "progress: %zu/%zu points (%.0f%%) | %.1f reps/s | ETA %.0fs",
-                done, total,
-                100.0 * static_cast<double>(done) /
-                    static_cast<double>(std::max<std::size_t>(1, total)),
-                rate, eta);
-  return buf;
-}
-
-std::string worker_status_line(int id, bool has_lease,
-                               std::size_t lease_points_left,
-                               std::size_t points_done, double hb_age_s) {
-  char buf[160];
-  if (has_lease) {
-    std::snprintf(buf, sizeof(buf),
-                  "  worker %d: %zu pts leased | %zu done | last line %.1fs "
-                  "ago",
-                  id, lease_points_left, points_done, hb_age_s);
-  } else {
-    std::snprintf(buf, sizeof(buf),
-                  "  worker %d: idle | %zu done | last line %.1fs ago", id,
-                  points_done, hb_age_s);
-  }
-  return buf;
-}
-
 namespace {
+
+using Clock = std::chrono::steady_clock;
 
 // --- Signal plumbing --------------------------------------------------------
 //
@@ -143,12 +108,18 @@ class Driver {
       feed_ = local_feed_.get();
     }
     feed_->set_echo(options.verbosity == DriveOptions::Verbosity::kPeriodic,
-                    /*drive_style=*/true, options.progress_interval_s);
+                    /*drive_style=*/true);
   }
 
   DriveReport run();
 
  private:
+  /// A point sent to a worker whose rows the store does not hold yet.
+  struct InFlight {
+    std::size_t point = 0;
+    Clock::time_point sent{};
+  };
+
   struct Worker {
     int id = -1;
     pid_t pid = -1;
@@ -156,8 +127,8 @@ class Driver {
     int out_fd = -1;  // worker stdout → driver
     std::string buf;  // partial protocol line
     bool hello = false;
-    bool has_lease = false;
-    std::uint64_t lease = 0;
+    /// Oldest first: the worker computes its points in the order sent.
+    std::deque<InFlight> in_flight;
     bool quit_sent = false;
     bool eof = false;
     bool doomed = false;  // queued for kill + crash recovery
@@ -168,7 +139,9 @@ class Driver {
 
   void spawn(int id);
   bool send(Worker& w, const std::string& line);
-  void assign(Worker& w);
+  /// Sends `w` pending points up to its in-flight depth, or `quit` once it
+  /// holds none and none are pending.
+  void top_up(Worker& w);
   void handle_line(Worker& w, const std::string& line);
   void read_worker(Worker& w);
   /// Kills + reaps every doomed/EOF worker and runs crash recovery or
@@ -188,7 +161,6 @@ class Driver {
   /// Appends the ring buffer of recent protocol exchanges to
   /// `<out_csv>.flightrec` (crash/abort forensics) and notes it on stderr.
   void dump_flight_recorder(const std::string& why);
-  [[nodiscard]] std::size_t eligible_workers() const;
 
   const exp::Manifest& manifest_;
   const DriveOptions& options_;
@@ -198,8 +170,9 @@ class Driver {
   std::unique_ptr<exp::Aggregator> aggregator_;
   int next_worker_id_ = 0;
 
-  std::unique_ptr<WorkQueue> queue_;
-  LeaseTable leases_;
+  /// Points no worker holds and the store does not hold, handed out from
+  /// the front; a crashed worker's points go back to the front.
+  std::deque<std::size_t> pending_;
   std::vector<std::unique_ptr<Worker>> workers_;
 
   DriveReport report_;
@@ -210,26 +183,19 @@ class Driver {
   serve::CampaignFeed* feed_ = nullptr;
   std::unique_ptr<serve::CampaignFeed> local_feed_;
 
-  // Observability. Lease latency, heartbeat gaps and report_'s crash and
-  // respawn counts measure this drive's wall-clock behaviour, so they
+  // Observability. Point latency (a point's assignment to its point_done,
+  // reported as orch.lease_latency_s), heartbeat gaps and report_'s crash
+  // and respawn counts measure this drive's wall-clock behaviour, so they
   // reach the --metrics trailer and /api/metrics only, never the
   // deterministic point rows. The flight recorder always runs — noting a
   // protocol line is one small string copy, and its dump is the only
   // record of what the driver and a dead worker last said to each other.
-  obs::HistogramData lease_latency_s_;
+  obs::HistogramData point_latency_s_;
   obs::HistogramData hb_gap_s_;
   /// Values recorded when publish_metrics() last pushed.
   std::optional<std::uint64_t> published_;
   obs::FlightRecorder flightrec_{256};
 };
-
-std::size_t Driver::eligible_workers() const {
-  std::size_t n = 0;
-  for (const auto& w : workers_) {
-    if (!w->quit_sent && !w->doomed) ++n;
-  }
-  return std::max<std::size_t>(1, n);
-}
 
 void Driver::spawn(int id) {
   Worker w;
@@ -302,23 +268,29 @@ bool Driver::send(Worker& w, const std::string& line) {
   return write_line(w.in_fd, line);
 }
 
-void Driver::assign(Worker& w) {
-  if (queue_->empty()) {
-    if (!w.quit_sent) {
-      if (send(w, format_quit())) {
-        w.quit_sent = true;
-      } else {
-        doom(w, "write failed while sending quit");
-      }
+void Driver::top_up(Worker& w) {
+  // Two in flight, so the next point already waits on the worker's pipe
+  // while the driver stores the last; one once fewer points are pending
+  // than there are live workers, so the tail spreads over all of them.
+  const auto live = static_cast<std::size_t>(std::count_if(
+      workers_.begin(), workers_.end(), [](const auto& other) {
+        return !other->quit_sent && !other->doomed && !other->eof;
+      }));
+  while (!pending_.empty() &&
+         w.in_flight.size() < (pending_.size() < live ? 1U : 2U)) {
+    w.in_flight.push_back({pending_.front(), Clock::now()});
+    pending_.pop_front();
+    if (!send(w, format_point(w.in_flight.back().point))) {
+      doom(w, "write failed while sending a point");
+      return;
     }
-    return;
   }
-  const auto points = queue_->take(eligible_workers());
-  const auto lease = leases_.issue(w.id, points, Clock::now());
-  w.lease = lease;
-  w.has_lease = true;
-  if (!send(w, format_lease(lease, points))) {
-    doom(w, "write failed while sending a lease");
+  if (w.in_flight.empty() && !w.quit_sent) {
+    if (send(w, format_quit())) {
+      w.quit_sent = true;
+    } else {
+      doom(w, "write failed while sending quit");
+    }
   }
 }
 
@@ -362,23 +334,30 @@ void Driver::handle_line(Worker& w, const std::string& line) {
         return;
       }
       w.hello = true;
-      assign(w);
+      top_up(w);
       break;
     case WorkerMsg::Kind::kHeartbeat:
-      if (w.has_lease) leases_.renew(w.lease, w.last_line);
-      break;
+      break;  // last_line is all a heartbeat moves
     case WorkerMsg::Kind::kPointDone: {
-      if (!w.has_lease) {
-        doom(w, "point_done without an active lease");
+      // A worker answers its points in the order they were sent, so any
+      // other point is a protocol violation, never progress. The point
+      // stays in flight until the store accepts its rows, so rejected rows
+      // are recomputed.
+      if (w.in_flight.empty() || w.in_flight.front().point != msg->point) {
+        doom(w, "point_done " + std::to_string(msg->point) +
+                    " is not the worker's oldest point in flight");
         return;
       }
       try {
-        leases_.mark_done(w.lease, msg->point, w.last_line);
         aggregator_->record_encoded(msg->point, msg->rows);
       } catch (const std::exception& e) {
         doom(w, e.what());
         return;
       }
+      point_latency_s_.record(
+          std::chrono::duration<double>(now - w.in_flight.front().sent)
+              .count());
+      w.in_flight.pop_front();
       ++report_.computed;
       ++w.points_done;
       {
@@ -391,27 +370,9 @@ void Driver::handle_line(Worker& w, const std::string& line) {
         feed_->point_done(io::Json(std::move(row)).dump());
       }
       print_point(w, msg->point);
+      top_up(w);
       break;
     }
-    case WorkerMsg::Kind::kLeaseDone:
-      if (!w.has_lease || msg->lease != w.lease) {
-        doom(w, "lease_done for a lease the worker does not hold");
-        return;
-      }
-      if (const Lease* lease = leases_.find(w.lease); lease != nullptr) {
-        lease_latency_s_.record(
-            std::chrono::duration<double>(w.last_line - lease->issued)
-                .count());
-      }
-      try {
-        leases_.complete(w.lease);
-      } catch (const std::logic_error& e) {
-        doom(w, e.what());
-        return;
-      }
-      w.has_lease = false;
-      assign(w);
-      break;
     case WorkerMsg::Kind::kFail:
       last_worker_error_ = msg->message;
       std::fprintf(stderr, "pas-exp: worker %d: %s\n", w.id,
@@ -459,20 +420,13 @@ void Driver::crash_recover(Worker& w) {
   dump_flight_recorder("worker " + std::to_string(w.id) + " crashed: " +
                        (w.doom_reason.empty() ? "exited unclean"
                                               : w.doom_reason));
-  // Requeue every point of the lease that the store does not hold. The
-  // lease table's pending set would miss one: a point whose rows were
-  // rejected is marked done there but has no rows.
-  std::vector<std::size_t> unfinished;
-  if (w.has_lease) {
-    if (const Lease* lease = leases_.find(w.lease); lease != nullptr) {
-      unfinished = lease->points;
-    }
-    leases_.revoke(w.lease);
-    std::erase_if(unfinished,
-                  [this](std::size_t p) { return aggregator_->is_done(p); });
+  // Its points in flight go back to the front of the queue, in the order
+  // they were sent, unless the store holds them.
+  for (auto it = w.in_flight.rbegin(); it != w.in_flight.rend(); ++it) {
+    if (!aggregator_->is_done(it->point)) pending_.push_front(it->point);
   }
-  queue_->put_back(unfinished);
-  if (queue_->empty()) return;
+  w.in_flight.clear();
+  if (pending_.empty()) return;
   if (report_.respawns < options_.max_respawns) {
     ++report_.respawns;
     feed_->worker_event("respawn", next_worker_id_,
@@ -490,7 +444,7 @@ void Driver::crash_recover(Worker& w) {
   }
   throw std::runtime_error(
       "drive: respawn budget exhausted with " +
-      std::to_string(queue_->remaining()) + " points outstanding" +
+      std::to_string(pending_.size()) + " points outstanding" +
       (last_worker_error_.empty() ? std::string()
                                   : "; last worker error: " +
                                         last_worker_error_));
@@ -513,7 +467,7 @@ void Driver::reap() {
     // entry outlives this loop when crash_recover throws).
     w.pid = -1;
     close_fds(w);
-    const bool clean = !w.doomed && w.quit_sent && !w.has_lease &&
+    const bool clean = !w.doomed && w.quit_sent && w.in_flight.empty() &&
                        WIFEXITED(status) && WEXITSTATUS(status) == 0;
     if (!clean) {
       if (w.doomed) {
@@ -579,12 +533,8 @@ void Driver::print_progress(bool force) {
   for (const auto& w : workers_) {
     serve::CampaignFeed::WorkerRow row;
     row.id = w->id;
-    row.has_lease = w->has_lease;
-    if (w->has_lease) {
-      if (const Lease* lease = leases_.find(w->lease); lease != nullptr) {
-        row.lease_points_left = lease->pending.size();
-      }
-    }
+    row.has_lease = !w->in_flight.empty();
+    row.lease_points_left = w->in_flight.size();
     row.points_done = w->points_done;
     row.last_line = w->last_line;
     rows.push_back(row);
@@ -595,7 +545,7 @@ void Driver::print_progress(bool force) {
 
 io::Json Driver::metrics_snapshot() const {
   io::JsonObject instruments;
-  instruments["orch.lease_latency_s"] = obs::histogram_json(lease_latency_s_);
+  instruments["orch.lease_latency_s"] = obs::histogram_json(point_latency_s_);
   instruments["orch.heartbeat_gap_s"] = obs::histogram_json(hb_gap_s_);
   instruments["orch.worker_crashes"] = report_.crashes;
   instruments["orch.respawns"] = report_.respawns;
@@ -609,7 +559,7 @@ void Driver::publish_metrics() {
   if (options_.metrics_path.empty()) return;
   // Every recorded value bumps one of these counts, so their sum changes
   // exactly when the snapshot does.
-  const std::uint64_t recorded = lease_latency_s_.count + hb_gap_s_.count +
+  const std::uint64_t recorded = point_latency_s_.count + hb_gap_s_.count +
                                  report_.crashes + report_.respawns;
   if (published_ == recorded) return;
   published_ = recorded;
@@ -643,8 +593,8 @@ DriveReport Driver::run() {
   if (!options_.resume) exp::refuse_existing_outputs(agg_options);
   aggregator_ = std::make_unique<exp::Aggregator>(std::move(agg_options));
   report_.resumed = aggregator_->load_existing();
-  queue_ = std::make_unique<WorkQueue>(aggregator_->pending(),
-                                       options_.max_lease);
+  const auto pending = aggregator_->pending();
+  pending_.assign(pending.begin(), pending.end());
   next_worker_id_ = static_cast<int>(options_.workers);
 
   feed_->begin_campaign(manifest_.name, points_.size(),
@@ -670,7 +620,7 @@ DriveReport Driver::run() {
 
   try {
     const std::size_t to_spawn =
-        std::min<std::size_t>(options_.workers, queue_->remaining());
+        std::min<std::size_t>(options_.workers, pending_.size());
     for (std::size_t i = 0; i < to_spawn; ++i) {
       spawn(static_cast<int>(i));
     }
@@ -701,26 +651,15 @@ DriveReport Driver::run() {
         }
       }
       // Hang detection: the worker-side heartbeat ticks every 0.5 s, so a
-      // silent worker is wedged (or its machine is), not merely busy.
-      // Lease holders are judged by their lease's renewal time (heartbeats
-      // and point_done both renew); workers without a lease (starting up
-      // or draining after quit) by their last protocol line.
+      // worker with no protocol line for hang_timeout_s is wedged (or its
+      // machine is), not merely busy — whether it is starting up, holds
+      // points or is draining after quit.
       if (options_.hang_timeout_s > 0.0) {
         const auto now = Clock::now();
-        for (const auto id : leases_.expired(now, options_.hang_timeout_s)) {
-          for (const auto& w : workers_) {
-            if (w->has_lease && w->lease == id && !w->eof) {
-              doom(*w, "lease " + std::to_string(id) +
-                           " expired: no heartbeat within " +
-                           std::to_string(options_.hang_timeout_s) + " s");
-            }
-          }
-        }
         for (const auto& w : workers_) {
           const double silent =
               std::chrono::duration<double>(now - w->last_line).count();
-          if (!w->has_lease && !w->eof &&
-              silent > options_.hang_timeout_s) {
+          if (!w->eof && silent > options_.hang_timeout_s) {
             doom(*w, "no protocol line for " + std::to_string(silent) + " s");
           }
         }
@@ -747,7 +686,7 @@ DriveReport Driver::run() {
   }
 
   if (!report_.interrupted) {
-    if (!queue_->empty() || leases_.active() != 0) {
+    if (!pending_.empty()) {
       throw std::logic_error(
           "drive: internal error — workers exited with work outstanding");
     }

@@ -2,11 +2,14 @@
 // threads → static shards → supervised dynamic shards).
 //
 // drive() turns one manifest into a fault-tolerant multi-process campaign:
-// it fork/execs W `pas-exp --worker` children, hands out point-range
-// leases from a work-stealing queue (src/orch/queue.hpp — dynamic sizing
-// beats PR 2's static modulo split when points have uneven cost), tracks
-// liveness through the heartbeat/progress protocol (src/orch/worker_link
-// .hpp), and recovers from failure.
+// it fork/execs W `pas-exp --worker` children and hands out single points
+// from one queue of pending points (src/orch/worker_link.hpp has the
+// protocol). Each worker holds at most two points in flight and is topped
+// up after every `point_done`, so it never waits while the driver stores
+// its last point; once fewer points are pending than there are live
+// workers, a worker holds one, so the campaign's tail spreads over all of
+// them. Handing out points as workers free up balances uneven point cost,
+// which a static split like --shard cannot.
 //
 // Workers write no files. Each `point_done` carries the point's rows, and
 // the driver appends them to the campaign's one exp::Aggregator, built as
@@ -17,11 +20,13 @@
 // mid-run leaves exactly what a killed single-process run leaves.
 //
 //  * Crashed worker (non-zero exit, SIGKILL, protocol violation, rows the
-//    Aggregator rejects): every point of its lease that the store does not
-//    hold goes back to the queue, and a replacement is spawned (bounded by
-//    max_respawns).
-//  * Hung worker (no protocol line for hang_timeout_s): SIGKILLed and
-//    handled as a crash.
+//    Aggregator rejects): every point it holds in flight that the store
+//    does not hold goes back to the front of the queue, and a replacement
+//    is spawned (bounded by max_respawns).
+//  * Hung worker: one rule covers every worker, whatever it holds — no
+//    protocol line for hang_timeout_s. Heartbeats and point_done both
+//    count, so a live worker is never silent for long. It is SIGKILLed
+//    and handled as a crash.
 //  * SIGINT/SIGTERM: children are terminated, the store is left on disk,
 //    and the report says so; the CLI prints the exact command that
 //    continues the campaign.
@@ -32,7 +37,7 @@
 // drive's.
 #pragma once
 
-#include <cstdint>
+#include <cstddef>
 #include <string>
 
 #include "exp/manifest.hpp"
@@ -56,7 +61,7 @@ struct DriveOptions {
   /// Optional per-replication CSV.
   std::string per_run_csv;
   /// Optional telemetry JSONL (pas-exp --metrics). Its trailer row holds
-  /// the driver's orchestrator-scope instruments (lease latency, heartbeat
+  /// the driver's orchestrator-scope instruments (point latency, heartbeat
   /// gaps, crashes, respawns), which are also pushed to `feed`.
   std::string metrics_path;
   /// Worker processes to spawn (capped by the number of pending points).
@@ -71,16 +76,13 @@ struct DriveOptions {
   /// Replacement-spawn budget for crashed/hung workers; exceeding it with
   /// work outstanding aborts the drive.
   std::size_t max_respawns = 8;
-  /// Cap on points per lease.
-  std::size_t max_lease = 64;
 
   enum class Verbosity {
     kQuiet,     // nothing
     kPerPoint,  // one line per completed point
-    kPeriodic,  // one status line per progress_interval_s (--progress)
+    kPeriodic,  // one status line per second (--progress)
   };
   Verbosity verbosity = Verbosity::kPerPoint;
-  double progress_interval_s = 1.0;
 
   /// Live-observability hub (serve/feed.hpp). The driver publishes the
   /// worker table, point completions, crash/respawn events, throttled
@@ -115,24 +117,5 @@ DriveReport drive(const exp::Manifest& manifest, const DriveOptions& options);
 /// Path of the currently running executable (/proc/self/exe when
 /// available, else the given argv[0]) — what drive() should exec.
 [[nodiscard]] std::string self_exe_path(const char* argv0);
-
-/// The --progress status line shared by drive and single-process mode:
-/// "progress: done/total points (pct%) | reps/s | ETA". `computed` counts
-/// only points simulated this invocation (resumed rows carry no elapsed
-/// time), which is what makes the rate honest across resumes.
-[[nodiscard]] std::string progress_line(std::size_t done, std::size_t total,
-                                        std::size_t computed,
-                                        std::size_t replications,
-                                        double elapsed_s);
-
-/// One per-worker row of the --progress drive status, e.g.
-///   "  worker 3: 5 pts leased | 12 done | last line 0.4s ago"
-/// (or "idle" when the worker holds no lease). `hb_age_s` is the time since
-/// the worker's last protocol line — the same signal the hang detector
-/// judges, so a climbing age flags a wedged worker before it is killed.
-[[nodiscard]] std::string worker_status_line(int id, bool has_lease,
-                                             std::size_t lease_points_left,
-                                             std::size_t points_done,
-                                             double hb_age_s);
 
 }  // namespace pas::orch

@@ -11,8 +11,8 @@
 #include <iostream>
 #include <memory>
 #include <mutex>
-#include <sstream>
 #include <thread>
+#include <vector>
 
 #include "exp/aggregate.hpp"
 #include "exp/grid.hpp"
@@ -88,12 +88,12 @@ class LineWriter {
   std::mutex mutex_;
 };
 
-/// Emits `hb` every period until stopped, so the driver's hang detector
+/// Emits `hb` every 0.5 s until stopped, so the driver's hang detector
 /// sees liveness even while the main thread is inside a long simulation.
 class HeartbeatThread {
  public:
-  HeartbeatThread(LineWriter& out, double period_s)
-      : out_(out), period_s_(period_s), thread_([this] { loop(); }) {}
+  explicit HeartbeatThread(LineWriter& out)
+      : out_(out), thread_([this] { loop(); }) {}
 
   ~HeartbeatThread() { stop(); }
 
@@ -111,7 +111,7 @@ class HeartbeatThread {
   void loop() {
     std::unique_lock lock(mutex_);
     while (!stopped_) {
-      cv_.wait_for(lock, std::chrono::duration<double>(period_s_));
+      cv_.wait_for(lock, std::chrono::milliseconds(500));
       if (stopped_) break;
       lock.unlock();
       out_.send(format_heartbeat());
@@ -120,7 +120,6 @@ class HeartbeatThread {
   }
 
   LineWriter& out_;
-  double period_s_;
   std::mutex mutex_;
   std::condition_variable cv_;
   bool stopped_ = false;
@@ -195,9 +194,6 @@ std::optional<WorkerMsg> parse_worker_line(const std::string& line) {
       return std::nullopt;
     }
     msg.kind = WorkerMsg::Kind::kPointDone;
-  } else if (t[0] == "lease_done") {
-    if (t.size() != 2 || !parse_number(t[1], msg.lease)) return std::nullopt;
-    msg.kind = WorkerMsg::Kind::kLeaseDone;
   } else {
     return std::nullopt;  // includes a bare "fail" with no message
   }
@@ -212,15 +208,9 @@ std::optional<DriverCmd> parse_driver_line(const std::string& line) {
   if (t[0] == "quit") {
     if (t.size() != 1) return std::nullopt;
     cmd.kind = DriverCmd::Kind::kQuit;
-  } else if (t[0] == "lease") {
-    if (t.size() < 3 || !parse_number(t[1], cmd.lease)) return std::nullopt;
-    cmd.kind = DriverCmd::Kind::kLease;
-    cmd.points.reserve(t.size() - 2);
-    for (std::size_t i = 2; i < t.size(); ++i) {
-      std::size_t point = 0;
-      if (!parse_number(t[i], point)) return std::nullopt;
-      cmd.points.push_back(point);
-    }
+  } else if (t[0] == "point") {
+    if (t.size() != 2 || !parse_number(t[1], cmd.point)) return std::nullopt;
+    cmd.kind = DriverCmd::Kind::kPoint;
   } else {
     return std::nullopt;
   }
@@ -245,10 +235,6 @@ std::string format_point_done(std::size_t point, std::string_view rows) {
   return out;
 }
 
-std::string format_lease_done(std::uint64_t lease) {
-  return "lease_done " + std::to_string(lease);
-}
-
 std::string format_fail(const std::string& message) {
   // The protocol is line-oriented; flatten any newlines in e.what().
   std::string flat = message.empty() ? std::string("unknown error") : message;
@@ -258,14 +244,8 @@ std::string format_fail(const std::string& message) {
   return "fail " + flat;
 }
 
-std::string format_lease(std::uint64_t lease,
-                         const std::vector<std::size_t>& points) {
-  std::string out = "lease " + std::to_string(lease);
-  for (const auto p : points) {
-    out.push_back(' ');
-    out += std::to_string(p);
-  }
-  return out;
+std::string format_point(std::size_t point) {
+  return "point " + std::to_string(point);
 }
 
 std::string format_quit() { return "quit"; }
@@ -283,8 +263,8 @@ int run_worker(const exp::Manifest& manifest, const WorkerOptions& options) {
     manifest.validate();
     const auto points = exp::expand_grid(manifest);
     // Built like the driver's, so encode_point renders exactly the batch
-    // its store expects; no owned_points, as the driver hands out leases at
-    // runtime.
+    // its store expects; no owned_points, as the driver hands out points
+    // at runtime.
     const exp::Aggregator aggregator(exp::campaign_aggregator_options(
         manifest, points, options.out_csv, "", options.per_run_csv,
         options.metrics_path));
@@ -298,7 +278,7 @@ int run_worker(const exp::Manifest& manifest, const WorkerOptions& options) {
     std::size_t done_since_start = 0;
 
     if (!out.send(format_hello(options.worker_id))) return 1;
-    HeartbeatThread heartbeat(out, options.heartbeat_s);
+    HeartbeatThread heartbeat(out);
 
     std::string line;
     while (std::getline(std::cin, line)) {
@@ -309,25 +289,23 @@ int run_worker(const exp::Manifest& manifest, const WorkerOptions& options) {
         return 1;
       }
       if (cmd->kind == DriverCmd::Kind::kQuit) break;
-      for (const auto p : cmd->points) {
-        if (p >= points.size()) {
-          heartbeat.stop();
-          out.send(format_fail("leased point " + std::to_string(p) +
-                               " is outside the grid"));
-          return 1;
-        }
-        const auto metrics = world::run_replicated(
-            points[p].config, manifest.replications, pool.get());
-        if (!out.send(format_point_done(
-                p, aggregator.encode_point(points[p], metrics)))) {
-          return 1;  // driver died (EPIPE)
-        }
-        if (crash_after != 0 && ++done_since_start >= crash_after) {
-          // Deterministic mid-campaign SIGKILL for the recovery tests.
-          ::raise(SIGKILL);
-        }
+      const std::size_t p = cmd->point;
+      if (p >= points.size()) {
+        heartbeat.stop();
+        out.send(format_fail("point " + std::to_string(p) +
+                             " is outside the grid"));
+        return 1;
       }
-      if (!out.send(format_lease_done(cmd->lease))) return 1;
+      const auto metrics = world::run_replicated(
+          points[p].config, manifest.replications, pool.get());
+      if (!out.send(format_point_done(
+              p, aggregator.encode_point(points[p], metrics)))) {
+        return 1;  // driver died (EPIPE)
+      }
+      if (crash_after != 0 && ++done_since_start >= crash_after) {
+        // Deterministic mid-campaign SIGKILL for the recovery tests.
+        ::raise(SIGKILL);
+      }
     }
     heartbeat.stop();  // `quit` or stdin EOF (driver gone)
     return 0;

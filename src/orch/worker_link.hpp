@@ -6,17 +6,20 @@
 //
 //   worker → driver                      driver → worker
 //   ---------------------------------    -------------------------
-//   hello <worker_id>                    lease <id> <p1> <p2> ...
+//   hello <worker_id>                    point <p>
 //   hb                                   quit
 //   point_done <point> <rows>
-//   lease_done <lease_id>
 //   fail <message...>
 //
-// `hb` heartbeats flow from a small side thread even while the worker is
-// deep inside a simulation, so the driver can tell "slow point" from
-// "hung worker". Parsing is strict — trailing tokens, missing fields, or
-// non-numeric ids make a line malformed (std::nullopt), and the supervisor
-// treats a malformed line as a crashed worker rather than guessing.
+// The worker computes its `point` lines in the order they arrive and
+// answers each with one `point_done`; the driver keeps at most two points
+// in flight per worker, so the next one is already queued on the pipe
+// while the driver stores the last. `hb` heartbeats flow from a small side
+// thread even while the worker is deep inside a simulation, so the driver
+// can tell "slow point" from "hung worker". Parsing is strict — trailing
+// tokens, missing fields, or non-numeric ids make a line malformed
+// (std::nullopt), and the supervisor treats a malformed line as a crashed
+// worker rather than guessing.
 //
 // Workers write no files. `<rows>` is the lower-case hex of the point's
 // batch as exp::Aggregator::encode_point renders it (.pasrows framing,
@@ -25,11 +28,10 @@
 // point's complete rows.
 #pragma once
 
-#include <cstdint>
+#include <cstddef>
 #include <optional>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "exp/manifest.hpp"
 
@@ -38,20 +40,18 @@ namespace pas::orch {
 // --- Protocol messages ------------------------------------------------------
 
 struct WorkerMsg {
-  enum class Kind { kHello, kHeartbeat, kPointDone, kLeaseDone, kFail };
+  enum class Kind { kHello, kHeartbeat, kPointDone, kFail };
   Kind kind = Kind::kHeartbeat;
-  int worker = -1;          // kHello
-  std::size_t point = 0;    // kPointDone
-  std::string rows;         // kPointDone: the decoded batch bytes
-  std::uint64_t lease = 0;  // kLeaseDone
-  std::string message;      // kFail
+  int worker = -1;        // kHello
+  std::size_t point = 0;  // kPointDone
+  std::string rows;       // kPointDone: the decoded batch bytes
+  std::string message;    // kFail
 };
 
 struct DriverCmd {
-  enum class Kind { kLease, kQuit };
+  enum class Kind { kPoint, kQuit };
   Kind kind = Kind::kQuit;
-  std::uint64_t lease = 0;           // kLease
-  std::vector<std::size_t> points;   // kLease, non-empty
+  std::size_t point = 0;  // kPoint
 };
 
 /// Strict parsers: std::nullopt on any malformed line.
@@ -65,10 +65,8 @@ struct DriverCmd {
 /// "point_done <point> <hex of rows>".
 [[nodiscard]] std::string format_point_done(std::size_t point,
                                             std::string_view rows);
-[[nodiscard]] std::string format_lease_done(std::uint64_t lease);
 [[nodiscard]] std::string format_fail(const std::string& message);
-[[nodiscard]] std::string format_lease(std::uint64_t lease,
-                                       const std::vector<std::size_t>& points);
+[[nodiscard]] std::string format_point(std::size_t point);
 [[nodiscard]] std::string format_quit();
 
 /// Writes `line` + '\n' to `fd` in full (EINTR-retried). False when the
@@ -90,14 +88,13 @@ struct WorkerOptions {
   int worker_id = 0;
   /// Threads for replication-parallel execution inside a point (>=1).
   std::size_t jobs = 1;
-  /// Heartbeat period; tests may shrink it.
-  double heartbeat_s = 0.5;
 };
 
 /// Runs the `pas-exp --worker` protocol loop until `quit` or stdin EOF
-/// (driver death): announce `hello`, then execute leases from stdin,
-/// sending each completed point's rows. Returns the process exit code (0 on
-/// clean shutdown). On an execution error it sends `fail` and returns 1.
+/// (driver death): announce `hello`, then compute each `point` line from
+/// stdin and send its rows, with a heartbeat every 0.5 s. Returns the
+/// process exit code (0 on clean shutdown). On an execution error it sends
+/// `fail` and returns 1.
 ///
 /// Test hook: if the environment variable PAS_ORCH_TEST_CRASH is set to
 /// "<worker_id>:<n>", the worker with that id raises SIGKILL after its

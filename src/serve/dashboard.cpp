@@ -139,7 +139,7 @@ a { color: var(--series-1); }
   <div class="card">
     <h2>Workers</h2>
     <table aria-label="Worker status">
-      <thead><tr><th>id</th><th>state</th><th class="num">lease left</th>
+      <thead><tr><th>id</th><th>state</th><th class="num">in flight</th>
         <th class="num">done</th><th class="num">last line</th></tr></thead>
       <tbody id="worker-rows">
         <tr><td colspan="5" style="color:var(--muted)">no workers

@@ -1,13 +1,15 @@
 #include "serve/feed.hpp"
 
+#include <algorithm>
 #include <cstdio>
 #include <utility>
-
-#include "orch/supervisor.hpp"
 
 namespace pas::serve {
 
 namespace {
+
+/// Cadence of the echoed status lines and of the "progress" event.
+constexpr double kEchoIntervalS = 1.0;
 
 double age_s(FeedClock::time_point now, FeedClock::time_point then) {
   return std::chrono::duration<double>(now - then).count();
@@ -15,18 +17,52 @@ double age_s(FeedClock::time_point now, FeedClock::time_point then) {
 
 }  // namespace
 
+std::string progress_line(std::size_t done, std::size_t total,
+                          std::size_t computed, std::size_t replications,
+                          double elapsed_s) {
+  const double reps = static_cast<double>(computed * replications);
+  const double rate = elapsed_s > 0.0 ? reps / elapsed_s : 0.0;
+  const double eta =
+      rate > 0.0
+          ? static_cast<double>((total - done) * replications) / rate
+          : 0.0;
+  char buf[160];
+  std::snprintf(buf, sizeof(buf),
+                "progress: %zu/%zu points (%.0f%%) | %.1f reps/s | ETA %.0fs",
+                done, total,
+                100.0 * static_cast<double>(done) /
+                    static_cast<double>(std::max<std::size_t>(1, total)),
+                rate, eta);
+  return buf;
+}
+
+std::string worker_status_line(int id, bool has_lease,
+                               std::size_t lease_points_left,
+                               std::size_t points_done, double hb_age_s) {
+  char buf[160];
+  if (has_lease) {
+    std::snprintf(buf, sizeof(buf),
+                  "  worker %d: %zu pts leased | %zu done | last line %.1fs "
+                  "ago",
+                  id, lease_points_left, points_done, hb_age_s);
+  } else {
+    std::snprintf(buf, sizeof(buf),
+                  "  worker %d: idle | %zu done | last line %.1fs ago", id,
+                  points_done, hb_age_s);
+  }
+  return buf;
+}
+
 CampaignFeed::CampaignFeed(Options options)
     : options_(options),
       t0_(FeedClock::now()),
       last_tick_(t0_),
       campaign_t0_(t0_) {}
 
-void CampaignFeed::set_echo(bool enabled, bool drive_style,
-                            double interval_s) {
+void CampaignFeed::set_echo(bool enabled, bool drive_style) {
   const std::lock_guard lock(mutex_);
   echo_ = enabled;
   drive_echo_ = drive_style;
-  echo_interval_s_ = interval_s;
 }
 
 double CampaignFeed::elapsed_since_start_locked(
@@ -113,7 +149,7 @@ void CampaignFeed::worker_event(const std::string& kind, int worker,
 void CampaignFeed::progress_tick(bool force) {
   const std::lock_guard lock(mutex_);
   const auto now = FeedClock::now();
-  if (!force && age_s(now, last_tick_) < echo_interval_s_) return;
+  if (!force && age_s(now, last_tick_) < kEchoIntervalS) return;
   last_tick_ = now;
   const double elapsed = elapsed_since_start_locked(now);
   io::JsonObject data;
@@ -129,15 +165,14 @@ void CampaignFeed::progress_tick(bool force) {
 
 void CampaignFeed::echo_locked(FeedClock::time_point now) {
   const double elapsed = elapsed_since_start_locked(now);
-  const std::string line = orch::progress_line(
+  const std::string line = progress_line(
       done_points_, total_points_, computed_, replications_, elapsed);
   if (drive_echo_) {
     std::printf("%s | %zu workers\n", line.c_str(), workers_.size());
     for (const auto& w : workers_) {
       std::printf("%s\n",
-                  orch::worker_status_line(w.id, w.has_lease,
-                                           w.lease_points_left, w.points_done,
-                                           age_s(now, w.last_line))
+                  worker_status_line(w.id, w.has_lease, w.lease_points_left,
+                                     w.points_done, age_s(now, w.last_line))
                       .c_str());
     }
   } else {

@@ -57,6 +57,8 @@ class CampaignFeed {
 
   struct WorkerRow {
     int id = -1;
+    /// Whether the worker holds points in flight, and how many (the
+    /// /api/status keys keep these names).
     bool has_lease = false;
     std::size_t lease_points_left = 0;
     std::size_t points_done = 0;
@@ -95,10 +97,10 @@ class CampaignFeed {
   explicit CampaignFeed(Options options);
 
   /// Progress echo: when enabled, the feed prints the classic --progress
-  /// lines (orch::progress_line, worker_status_line) to stdout at
-  /// `interval_s` cadence. `drive_style` appends " | N workers" plus the
-  /// per-worker table, matching the supervisor's historical output.
-  void set_echo(bool enabled, bool drive_style, double interval_s = 1.0);
+  /// lines (progress_line, worker_status_line) to stdout once a second.
+  /// `drive_style` appends " | N workers" plus the per-worker table,
+  /// matching the supervisor's historical output.
+  void set_echo(bool enabled, bool drive_style);
 
   // --- Producer side (campaign engine / orchestrator) ---------------------
 
@@ -122,8 +124,8 @@ class CampaignFeed {
                     const std::string& detail);
 
   /// Throttled progress: emits a "progress" SSE event and (echo mode) the
-  /// status line at most once per echo interval, always when `force` is
-  /// set. Producers call it as often as they like.
+  /// status line at most once a second, always when `force` is set.
+  /// Producers call it as often as they like.
   void progress_tick(bool force);
 
   /// Publishes an already-built event verbatim (pas-exp's "shutdown").
@@ -165,7 +167,6 @@ class CampaignFeed {
   mutable std::mutex mutex_;
   bool echo_ = false;
   bool drive_echo_ = false;
-  double echo_interval_s_ = 1.0;
   FeedClock::time_point last_tick_;
 
   State state_ = State::kIdle;
@@ -188,5 +189,25 @@ class CampaignFeed {
 
   io::Json metrics_ = io::Json(io::JsonObject{});
 };
+
+/// The --progress status line shared by drive and single-process mode:
+/// "progress: done/total points (pct%) | reps/s | ETA". `computed` counts
+/// only points simulated this invocation (resumed rows carry no elapsed
+/// time), which is what makes the rate honest across resumes.
+[[nodiscard]] std::string progress_line(std::size_t done, std::size_t total,
+                                        std::size_t computed,
+                                        std::size_t replications,
+                                        double elapsed_s);
+
+/// One per-worker row of the --progress drive status, e.g.
+///   "  worker 3: 2 pts leased | 12 done | last line 0.4s ago"
+/// where "pts leased" counts the worker's points in flight (or "idle" when
+/// it holds none). `hb_age_s` is the time since the worker's last protocol
+/// line — the same signal the hang detector judges, so a climbing age
+/// flags a wedged worker before it is killed.
+[[nodiscard]] std::string worker_status_line(int id, bool has_lease,
+                                             std::size_t lease_points_left,
+                                             std::size_t points_done,
+                                             double hb_age_s);
 
 }  // namespace pas::serve

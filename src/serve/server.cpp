@@ -447,7 +447,7 @@ std::string Server::status_json() const {
     row["points_done"] = w.points_done;
     row["hb_age_s"] =
         std::chrono::duration<double>(now - w.last_line).count();
-    workers.push_back(io::Json(std::move(row)));
+    workers.emplace_back(std::move(row));
   }
   out["workers"] = std::move(workers);
   return io::Json(std::move(out)).dump();

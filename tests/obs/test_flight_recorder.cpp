@@ -10,15 +10,15 @@ namespace {
 
 TEST(FlightRecorder, KeepsArrivalOrderBelowCapacity) {
   FlightRecorder rec(4);
-  rec.note('>', 0, "lease 1 0 1");
-  rec.note('<', 0, "point_done 0");
-  rec.note('<', 0, "lease_done 1");
+  rec.note('>', 0, "point 0");
+  rec.note('>', 0, "point 1");
+  rec.note('<', 0, "point_done 0 <12 bytes>");
   ASSERT_EQ(rec.size(), 3U);
   EXPECT_EQ(rec.noted(), 3U);
   const auto entries = rec.entries();
-  EXPECT_EQ(entries[0].line, "lease 1 0 1");
+  EXPECT_EQ(entries[0].line, "point 0");
   EXPECT_EQ(entries[0].direction, '>');
-  EXPECT_EQ(entries[2].line, "lease_done 1");
+  EXPECT_EQ(entries[2].line, "point_done 0 <12 bytes>");
 }
 
 TEST(FlightRecorder, RingWrapKeepsNewestEntries) {

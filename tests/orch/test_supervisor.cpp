@@ -1,6 +1,6 @@
 // Supervised multi-process campaigns, end to end against the real pas-exp
 // binary: byte-identity with a serial run, SIGKILL crash recovery, rejected
-// rows, resume across topologies, and SIGINT interruption.
+// rows, hung workers, resume across topologies, and SIGINT interruption.
 //
 // The tests fork/exec the pas-exp executable (the --worker child mode), so
 // they need its path: the PAS_EXP_BIN environment variable if set, else
@@ -97,7 +97,6 @@ class SupervisorTest : public ::testing::Test {
     if (per_run != nullptr) o.per_run_csv = path(per_run);
     o.workers = workers;
     o.verbosity = DriveOptions::Verbosity::kQuiet;
-    o.max_lease = 2;  // small leases exercise the work-stealing churn
     return o;
   }
 
@@ -118,6 +117,17 @@ class SupervisorTest : public ::testing::Test {
                 std::string::npos)
           << entry.path();
     }
+  }
+
+  /// True while `pid` runs; false once it is gone or a zombie.
+  static bool running(pid_t pid) {
+    std::ifstream stat("/proc/" + std::to_string(pid) + "/stat");
+    std::string line;
+    if (!std::getline(stat, line)) return false;
+    // The state letter follows the parenthesised command name.
+    const auto name_end = line.rfind(')');
+    return name_end != std::string::npos && name_end + 2 < line.size() &&
+           line[name_end + 2] != 'Z';
   }
 
   /// The "point" rows of a telemetry JSONL file (trailers are wall-clock
@@ -151,12 +161,12 @@ TEST_F(SupervisorTest, DriveIsByteIdenticalToSerial) {
 }
 
 // The acceptance-criteria scenario: a worker is SIGKILLed mid-campaign
-// (after reporting the first point of its two-point lease), the rest of its
-// lease is reassigned to a respawned worker, and the output is still
+// (after reporting the first of its two points in flight), the other point
+// is reassigned to a respawned worker, and the output is still
 // byte-identical to an undisturbed run. One worker, so the
 // crash always leaves work queued: with two, the survivor can drain the
 // queue before the crash is handled, and then no respawn is needed.
-TEST_F(SupervisorTest, SigkilledWorkerLeaseIsReassigned) {
+TEST_F(SupervisorTest, SigkilledWorkerPointsAreReassigned) {
   ::setenv("PAS_ORCH_TEST_CRASH", "0:1", 1);
   const auto report = drive(manifest_, options(1, "out.csv", "runs.csv"));
   EXPECT_GE(report.crashes, 1U);
@@ -167,9 +177,9 @@ TEST_F(SupervisorTest, SigkilledWorkerLeaseIsReassigned) {
 
 // Worker 0's first point_done reaches the driver with its first payload
 // byte overwritten. The driver must reject those rows, doom the worker, and
-// requeue that point although the lease table already counts it done. One
-// worker, so worker 0 always gets the work: a second one could drain the
-// queue while the wrapper is still starting.
+// requeue that point although the worker has reported it. One worker, so
+// worker 0 always gets the work: a second one could drain the queue while
+// the wrapper is still starting.
 TEST_F(SupervisorTest, CorruptRowsAreRejectedAndRecomputed) {
   const std::string wrapper = path("worker.sh");
   std::ofstream(wrapper)
@@ -188,6 +198,58 @@ TEST_F(SupervisorTest, CorruptRowsAreRejectedAndRecomputed) {
   expect_serial_bytes("out.csv", "runs.csv");
   EXPECT_NE(slurp(path("out.csv.flightrec")).find("rejected"),
             std::string::npos);
+}
+
+// A hung worker: worker 0's hello reaches the driver, then nothing more,
+// and its stdout stays open, so no EOF reaches the driver either. Only the
+// silence rule can find it: the driver must SIGKILL it after
+// hang_timeout_s, requeue the points it holds and finish with a
+// replacement. The wrapper execs worker 0 with its stdout on a FIFO and
+// forwards the first line (the hello) to the driver from a background sed
+// that swallows the rest. The driver kills the worker itself, since exec
+// keeps the pid it spawned; that closes the FIFO, so sed exits too, and
+// nothing the wrapper starts outlives the test.
+TEST_F(SupervisorTest, HungWorkerIsKilledAndItsPointsRecomputed) {
+  const std::string wrapper = path("worker.sh");
+  const std::string fifo = path("worker0.fifo");
+  const std::string pids = path("worker0.pids");
+  std::ofstream(wrapper)
+      << "#!/bin/sh\n"
+      << "case \" $* \" in\n"
+      << "  *\" --worker-id 0 \"*)\n"
+      << "    mkfifo '" << fifo << "'\n"
+      << "    sed -u -n 1p < '" << fifo << "' &\n"
+      << "    echo $$ $! > '" << pids << "'\n"
+      << "    exec '" << exe_ << "' \"$@\" > '" << fifo << "' ;;\n"
+      << "  *) exec '" << exe_ << "' \"$@\" ;;\n"
+      << "esac\n";
+  fs::permissions(wrapper, fs::perms::owner_all);
+  auto o = options(1, "out.csv", "runs.csv");
+  o.exe_path = wrapper;
+  o.hang_timeout_s = 1.0;
+  const auto report = drive(manifest_, o);
+  EXPECT_GE(report.crashes, 1U);
+  EXPECT_GE(report.respawns, 1U);
+  expect_serial_bytes("out.csv", "runs.csv");
+  const std::string dump = slurp(path("out.csv.flightrec"));
+  EXPECT_NE(dump.find("worker 0 crashed"), std::string::npos) << dump;
+
+  // The worker and its sed have exited: gone, or zombies waiting for
+  // whichever process reaps orphans here.
+  std::ifstream in(pids);
+  pid_t pid = 0;
+  std::size_t checked = 0;
+  while (in >> pid) {
+    ++checked;
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (running(pid) && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    }
+    EXPECT_FALSE(running(pid)) << "wrapper process " << pid << " outlived";
+    if (running(pid)) ::kill(pid, SIGKILL);
+  }
+  EXPECT_EQ(checked, 2U);
 }
 
 // Resume also composes with a partial *single-process* run: the drive
@@ -300,7 +362,7 @@ TEST_F(SupervisorTest, DriveMetricsMergeMatchesSerialPointRows) {
 // reassigned points fill the gaps, and the crash dumps the protocol flight
 // recorder next to the output. Every worker
 // is armed: with only worker 0 armed, worker 1 could drain the queue before
-// worker 0 got a lease, and then nothing crashed. Each armed worker dies
+// worker 0 got a point, and then nothing crashed. Each armed worker dies
 // after one point, so there are at most six crashes, within the default
 // respawn budget.
 TEST_F(SupervisorTest, CrashedDriveKeepsTelemetryAndDumpsFlightRecorder) {

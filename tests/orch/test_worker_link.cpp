@@ -23,11 +23,6 @@ TEST(WorkerProtocol, ParsesWellFormedWorkerLines) {
   EXPECT_EQ(done->point, 42U);
   EXPECT_EQ(done->rows, std::string("\x00\xff\x7a", 3));
 
-  const auto lease = parse_worker_line("lease_done 7");
-  ASSERT_TRUE(lease.has_value());
-  EXPECT_EQ(lease->kind, WorkerMsg::Kind::kLeaseDone);
-  EXPECT_EQ(lease->lease, 7U);
-
   const auto fail = parse_worker_line("fail cannot open out.csv: EACCES");
   ASSERT_TRUE(fail.has_value());
   EXPECT_EQ(fail->kind, WorkerMsg::Kind::kFail);
@@ -61,7 +56,8 @@ TEST(WorkerProtocol, RejectsMalformedWorkerLines) {
   EXPECT_FALSE(parse_worker_line("point_done 1 0g").has_value());
   EXPECT_FALSE(parse_worker_line("point_done 1 00 11").has_value());
   EXPECT_FALSE(parse_worker_line("point_done 1 00\r").has_value());
-  EXPECT_FALSE(parse_worker_line("lease_done").has_value());
+  // Driver commands are not worker lines.
+  EXPECT_FALSE(parse_worker_line("point 7").has_value());
   EXPECT_FALSE(parse_worker_line("hello").has_value());
   EXPECT_FALSE(parse_worker_line("hello 1 0").has_value());
   EXPECT_FALSE(parse_worker_line("hello -1").has_value());
@@ -71,11 +67,10 @@ TEST(WorkerProtocol, RejectsMalformedWorkerLines) {
 }
 
 TEST(WorkerProtocol, ParsesWellFormedDriverLines) {
-  const auto lease = parse_driver_line("lease 9 0 5 12");
-  ASSERT_TRUE(lease.has_value());
-  EXPECT_EQ(lease->kind, DriverCmd::Kind::kLease);
-  EXPECT_EQ(lease->lease, 9U);
-  EXPECT_EQ(lease->points, (std::vector<std::size_t>{0, 5, 12}));
+  const auto point = parse_driver_line("point 12");
+  ASSERT_TRUE(point.has_value());
+  EXPECT_EQ(point->kind, DriverCmd::Kind::kPoint);
+  EXPECT_EQ(point->point, 12U);
 
   const auto quit = parse_driver_line("quit");
   ASSERT_TRUE(quit.has_value());
@@ -84,12 +79,14 @@ TEST(WorkerProtocol, ParsesWellFormedDriverLines) {
 
 TEST(WorkerProtocol, RejectsMalformedDriverLines) {
   EXPECT_FALSE(parse_driver_line("").has_value());
-  EXPECT_FALSE(parse_driver_line("lease").has_value());
-  EXPECT_FALSE(parse_driver_line("lease 9").has_value());  // empty lease
-  EXPECT_FALSE(parse_driver_line("lease x 1").has_value());
-  EXPECT_FALSE(parse_driver_line("lease 9 1 x").has_value());
+  EXPECT_FALSE(parse_driver_line("point").has_value());  // bare keyword
+  EXPECT_FALSE(parse_driver_line("point x").has_value());
+  EXPECT_FALSE(parse_driver_line("point -1").has_value());
+  EXPECT_FALSE(parse_driver_line("point 9 1").has_value());  // extra token
+  EXPECT_FALSE(parse_driver_line("point  9").has_value());   // double space
+  EXPECT_FALSE(parse_driver_line("point 9 ").has_value());
   EXPECT_FALSE(parse_driver_line("quit 1").has_value());
-  EXPECT_FALSE(parse_driver_line("lease 9  1").has_value());  // double space
+  EXPECT_FALSE(parse_driver_line("hb").has_value());  // a worker line
 }
 
 TEST(WorkerProtocol, FormatAndParseRoundTrip) {
@@ -109,11 +106,11 @@ TEST(WorkerProtocol, FormatAndParseRoundTrip) {
   EXPECT_EQ(done->point, 107U);
   EXPECT_EQ(done->rows, rows);
 
-  const auto lease =
-      parse_driver_line(format_lease(3, {8, 9, 10}));
-  ASSERT_TRUE(lease.has_value());
-  EXPECT_EQ(lease->lease, 3U);
-  EXPECT_EQ(lease->points, (std::vector<std::size_t>{8, 9, 10}));
+  EXPECT_EQ(format_point(8), "point 8");
+  const auto point = parse_driver_line(format_point(8));
+  ASSERT_TRUE(point.has_value());
+  EXPECT_EQ(point->kind, DriverCmd::Kind::kPoint);
+  EXPECT_EQ(point->point, 8U);
 
   EXPECT_TRUE(parse_driver_line(format_quit()).has_value());
 

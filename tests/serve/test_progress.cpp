@@ -2,9 +2,9 @@
 // single-process mode). Pure string functions, tested exactly.
 #include <gtest/gtest.h>
 
-#include "orch/supervisor.hpp"
+#include "serve/feed.hpp"
 
-namespace pas::orch {
+namespace pas::serve {
 namespace {
 
 TEST(ProgressLine, FormatsRateAndEta) {
@@ -24,9 +24,10 @@ TEST(ProgressLine, CompleteCampaign) {
             "progress: 6/6 points (100%) | 2.0 reps/s | ETA 0s");
 }
 
+// "pts leased" counts the worker's points in flight (at most two).
 TEST(WorkerStatusLine, LeasedWorker) {
-  EXPECT_EQ(worker_status_line(3, true, 5, 12, 0.42),
-            "  worker 3: 5 pts leased | 12 done | last line 0.4s ago");
+  EXPECT_EQ(worker_status_line(3, true, 2, 12, 0.42),
+            "  worker 3: 2 pts leased | 12 done | last line 0.4s ago");
 }
 
 TEST(WorkerStatusLine, IdleWorker) {
@@ -35,4 +36,4 @@ TEST(WorkerStatusLine, IdleWorker) {
 }
 
 }  // namespace
-}  // namespace pas::orch
+}  // namespace pas::serve

@@ -4,8 +4,9 @@
 //   pas-exp --manifest examples/campaign.json --jobs 8 --out out.csv --resume
 //
 //   # one command instead of N terminals: a supervised multi-process
-//   # campaign with work-stealing leases and crash recovery, writing the
-//   # same files a single process would
+//   # campaign that hands out points as workers free up and recovers from
+//   # crashed or hung workers, writing the same files a single process
+//   # would
 //   pas-exp --drive 4 --manifest examples/campaign.json --out out.csv
 //
 //   # split one manifest across machines by hand, then recombine every
@@ -212,9 +213,9 @@ int main(int argc, char** argv) {
                "Worker threads (0 = hardware concurrency, 1 = serial; with "
                "--drive: threads per worker process, 0 = 1)");
   cli.add_uint("drive", &drive_workers,
-               "Supervise N worker processes with work-stealing leases and "
-               "crash recovery; they send their rows to this process, which "
-               "writes --out");
+               "Supervise N worker processes, handing out points as they "
+               "free up, with crash recovery; they send their rows to this "
+               "process, which writes --out");
   cli.add_flag("resume", &resume,
                "Reload --out and compute only the missing points");
   cli.add_flag("merge", &merge,
@@ -250,8 +251,9 @@ int main(int argc, char** argv) {
                "With --serve: keep serving the finished campaign until "
                "SIGINT");
   cli.add_double("hang-timeout", &hang_timeout,
-                 "--drive: kill a worker silent for this many seconds and "
-                 "reassign its lease (0 disables)");
+                 "--drive: kill a worker that sends no protocol line "
+                 "(heartbeats included) for this many seconds and reassign "
+                 "its points in flight (0 disables)");
   cli.add_flag("export", &do_export,
                "Render the CSV/JSONL/--metrics artifacts from an existing "
                "--out row store (e.g. after an interrupted campaign) and "
@@ -613,7 +615,7 @@ int main(int argc, char** argv) {
     options.should_stop = [] { return g_stop_requested.load(); };
     // --progress is rendered by the feed (serve/feed.hpp): the terminal
     // line and any SSE "progress" event are two views of the same counters.
-    feed.set_echo(progress && !quiet, /*drive_style=*/false, 1.0);
+    feed.set_echo(progress && !quiet, /*drive_style=*/false);
     if (!progress && !quiet) {
       options.progress = [&points, &manifest](
                              const pas::exp::PointSummary& s,
