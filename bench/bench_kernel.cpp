@@ -7,8 +7,9 @@
 // BM_EventQueue_MacShaped, BM_EventQueue_Sparse, BM_Net_BroadcastFanout and
 // BM_Core_RefreshEstimates at 15%, and
 // BM_Aggregator_Record / BM_Aggregator_Finalize (filesystem-bound) at a
-// looser 50%; keep their workloads stable. BM_Net_MacScenario is recorded
-// but not gated yet: it waits for a baseline recorded on CI hardware.
+// looser 50%; keep their workloads stable. BM_Net_MacScenario and
+// BM_Stimulus_RadialCovered are recorded but not gated yet: they wait for a
+// baseline recorded on CI hardware.
 #include <benchmark/benchmark.h>
 
 #include <cstddef>
@@ -399,16 +400,54 @@ void BM_World_Setup(benchmark::State& state) {
 }
 BENCHMARK(BM_World_Setup);
 
+/// examples/campaign.json's base scenario (a radial front with two
+/// harmonics, 30 nodes, 150 s).
+pas::world::ScenarioConfig campaign_base() {
+  const std::string here = __FILE__;
+  const std::string root = here.substr(0, here.find("bench/bench_kernel.cpp"));
+  return pas::exp::Manifest::load(root + "examples/campaign.json").base;
+}
+
 void BM_World_SetupPlume(benchmark::State& state) {
   // examples/campaign.json's plume half: the arrival map searches the
   // plume's coarse probe grid for every node.
-  const std::string here = __FILE__;
-  const std::string root = here.substr(0, here.find("bench/bench_kernel.cpp"));
-  auto cfg = pas::exp::Manifest::load(root + "examples/campaign.json").base;
+  auto cfg = campaign_base();
   cfg.stimulus = pas::world::StimulusKind::kPlume;
   world_setup(state, cfg);
 }
 BENCHMARK(BM_World_SetupPlume);
+
+// --- Stimulus ---------------------------------------------------------------
+
+/// A node sensing at a wake: examples/campaign.json's radial front over its
+/// deployment, at times across the horizon. site:0 calls covered(p, t),
+/// which pays atan2 and one cos per harmonic; site:1 calls
+/// covered_at(site, t) with the node's site, as core::Protocol does. Items
+/// are calls.
+void BM_Stimulus_RadialCovered(benchmark::State& state) {
+  const auto cfg = campaign_base();
+  const auto model = pas::world::make_stimulus(cfg);
+  auto rng = pas::sim::SeedSequence(1).stream(
+      pas::sim::SeedSequence::kDeployment, 0);
+  const auto positions = pas::world::generate_deployment(cfg.deployment, rng);
+  std::vector<pas::stimulus::Site> sites;
+  for (const auto p : positions) sites.push_back(model->site(p));
+  const bool use_sites = state.range(0) != 0;
+  std::size_t i = 0;
+  double t = 0.0;
+  std::size_t covered = 0;
+  for (auto _ : state) {
+    covered += use_sites ? model->covered_at(sites[i], t)
+                         : model->covered(positions[i], t);
+    if (++i == positions.size()) {
+      i = 0;
+      t = t + 0.37 > cfg.duration_s ? 0.0 : t + 0.37;
+    }
+  }
+  benchmark::DoNotOptimize(covered);
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_Stimulus_RadialCovered)->ArgName("site")->Arg(0)->Arg(1);
 
 // --- Aggregation pipeline ---------------------------------------------------
 

@@ -47,6 +47,18 @@ Protocol::Protocol(sim::Simulator& simulator, net::Network& network,
     throw std::invalid_argument(
         "Protocol: nodes, network and arrival map sizes must agree");
   }
+  // Nodes sense through the map's sites, which only its own model can read
+  // and which must sit where the nodes do.
+  if (!arrivals_.built_by(model_)) {
+    throw std::invalid_argument(
+        "Protocol: the arrival map was built by another stimulus model");
+  }
+  for (std::uint32_t i = 0; i < nodes_.size(); ++i) {
+    if (arrivals_.site(i).position != nodes_[i].position) {
+      throw std::invalid_argument(
+          "Protocol: the arrival map was built for other node positions");
+    }
+  }
   runtime_.resize(nodes_.size());
   for (std::uint32_t i = 0; i < runtime_.size(); ++i) {
     runtime_[i].table.reserve(network_.neighbors_of(i).size());
@@ -178,7 +190,7 @@ void Protocol::on_covered_check(std::uint32_t i) {
   Runtime& rt = runtime_[i];
   if (nodes_[i].failed || rt.state != NodeState::kCovered) return;
 
-  if (model_.covered(nodes_[i].position, simulator_.now())) {
+  if (model_.covered_at(arrivals_.site(i), simulator_.now())) {
     rt.last_seen_covered = simulator_.now();
   } else if (simulator_.now() - rt.last_seen_covered >=
              config_.covered_timeout_s) {
@@ -202,7 +214,7 @@ void Protocol::on_wake(std::uint32_t i) {
   network_.set_listening(i, true);
   trace(sim::TraceCategory::kSleep, i, sim::TraceKind::kWoke);
 
-  if (model_.covered(n.position, simulator_.now())) {
+  if (model_.covered_at(arrivals_.site(i), simulator_.now())) {
     detect(i);
     return;
   }

@@ -80,6 +80,8 @@ class Protocol {
   /// All referenced objects must outlive the Protocol. `trace` may be null.
   /// `collection` (may be null) receives a multihop alert per detection —
   /// the net::Collection routes it toward the sink (Sleep-Route).
+  /// Throws std::invalid_argument unless `arrivals` was built by `model`
+  /// for the nodes' positions: nodes sense through its sites.
   Protocol(sim::Simulator& simulator, net::Network& network,
            std::vector<node::SensorNode>& nodes,
            const stimulus::StimulusModel& model,

@@ -17,6 +17,14 @@
 
 namespace pas::energy {
 
+/// The exact result of `n` successive `s += x` in round-to-nearest, in a
+/// few steps per binade the sum crosses instead of `n`. Within one binade
+/// every addition of the same `x` adds the same rounded step, once one real
+/// addition has fixed the parity a rounding tie depends on, so a run of
+/// them is one multiply-add on the bit pattern. Inputs other than a finite
+/// s ≥ 0 and a positive finite x take the plain loop.
+[[nodiscard]] double add_repeated(double s, double x, std::uint64_t n) noexcept;
+
 enum class PowerMode : std::uint8_t {
   kSleep,
   kActive,  // MCU on + radio listening (41 mW)
@@ -46,8 +54,11 @@ class EnergyMeter {
   /// `count` clear-channel assessments of `seconds` each — radio briefly up
   /// at RX power. Charged to sleeping nodes (LPL slot samples, relay CCAs);
   /// an awake radio's listening is already inside the active-mode power.
-  /// Adds each charge in turn, so a bulk call is bit-identical to `count`
-  /// single ones.
+  /// cca_j() is the sum of every charge added in turn, as if one at a time:
+  /// the meter keeps the current run of equal charges as (charge, count)
+  /// and folds it with add_repeated() — when a charge of another size
+  /// arrives, in finalize(), and on the fly in cca_j() and total_j() — so
+  /// a bulk call is bit-identical to `count` single ones and costs O(1).
   void add_cca(sim::Duration seconds, std::uint64_t count = 1);
   /// Preamble of `seconds` at TX power (rendezvous preambles dominate).
   void add_preamble(sim::Duration seconds);
@@ -59,7 +70,7 @@ class EnergyMeter {
   [[nodiscard]] double total_j(sim::Time now) const;
 
   /// Closes accounting at `now` (e.g. end of simulation).
-  void finalize(sim::Time now) { accrue(now); }
+  void finalize(sim::Time now);
 
   // Breakdown (closed intervals only; call finalize() first for full runs).
   [[nodiscard]] double sleep_j() const noexcept { return sleep_j_; }
@@ -67,7 +78,7 @@ class EnergyMeter {
   [[nodiscard]] double tx_j() const noexcept { return tx_j_; }
   [[nodiscard]] double rx_j() const noexcept { return rx_j_; }
   [[nodiscard]] double transition_j() const noexcept { return transition_j_; }
-  [[nodiscard]] double cca_j() const noexcept { return cca_j_; }
+  [[nodiscard]] double cca_j() const noexcept;
   [[nodiscard]] double preamble_j() const noexcept { return preamble_j_; }
   [[nodiscard]] double listen_j() const noexcept { return listen_j_; }
 
@@ -84,6 +95,8 @@ class EnergyMeter {
 
  private:
   void accrue(sim::Time now);
+  /// Adds the pending run of equal CCA charges into cca_j_.
+  void fold_cca() noexcept;
 
   PowerProfile profile_{};
   PowerMode mode_ = PowerMode::kActive;
@@ -94,7 +107,9 @@ class EnergyMeter {
   double tx_j_ = 0.0;
   double rx_j_ = 0.0;
   double transition_j_ = 0.0;
-  double cca_j_ = 0.0;
+  double cca_j_ = 0.0;  // folded CCA charges; cca_j() adds the pending run
+  double cca_charge_ = 0.0;
+  std::uint64_t cca_pending_ = 0;
   double preamble_j_ = 0.0;
   double listen_j_ = 0.0;
   double sleep_s_ = 0.0;

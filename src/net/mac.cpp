@@ -1,6 +1,7 @@
 #include "net/mac.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cmath>
 #include <limits>
@@ -86,15 +87,14 @@ void SlottedLplMac::reset(const MacConfig& config,
   }
 }
 
-namespace {
-
-/// The largest time strictly before `t`: booking "through just_before(t)"
-/// books the samples strictly before t.
 sim::Time just_before(sim::Time t) {
+  // Positive finite doubles have consecutive bit patterns, so the one
+  // below is the predecessor (+0 below denorm_min). libm handles the rest.
+  if (t > 0.0 && t <= std::numeric_limits<double>::max()) {
+    return std::bit_cast<sim::Time>(std::bit_cast<std::uint64_t>(t) - 1);
+  }
   return std::nextafter(t, -std::numeric_limits<double>::infinity());
 }
-
-}  // namespace
 
 std::int64_t SlottedLplMac::first_slot_after(const NodeState& n,
                                              sim::Time t) const {

@@ -23,10 +23,12 @@
 // and pays one CCA, so a sleeping node keeps a cursor at its next sample
 // and the kernel sees a sample event only when a neighbour's carrier
 // covers it. The idle samples in between are booked in closed form from
-// the slot index (lpl_samples plus one bulk CCA charge) when the node
-// wakes or fails, when a neighbour starts a carrier, and at settle(),
-// which the owner calls once the run has reached its horizon. Counters and
-// energy are identical to sampling every slot.
+// the slot index (lpl_samples plus one bulk CCA charge, which
+// energy::EnergyMeter keeps as a count and sums in closed form, bit for bit
+// the charges added one at a time) when the node wakes or fails, when a
+// neighbour starts a carrier, and at settle(), which the owner calls once
+// the run has reached its horizon. Counters and energy are identical to
+// sampling every slot.
 //
 // Every energy consequence (CCA samples, preamble, idle-listen extension,
 // data TX) is reported through hooks charged to energy::EnergyMeter line
@@ -251,5 +253,10 @@ class SlottedLplMac {
   sim::TraceLog* trace_ = nullptr;
   MacStats stats_;
 };
+
+/// The largest time strictly before `t` (std::nextafter toward −∞, one
+/// bit pattern down for a positive finite `t`): booking "through
+/// just_before(t)" books the samples strictly before t.
+[[nodiscard]] sim::Time just_before(sim::Time t);
 
 }  // namespace pas::net

@@ -15,6 +15,11 @@ void ArrivalMap::assign(const StimulusModel& model,
                         sim::Time horizon) {
   times_.resize(positions.size());
   model.arrival_many(positions, horizon, times_);
+  sites_.resize(positions.size());
+  for (std::size_t i = 0; i < positions.size(); ++i) {
+    sites_[i] = model.site(positions[i]);
+  }
+  model_ = &model;
 }
 
 std::size_t ArrivalMap::covered_count(sim::Time t) const noexcept {

@@ -3,6 +3,12 @@
 // The world builder evaluates the stimulus model once per node and caches
 // first-arrival times; the simulator schedules per-node arrival events from
 // this map and the metrics layer scores detection delay against it.
+//
+// The map also holds each node's stimulus::Site, built by the same model:
+// a waking node senses with model.covered_at(site(i), now), so the terms
+// that depend on its fixed position are computed once per replication, not
+// at every wake. Only the model that built the map may read its sites;
+// built_by() tells which one did (core::Protocol checks it).
 #pragma once
 
 #include <span>
@@ -20,10 +26,16 @@ class ArrivalMap {
   ArrivalMap(const StimulusModel& model, std::span<const geom::Vec2> positions,
              sim::Time horizon);
 
-  /// Recomputes the map in place (one batched arrival_many call, reusing
-  /// the times buffer) — the world::Workspace path between replications.
+  /// Recomputes the map in place (one batched arrival_many call and one
+  /// site per node, reusing both buffers) — the world::Workspace path
+  /// between replications.
   void assign(const StimulusModel& model, std::span<const geom::Vec2> positions,
               sim::Time horizon);
+
+  /// True when the last assign() used `model` (the same object).
+  [[nodiscard]] bool built_by(const StimulusModel& model) const noexcept {
+    return model_ == &model;
+  }
 
   [[nodiscard]] std::size_t size() const noexcept { return times_.size(); }
 
@@ -32,6 +44,11 @@ class ArrivalMap {
 
   [[nodiscard]] const std::vector<sim::Time>& times() const noexcept {
     return times_;
+  }
+
+  /// Node `i`'s site, for the model that built the map.
+  [[nodiscard]] const Site& site(std::size_t i) const noexcept {
+    return sites_[i];
   }
 
   /// Number of nodes covered at or before `t`.
@@ -48,6 +65,9 @@ class ArrivalMap {
 
  private:
   std::vector<sim::Time> times_;
+  std::vector<Site> sites_;
+  // Compared, never dereferenced: the model may be gone by the next assign.
+  const StimulusModel* model_ = nullptr;
 };
 
 }  // namespace pas::stimulus

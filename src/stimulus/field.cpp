@@ -5,6 +5,12 @@
 
 namespace pas::stimulus {
 
+Site StimulusModel::site(geom::Vec2 p) const { return Site{.position = p}; }
+
+bool StimulusModel::covered_at(const Site& site, sim::Time t) const {
+  return covered(site.position, t);
+}
+
 double StimulusModel::concentration(geom::Vec2 p, sim::Time t) const {
   return covered(p, t) ? 1.0 : 0.0;
 }

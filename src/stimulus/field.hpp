@@ -5,6 +5,15 @@
 // ground-truth *arrival time* used both to schedule detection events and to
 // score detection delay. The paper's §3.3 assumption — the front spreads
 // along the outward normal of its boundary — holds for every model here.
+//
+// Sensor nodes never move, so a model may split covered(p, t) into the
+// terms that depend on the position alone, computed once per node by
+// site(p), and the time-dependent rest, covered_at(site, t). The contract:
+// covered_at(site(p), t) == covered(p, t) for every p and t, so both must
+// perform covered()'s floating-point operations in covered()'s order. The
+// protocol senses through covered_at with the sites its
+// stimulus::ArrivalMap holds; tests/stimulus/test_site.cpp checks the
+// contract for every model.
 #pragma once
 
 #include <cstdint>
@@ -20,12 +29,29 @@ namespace pas::stimulus {
 /// Width of the bracket first_crossing() bisects an arrival down to.
 inline constexpr sim::Duration kCrossingTolerance = 1e-4;
 
+/// A fixed position plus the terms of covered() that depend on it alone.
+/// Only the model that built a site may read it.
+struct Site {
+  geom::Vec2 position{};
+  /// RadialFrontModel: distance from the source and the angular speed
+  /// v(θ) toward the position. Unused by the default.
+  double range = 0.0;
+  double speed = 0.0;
+};
+
 class StimulusModel {
  public:
   virtual ~StimulusModel() = default;
 
   /// True when the stimulus covers position `p` at time `t`.
   [[nodiscard]] virtual bool covered(geom::Vec2 p, sim::Time t) const = 0;
+
+  /// The position-only terms of covered(p, ·). Default: just `p`.
+  [[nodiscard]] virtual Site site(geom::Vec2 p) const;
+
+  /// covered(site.position, t) from a site this model built; bit-identical
+  /// to it. Default: calls covered().
+  [[nodiscard]] virtual bool covered_at(const Site& site, sim::Time t) const;
 
   /// Scalar intensity at (p, t) in model units. Default: 1 inside, 0 outside.
   [[nodiscard]] virtual double concentration(geom::Vec2 p, sim::Time t) const;

@@ -1,5 +1,6 @@
 #include "stimulus/radial_front.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <numbers>
 #include <stdexcept>
@@ -56,6 +57,21 @@ bool RadialFrontModel::covered(geom::Vec2 p, sim::Time t) const {
   const double r = d.norm();
   if (r == 0.0) return t >= cfg_.start_time;
   return r <= radius_at(d.angle(), t);
+}
+
+Site RadialFrontModel::site(geom::Vec2 p) const {
+  const geom::Vec2 d = p - cfg_.source;
+  return Site{.position = p, .range = d.norm(), .speed = speed_at(d.angle())};
+}
+
+bool RadialFrontModel::covered_at(const Site& site, sim::Time t) const {
+  // covered() and radius_at() with the bearing terms looked up, not
+  // recomputed: the same operations on the same values.
+  if (site.range == 0.0) return t >= cfg_.start_time;
+  const double tau = t - cfg_.start_time;
+  const double radius =
+      tau <= 0.0 ? 0.0 : std::min(cfg_.max_radius, site.speed * growth(tau));
+  return site.range <= radius;
 }
 
 double RadialFrontModel::concentration(geom::Vec2 p, sim::Time t) const {

@@ -48,6 +48,10 @@ class RadialFrontModel final : public StimulusModel {
   explicit RadialFrontModel(RadialFrontConfig config);
 
   [[nodiscard]] bool covered(geom::Vec2 p, sim::Time t) const override;
+  /// Holds the distance from the source and v(θ), so covered_at pays no
+  /// atan2 and no cos.
+  [[nodiscard]] Site site(geom::Vec2 p) const override;
+  [[nodiscard]] bool covered_at(const Site& site, sim::Time t) const override;
   [[nodiscard]] double concentration(geom::Vec2 p, sim::Time t) const override;
   [[nodiscard]] geom::Vec2 source() const noexcept override { return cfg_.source; }
   [[nodiscard]] sim::Time arrival_time(geom::Vec2 p,

@@ -67,6 +67,23 @@ TEST(Protocol, ValidatesSizes) {
                std::invalid_argument);
 }
 
+TEST(Protocol, RejectsArrivalMapOfAnotherModel) {
+  // Nodes sense through the map's sites, which only the model that built
+  // them can read: an equal but distinct model is refused too.
+  ProtocolWorld w(ProtocolConfig::pas());
+  const stimulus::RadialFrontModel twin(w.model->config());
+  EXPECT_THROW(Protocol(w.simulator, *w.network, w.nodes, twin, w.arrivals,
+                        ProtocolConfig::pas(), w.seeds),
+               std::invalid_argument);
+  // Nor may the map's positions differ from the nodes'.
+  std::vector<geom::Vec2> moved = w.positions;
+  moved[2].x += 0.5;
+  const stimulus::ArrivalMap elsewhere(*w.model, moved, 120.0);
+  EXPECT_THROW(Protocol(w.simulator, *w.network, w.nodes, *w.model, elsewhere,
+                        ProtocolConfig::pas(), w.seeds),
+               std::invalid_argument);
+}
+
 TEST(Protocol, StartTwiceThrows) {
   ProtocolWorld w(ProtocolConfig::pas());
   w.protocol->start();

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -54,6 +55,30 @@ TEST(MacConfig, ValidationRejectsDegenerateValues) {
   EXPECT_THROW(bad.validate(), std::invalid_argument);
   MacConfig ok;
   EXPECT_NO_THROW(ok.validate());
+}
+
+TEST(MacJustBefore, MatchesNextafterBitForBit) {
+  using L = std::numeric_limits<double>;
+  const auto expect_same = [](double t) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(just_before(t)),
+              std::bit_cast<std::uint64_t>(std::nextafter(t, -L::infinity())))
+        << std::hexfloat << t;
+  };
+  for (const double t :
+       {L::denorm_min(), 2 * L::denorm_min(), L::min(), L::max(), 1.0, 0.5,
+        // Outside the bit step: zeros, negatives, infinities and NaN.
+        0.0, -0.0, -L::denorm_min(), -1.0, -L::max(), L::infinity(),
+        -L::infinity(), L::quiet_NaN()}) {
+    expect_same(t);
+  }
+  // Slot-grid times as the MAC computes them, and random positive doubles.
+  sim::Pcg32 rng(5, 9);
+  for (int k = 0; k < 2000; ++k) {
+    const double phase = rng.uniform(0.0, 0.1);
+    expect_same(phase + static_cast<double>(rng.uniform_int(0, 100000)) * 0.1);
+    const std::uint64_t high = rng.next();  // sign bit stays clear
+    expect_same(std::bit_cast<double>((high << 31) ^ rng.next()));
+  }
 }
 
 TEST_F(MacFixture, SlotPhasesAreSeededAndInRange) {
