@@ -1,6 +1,7 @@
 // Plume monitoring: watch a pollutant plume evolve under the
-// advection–diffusion PDE while a PAS network tracks it; renders the field
-// and node states as ASCII frames and optionally dumps per-node CSV.
+// advection–diffusion PDE while a PAS network tracks it; renders the
+// covered region and node states as ASCII frames and optionally dumps
+// per-node CSV.
 //
 //   $ ./plume_monitoring [--frames N] [--seed N] [--csv out.csv]
 //                        [--diffusivity D] [--wind-x W] [--wind-y W]
@@ -10,20 +11,26 @@
 #include "io/cli.hpp"
 #include "io/csv.hpp"
 #include "io/table.hpp"
-#include "metrics/boundary.hpp"
-#include "stimulus/contour.hpp"
 #include "world/paper_setup.hpp"
 #include "world/scenario.hpp"
 
 namespace {
 
-// Overlays node markers on an ASCII field rendering.
+// Draws the region the stimulus covers at time t ('#', else '.'), one
+// cell center per character with row 0 at the top, and overlays the nodes.
 std::string render_frame(const pas::stimulus::StimulusModel& model,
                          const pas::world::RunResult& result,
                          pas::geom::Aabb region, double t, int cols,
                          int rows) {
-  std::string art =
-      pas::stimulus::render_ascii(model, t, region, cols, rows, 0.0, 2.0);
+  std::string art;
+  for (int r = 0; r < rows; ++r) {
+    const double y = region.hi.y - (r + 0.5) * region.height() / rows;
+    for (int c = 0; c < cols; ++c) {
+      const double x = region.lo.x + (c + 0.5) * region.width() / cols;
+      art.push_back(model.covered({x, y}, t) ? '#' : '.');
+    }
+    art.push_back('\n');
+  }
   for (std::size_t i = 0; i < result.positions.size(); ++i) {
     const auto p = result.positions[i];
     const int c = static_cast<int>((p.x - region.lo.x) / region.width() * cols);
@@ -87,37 +94,6 @@ int main(int argc, char** argv) {
             << " reached nodes, avg delay "
             << pas::io::fixed(m.avg_delay_s, 2) << "s, avg energy "
             << pas::io::fixed(m.avg_energy_j, 3) << "J/node\n";
-
-  // How well does the network's coverage knowledge locate the plume edge?
-  // Compare the covered/uncovered midpoint estimate against the model's
-  // threshold iso-contour at mid-run.
-  {
-    const double t = 0.5 * (cfg.pde.start_time + cfg.duration_s);
-    std::vector<bool> covered(result.positions.size());
-    for (std::size_t i = 0; i < covered.size(); ++i) {
-      covered[i] = result.outcomes[i].was_detected &&
-                   result.outcomes[i].detected <= t;
-    }
-    const auto points = pas::metrics::estimate_boundary_points(
-        result.positions, covered, cfg.radio.range_m);
-    const auto segments = pas::stimulus::extract_iso_segments(
-        *model, t, cfg.deployment.region, 96, 96, cfg.pde.threshold);
-    if (!points.empty() && !segments.empty()) {
-      double sum = 0.0, worst = 0.0;
-      for (const auto& p : points) {
-        double best = 1e300;
-        for (const auto& [a, b] : segments) {
-          best = std::min(best, pas::geom::point_segment_distance(p, a, b));
-        }
-        sum += best;
-        worst = std::max(worst, best);
-      }
-      std::cout << "boundary estimate at t=" << pas::io::fixed(t, 0) << "s: "
-                << points.size() << " witness points, mean error "
-                << pas::io::fixed(sum / static_cast<double>(points.size()), 2)
-                << "m, max " << pas::io::fixed(worst, 2) << "m\n";
-    }
-  }
 
   if (!csv_path.empty()) {
     std::ofstream out(csv_path);

@@ -2,10 +2,10 @@
 //
 // Without alerting, PAS degenerates to pure duty-cycled sampling, for which
 // the expected detection delay and power draw have closed forms. The
-// formulas here serve two roles: (1) validation — tests compare the
-// simulator against them in the no-alert regime; (2) provisioning — given a
-// hazard's required detection latency, solve for the sleeping interval and
-// predict node lifetime (used by the city_gas_leak example's guidance).
+// tests compare the simulator against them in the no-alert regime
+// (tests/core/test_analysis.cpp). They also answer provisioning questions:
+// given a hazard's required detection latency, the sleeping interval, and
+// the node lifetime it buys.
 #pragma once
 
 #include "energy/power_profile.hpp"

@@ -50,7 +50,8 @@ void Axis::apply(world::ScenarioConfig& config, std::size_t i) const {
       if (numbers.at(i) < 0.0) {
         throw std::invalid_argument("Axis node_count: value must be >= 0");
       }
-      config.deployment.count = static_cast<std::size_t>(numbers.at(i));
+      config.deployment.count =
+          io::to_integer<std::size_t>(numbers.at(i), "node_count");
       break;
     case AxisKind::kStimulus:
       config.stimulus = world::stimulus_kind_from_string(labels.at(i));

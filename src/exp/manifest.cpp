@@ -60,18 +60,8 @@ Manifest Manifest::from_json(const io::Json& j) {
   Manifest m;
   m.name = j.string_or("name", m.name);
   m.description = j.string_or("description", m.description);
-  const double reps =
-      j.number_or("replications", static_cast<double>(m.replications));
-  if (reps < 0.0) {
-    throw std::runtime_error("Manifest: replications must be >= 0");
-  }
-  m.replications = static_cast<std::size_t>(reps);
-  const double seed_base =
-      j.number_or("seed_base", static_cast<double>(m.seed_base));
-  if (seed_base < 0.0) {
-    throw std::runtime_error("Manifest: seed_base must be >= 0");
-  }
-  m.seed_base = static_cast<std::uint64_t>(seed_base);
+  m.replications = j.integer_or("replications", m.replications);
+  m.seed_base = j.integer_or("seed_base", m.seed_base);
   if (j.contains("base")) {
     m.base = world::scenario_from_json(j.at("base"));
   }

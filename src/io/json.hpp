@@ -6,9 +6,13 @@
 // vendored dependency.
 #pragma once
 
+#include <cmath>
+#include <concepts>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <variant>
@@ -62,6 +66,10 @@ class Json {
   [[nodiscard]] std::string string_or(const std::string& key,
                                       std::string fallback) const;
   [[nodiscard]] bool bool_or(const std::string& key, bool fallback) const;
+  /// The integer at `key`, read with to_integer(), or `fallback` when
+  /// absent.
+  template <std::integral T>
+  [[nodiscard]] T integer_or(const std::string& key, T fallback) const;
 
   /// Appends to an array (converts null to array first).
   void push_back(Json v);
@@ -84,5 +92,31 @@ class Json {
 
   std::variant<std::nullptr_t, bool, double, std::string, JsonArray, JsonObject> value_;
 };
+
+/// A JSON number that names a count, a seed or an index, as a T. Throws
+/// std::runtime_error naming `key` unless `value` is an integer that T
+/// holds: a bare cast would truncate 30.9 silently and is undefined for
+/// 1e30.
+template <std::integral T>
+[[nodiscard]] T to_integer(double value, std::string_view key) {
+  // T holds the integers in [min, 2·(max/2 + 1)); both bounds are exact
+  // doubles (0 or −2^k, and 2^k).
+  constexpr T lo = std::numeric_limits<T>::min();
+  constexpr T hi = std::numeric_limits<T>::max();
+  constexpr double end = 2.0 * static_cast<double>(hi / 2 + 1);
+  if (!(value >= static_cast<double>(lo) && value < end) ||
+      std::trunc(value) != value) {
+    throw std::runtime_error("JSON key \"" + std::string(key) + "\": " +
+                             Json(value).dump() + " is not an integer in [" +
+                             std::to_string(lo) + ", " + std::to_string(hi) +
+                             "]");
+  }
+  return static_cast<T>(value);
+}
+
+template <std::integral T>
+T Json::integer_or(const std::string& key, T fallback) const {
+  return contains(key) ? to_integer<T>(at(key).as_double(), key) : fallback;
+}
 
 }  // namespace pas::io

@@ -98,14 +98,9 @@ void AdvectionDiffusionModel::integrate() {
 
   const auto total_steps = static_cast<std::size_t>(
       std::ceil((cfg_.horizon - cfg_.start_time) / dt_));
-  sim::Time next_snapshot = cfg_.start_time;
 
   sim::Time t = cfg_.start_time;
   for (std::size_t s = 0; s <= total_steps; ++s) {
-    if (t >= next_snapshot) {
-      snapshots_.emplace_back(field_.begin(), field_.end());
-      next_snapshot += cfg_.snapshot_interval;
-    }
     step(next, field_, t);
     std::swap(next, field_);
     t += dt_;
@@ -115,7 +110,6 @@ void AdvectionDiffusionModel::integrate() {
       }
     }
   }
-  snapshots_.emplace_back(field_.begin(), field_.end());
 
   mass_at_horizon_ = 0.0;
   for (const double c : field_) mass_at_horizon_ += c;
@@ -132,80 +126,10 @@ bool AdvectionDiffusionModel::covered(geom::Vec2 p, sim::Time t) const {
   return cell_arrival(p) <= t;
 }
 
-double AdvectionDiffusionModel::concentration(geom::Vec2 p,
-                                              sim::Time t) const {
-  if (!cfg_.region.contains(p) || snapshots_.empty()) return 0.0;
-  const double rel = (t - cfg_.start_time) / cfg_.snapshot_interval;
-  const auto frame = static_cast<std::size_t>(
-      std::clamp(rel, 0.0, static_cast<double>(snapshots_.size() - 1)));
-  return static_cast<double>(
-      snapshots_[frame][idx(cell_x(p.x), cell_y(p.y))]);
-}
-
 sim::Time AdvectionDiffusionModel::arrival_time(geom::Vec2 p,
                                                 sim::Time horizon) const {
   const sim::Time t = cell_arrival(p);
   return t <= horizon ? t : sim::kNever;
-}
-
-void AdvectionDiffusionModel::arrival_many(std::span<const geom::Vec2> ps,
-                                           sim::Time horizon,
-                                           std::span<sim::Time> out) const {
-  for (std::size_t i = 0; i < ps.size(); ++i) {
-    const sim::Time t = cell_arrival(ps[i]);
-    out[i] = t <= horizon ? t : sim::kNever;
-  }
-}
-
-void AdvectionDiffusionModel::sample_many(std::span<const geom::Vec2> ps,
-                                          sim::Time t,
-                                          std::span<double> out) const {
-  if (snapshots_.empty()) {
-    for (std::size_t i = 0; i < ps.size(); ++i) out[i] = 0.0;
-    return;
-  }
-  // Resolve the snapshot frame once for the whole batch.
-  const double rel = (t - cfg_.start_time) / cfg_.snapshot_interval;
-  const auto frame = static_cast<std::size_t>(
-      std::clamp(rel, 0.0, static_cast<double>(snapshots_.size() - 1)));
-  const std::vector<float>& snap = snapshots_[frame];
-  for (std::size_t i = 0; i < ps.size(); ++i) {
-    out[i] = cfg_.region.contains(ps[i])
-                 ? static_cast<double>(
-                       snap[idx(cell_x(ps[i].x), cell_y(ps[i].y))])
-                 : 0.0;
-  }
-}
-
-void AdvectionDiffusionModel::covered_many(std::span<const geom::Vec2> ps,
-                                           sim::Time t,
-                                           std::span<std::uint8_t> out) const {
-  for (std::size_t i = 0; i < ps.size(); ++i) {
-    out[i] = cell_arrival(ps[i]) <= t ? 1 : 0;
-  }
-}
-
-std::optional<geom::Vec2> AdvectionDiffusionModel::front_velocity(
-    geom::Vec2 p, sim::Time /*t*/) const {
-  if (!cfg_.region.contains(p)) return std::nullopt;
-  const int ix = cell_x(p.x), iy = cell_y(p.y);
-  if (ix < 1 || ix >= cfg_.nx - 1 || iy < 1 || iy >= cfg_.ny - 1) {
-    return std::nullopt;
-  }
-  const float txm = first_cross_[idx(ix - 1, iy)];
-  const float txp = first_cross_[idx(ix + 1, iy)];
-  const float tym = first_cross_[idx(ix, iy - 1)];
-  const float typ = first_cross_[idx(ix, iy + 1)];
-  if (txm == kNeverF || txp == kNeverF || tym == kNeverF || typ == kNeverF) {
-    return std::nullopt;
-  }
-  // Eikonal: |∇T| = 1/speed; front moves along +∇T (later arrivals outward).
-  const geom::Vec2 grad{
-      (static_cast<double>(txp) - static_cast<double>(txm)) / (2.0 * dx_),
-      (static_cast<double>(typ) - static_cast<double>(tym)) / (2.0 * dy_)};
-  const double g = grad.norm();
-  if (g <= 1e-12) return std::nullopt;
-  return grad / (g * g);
 }
 
 double AdvectionDiffusionModel::total_mass_at_horizon() const noexcept {

@@ -37,8 +37,6 @@ struct AdvectionDiffusionConfig {
   sim::Time start_time = 0.0;
   /// The solver integrates eagerly to this horizon at construction.
   sim::Time horizon = 300.0;
-  /// Spacing of stored concentration snapshots for concentration() queries.
-  sim::Duration snapshot_interval = 2.0;
 
   // Equality keys world::Workspace's stimulus-model cache: two equal
   // configs integrate to bit-identical fields, so the solve is shareable.
@@ -52,22 +50,9 @@ class AdvectionDiffusionModel final : public StimulusModel {
   explicit AdvectionDiffusionModel(AdvectionDiffusionConfig config);
 
   [[nodiscard]] bool covered(geom::Vec2 p, sim::Time t) const override;
-  [[nodiscard]] double concentration(geom::Vec2 p, sim::Time t) const override;
   [[nodiscard]] geom::Vec2 source() const noexcept override { return cfg_.source; }
   [[nodiscard]] sim::Time arrival_time(geom::Vec2 p,
                                        sim::Time horizon) const override;
-  /// Batch lookups straight out of the integrated first-crossing / snapshot
-  /// grids: one virtual call, then pure array indexing per point.
-  void arrival_many(std::span<const geom::Vec2> ps, sim::Time horizon,
-                    std::span<sim::Time> out) const override;
-  void sample_many(std::span<const geom::Vec2> ps, sim::Time t,
-                   std::span<double> out) const override;
-  void covered_many(std::span<const geom::Vec2> ps, sim::Time t,
-                    std::span<std::uint8_t> out) const override;
-  /// Estimated from the first-crossing time field T(x): the front normal is
-  /// ∇T/|∇T| and the speed 1/|∇T| (eikonal relation).
-  [[nodiscard]] std::optional<geom::Vec2> front_velocity(
-      geom::Vec2 p, sim::Time t) const override;
   [[nodiscard]] std::string_view name() const noexcept override { return "pde"; }
 
   [[nodiscard]] const AdvectionDiffusionConfig& config() const noexcept { return cfg_; }
@@ -95,9 +80,8 @@ class AdvectionDiffusionModel final : public StimulusModel {
   double dx_ = 1.0;
   double dy_ = 1.0;
   double dt_ = 0.0;
-  std::vector<double> field_;                  // scratch: final state
-  std::vector<float> first_cross_;             // per-cell crossing time, inf if never
-  std::vector<std::vector<float>> snapshots_;  // every snapshot_interval
+  std::vector<double> field_;       // scratch: final state
+  std::vector<float> first_cross_;  // per-cell crossing time, inf if never
   double mass_at_horizon_ = 0.0;
 };
 

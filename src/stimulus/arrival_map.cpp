@@ -13,12 +13,12 @@ ArrivalMap::ArrivalMap(const StimulusModel& model,
 void ArrivalMap::assign(const StimulusModel& model,
                         std::span<const geom::Vec2> positions,
                         sim::Time horizon) {
-  times_.resize(positions.size());
-  model.arrival_many(positions, horizon, times_);
   sites_.resize(positions.size());
   for (std::size_t i = 0; i < positions.size(); ++i) {
     sites_[i] = model.site(positions[i]);
   }
+  times_.resize(positions.size());
+  model.arrival_many(sites_, horizon, times_);
   model_ = &model;
 }
 

@@ -26,9 +26,9 @@ class ArrivalMap {
   ArrivalMap(const StimulusModel& model, std::span<const geom::Vec2> positions,
              sim::Time horizon);
 
-  /// Recomputes the map in place (one batched arrival_many call and one
-  /// site per node, reusing both buffers) — the world::Workspace path
-  /// between replications.
+  /// Recomputes the map in place, reusing both buffers — the
+  /// world::Workspace path between replications: one site per node, then
+  /// one arrival_many call over the sites.
   void assign(const StimulusModel& model, std::span<const geom::Vec2> positions,
               sim::Time horizon);
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <stdexcept>
-#include <vector>
 
 namespace pas::stimulus {
 
@@ -24,12 +23,6 @@ bool CompositeModel::covered(geom::Vec2 p, sim::Time t) const {
   return false;
 }
 
-double CompositeModel::concentration(geom::Vec2 p, sim::Time t) const {
-  double sum = 0.0;
-  for (const auto& part : parts_) sum += part->concentration(p, t);
-  return sum;
-}
-
 geom::Vec2 CompositeModel::source() const noexcept {
   return parts_.front()->source();
 }
@@ -40,60 +33,6 @@ sim::Time CompositeModel::arrival_time(geom::Vec2 p, sim::Time horizon) const {
     best = std::min(best, part->arrival_time(p, horizon));
   }
   return best;
-}
-
-void CompositeModel::sample_many(std::span<const geom::Vec2> ps, sim::Time t,
-                                 std::span<double> out) const {
-  parts_.front()->sample_many(ps, t, out);
-  if (parts_.size() == 1) return;
-  std::vector<double> scratch(ps.size());
-  for (std::size_t k = 1; k < parts_.size(); ++k) {
-    parts_[k]->sample_many(ps, t, scratch);
-    for (std::size_t i = 0; i < out.size(); ++i) out[i] += scratch[i];
-  }
-}
-
-void CompositeModel::covered_many(std::span<const geom::Vec2> ps, sim::Time t,
-                                  std::span<std::uint8_t> out) const {
-  parts_.front()->covered_many(ps, t, out);
-  if (parts_.size() == 1) return;
-  std::vector<std::uint8_t> scratch(ps.size());
-  for (std::size_t k = 1; k < parts_.size(); ++k) {
-    parts_[k]->covered_many(ps, t, scratch);
-    for (std::size_t i = 0; i < out.size(); ++i) {
-      out[i] = (out[i] != 0 || scratch[i] != 0) ? 1 : 0;
-    }
-  }
-}
-
-void CompositeModel::arrival_many(std::span<const geom::Vec2> ps,
-                                  sim::Time horizon,
-                                  std::span<sim::Time> out) const {
-  parts_.front()->arrival_many(ps, horizon, out);
-  if (parts_.size() == 1) return;
-  std::vector<sim::Time> scratch(ps.size());
-  for (std::size_t k = 1; k < parts_.size(); ++k) {
-    parts_[k]->arrival_many(ps, horizon, scratch);
-    for (std::size_t i = 0; i < out.size(); ++i) {
-      out[i] = std::min(out[i], scratch[i]);
-    }
-  }
-}
-
-std::optional<geom::Vec2> CompositeModel::front_velocity(geom::Vec2 p,
-                                                         sim::Time t) const {
-  // Attribute the front to whichever part gets to p first.
-  const StimulusModel* first = nullptr;
-  sim::Time best = sim::kNever;
-  for (const auto& part : parts_) {
-    const sim::Time a = part->arrival_time(p, 1e12);
-    if (a < best) {
-      best = a;
-      first = part.get();
-    }
-  }
-  if (first == nullptr) return std::nullopt;
-  return first->front_velocity(p, t);
 }
 
 }  // namespace pas::stimulus

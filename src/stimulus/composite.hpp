@@ -2,9 +2,9 @@
 //
 // Environment-monitoring deployments routinely face multiple simultaneous
 // releases (two leaks, a spill plus a plume). The composite is covered
-// wherever any part is covered, concentrations add, and the arrival time is
-// the earliest part arrival — all of which preserve the outward-spreading
-// assumption PAS relies on, per part.
+// wherever any part is covered and the arrival time is the earliest part
+// arrival — both of which preserve the outward-spreading assumption PAS
+// relies on, per part.
 #pragma once
 
 #include <memory>
@@ -20,23 +20,10 @@ class CompositeModel final : public StimulusModel {
   explicit CompositeModel(std::vector<std::unique_ptr<StimulusModel>> parts);
 
   [[nodiscard]] bool covered(geom::Vec2 p, sim::Time t) const override;
-  [[nodiscard]] double concentration(geom::Vec2 p, sim::Time t) const override;
   /// Source of the first part (the composite has no single source).
   [[nodiscard]] geom::Vec2 source() const noexcept override;
   [[nodiscard]] sim::Time arrival_time(geom::Vec2 p,
                                        sim::Time horizon) const override;
-  /// Front velocity of the part that reaches `p` first (nullopt when no
-  /// part ever reaches it or that part cannot provide one).
-  [[nodiscard]] std::optional<geom::Vec2> front_velocity(
-      geom::Vec2 p, sim::Time t) const override;
-  /// Batch forwards: each part evaluates the whole position set in its own
-  /// tight loop, then the union/sum folds across parts.
-  void sample_many(std::span<const geom::Vec2> ps, sim::Time t,
-                   std::span<double> out) const override;
-  void covered_many(std::span<const geom::Vec2> ps, sim::Time t,
-                    std::span<std::uint8_t> out) const override;
-  void arrival_many(std::span<const geom::Vec2> ps, sim::Time horizon,
-                    std::span<sim::Time> out) const override;
   [[nodiscard]] std::string_view name() const noexcept override {
     return "composite";
   }

@@ -11,40 +11,17 @@ bool StimulusModel::covered_at(const Site& site, sim::Time t) const {
   return covered(site.position, t);
 }
 
-double StimulusModel::concentration(geom::Vec2 p, sim::Time t) const {
-  return covered(p, t) ? 1.0 : 0.0;
-}
-
-std::optional<geom::Vec2> StimulusModel::front_velocity(geom::Vec2,
-                                                        sim::Time) const {
-  return std::nullopt;
-}
-
 sim::Time StimulusModel::arrival_time(geom::Vec2 p, sim::Time horizon) const {
   // Default: numeric first-crossing; models with closed forms override.
   return first_crossing(p, horizon, horizon / 512.0);
 }
 
-void StimulusModel::sample_many(std::span<const geom::Vec2> ps, sim::Time t,
-                                std::span<double> out) const {
-  assert(ps.size() == out.size());
-  for (std::size_t i = 0; i < ps.size(); ++i) out[i] = concentration(ps[i], t);
-}
-
-void StimulusModel::covered_many(std::span<const geom::Vec2> ps, sim::Time t,
-                                 std::span<std::uint8_t> out) const {
-  assert(ps.size() == out.size());
-  for (std::size_t i = 0; i < ps.size(); ++i) {
-    out[i] = covered(ps[i], t) ? 1 : 0;
-  }
-}
-
-void StimulusModel::arrival_many(std::span<const geom::Vec2> ps,
+void StimulusModel::arrival_many(std::span<const Site> sites,
                                  sim::Time horizon,
                                  std::span<sim::Time> out) const {
-  assert(ps.size() == out.size());
-  for (std::size_t i = 0; i < ps.size(); ++i) {
-    out[i] = arrival_time(ps[i], horizon);
+  assert(sites.size() == out.size());
+  for (std::size_t i = 0; i < sites.size(); ++i) {
+    out[i] = arrival_time(sites[i].position, horizon);
   }
 }
 

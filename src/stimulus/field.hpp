@@ -10,14 +10,14 @@
 // terms that depend on the position alone, computed once per node by
 // site(p), and the time-dependent rest, covered_at(site, t). The contract:
 // covered_at(site(p), t) == covered(p, t) for every p and t, so both must
-// perform covered()'s floating-point operations in covered()'s order. The
-// protocol senses through covered_at with the sites its
-// stimulus::ArrivalMap holds; tests/stimulus/test_site.cpp checks the
-// contract for every model.
+// perform covered()'s floating-point operations in covered()'s order. A
+// stimulus::ArrivalMap builds every node's site first, then takes their
+// arrivals from one arrival_many(sites, ...) call, and the protocol senses
+// through covered_at with those sites. tests/stimulus/test_site.cpp checks
+// the contract for every model; tests/stimulus/test_arrival_map.cpp checks
+// that a map's arrivals equal arrival_time(p, horizon).
 #pragma once
 
-#include <cstdint>
-#include <optional>
 #include <span>
 #include <string_view>
 
@@ -53,9 +53,6 @@ class StimulusModel {
   /// to it. Default: calls covered().
   [[nodiscard]] virtual bool covered_at(const Site& site, sim::Time t) const;
 
-  /// Scalar intensity at (p, t) in model units. Default: 1 inside, 0 outside.
-  [[nodiscard]] virtual double concentration(geom::Vec2 p, sim::Time t) const;
-
   /// Location the stimulus emanates from.
   [[nodiscard]] virtual geom::Vec2 source() const noexcept = 0;
 
@@ -64,30 +61,12 @@ class StimulusModel {
   [[nodiscard]] virtual sim::Time arrival_time(geom::Vec2 p,
                                                sim::Time horizon) const;
 
-  /// True front velocity (direction + magnitude, m/s) at position `p` and
-  /// time `t`, when the model can provide it analytically; estimators are
-  /// validated against this in tests. std::nullopt when unavailable.
-  [[nodiscard]] virtual std::optional<geom::Vec2> front_velocity(
-      geom::Vec2 p, sim::Time t) const;
-
-  // Batch sampling ---------------------------------------------------------
-  //
-  // One virtual dispatch for a whole position set (every node of a world at
-  // one tick, or a render grid row). The defaults loop over the scalar
-  // calls; grid-backed and closed-form models override with tight loops the
-  // compiler can vectorize. `out.size()` must equal `ps.size()`; results
-  // are bit-identical to the scalar calls.
-
-  /// out[i] = concentration(ps[i], t).
-  virtual void sample_many(std::span<const geom::Vec2> ps, sim::Time t,
-                           std::span<double> out) const;
-
-  /// out[i] = covered(ps[i], t) as 0/1.
-  virtual void covered_many(std::span<const geom::Vec2> ps, sim::Time t,
-                            std::span<std::uint8_t> out) const;
-
-  /// out[i] = arrival_time(ps[i], horizon).
-  virtual void arrival_many(std::span<const geom::Vec2> ps, sim::Time horizon,
+  /// out[i] = arrival_time(sites[i].position, horizon), for sites this
+  /// model built: one virtual call for a whole node set. The default loops
+  /// over arrival_time(); a model overrides it when the sites or a shared
+  /// precomputation save work, with bit-identical results. `out.size()`
+  /// must equal `sites.size()`.
+  virtual void arrival_many(std::span<const Site> sites, sim::Time horizon,
                             std::span<sim::Time> out) const;
 
   /// Short identifier for reports ("radial", "pde", "plume").

@@ -34,44 +34,6 @@ bool GaussianPlumeModel::covered(geom::Vec2 p, sim::Time t) const {
   return concentration(p, t) >= cfg_.threshold;
 }
 
-void GaussianPlumeModel::sample_many(std::span<const geom::Vec2> ps,
-                                     sim::Time t,
-                                     std::span<double> out) const {
-  // The exact arithmetic of concentration() with the loop-invariant pieces
-  // (denominator, advected center) hoisted; results stay bit-identical to
-  // the scalar call.
-  const double tau = t - cfg_.start_time;
-  if (tau <= 0.0) {
-    for (std::size_t i = 0; i < ps.size(); ++i) out[i] = 0.0;
-    return;
-  }
-  const double denom = 4.0 * std::numbers::pi * cfg_.diffusivity * tau;
-  const double four_d_tau = 4.0 * cfg_.diffusivity * tau;
-  const geom::Vec2 center = cfg_.source + cfg_.wind * tau;
-  for (std::size_t i = 0; i < ps.size(); ++i) {
-    const double r2 = geom::distance2(ps[i], center);
-    out[i] = cfg_.mass / denom * std::exp(-r2 / four_d_tau);
-  }
-}
-
-void GaussianPlumeModel::covered_many(std::span<const geom::Vec2> ps,
-                                      sim::Time t,
-                                      std::span<std::uint8_t> out) const {
-  const double tau = t - cfg_.start_time;
-  if (tau <= 0.0) {
-    for (std::size_t i = 0; i < ps.size(); ++i) out[i] = 0;
-    return;
-  }
-  const double denom = 4.0 * std::numbers::pi * cfg_.diffusivity * tau;
-  const double four_d_tau = 4.0 * cfg_.diffusivity * tau;
-  const geom::Vec2 center = cfg_.source + cfg_.wind * tau;
-  for (std::size_t i = 0; i < ps.size(); ++i) {
-    const double r2 = geom::distance2(ps[i], center);
-    const double c = cfg_.mass / denom * std::exp(-r2 / four_d_tau);
-    out[i] = c >= cfg_.threshold ? 1 : 0;
-  }
-}
-
 sim::Time GaussianPlumeModel::dissolve_time() const noexcept {
   // Peak concentration Q/(4πDτ) falls below threshold at this τ.
   return cfg_.start_time +
@@ -176,13 +138,13 @@ sim::Time GaussianPlumeModel::arrival_time(geom::Vec2 p,
   return arrival_on(p, horizon, probe_times(horizon));
 }
 
-void GaussianPlumeModel::arrival_many(std::span<const geom::Vec2> ps,
+void GaussianPlumeModel::arrival_many(std::span<const Site> sites,
                                       sim::Time horizon,
                                       std::span<sim::Time> out) const {
-  assert(ps.size() == out.size());
+  assert(sites.size() == out.size());
   const std::vector<sim::Time> probes = probe_times(horizon);
-  for (std::size_t i = 0; i < ps.size(); ++i) {
-    out[i] = arrival_on(ps[i], horizon, probes);
+  for (std::size_t i = 0; i < sites.size(); ++i) {
+    out[i] = arrival_on(sites[i].position, horizon, probes);
   }
 }
 

@@ -44,8 +44,8 @@ class GaussianPlumeModel final : public StimulusModel {
  public:
   explicit GaussianPlumeModel(GaussianPlumeConfig config);
 
+  /// concentration(p, t) >= threshold.
   [[nodiscard]] bool covered(geom::Vec2 p, sim::Time t) const override;
-  [[nodiscard]] double concentration(geom::Vec2 p, sim::Time t) const override;
   [[nodiscard]] geom::Vec2 source() const noexcept override { return cfg_.source; }
   /// first_crossing() with probe_step(), bit for bit, but the first
   /// covered probe is found by search: c(p, t) is unimodal in t, so
@@ -54,16 +54,13 @@ class GaussianPlumeModel final : public StimulusModel {
   /// instead of up to n; the bisection that follows is first_crossing's.
   [[nodiscard]] sim::Time arrival_time(geom::Vec2 p,
                                        sim::Time horizon) const override;
-  /// arrival_time() for every position, building the probe times once.
-  void arrival_many(std::span<const geom::Vec2> ps, sim::Time horizon,
+  /// arrival_time() for every site, building the probe times once.
+  void arrival_many(std::span<const Site> sites, sim::Time horizon,
                     std::span<sim::Time> out) const override;
-  /// Closed-form Gaussian evaluated in one vectorizable loop: the advected
-  /// center and 1/(4Dτ) terms are hoisted out of the per-point work.
-  void sample_many(std::span<const geom::Vec2> ps, sim::Time t,
-                   std::span<double> out) const override;
-  void covered_many(std::span<const geom::Vec2> ps, sim::Time t,
-                    std::span<std::uint8_t> out) const override;
   [[nodiscard]] std::string_view name() const noexcept override { return "plume"; }
+
+  /// c(p, t), the puff's concentration; 0 before the release.
+  [[nodiscard]] double concentration(geom::Vec2 p, sim::Time t) const;
 
   /// Time at which the whole covered region has dissolved (c < threshold
   /// everywhere): when 4πDτ ≥ Q/threshold the peak is below threshold.

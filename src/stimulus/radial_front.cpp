@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numbers>
 #include <stdexcept>
 
 namespace pas::stimulus {
@@ -74,64 +73,27 @@ bool RadialFrontModel::covered_at(const Site& site, sim::Time t) const {
   return site.range <= radius;
 }
 
-double RadialFrontModel::concentration(geom::Vec2 p, sim::Time t) const {
-  // Simple interior profile decaying toward the front: 1 at source, 0 at
-  // the boundary; gives examples something smooth to visualise.
-  const geom::Vec2 d = p - cfg_.source;
-  const double r = d.norm();
-  const double radius = r == 0.0
-                            ? radius_at(0.0, t)
-                            : radius_at(d.angle(), t);
-  if (radius <= 0.0 || r > radius) return 0.0;
-  return 1.0 - r / radius;
+sim::Time RadialFrontModel::arrival_at(const Site& site,
+                                       sim::Time horizon) const noexcept {
+  if (site.range == 0.0) {
+    return cfg_.start_time <= horizon ? cfg_.start_time : sim::kNever;
+  }
+  if (site.range > cfg_.max_radius) return sim::kNever;
+  const sim::Time t = cfg_.start_time + inverse_growth(site.range / site.speed);
+  return t <= horizon ? t : sim::kNever;
 }
 
 sim::Time RadialFrontModel::arrival_time(geom::Vec2 p,
                                          sim::Time horizon) const {
-  const geom::Vec2 d = p - cfg_.source;
-  const double r = d.norm();
-  if (r == 0.0) {
-    return cfg_.start_time <= horizon ? cfg_.start_time : sim::kNever;
-  }
-  if (r > cfg_.max_radius) return sim::kNever;
-  const double v = speed_at(d.angle());
-  const sim::Time t = cfg_.start_time + inverse_growth(r / v);
-  return t <= horizon ? t : sim::kNever;
+  return arrival_at(site(p), horizon);
 }
 
-void RadialFrontModel::arrival_many(std::span<const geom::Vec2> ps,
+void RadialFrontModel::arrival_many(std::span<const Site> sites,
                                     sim::Time horizon,
                                     std::span<sim::Time> out) const {
-  // Same closed form as arrival_time, devirtualized into one loop.
-  for (std::size_t i = 0; i < ps.size(); ++i) {
-    out[i] = arrival_time(ps[i], horizon);
+  for (std::size_t i = 0; i < sites.size(); ++i) {
+    out[i] = arrival_at(sites[i], horizon);
   }
-}
-
-std::optional<geom::Vec2> RadialFrontModel::front_velocity(geom::Vec2 p,
-                                                           sim::Time t) const {
-  const geom::Vec2 d = p - cfg_.source;
-  const double r = d.norm();
-  if (r == 0.0) return std::nullopt;
-  const double tau = t - cfg_.start_time;
-  if (tau < 0.0) return std::nullopt;
-  // dR/dt along direction θ: v(θ) · g'(τ), pointing radially outward.
-  const double speed = speed_at(d.angle()) * (1.0 + cfg_.accel * tau);
-  return d.normalized() * speed;
-}
-
-geom::Polyline RadialFrontModel::boundary(sim::Time t, int samples) const {
-  geom::Polyline line;
-  line.closed = true;
-  if (samples < 3 || t <= cfg_.start_time) return line;
-  line.points.reserve(static_cast<std::size_t>(samples));
-  for (int i = 0; i < samples; ++i) {
-    const double theta =
-        2.0 * std::numbers::pi * static_cast<double>(i) / samples;
-    line.points.push_back(
-        cfg_.source + geom::Vec2::from_polar(radius_at(theta, t), theta));
-  }
-  return line;
 }
 
 }  // namespace pas::stimulus

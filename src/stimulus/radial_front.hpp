@@ -10,7 +10,6 @@
 
 #include <vector>
 
-#include "geom/polyline.hpp"
 #include "geom/vec2.hpp"
 #include "stimulus/field.hpp"
 
@@ -52,16 +51,14 @@ class RadialFrontModel final : public StimulusModel {
   /// atan2 and no cos.
   [[nodiscard]] Site site(geom::Vec2 p) const override;
   [[nodiscard]] bool covered_at(const Site& site, sim::Time t) const override;
-  [[nodiscard]] double concentration(geom::Vec2 p, sim::Time t) const override;
   [[nodiscard]] geom::Vec2 source() const noexcept override { return cfg_.source; }
+  /// arrival_at(site(p), horizon).
   [[nodiscard]] sim::Time arrival_time(geom::Vec2 p,
                                        sim::Time horizon) const override;
-  /// Closed-form arrival per point in one tight loop (no per-point virtual
-  /// dispatch; the world builder feeds every node position through here).
-  void arrival_many(std::span<const geom::Vec2> ps, sim::Time horizon,
+  /// Closed-form arrival from each site's range and speed, in one loop: no
+  /// atan2 and no cos, since site() paid them.
+  void arrival_many(std::span<const Site> sites, sim::Time horizon,
                     std::span<sim::Time> out) const override;
-  [[nodiscard]] std::optional<geom::Vec2> front_velocity(
-      geom::Vec2 p, sim::Time t) const override;
   [[nodiscard]] std::string_view name() const noexcept override { return "radial"; }
 
   /// Angular speed profile v(θ), m/s.
@@ -70,9 +67,6 @@ class RadialFrontModel final : public StimulusModel {
   /// Front radius along direction θ at time t (0 before start_time).
   [[nodiscard]] double radius_at(double theta, sim::Time t) const noexcept;
 
-  /// Boundary sampled as a closed polyline (for contour rendering/tests).
-  [[nodiscard]] geom::Polyline boundary(sim::Time t, int samples = 256) const;
-
   [[nodiscard]] const RadialFrontConfig& config() const noexcept { return cfg_; }
 
  private:
@@ -80,6 +74,10 @@ class RadialFrontModel final : public StimulusModel {
   [[nodiscard]] double growth(double tau) const noexcept;
   /// Inverse of g: smallest τ ≥ 0 with g(τ) = x.
   [[nodiscard]] double inverse_growth(double x) const noexcept;
+  /// The arrival at a site: start_time at the source, never past
+  /// max_radius, else start_time + g⁻¹(range / speed), cut at `horizon`.
+  [[nodiscard]] sim::Time arrival_at(const Site& site,
+                                     sim::Time horizon) const noexcept;
 
   RadialFrontConfig cfg_;
 };

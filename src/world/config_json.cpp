@@ -257,7 +257,7 @@ stimulus::RadialFrontConfig radial_from_json(
     for (const auto& h : j.at("harmonics").as_array()) {
       read_known_keys(h, "harmonic", {"k", "amplitude", "phase"});
       base.harmonics.push_back(stimulus::RadialFrontConfig::Harmonic{
-          .k = static_cast<int>(h.number_or("k", 1)),
+          .k = h.integer_or("k", 1),
           .amplitude = h.number_or("amplitude", 0.0),
           .phase = h.number_or("phase", 0.0),
       });
@@ -309,11 +309,7 @@ ScenarioConfig scenario_from_json(const io::Json& j, ScenarioConfig base) {
                    "protocol", "stimulus", "channel", "failures", "mac",
                    "collection"});
 
-  const double seed = j.number_or("seed", static_cast<double>(base.seed));
-  if (seed < 0.0) {
-    throw std::runtime_error("scenario_from_json: seed must be >= 0");
-  }
-  base.seed = static_cast<std::uint64_t>(seed);
+  base.seed = j.integer_or("seed", base.seed);
   base.duration_s = j.number_or("duration_s", base.duration_s);
 
   if (j.contains("deployment")) {
@@ -324,13 +320,7 @@ ScenarioConfig scenario_from_json(const io::Json& j, ScenarioConfig base) {
     if (d.contains("kind")) {
       base.deployment.kind = deployment_kind_from_string(d.at("kind").as_string());
     }
-    const double count =
-        d.number_or("count", static_cast<double>(base.deployment.count));
-    if (count < 0.0) {
-      throw std::runtime_error(
-          "scenario_from_json: deployment count must be >= 0");
-    }
-    base.deployment.count = static_cast<std::size_t>(count);
+    base.deployment.count = d.integer_or("count", base.deployment.count);
     if (d.contains("region_m")) {
       base.deployment.region = geom::Aabb::square(d.at("region_m").as_double());
     }
@@ -442,7 +432,7 @@ ScenarioConfig scenario_from_json(const io::Json& j, ScenarioConfig base) {
       base.pde.source_rate = p.number_or("source_rate", base.pde.source_rate);
       base.pde.threshold = p.number_or("threshold", base.pde.threshold);
       if (p.contains("grid")) {
-        base.pde.nx = static_cast<int>(p.at("grid").as_double());
+        base.pde.nx = io::to_integer<int>(p.at("grid").as_double(), "grid");
         base.pde.ny = base.pde.nx;
       }
     }
@@ -498,10 +488,9 @@ ScenarioConfig scenario_from_json(const io::Json& j, ScenarioConfig base) {
     base.mac.cca_s = m.number_or("cca_s", base.mac.cca_s);
     base.mac.backoff_unit_s =
         m.number_or("backoff_unit_s", base.mac.backoff_unit_s);
-    base.mac.max_backoff_exponent = static_cast<int>(m.number_or(
-        "max_backoff_exponent", base.mac.max_backoff_exponent));
-    base.mac.max_attempts =
-        static_cast<int>(m.number_or("max_attempts", base.mac.max_attempts));
+    base.mac.max_backoff_exponent =
+        m.integer_or("max_backoff_exponent", base.mac.max_backoff_exponent);
+    base.mac.max_attempts = m.integer_or("max_attempts", base.mac.max_attempts);
     base.mac.ack_wait_s = m.number_or("ack_wait_s", base.mac.ack_wait_s);
     base.mac.capture_margin_s =
         m.number_or("capture_margin_s", base.mac.capture_margin_s);
@@ -515,10 +504,9 @@ ScenarioConfig scenario_from_json(const io::Json& j, ScenarioConfig base) {
       base.collection.sink_placement =
           net::sink_placement_from_string(c.at("sink_placement").as_string());
     }
-    base.collection.max_hops = static_cast<std::uint32_t>(
-        c.number_or("max_hops", base.collection.max_hops));
-    base.collection.node_queue_limit = static_cast<std::uint32_t>(
-        c.number_or("node_queue_limit", base.collection.node_queue_limit));
+    base.collection.max_hops = c.integer_or("max_hops", base.collection.max_hops);
+    base.collection.node_queue_limit =
+        c.integer_or("node_queue_limit", base.collection.node_queue_limit);
   }
 
   return base;

@@ -115,6 +115,18 @@ TEST(Manifest, NegativeCountsRejected) {
   EXPECT_THROW(Manifest::from_json(io::Json::parse(
                    R"({"base": {"deployment": {"count": -3}}})")),
                std::runtime_error);
+  // Fractions and numbers past the field's range fail too; a cast alone
+  // would truncate the first and is undefined for the second.
+  for (const char* text :
+       {R"({"replications": 2.5})", R"({"replications": 1e30})",
+        R"({"seed_base": 0.5})", R"({"seed_base": 1e30})",
+        R"({"axes": [{"axis": "node_count", "values": [30.9]}]})",
+        R"({"axes": [{"axis": "node_count", "values": [1e30]}]})",
+        R"({"base": {"deployment": {"count": 30.9}}})",
+        R"({"base": {"deployment": {"count": 1e30}}})"}) {
+    EXPECT_THROW(Manifest::from_json(io::Json::parse(text)), std::runtime_error)
+        << text;
+  }
 }
 
 TEST(Manifest, NonPositiveRadioRangeRejectedAtLoadTime) {

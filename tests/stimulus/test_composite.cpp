@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "stimulus/plume.hpp"
 #include "stimulus/radial_front.hpp"
 
 namespace pas::stimulus {
@@ -42,31 +41,6 @@ TEST(Composite, ArrivalIsEarliestPart) {
   const CompositeModel model(std::move(parts));
   EXPECT_NEAR(model.arrival_time({30.0, 0.0}, 1e9), 15.0, 1e-9);
   EXPECT_NEAR(model.arrival_time({5.0, 0.0}, 1e9), 5.0, 1e-9);
-}
-
-TEST(Composite, ConcentrationsAdd) {
-  std::vector<std::unique_ptr<StimulusModel>> parts;
-  GaussianPlumeConfig p;
-  p.source = {0.0, 0.0};
-  p.mass = 100.0;
-  parts.push_back(std::make_unique<GaussianPlumeModel>(p));
-  parts.push_back(std::make_unique<GaussianPlumeModel>(p));  // identical twin
-  const CompositeModel model(std::move(parts));
-  const GaussianPlumeModel single(p);
-  EXPECT_DOUBLE_EQ(model.concentration({1.0, 1.0}, 3.0),
-                   2.0 * single.concentration({1.0, 1.0}, 3.0));
-}
-
-TEST(Composite, FrontVelocityFromFirstArrivingPart) {
-  std::vector<std::unique_ptr<StimulusModel>> parts;
-  parts.push_back(radial_at({0.0, 0.0}, 1.0));
-  parts.push_back(radial_at({40.0, 0.0}, 2.0));
-  const CompositeModel model(std::move(parts));
-  // Point at x=30: part B (speed 2, distance 10) arrives at t=5, first.
-  const auto v = model.front_velocity({30.0, 0.0}, 5.0);
-  ASSERT_TRUE(v.has_value());
-  EXPECT_LT(v->x, 0.0);  // part B spreads in -x toward this point
-  EXPECT_NEAR(v->norm(), 2.0, 1e-9);
 }
 
 TEST(Composite, PartAccess) {

@@ -149,8 +149,10 @@ std::size_t expect_matches_scan(const Case& c,
                                 const std::vector<geom::Vec2>& positions) {
   const GaussianPlumeModel model(c.cfg);
   const ScanOracle oracle(model);
+  std::vector<Site> sites;
+  for (const geom::Vec2 p : positions) sites.push_back(model.site(p));
   std::vector<sim::Time> batch(positions.size());
-  model.arrival_many(positions, c.horizon, batch);
+  model.arrival_many(sites, c.horizon, batch);
   std::size_t mismatches = 0;
   for (std::size_t i = 0; i < positions.size(); ++i) {
     const sim::Time want = oracle.scan(positions[i], c.horizon);

@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <numbers>
 
 namespace pas::stimulus {
@@ -103,52 +102,6 @@ TEST(RadialFront, SpeedProfileStaysPositive) {
   for (int i = 0; i < 720; ++i) {
     const double theta = i * std::numbers::pi / 360.0;
     EXPECT_GT(model.speed_at(theta), 0.0) << "theta=" << theta;
-  }
-}
-
-TEST(RadialFront, FrontVelocityIsRadialWithProfileSpeed) {
-  RadialFrontConfig cfg = basic_config();
-  cfg.harmonics = {{.k = 3, .amplitude = 0.2, .phase = 0.5}};
-  const RadialFrontModel model(cfg);
-  const geom::Vec2 p{4.0, 3.0};
-  const auto v = model.front_velocity(p, 30.0);
-  ASSERT_TRUE(v.has_value());
-  const geom::Vec2 dir = (p - cfg.source).normalized();
-  EXPECT_NEAR(v->normalized().dot(dir), 1.0, 1e-12);
-  EXPECT_NEAR(v->norm(), model.speed_at((p - cfg.source).angle()), 1e-12);
-}
-
-TEST(RadialFront, ConcentrationDecreasesOutward) {
-  const RadialFrontModel model(basic_config());
-  const sim::Time t = 40.0;  // radius 15 m
-  const double near = model.concentration({1.0, 0.0}, t);
-  const double mid = model.concentration({7.0, 0.0}, t);
-  const double outside = model.concentration({20.0, 0.0}, t);
-  EXPECT_GT(near, mid);
-  EXPECT_GT(mid, 0.0);
-  EXPECT_DOUBLE_EQ(outside, 0.0);
-}
-
-TEST(RadialFront, BoundaryPolylineMatchesRadius) {
-  const RadialFrontModel model(basic_config());
-  const geom::Polyline b = model.boundary(30.0, 64);
-  ASSERT_EQ(b.size(), 64U);
-  EXPECT_TRUE(b.closed);
-  for (const auto& p : b.points) {
-    const double r = (p - model.source()).norm();
-    EXPECT_NEAR(r, 0.5 * 20.0, 1e-9);
-  }
-}
-
-TEST(RadialFront, BoundaryAreaGrowsMonotonically) {
-  RadialFrontConfig cfg = basic_config();
-  cfg.harmonics = {{.k = 2, .amplitude = 0.3, .phase = 0.0}};
-  const RadialFrontModel model(cfg);
-  double prev = 0.0;
-  for (sim::Time t = 12.0; t <= 60.0; t += 6.0) {
-    const double area = std::abs(model.boundary(t, 128).signed_area());
-    EXPECT_GT(area, prev);
-    prev = area;
   }
 }
 

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "world/paper_setup.hpp"
 
 namespace pas::world {
@@ -189,6 +193,46 @@ TEST(ScenarioFromJson, UnknownKeysThrow) {
   EXPECT_THROW(scenario_from_json(
                    io::Json::parse(R"({"protocol": {"policy": "BOGUS"}})")),
                std::runtime_error);
+}
+
+TEST(ScenarioFromJson, IntegerFieldsAreCheckedBeforeTheCast) {
+  // Each text holds a value its integer field cannot take: a fraction, or a
+  // number out of the field's range. The error names the key.
+  const std::vector<std::pair<std::string, std::string>> rejected{
+      {R"({"seed": 1.5})", "seed"},
+      {R"({"seed": -1})", "seed"},
+      {R"({"seed": 18446744073709551616})", "seed"},  // 2^64
+      {R"({"deployment": {"count": 30.9}})", "count"},
+      {R"({"deployment": {"count": 1e30}})", "count"},
+      {R"({"stimulus": {"radial": {"harmonics": [{"k": 1e10}]}}})", "k"},
+      {R"({"stimulus": {"radial_second": {"harmonics": [{"k": 2.5}]}}})", "k"},
+      {R"({"stimulus": {"pde": {"grid": 32.5}}})", "grid"},
+      {R"({"stimulus": {"pde": {"grid": 1e10}}})", "grid"},
+      {R"({"mac": {"max_backoff_exponent": 4.5}})", "max_backoff_exponent"},
+      {R"({"mac": {"max_attempts": 3e9}})", "max_attempts"},
+      {R"({"collection": {"max_hops": -1}})", "max_hops"},
+      {R"({"collection": {"node_queue_limit": 4294967296}})",
+       "node_queue_limit"},
+  };
+  for (const auto& [text, key] : rejected) {
+    try {
+      (void)scenario_from_json(io::Json::parse(text));
+      ADD_FAILURE() << "accepted " << text;
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find('"' + key + '"'), std::string::npos)
+          << text << ": " << e.what();
+    }
+  }
+  // The largest values that fit are read exactly.
+  const ScenarioConfig parsed = scenario_from_json(io::Json::parse(
+      R"({"seed": 18446744073709549568, "deployment": {"count": 0},
+          "collection": {"node_queue_limit": 4294967295},
+          "stimulus": {"radial": {"harmonics": [{"k": -3}]}}})"));
+  EXPECT_EQ(parsed.seed, 18446744073709549568ULL);
+  EXPECT_EQ(parsed.deployment.count, 0U);
+  EXPECT_EQ(parsed.collection.node_queue_limit, 4294967295U);
+  ASSERT_EQ(parsed.radial.harmonics.size(), 1U);
+  EXPECT_EQ(parsed.radial.harmonics[0].k, -3);
 }
 
 }  // namespace
