@@ -1,15 +1,14 @@
 // Microbenchmarks A4 — simulator-kernel throughput and parallel-sweep
 // scaling: the costs everything else in this repository is built on.
 //
-// The CI perf gate (tools/check_bench_regression.py against
-// bench/BENCH_kernel_baseline.json) watches BM_Simulator_EventStorm,
-// BM_Simulator_EventStormPayload, BM_Scenario_SingleRun,
-// BM_EventQueue_MacShaped, BM_EventQueue_Sparse, BM_Net_BroadcastFanout and
-// BM_Core_RefreshEstimates at 15%, and
-// BM_Aggregator_Record / BM_Aggregator_Finalize (filesystem-bound) at a
-// looser 50%; keep their workloads stable. BM_Net_MacScenario and
-// BM_Stimulus_RadialCovered are recorded but not gated yet: they wait for a
-// baseline recorded on CI hardware.
+// The CI perf gate (tools/check_bench_regression.py) runs every benchmark
+// its filter selects — all but BM_Scenario_Replicated and BM_Sweep_Parallel
+// — for the change and for its parent commit, taking turns on one runner,
+// and fails a benchmark that is more than 20% slower than the parent's in
+// the median of its 20 run pairs. The gate compares each benchmark with the
+// parent's version of it, so a heavier workload reads as a slowdown, and a
+// renamed benchmark is logged as new and removed and goes ungated for that
+// one commit.
 #include <benchmark/benchmark.h>
 
 #include <cstddef>
@@ -26,7 +25,6 @@
 #include "net/channel.hpp"
 #include "net/message.hpp"
 #include "net/network.hpp"
-#include "runtime/parallel_for.hpp"
 #include "runtime/thread_pool.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/rng.hpp"

@@ -13,6 +13,7 @@
 #include "io/table.hpp"
 #include "world/paper_setup.hpp"
 #include "world/scenario.hpp"
+#include "world/workspace.hpp"
 
 namespace {
 
@@ -76,8 +77,11 @@ int main(int argc, char** argv) {
             << cfg.duration_s << "s (PDE grid " << cfg.pde.nx << "x"
             << cfg.pde.ny << ", D=" << diffusivity << ", wind=(" << wind_x
             << "," << wind_y << "))...\n";
-  const auto model = pas::world::make_stimulus(cfg);
-  const auto result = pas::world::run_scenario(cfg);
+  // One workspace solves the PDE once: the frames read its cached model,
+  // and the run finds the model already built.
+  pas::world::Workspace workspace;
+  const auto* model = &workspace.model_for(cfg);
+  const auto result = workspace.run(cfg);
 
   for (std::int64_t f = 1; f <= frames; ++f) {
     const double t =

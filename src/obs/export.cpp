@@ -8,7 +8,7 @@ io::Json histogram_json(const HistogramData& data) {
   hist["count"] = data.spec.count;
   io::JsonArray bins;
   bins.reserve(data.bin_counts.size());
-  for (const auto n : data.bin_counts) bins.push_back(io::Json(n));
+  for (const auto n : data.bin_counts) bins.emplace_back(n);
   hist["bins"] = std::move(bins);
   hist["total"] = data.count;
   if (data.count > 0) {

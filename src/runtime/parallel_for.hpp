@@ -1,6 +1,7 @@
-// Data-parallel helpers on top of ThreadPool.
+// A data-parallel helper on top of ThreadPool.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <exception>
 #include <future>
@@ -11,22 +12,18 @@
 namespace pas::runtime {
 
 /// Runs fn(begin, end) on contiguous chunks covering [0, n) across the
-/// pool, blocking until done. Each chunk executes on one worker, so per-task
-/// state (a world::Workspace, a scratch buffer) can live across the whole
-/// range without synchronization. `chunk` sets the chunk size explicitly —
-/// pass ~n/workers when per-chunk state is expensive to rebuild (fewer,
-/// larger chunks) — while 0 picks the load-balancing default of ~4 chunks
-/// per worker. Exceptions from any chunk are rethrown (first one wins).
+/// pool, at most one chunk per worker, blocking until done. Each chunk
+/// executes on one worker, so per-chunk state (a world::Workspace and its
+/// cached stimulus model) is built once per worker and lives across the
+/// whole range without synchronization. Exceptions from any chunk are
+/// rethrown (first one wins).
 template <typename Fn>
-void parallel_for_ranges(ThreadPool& pool, std::size_t n, Fn&& fn,
-                         std::size_t chunk = 0) {
+void parallel_for_ranges(ThreadPool& pool, std::size_t n, Fn&& fn) {
   if (n == 0) return;
-  // Chunk so each worker gets a few contiguous indices; simulations are
-  // coarse-grained, so chunks of 1 are fine but chunking limits futures.
   const std::size_t workers = pool.thread_count();
-  if (chunk == 0) chunk = std::max<std::size_t>(1, n / (workers * 4));
+  const std::size_t chunk = (n + workers - 1) / workers;
   std::vector<std::future<void>> futures;
-  futures.reserve(n / chunk + 1);
+  futures.reserve(workers);
   for (std::size_t begin = 0; begin < n; begin += chunk) {
     const std::size_t end = std::min(n, begin + chunk);
     futures.push_back(
@@ -41,25 +38,6 @@ void parallel_for_ranges(ThreadPool& pool, std::size_t n, Fn&& fn,
     }
   }
   if (first_error) std::rethrow_exception(first_error);
-}
-
-/// Runs fn(i) for i in [0, n) across the pool, blocking until done.
-/// Exceptions from any iteration are rethrown (first one wins).
-template <typename Fn>
-void parallel_for(ThreadPool& pool, std::size_t n, Fn&& fn) {
-  parallel_for_ranges(pool, n, [&fn](std::size_t begin, std::size_t end) {
-    for (std::size_t i = begin; i < end; ++i) fn(i);
-  });
-}
-
-/// Maps fn over [0, n) collecting results in index order.
-template <typename Fn>
-auto parallel_map(ThreadPool& pool, std::size_t n, Fn&& fn)
-    -> std::vector<decltype(fn(std::size_t{0}))> {
-  using R = decltype(fn(std::size_t{0}));
-  std::vector<R> out(n);
-  parallel_for(pool, n, [&](std::size_t i) { out[i] = fn(i); });
-  return out;
 }
 
 }  // namespace pas::runtime

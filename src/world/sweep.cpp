@@ -54,14 +54,9 @@ ReplicatedMetrics run_replicated(const ScenarioConfig& base,
 
   std::vector<metrics::RunMetrics> runs(replications);
   if (pool != nullptr) {
-    // One workspace per contiguous chunk: each worker re-seeds its own
-    // world instead of rebuilding one per replication. Chunk by worker
-    // count (replications are homogeneous, so balance is unaffected) so
-    // the workspace's cached stimulus model actually gets hits — the
-    // default ~4-chunks-per-worker split would rebuild it per chunk,
-    // which for the PDE model means re-running the whole solver.
-    const std::size_t chunk =
-        (replications + pool->thread_count() - 1) / pool->thread_count();
+    // One workspace per worker's chunk: each worker re-seeds its own world
+    // and solves the stimulus model (for the PDE, the whole solver) once,
+    // instead of once per replication.
     runtime::parallel_for_ranges(
         *pool, replications,
         [&base, &runs](std::size_t begin, std::size_t end) {
@@ -69,8 +64,7 @@ ReplicatedMetrics run_replicated(const ScenarioConfig& base,
           for (std::size_t r = begin; r < end; ++r) {
             runs[r] = run_replication(workspace, base, r);
           }
-        },
-        chunk);
+        });
   } else {
     Workspace workspace;
     for (std::size_t r = 0; r < replications; ++r) {

@@ -65,11 +65,11 @@ class Workspace {
     return deployment_attempts_;
   }
 
- private:
   /// Returns the cached stimulus model, rebuilding it when the stimulus
   /// section of `config` differs from the cached key.
   const stimulus::StimulusModel& model_for(const ScenarioConfig& config);
 
+ private:
   /// Builds the world for `config` and runs it to the horizon; fills
   /// positions_/nodes_/outcomes_/metrics_. `trace_log` may be null.
   void execute(const ScenarioConfig& config, sim::TraceLog* trace_log);

@@ -2,58 +2,46 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
-#include <numeric>
+#include <stdexcept>
+#include <vector>
 
 namespace pas::runtime {
 namespace {
 
-TEST(ParallelFor, CoversAllIndicesExactlyOnce) {
+TEST(ParallelForRanges, CoversAllIndicesExactlyOnce) {
   ThreadPool pool(4);
-  std::vector<std::atomic<int>> hits(1000);
-  parallel_for(pool, hits.size(), [&](std::size_t i) { ++hits[i]; });
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+  for (const std::size_t n : {1U, 3U, 1001U}) {
+    std::vector<std::atomic<int>> hits(n);
+    std::atomic<std::size_t> chunks{0};
+    parallel_for_ranges(pool, n, [&](std::size_t begin, std::size_t end) {
+      ++chunks;
+      for (std::size_t i = begin; i < end; ++i) ++hits[i];
+    });
+    for (const auto& h : hits) EXPECT_EQ(h.load(), 1) << "n " << n;
+    // At most one chunk per worker, so per-chunk state is built once each.
+    EXPECT_EQ(chunks.load(), std::min<std::size_t>(n, 4)) << "n " << n;
+  }
 }
 
-TEST(ParallelFor, ZeroIterationsIsNoop) {
+TEST(ParallelForRanges, ZeroIterationsIsNoop) {
   ThreadPool pool(2);
   bool touched = false;
-  parallel_for(pool, 0, [&](std::size_t) { touched = true; });
+  parallel_for_ranges(pool, 0,
+                      [&](std::size_t, std::size_t) { touched = true; });
   EXPECT_FALSE(touched);
 }
 
-TEST(ParallelFor, SingleIteration) {
-  ThreadPool pool(2);
-  int value = 0;
-  parallel_for(pool, 1, [&](std::size_t i) { value = static_cast<int>(i) + 5; });
-  EXPECT_EQ(value, 5);
-}
-
-TEST(ParallelFor, PropagatesFirstException) {
+TEST(ParallelForRanges, PropagatesFirstException) {
   ThreadPool pool(4);
-  EXPECT_THROW(
-      parallel_for(pool, 100,
-                   [](std::size_t i) {
-                     if (i == 37) throw std::runtime_error("bad index");
-                   }),
-      std::runtime_error);
-}
-
-TEST(ParallelMap, ResultsInIndexOrder) {
-  ThreadPool pool(4);
-  const auto out =
-      parallel_map(pool, 256, [](std::size_t i) { return i * i; });
-  ASSERT_EQ(out.size(), 256U);
-  for (std::size_t i = 0; i < out.size(); ++i) EXPECT_EQ(out[i], i * i);
-}
-
-TEST(ParallelMap, WorksWithNonTrivialTypes) {
-  ThreadPool pool(2);
-  const auto out = parallel_map(pool, 10, [](std::size_t i) {
-    return std::string(i, 'x');
-  });
-  EXPECT_EQ(out[3], "xxx");
-  EXPECT_EQ(out[0], "");
+  EXPECT_THROW(parallel_for_ranges(pool, 100,
+                                   [](std::size_t begin, std::size_t end) {
+                                     if (begin <= 37 && 37 < end) {
+                                       throw std::runtime_error("bad index");
+                                     }
+                                   }),
+               std::runtime_error);
 }
 
 }  // namespace

@@ -11,7 +11,8 @@ drives the built pas-exp on the source tree's examples/, computes its own
 reference, checks with tools/, and removes its directory when it passes.
 An interrupt is sent on the k-th per-point line (or once the row store
 has grown), never after a fixed sleep, and is checked to have landed
-before the resume. Standard library only.
+before the resume. One case, bench.gate, runs tools/check_bench_regression.py
+on fake benchmark binaries instead. Standard library only.
 """
 
 import filecmp
@@ -535,6 +536,58 @@ def cli_sigint_resume():
     same(("full.csv", "intr.csv"), ("full_runs.csv", "intr_runs.csv"))
     tool("check_metrics_schema.py", "intr_m.jsonl", "--compare-points", "full_m.jsonl")
     absent("intr.csv.pasrows")
+
+
+# --- bench: the kernel-bench gate, on fake benchmark binaries -------------
+
+FAKE_BENCH = """#!{python} -S
+import json, sys
+args = dict((a + "=").split("=")[:2] for a in sys.argv[1:])
+if {status}:
+    sys.exit({status})
+if "--benchmark_list_tests" in args:
+    print("\\n".join({times!r}))
+    sys.exit(0)
+name = args["--benchmark_filter"].strip("^$")
+float(args["--benchmark_min_time"])  # google-benchmark 1.7 takes a bare number
+assert args["--benchmark_format"] == "json"
+ns = {times!r}[name]
+with open(args["--benchmark_out"], "w") as out:
+    json.dump({{"benchmarks": [{{"name": name, "run_type": "iteration", "iterations": 100,
+                                "real_time": ns, "cpu_time": ns, "time_unit": "ns"}}]}}, out)
+"""
+
+
+def fake_bench(path, times, status=0):
+    """An executable that answers the gate like bench_kernel, with fixed
+    per-iteration times, or exits `status` on every call."""
+    Path(path).write_text(FAKE_BENCH.format(python=sys.executable, times=times, status=status))
+    Path(path).chmod(0o755)
+    return path
+
+
+def gate(base, change, status):
+    run = subprocess.run([sys.executable, SRC / "tools" / "check_bench_regression.py",
+                          "--base", base, "--change", change, "--out", "gate"],
+                         capture_output=True, text=True)
+    out = run.stdout + run.stderr
+    check(run.returncode == status, f"gate {base} {change}: exit {run.returncode}, "
+                                    f"want {status}\n{out}")
+    check(Path("gate/gate.log").read_text() == run.stdout, "gate.log differs from the log")
+    return out
+
+
+@case
+def bench_gate():
+    times = {"BM_Queue/1000": 120.0, "BM_Run": 5e6}
+    base = fake_bench("base", times)
+    gate(base, fake_bench("same", times), 0)
+    out = gate(base, fake_bench("slow", {**times, "BM_Queue/1000": 180.0}), 1)
+    check(re.findall(r"^(\S+): .*REGRESSED", out, re.M) == ["BM_Queue/1000"], out)
+    check(re.search(r"^FAIL: 1 of 2 .*: BM_Queue/1000$", out, re.M), out)
+    out = gate(base, fake_bench("grown", {**times, "BM_New": 1.0}), 0)
+    check("BM_New: new, not gated" in out and "2 benchmarks within" in out, out)
+    gate(fake_bench("broken", times, status=3), base, 2)
 
 
 def main(argv):

@@ -1,106 +1,162 @@
 #!/usr/bin/env python3
-"""Gate google-benchmark results against a committed baseline.
+"""Gate a change's kernel benchmarks against its parent commit's.
 
 Usage:
-  check_bench_regression.py --current BENCH_kernel.json \
-      --baseline bench/BENCH_kernel_baseline.json \
-      --max-regress 0.15 [--calibrate BM_Pcg32_Uniform] \
-      BM_Simulator_EventStorm BM_Scenario_SingleRun
+  check_bench_regression.py --base BIN --change BIN --out DIR
 
-Each watched name matches every benchmark whose full name equals it or
-starts with it plus "/" (so BM_Simulator_EventStorm covers /10000 and
-/100000). For every matched name present in both files the per-iteration
-real_time ratio current/baseline must stay below 1 + max-regress.
+BIN is a bench_kernel binary: --base built from the parent commit, --change
+from the change, on the same machine with the same flags. Every benchmark
+that FILTER selects runs alone, PAIRS times per side, base and change in
+turn, and the side that goes first swaps each pair, so both sides see the
+same drift of the machine. A benchmark's ratio is the median over the
+pairs of the change's per-iteration real time over the base's, and the
+benchmark has regressed when that ratio is above THRESHOLD. A benchmark
+that only one side lists is reported as new or removed and is not gated.
 
---calibrate divides every ratio by the ratio of the named benchmark (a
-pure-CPU microbenchmark like BM_Pcg32_Uniform), which cancels most of the
-machine-speed difference between the box that recorded the baseline and the
-CI runner. The gate then measures relative kernel cost, not absolute
-nanoseconds.
+The log (printed, and kept as DIR/gate.log) has one line per benchmark:
+each side's fastest run, the median and the range of the pair ratios, and
+the verdict. DIR/samples.json holds every run, [real, cpu] ns per
+iteration, in run order.
 
-When a benchmark appears several times (repetitions), the minimum time is
-used — the standard noise-robust statistic for "how fast can this go".
-Exit status: 0 = within budget, non-zero on regression or bad input.
+Exit status: 0 = no regression, 1 = a benchmark regressed, 2 = a run failed
+or the two sides share no benchmark.
 """
 
 import argparse
 import json
+import re
+import statistics
+import subprocess
 import sys
+from pathlib import Path
+
+FILTER = ("BM_EventQueue|BM_Simulator|BM_Scenario_SingleRun|BM_Net|BM_Core|"
+          "BM_World|BM_Stimulus|BM_Pcg32|BM_Aggregator")
+PAIRS = 20
+# A bare number of seconds: google-benchmark 1.7 rejects the "0.1s" spelling.
+MIN_TIME = "0.1"
+THRESHOLD = 1.20
+NS_PER = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
 
 
-def load_times(path):
-    """name -> min per-iteration real_time (ns) over non-aggregate entries."""
-    with open(path) as f:
-        data = json.load(f)
-    times = {}
-    for bench in data.get("benchmarks", []):
-        if bench.get("run_type") == "aggregate":
-            continue
-        name = bench["name"]
-        t = float(bench["real_time"])
-        # Normalise everything to nanoseconds.
-        unit = bench.get("time_unit", "ns")
-        t *= {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}[unit]
-        times[name] = min(times.get(name, t), t)
-    if not times:
-        sys.exit(f"error: no benchmark entries in {path}")
+class RunFailed(Exception):
+    pass
+
+
+def run(binary, *args):
+    try:
+        done = subprocess.run([binary, *args], capture_output=True, text=True)
+    except OSError as error:
+        raise RunFailed(f"{binary}: {error}") from None
+    if done.returncode != 0:
+        raise RunFailed(f"{binary} {' '.join(args)}: exit {done.returncode}\n"
+                        f"{done.stdout}{done.stderr}")
+    return done.stdout
+
+
+def listed(binary):
+    return run(binary, "--benchmark_list_tests", f"--benchmark_filter={FILTER}").split()
+
+
+def only(name):
+    """A filter that selects `name` alone (POSIX extended regex)."""
+    return "^" + re.sub(r"([][.^$*+?(){}|\\])", r"\\\1", name) + "$"
+
+
+def sample(binary, name, out):
+    """One run of `name` alone: its (real, cpu) ns per iteration."""
+    out.unlink(missing_ok=True)
+    run(binary, f"--benchmark_filter={only(name)}", f"--benchmark_min_time={MIN_TIME}",
+        "--benchmark_format=json", f"--benchmark_out={out}")
+    try:
+        benches = json.loads(out.read_text())["benchmarks"]
+    except (OSError, ValueError, KeyError) as error:
+        raise RunFailed(f"{binary}: no results in {out}: {error!r}") from None
+    for bench in benches:
+        if bench["name"] == name:
+            ns = NS_PER[bench.get("time_unit", "ns")]
+            return bench["real_time"] * ns, bench["cpu_time"] * ns
+    raise RunFailed(f"{binary}: no result for {name}")
+
+
+def shown(ns):
+    for unit in ["ms", "us"]:
+        if ns >= NS_PER[unit]:
+            return f"{ns / NS_PER[unit]:.3f} {unit}"
+    return f"{ns:.3f} ns"
+
+
+def measure(sides, name, out):
+    """PAIRS interleaved runs of `name`: side -> [(real, cpu)]."""
+    times = {side: [] for side in sides}
+    for pair in range(PAIRS):
+        for side in ("base", "change") if pair % 2 == 0 else ("change", "base"):
+            times[side].append(sample(sides[side], name, out))
     return times
 
 
-def matches(name, watched):
-    return name == watched or name.startswith(watched + "/")
+def gate(sides, out, say):
+    names = {side: listed(binary) for side, binary in sides.items()}
+    gated = [n for n in names["change"] if n in names["base"]]
+    if not gated:
+        say("FAIL: the two sides share no benchmark")
+        return 2
+    say(f"{len(gated)} benchmarks, {PAIRS} interleaved pairs each, min time {MIN_TIME} s; "
+        f"a median pair ratio above {THRESHOLD:.2f} regresses")
+    for name in names["change"]:
+        if name not in names["base"]:
+            say(f"{name}: new, not gated")
+    for name in names["base"]:
+        if name not in names["change"]:
+            say(f"{name}: removed, not gated")
+
+    samples, regressed = [], []
+    for name in gated:
+        times = measure(sides, name, out / "run.json")
+        samples.append({"name": name, **times})
+        # A pair's two runs are adjacent in time, so their ratio cancels the
+        # machine's drift, and the median ignores the pairs where one run
+        # alone hit a slow or a fast spell; the ratio of the two sides'
+        # fastest runs turns on one such run (EXPERIMENTS.md).
+        pairs = [c / b for (b, _), (c, _) in zip(times["base"], times["change"])]
+        ratio = statistics.median(pairs)
+        ok = ratio <= THRESHOLD
+        say(f"{name}: fastest base {shown(min(r for r, _ in times['base']))}, "
+            f"change {shown(min(r for r, _ in times['change']))}; pair ratios median {ratio:.3f}, "
+            f"range {min(pairs):.2f}-{max(pairs):.2f} [{'ok' if ok else 'REGRESSED'}]")
+        if not ok:
+            regressed.append(name)
+    (out / "run.json").unlink()
+    (out / "samples.json").write_text("[\n" + ",\n".join(map(json.dumps, samples)) + "\n]\n")
+
+    if regressed:
+        say(f"\nFAIL: {len(regressed)} of {len(gated)} benchmarks regressed more than "
+            f"{THRESHOLD - 1:.0%} against the parent: {', '.join(regressed)}")
+        return 1
+    say(f"\nPASS: {len(gated)} benchmarks within {THRESHOLD - 1:.0%} of the parent")
+    return 0
 
 
 def main():
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--current", required=True, help="fresh benchmark JSON")
-    parser.add_argument("--baseline", required=True, help="committed baseline JSON")
-    parser.add_argument("--max-regress", type=float, default=0.15,
-                        help="allowed fractional slowdown (default 0.15)")
-    parser.add_argument("--calibrate", default=None,
-                        help="benchmark name used to cancel machine-speed skew")
-    parser.add_argument("watched", nargs="+",
-                        help="benchmark names (prefixes before '/') to gate on")
+    parser = argparse.ArgumentParser(
+        description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("--base", required=True, help="the parent commit's bench_kernel")
+    parser.add_argument("--change", required=True, help="the change's bench_kernel")
+    parser.add_argument("--out", required=True, type=Path,
+                        help="directory for gate.log and samples.json")
     args = parser.parse_args()
+    args.out.mkdir(parents=True, exist_ok=True)
+    with open(args.out / "gate.log", "w") as log:
+        def say(line):
+            print(line, flush=True)
+            print(line, file=log, flush=True)
 
-    current = load_times(args.current)
-    baseline = load_times(args.baseline)
-
-    scale = 1.0
-    if args.calibrate:
-        if args.calibrate not in current or args.calibrate not in baseline:
-            sys.exit(f"error: calibration benchmark {args.calibrate} missing "
-                     "from current or baseline")
-        scale = current[args.calibrate] / baseline[args.calibrate]
-        print(f"calibration ({args.calibrate}): this machine runs at "
-              f"{scale:.3f}x the baseline machine's time")
-
-    failures = []
-    checked = 0
-    for watched in args.watched:
-        names = sorted(n for n in baseline if matches(n, watched))
-        if not names:
-            sys.exit(f"error: {watched} not found in baseline")
-        for name in names:
-            if name not in current:
-                sys.exit(f"error: {name} present in baseline but not in "
-                         "current results")
-            ratio = (current[name] / baseline[name]) / scale
-            verdict = "OK" if ratio <= 1.0 + args.max_regress else "REGRESSED"
-            print(f"{name}: baseline {baseline[name]:.0f} ns, "
-                  f"current {current[name]:.0f} ns, "
-                  f"calibrated ratio {ratio:.3f} [{verdict}]")
-            checked += 1
-            if verdict != "OK":
-                failures.append(name)
-
-    if failures:
-        print(f"\nFAIL: {len(failures)}/{checked} gated benchmarks regressed "
-              f"more than {args.max_regress:.0%}: {', '.join(failures)}")
-        return 1
-    print(f"\nPASS: {checked} gated benchmarks within "
-          f"{args.max_regress:.0%} of baseline")
-    return 0
+        try:
+            sides = {"base": Path(args.base).absolute(), "change": Path(args.change).absolute()}
+            return gate(sides, args.out, say)
+        except RunFailed as failure:
+            say(f"FAIL: {failure}")
+            return 2
 
 
 if __name__ == "__main__":
