@@ -98,7 +98,10 @@ struct ProtocolConfig {
   /// evaluates them.
   sim::Duration response_wait_s = 0.06;
 
-  /// Period at which alert nodes re-evaluate their predicted arrival.
+  /// Period of the alert recheck grid: an alert node re-evaluates its
+  /// predicted arrival at entry + k·alert_recheck_s (repeated additions).
+  /// Only the grid instants where a recheck can change something become
+  /// events; the rest are booked in closed form (core::Protocol).
   sim::Duration alert_recheck_s = 1.0;
 
   /// Re-broadcast sensitivity (relative change; see significant_change()).
@@ -108,7 +111,10 @@ struct ProtocolConfig {
   sim::Duration min_push_gap_s = 0.5;
 
   /// A covered node that has not sensed the stimulus for this long returns
-  /// to safe state (Fig 3's "detection timeout").
+  /// to safe state (Fig 3's "detection timeout"). Coverage is checked every
+  /// covered_timeout_s / 2, and only under a stimulus model that recedes
+  /// (StimulusModel::recedes()): under one that never does, no check could
+  /// ever time out.
   sim::Duration covered_timeout_s = 20.0;
 
   /// Peer observations older than this are discarded when predicting; 0

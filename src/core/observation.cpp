@@ -63,6 +63,14 @@ void PeerTable::expire_older_than(sim::Time cutoff) {
   velocity_stale_ = true;
 }
 
+sim::Time PeerTable::oldest_received_at() const noexcept {
+  sim::Time oldest = sim::kNever;
+  for (const PeerObservation& o : entries_) {
+    oldest = std::min(oldest, o.received_at);
+  }
+  return oldest;
+}
+
 sim::Time PeerTable::predict_arrival(geom::Vec2 x_position, sim::Time now,
                                      const PredictionPolicy& policy) {
   if (!has_terms_ || x_position != term_position_ ||

@@ -77,6 +77,11 @@ class PeerTable {
   /// Drops observations received before `cutoff`.
   void expire_older_than(sim::Time cutoff);
 
+  /// The earliest received_at of any row, kNever when empty: the table
+  /// loses a row to expire_older_than(cutoff) exactly when this is below
+  /// `cutoff`.
+  [[nodiscard]] sim::Time oldest_received_at() const noexcept;
+
   /// core::predict_arrival(x_position, now, entries(), policy), from the
   /// cached per-peer terms.
   [[nodiscard]] sim::Time predict_arrival(geom::Vec2 x_position, sim::Time now,

@@ -14,7 +14,12 @@
 //                               evaluate, listen silently and evaluate, or
 //                               go straight back to sleep;
 //   * on_evaluate()           — whether the current predicted arrival
-//                               warrants staying awake in alert state;
+//                               warrants staying awake in alert state.
+//                               Contract: for a fixed prediction it never
+//                               turns false as `now` grows, so an alert
+//                               node whose prediction holds needs no
+//                               recheck to stay alert (the engine arms
+//                               rechecks only where one can act);
 //   * next_sleep_interval()   — the interval after an uneventful wake;
 //   * prediction_policy()     — how predictions are computed from peers
 //                               (which peers count, cosine projection,
@@ -135,7 +140,10 @@ class SleepingPolicy {
 
   /// True when `predicted_arrival` (absolute; kNever = no information)
   /// warrants staying awake. Drives both alert entry (safe evaluation) and
-  /// alert retention (recheck / new RESPONSE).
+  /// alert retention (recheck / new RESPONSE). Must be monotone in `now`:
+  /// if true at `now`, also true at every later time for the same `ps` and
+  /// `predicted_arrival`. The engine skips the alert rechecks at which the
+  /// prediction has not changed on the strength of it.
   [[nodiscard]] virtual bool on_evaluate(const PolicyNodeState& ps,
                                          sim::Time now,
                                          sim::Time predicted_arrival) const;

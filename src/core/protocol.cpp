@@ -1,11 +1,22 @@
 #include "core/protocol.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 
 #include "core/estimation.hpp"
 
 namespace pas::core {
+
+namespace {
+
+/// The most grid instants one plan walks over. Arming early is exact (the
+/// recheck finds nothing and plans the next stretch), so this only bounds a
+/// plan's work, which the simulation horizon does not: with no row expiry
+/// a distant prediction could otherwise be walked to second by second.
+constexpr int kMaxPlanSteps = 1024;
+
+}  // namespace
 
 void ProtocolStats::add(const ProtocolStats& other) {
   wakeups += other.wakeups;
@@ -156,7 +167,9 @@ void Protocol::detect(std::uint32_t i) {
     send_request(i);
     rt.estimate_timer.arm_in(config_.response_wait_s);
   }
-  rt.covered_check_timer.arm_in(config_.covered_timeout_s * 0.5);
+  if (model_.recedes()) {
+    rt.covered_check_timer.arm_in(config_.covered_timeout_s * 0.5);
+  }
 }
 
 void Protocol::on_covered_estimate(std::uint32_t i) {
@@ -271,8 +284,9 @@ void Protocol::enter_alert(std::uint32_t i) {
   set_state(i, NodeState::kAlert);
   ++stats_.alert_entries;
   rt.policy.sleep_interval = policy_->initial_interval();  // restart on return
-  rt.recheck_timer.arm_in(config_.alert_recheck_s);
+  rt.recheck_at = simulator_.now() + config_.alert_recheck_s;
   if (policy_->wants_alert_participation()) maybe_push_response(i);
+  plan_recheck(i);
 }
 
 void Protocol::on_alert_recheck(std::uint32_t i) {
@@ -280,9 +294,10 @@ void Protocol::on_alert_recheck(std::uint32_t i) {
   Runtime& rt = runtime_[i];
   if (n.failed || rt.state != NodeState::kAlert) return;
 
+  const sim::Time now = simulator_.now();
+  book_rechecks(i, now);  // the instants skipped before this one
   refresh_estimates(i);
 
-  const sim::Time now = simulator_.now();
   if (!policy_->on_evaluate(rt.policy, now, rt.predicted_arrival)) {
     ++stats_.alert_exits;
     trace(sim::TraceCategory::kState, i, sim::TraceKind::kArrivalReceded);
@@ -290,7 +305,81 @@ void Protocol::on_alert_recheck(std::uint32_t i) {
     return;
   }
   if (policy_->wants_alert_participation()) maybe_push_response(i);
-  rt.recheck_timer.arm_in(config_.alert_recheck_s);
+  rt.recheck_at = now + config_.alert_recheck_s;
+  plan_recheck(i);
+}
+
+void Protocol::plan_recheck(std::uint32_t i) {
+  Runtime& rt = runtime_[i];
+  const sim::Time p = rt.predicted_arrival;
+  const PredictionPolicy prediction =
+      policy_->prediction_policy(NodeState::kAlert);
+  const sim::Duration tol = prediction.overdue_tolerance_s;
+  const sim::Duration ttl = config_.observation_ttl_s;
+  const sim::Time oldest =
+      ttl > 0.0 ? rt.table.oldest_received_at() : sim::kNever;
+  const bool pushes = policy_->wants_alert_participation();
+  // What on_alert_recheck at t would do besides booking a suppression:
+  // refresh_estimates() drops a row, or the push filters let a push pass.
+  const auto expires = [&](sim::Time t) { return oldest < t - ttl; };
+  const auto pushes_at = [&](sim::Time t) { return pushes && push_due(rt, t); };
+
+  sim::Time t = rt.recheck_at;
+  // The first instant folds in full: alert entry folded with the safe
+  // state's overdue tolerance, and a peer at the node's own position folds
+  // to `now` itself.
+  const bool acts =
+      expires(t) ||
+      rt.table.predict_arrival(nodes_[i].position, t, prediction) != p ||
+      !policy_->on_evaluate(rt.policy, t, p) || pushes_at(t);
+  if (!acts) {
+    // P folded at t, so at later instants it holds until it is overdue
+    // (p < t − tol), and on_evaluate stays true by its contract. Expiry,
+    // overdue and a due push are monotone in t. Rounding is monotone too,
+    // so t < fl(x + y) gives fl(t − y) ≤ x: no instant before
+    // `quiet_until` expires a row or finds P overdue.
+    const sim::Time quiet_until = std::min(oldest + ttl, p + tol);
+    // push_due() at kNever is its limit: whether it ever holds.
+    const bool may_push = pushes && push_due(rt, sim::kNever);
+    int steps = 1;
+    t += config_.alert_recheck_s;
+    if (!may_push) {
+      for (; steps < kMaxPlanSteps && t < quiet_until; ++steps) {
+        t += config_.alert_recheck_s;
+      }
+    }
+    for (; steps < kMaxPlanSteps && !expires(t) && !(p < t - tol) &&
+           !pushes_at(t);
+         ++steps) {
+      t += config_.alert_recheck_s;
+    }
+  }
+  // Re-arming the same instant would only re-queue it behind its peers.
+  if (t != rt.recheck_due || !rt.recheck_timer.pending()) {
+    rt.recheck_timer.arm_at(t);
+  }
+  rt.recheck_due = t;
+}
+
+void Protocol::book_rechecks(std::uint32_t i, sim::Time through) {
+  Runtime& rt = runtime_[i];
+  std::uint64_t skipped = 0;
+  // The armed instant runs for real; only the ones before it are booked.
+  while (rt.recheck_at <= through && rt.recheck_at < rt.recheck_due) {
+    rt.recheck_at += config_.alert_recheck_s;
+    ++skipped;
+  }
+  // A recheck that changes nothing still offers a push under a
+  // participating policy, and the push filters suppress it.
+  if (policy_->wants_alert_participation()) {
+    stats_.pushes_suppressed += skipped;
+  }
+}
+
+void Protocol::settle() {
+  // run_until ran the events at its deadline, so instants at now count.
+  const sim::Time now = simulator_.now();
+  for (std::uint32_t i = 0; i < runtime_.size(); ++i) book_rechecks(i, now);
 }
 
 void Protocol::demote_to_safe(std::uint32_t i) {
@@ -346,16 +435,17 @@ void Protocol::send_response(std::uint32_t i) {
   trace(sim::TraceCategory::kMessage, i, sim::TraceKind::kResponse);
 }
 
+bool Protocol::push_due(const Runtime& rt, sim::Time t) const {
+  return t - rt.last_push_time >= config_.min_push_gap_s &&
+         significant_change(rt.last_pushed_prediction, rt.predicted_arrival, t,
+                            config_.rebroadcast_rel_change,
+                            config_.rebroadcast_abs_floor_s);
+}
+
 void Protocol::maybe_push_response(std::uint32_t i) {
   Runtime& rt = runtime_[i];
   const sim::Time now = simulator_.now();
-  if (now - rt.last_push_time < config_.min_push_gap_s) {
-    ++stats_.pushes_suppressed;
-    return;
-  }
-  if (!significant_change(rt.last_pushed_prediction, rt.predicted_arrival, now,
-                          config_.rebroadcast_rel_change,
-                          config_.rebroadcast_abs_floor_s)) {
+  if (!push_due(rt, now)) {
     ++stats_.pushes_suppressed;
     return;
   }
@@ -436,9 +526,14 @@ void Protocol::on_message(std::uint32_t i, const net::Message& msg) {
   if (rt.state == NodeState::kAlert) {
     // §3.2 alert behaviour: re-calculate on every RESPONSE; push own update
     // when the expectation changed significantly; fall back to safe when
-    // the arrival receded beyond the threshold.
-    refresh_estimates(i);
+    // the arrival receded beyond the threshold. The rechecks skipped up to
+    // now ran first: each was queued a recheck period before its instant.
     const sim::Time now = simulator_.now();
+    book_rechecks(i, now);
+    const sim::Time predicted = rt.predicted_arrival;
+    const sim::Time push_time = rt.last_push_time;
+    const sim::Time pushed = rt.last_pushed_prediction;
+    refresh_estimates(i);
     if (!policy_->on_evaluate(rt.policy, now, rt.predicted_arrival)) {
       ++stats_.alert_exits;
       trace(sim::TraceCategory::kState, i, sim::TraceKind::kArrivalReceded);
@@ -446,6 +541,14 @@ void Protocol::on_message(std::uint32_t i, const net::Message& msg) {
       return;
     }
     if (policy_->wants_alert_participation()) maybe_push_response(i);
+    // A RESPONSE that leaves the prediction and the push record alone can
+    // only move the first instant that acts later, and arming early is
+    // exact: a recheck that finds nothing re-plans. So does one due now.
+    if ((rt.predicted_arrival != predicted || rt.last_push_time != push_time ||
+         rt.last_pushed_prediction != pushed) &&
+        rt.recheck_due > now) {
+      plan_recheck(i);
+    }
   }
   // Safe nodes awaiting evaluation act at their eval event; covered nodes
   // only use RESPONSEs via the estimate event.
@@ -467,6 +570,12 @@ void Protocol::on_failure(std::uint32_t i) {
 
 void Protocol::cancel_pending(std::uint32_t i) {
   Runtime& rt = runtime_[i];
+  // Leaving the alert state: a detection or failure now was queued at
+  // start, before any recheck due now, and a RESPONSE or recheck that
+  // demotes has booked its instants already.
+  book_rechecks(i, std::nextafter(simulator_.now(), sim::kLongAgo));
+  rt.recheck_at = sim::kNever;
+  rt.recheck_due = sim::kNever;
   rt.wake_timer.cancel();
   rt.eval_timer.cancel();
   rt.recheck_timer.cancel();

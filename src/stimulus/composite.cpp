@@ -27,6 +27,11 @@ geom::Vec2 CompositeModel::source() const noexcept {
   return parts_.front()->source();
 }
 
+bool CompositeModel::recedes() const noexcept {
+  return std::any_of(parts_.begin(), parts_.end(),
+                     [](const auto& part) { return part->recedes(); });
+}
+
 sim::Time CompositeModel::arrival_time(geom::Vec2 p, sim::Time horizon) const {
   sim::Time best = sim::kNever;
   for (const auto& part : parts_) {

@@ -27,6 +27,8 @@ class CompositeModel final : public StimulusModel {
   [[nodiscard]] std::string_view name() const noexcept override {
     return "composite";
   }
+  /// The union loses coverage only if some part can.
+  [[nodiscard]] bool recedes() const noexcept override;
 
   [[nodiscard]] std::size_t part_count() const noexcept { return parts_.size(); }
   [[nodiscard]] const StimulusModel& part(std::size_t i) const {

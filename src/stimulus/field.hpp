@@ -56,6 +56,12 @@ class StimulusModel {
   /// Location the stimulus emanates from.
   [[nodiscard]] virtual geom::Vec2 source() const noexcept = 0;
 
+  /// Whether coverage can be lost: false promises that covered_at(site, t)
+  /// never goes from true to false as t grows, for every site. A covered
+  /// node then never returns to safe on the detection timeout, so the
+  /// protocol arms no coverage checks under such a model. Default: true.
+  [[nodiscard]] virtual bool recedes() const noexcept { return true; }
+
   /// First time within [0, horizon] at which `p` becomes covered, or
   /// sim::kNever if the stimulus never reaches `p` by `horizon`.
   [[nodiscard]] virtual sim::Time arrival_time(geom::Vec2 p,

@@ -60,6 +60,11 @@ class RadialFrontModel final : public StimulusModel {
   void arrival_many(std::span<const Site> sites, sim::Time horizon,
                     std::span<sim::Time> out) const override;
   [[nodiscard]] std::string_view name() const noexcept override { return "radial"; }
+  /// False: the covered radius never decreases in t. Each operation of
+  /// radius_at() (t − start_time, the growth polynomial with accel ≥ 0,
+  /// the product with a positive speed, the min with max_radius) is
+  /// monotone under rounding, and the source is covered from start_time on.
+  [[nodiscard]] bool recedes() const noexcept override { return false; }
 
   /// Angular speed profile v(θ), m/s.
   [[nodiscard]] double speed_at(double theta) const noexcept;

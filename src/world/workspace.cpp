@@ -165,8 +165,10 @@ void Workspace::execute(const ScenarioConfig& config,
                           collection);
   protocol.start();
   simulator_.run_until(config.duration_s);
-  // The MAC books its sleepers' idle slot samples lazily; bring them up to
-  // the horizon before outcomes and stats are read.
+  // The protocol books its alert nodes' skipped rechecks and the MAC its
+  // sleepers' idle slot samples lazily; bring both up to the horizon before
+  // outcomes and stats are read.
+  protocol.settle();
   if (config.mac.enabled) mac_->settle();
 
   for (auto& n : nodes_) n.meter.finalize(config.duration_s);

@@ -149,6 +149,38 @@ TEST(PaperPolicies, RampAndAlertSemantics) {
   EXPECT_TRUE(pas->on_evaluate(ps, 100.0, 95.0));   // overdue but held
 }
 
+TEST(PolicyContract, OnEvaluateNeverTurnsFalseAsTimeGrows) {
+  // The engine arms an alert recheck only where one can act, and relies on
+  // this: for a fixed prediction, staying alert is never withdrawn by time
+  // alone.
+  const sim::Time predictions[] = {sim::kNever, -3.0, 0.0,  4.5,
+                                   20.0,        37.25, 1e6};
+  for (const double threshold : {0.0, 5.0, 20.0, 30.0}) {
+    ProtocolConfig cfg;
+    cfg.alert_threshold_s = threshold;
+    cfg.threshold_hold.hold_window_s = threshold;
+    cfg.duty_cycle.period_s = threshold + 1.0;
+    for (const auto& info : policy_registry()) {
+      cfg.policy = info.kind;
+      const auto policy = make_policy(cfg);
+      for (const sim::Duration interval : {1.0, 7.0, 40.0}) {
+        PolicyNodeState ps;
+        ps.sleep_interval = interval;
+        for (const sim::Time p : predictions) {
+          bool held = false;
+          for (sim::Time t = -10.0; t <= 300.0; t += 0.25) {
+            const bool now = policy->on_evaluate(ps, t, p);
+            EXPECT_FALSE(held && !now)
+                << info.name << " threshold " << threshold << " p " << p
+                << " t " << t;
+            held = now;
+          }
+        }
+      }
+    }
+  }
+}
+
 // --- DutyCycle --------------------------------------------------------------
 
 TEST(DutyCycle, FixedPeriodNoEvaluationNoAlerts) {

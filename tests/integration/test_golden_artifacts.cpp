@@ -146,16 +146,16 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(
         Golden{"campaign.json", 17042971334073829149ULL,
                16397852881255652736ULL, 10012525492705850481ULL,
-               6820931892454602352ULL, 13857840388211272334ULL},
+               12915812278955992231ULL, 13857840388211272334ULL},
         Golden{"multihop_collection.json", 7006999060155547865ULL,
                4349560563103632640ULL, 13919728368572123161ULL,
-               11250980305885019262ULL, 4695342946260065068ULL},
+               14641383949834947708ULL, 4695342946260065068ULL},
         Golden{"policy_comparison.json", 8822445188169476681ULL,
                676889675622163775ULL, 11049284904442039818ULL,
-               5496315807568491955ULL, 9742101021094334608ULL},
+               7643724231371699699ULL, 9742101021094334608ULL},
         Golden{"replication_study.json", 7275074175305668456ULL,
                19123452673300734ULL, 4563878389816656611ULL,
-               9183504819265673472ULL, 1008886837756498478ULL}),
+               14566642591180527117ULL, 1008886837756498478ULL}),
     [](const ::testing::TestParamInfo<Golden>& info) {
       std::string name = info.param.manifest;
       name.resize(name.find('.'));
