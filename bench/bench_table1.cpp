@@ -3,16 +3,15 @@
 // The table itself is constants (asserted against the paper in
 // tests/energy/test_power_profile.cpp); this bench prints it and
 // microbenchmarks the energy-meter hot paths that price those constants in
-// every simulation. It also runs a policy-comparison campaign through the
-// experiment engine (src/exp) and prints how those Table-1 power numbers
-// cash out per policy at the paper's default operating point.
+// every simulation. It also runs NS, SAS and PAS on the same worlds at the
+// paper's default operating point and prints how those Table-1 power
+// numbers cash out per policy.
 #include <benchmark/benchmark.h>
 
 #include <iostream>
 
 #include "bench_common.hpp"
 #include "energy/energy_meter.hpp"
-#include "exp/runner.hpp"
 #include "io/table.hpp"
 
 namespace {
@@ -72,30 +71,20 @@ void print_table1() {
   t.print(std::cout);
 }
 
-/// NS/SAS/PAS at the paper's default operating point, run as an in-memory
-/// campaign on the experiment engine (one point per policy).
+/// NS/SAS/PAS at the paper's default operating point. run_point gives every
+/// policy the same seeds, so the three rows compare the same worlds (and
+/// equal bench_fig4's and bench_fig6's points at max sleep 20 s).
 void print_policy_comparison() {
-  pas::exp::Manifest manifest;
-  manifest.name = "table1-policies";
-  manifest.base = pas::world::paper_scenario();
-  manifest.replications = pas::bench::kReplications;
-  manifest.axes = {pas::exp::Axis{.kind = pas::exp::AxisKind::kPolicy,
-                                  .labels = {"NS", "SAS", "PAS"}}};
-
-  std::vector<pas::exp::PointSummary> results(manifest.point_count());
-  pas::exp::CampaignOptions options;
-  options.progress = [&results](const pas::exp::PointSummary& s, std::size_t,
-                                std::size_t) { results[s.point] = s; };
-  (void)pas::exp::run_campaign(manifest, options);
-
+  using pas::core::Policy;
   std::cout << "\nPolicy comparison at defaults (max sleep 20 s, T_alert 20 s, "
-            << pas::bench::kReplications << " replications)\n";
+            << pas::bench::kReplications << " paired replications)\n";
   pas::io::Table t({"policy", "delay_s", "energy_J", "active_fraction"});
-  for (std::size_t p = 0; p < results.size(); ++p) {
-    t.add_row({manifest.axes[0].labels[p],
-               pas::io::fixed(results[p].delay_s.mean, 3),
-               pas::io::fixed(results[p].energy_j.mean, 4),
-               pas::io::fixed(results[p].active_fraction.mean, 3)});
+  for (const Policy policy : {Policy::kNeverSleep, Policy::kSas, Policy::kPas}) {
+    const auto agg = pas::bench::run_point(policy, 20.0, 20.0);
+    t.add_row({std::string(pas::core::to_string(policy)),
+               pas::io::fixed(agg.delay_s.mean, 3),
+               pas::io::fixed(agg.energy_j.mean, 4),
+               pas::io::fixed(agg.active_fraction.mean, 3)});
   }
   t.print(std::cout);
 }

@@ -140,10 +140,6 @@ struct ProtocolConfig {
   /// eliminate.
   sim::Duration alert_overdue_hold_s = 20.0;
 
-  /// First wake-ups are drawn uniformly in [0, the policy's initial
-  /// interval] to desynchronise the duty cycles (deterministic per seed).
-  bool jitter_initial_wake = true;
-
   // Per-policy parameter blocks ------------------------------------------
 
   DutyCycleConfig duty_cycle{};

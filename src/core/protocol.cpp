@@ -1,7 +1,6 @@
 #include "core/protocol.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <stdexcept>
 
 #include "core/estimation.hpp"
@@ -103,12 +102,10 @@ void Protocol::start() {
         i, [this, i](const net::Message& msg) { on_message(i, msg); });
 
     if (policy_->sleeps()) {
-      // Enter the duty cycle immediately; first wake is jittered so the
-      // network does not sample in lock-step.
+      // Enter the duty cycle immediately; first wake is drawn uniformly in
+      // [0, initial interval] so the network does not sample in lock-step.
       const sim::Duration first =
-          config_.jitter_initial_wake
-              ? wake_rng_.uniform(0.0, policy_->initial_interval())
-              : policy_->initial_interval();
+          wake_rng_.uniform(0.0, policy_->initial_interval());
       nodes_[i].asleep = true;
       nodes_[i].meter.set_mode(energy::PowerMode::kSleep, simulator_.now());
       network_.set_listening(i, false);
@@ -285,7 +282,9 @@ void Protocol::enter_alert(std::uint32_t i) {
   ++stats_.alert_entries;
   rt.policy.sleep_interval = policy_->initial_interval();  // restart on return
   rt.recheck_at = simulator_.now() + config_.alert_recheck_s;
-  if (policy_->wants_alert_participation()) maybe_push_response(i);
+  if (policy_->wants_alert_participation()) {
+    maybe_push_response(i, rt.last_pushed_prediction);
+  }
   plan_recheck(i);
 }
 
@@ -295,7 +294,7 @@ void Protocol::on_alert_recheck(std::uint32_t i) {
   if (n.failed || rt.state != NodeState::kAlert) return;
 
   const sim::Time now = simulator_.now();
-  book_rechecks(i, now);  // the instants skipped before this one
+  const sim::Time predicted = rt.predicted_arrival;
   refresh_estimates(i);
 
   if (!policy_->on_evaluate(rt.policy, now, rt.predicted_arrival)) {
@@ -304,7 +303,7 @@ void Protocol::on_alert_recheck(std::uint32_t i) {
     demote_to_safe(i);
     return;
   }
-  if (policy_->wants_alert_participation()) maybe_push_response(i);
+  if (policy_->wants_alert_participation()) maybe_push_response(i, predicted);
   rt.recheck_at = now + config_.alert_recheck_s;
   plan_recheck(i);
 }
@@ -319,8 +318,8 @@ void Protocol::plan_recheck(std::uint32_t i) {
   const sim::Time oldest =
       ttl > 0.0 ? rt.table.oldest_received_at() : sim::kNever;
   const bool pushes = policy_->wants_alert_participation();
-  // What on_alert_recheck at t would do besides booking a suppression:
-  // refresh_estimates() drops a row, or the push filters let a push pass.
+  // What on_alert_recheck at t can change besides the prediction and the
+  // policy's verdict: refresh_estimates() drops a row, or a push passes.
   const auto expires = [&](sim::Time t) { return oldest < t - ttl; };
   const auto pushes_at = [&](sim::Time t) { return pushes && push_due(rt, t); };
 
@@ -359,27 +358,6 @@ void Protocol::plan_recheck(std::uint32_t i) {
     rt.recheck_timer.arm_at(t);
   }
   rt.recheck_due = t;
-}
-
-void Protocol::book_rechecks(std::uint32_t i, sim::Time through) {
-  Runtime& rt = runtime_[i];
-  std::uint64_t skipped = 0;
-  // The armed instant runs for real; only the ones before it are booked.
-  while (rt.recheck_at <= through && rt.recheck_at < rt.recheck_due) {
-    rt.recheck_at += config_.alert_recheck_s;
-    ++skipped;
-  }
-  // A recheck that changes nothing still offers a push under a
-  // participating policy, and the push filters suppress it.
-  if (policy_->wants_alert_participation()) {
-    stats_.pushes_suppressed += skipped;
-  }
-}
-
-void Protocol::settle() {
-  // run_until ran the events at its deadline, so instants at now count.
-  const sim::Time now = simulator_.now();
-  for (std::uint32_t i = 0; i < runtime_.size(); ++i) book_rechecks(i, now);
 }
 
 void Protocol::demote_to_safe(std::uint32_t i) {
@@ -442,11 +420,12 @@ bool Protocol::push_due(const Runtime& rt, sim::Time t) const {
                             config_.rebroadcast_abs_floor_s);
 }
 
-void Protocol::maybe_push_response(std::uint32_t i) {
+void Protocol::maybe_push_response(std::uint32_t i, sim::Time before) {
   Runtime& rt = runtime_[i];
   const sim::Time now = simulator_.now();
   if (!push_due(rt, now)) {
-    ++stats_.pushes_suppressed;
+    // Only a new prediction had something to say.
+    if (rt.predicted_arrival != before) ++stats_.pushes_suppressed;
     return;
   }
   rt.last_push_time = now;
@@ -526,10 +505,8 @@ void Protocol::on_message(std::uint32_t i, const net::Message& msg) {
   if (rt.state == NodeState::kAlert) {
     // §3.2 alert behaviour: re-calculate on every RESPONSE; push own update
     // when the expectation changed significantly; fall back to safe when
-    // the arrival receded beyond the threshold. The rechecks skipped up to
-    // now ran first: each was queued a recheck period before its instant.
+    // the arrival receded beyond the threshold.
     const sim::Time now = simulator_.now();
-    book_rechecks(i, now);
     const sim::Time predicted = rt.predicted_arrival;
     const sim::Time push_time = rt.last_push_time;
     const sim::Time pushed = rt.last_pushed_prediction;
@@ -540,13 +517,16 @@ void Protocol::on_message(std::uint32_t i, const net::Message& msg) {
       demote_to_safe(i);
       return;
     }
-    if (policy_->wants_alert_participation()) maybe_push_response(i);
+    if (policy_->wants_alert_participation()) maybe_push_response(i, predicted);
     // A RESPONSE that leaves the prediction and the push record alone can
     // only move the first instant that acts later, and arming early is
     // exact: a recheck that finds nothing re-plans. So does one due now.
     if ((rt.predicted_arrival != predicted || rt.last_push_time != push_time ||
          rt.last_pushed_prediction != pushed) &&
         rt.recheck_due > now) {
+      // The plan starts from recheck_at: step it past the quiet instants up
+      // to now (each recheck is queued a period before its instant).
+      while (rt.recheck_at <= now) rt.recheck_at += config_.alert_recheck_s;
       plan_recheck(i);
     }
   }
@@ -570,10 +550,6 @@ void Protocol::on_failure(std::uint32_t i) {
 
 void Protocol::cancel_pending(std::uint32_t i) {
   Runtime& rt = runtime_[i];
-  // Leaving the alert state: a detection or failure now was queued at
-  // start, before any recheck due now, and a RESPONSE or recheck that
-  // demotes has booked its instants already.
-  book_rechecks(i, std::nextafter(simulator_.now(), sim::kLongAgo));
   rt.recheck_at = sim::kNever;
   rt.recheck_due = sim::kNever;
   rt.wake_timer.cancel();

@@ -21,14 +21,9 @@
 // at grid instant t changes something only if a peer row expires, the
 // prediction folds to another value, the policy declines to stay alert, or
 // a push is due; recheck_timer is armed at the first such instant, or
-// after at most 1024 quiet ones (plan_recheck), and each instant before it
-// is booked as the recheck would have booked it: one pushes_suppressed
-// under a participating policy, nothing otherwise. Booking happens when a
-// RESPONSE reaches the alert node (instants ≤ now: each recheck was queued
-// a period before it), when the node leaves alert by detection, failure or
-// demotion (instants < now: arrivals and failures are queued at start) and
-// in settle(). Coverage is checked only under a model that recedes
-// (StimulusModel::recedes()).
+// after at most 1024 quiet ones (plan_recheck). The instants before it
+// change nothing, so skipping them loses nothing. Coverage is checked only
+// under a model that recedes (StimulusModel::recedes()).
 //
 // Detection semantics follow §4.1: an *active* node detects the stimulus the
 // instant it arrives (scheduled from the ground-truth ArrivalMap); a
@@ -68,9 +63,10 @@ struct ProtocolStats {
   std::uint64_t requests_sent = 0;
   std::uint64_t responses_sent = 0;
   std::uint64_t responses_pushed = 0;
-  /// Alert-phase pushes skipped by the rate limiter / significance filter —
-  /// transmissions the protocol decided not to spend energy on. Rechecks
-  /// that change nothing are booked here lazily: complete after settle().
+  /// Alert-phase prediction changes the rate limiter or the significance
+  /// filter kept from being pushed: one per alert entry, RESPONSE or
+  /// recheck under a participating policy whose prediction differs from the
+  /// one before it (at entry: from the last pushed one) and is not pushed.
   std::uint64_t pushes_suppressed = 0;
   std::uint64_t messages_received = 0;
   std::uint64_t alert_entries = 0;
@@ -112,11 +108,6 @@ class Protocol {
   /// Schedules initial wake-ups, stimulus arrivals and failures. Call once,
   /// before Simulator::run_until.
   void start();
-
-  /// Books every alert node's skipped rechecks up to and including now().
-  /// Call once the simulator has run to its horizon and before reading
-  /// stats(): until then pushes_suppressed lacks the skipped instants.
-  void settle();
 
   [[nodiscard]] NodeState state_of(std::uint32_t id) const {
     return runtime_.at(id).state;
@@ -161,9 +152,9 @@ class Protocol {
     sim::Time last_pushed_prediction = sim::kNever;
     sim::Time last_push_time = sim::kLongAgo;
     sim::Time last_seen_covered = sim::kNever;
-    /// Alert recheck grid: the first instant neither run nor booked, and
-    /// the instant recheck_timer is armed at. Both are kNever outside the
-    /// alert state.
+    /// Alert recheck grid: the first instant not yet run or walked past,
+    /// and the instant recheck_timer is armed at. Both are kNever outside
+    /// the alert state.
     sim::Time recheck_at = sim::kNever;
     sim::Time recheck_due = sim::kNever;
     bool awaiting_eval = false;
@@ -193,15 +184,15 @@ class Protocol {
   void go_to_sleep(std::uint32_t i);
   void send_request(std::uint32_t i);
   void send_response(std::uint32_t i);
-  void maybe_push_response(std::uint32_t i);
+  /// Offers the node's prediction for a push; `before` is its prediction
+  /// before the event that offers it.
+  void maybe_push_response(std::uint32_t i, sim::Time before);
   /// Whether a push offered at `t` passes the rate limiter and the
   /// significance filter. Monotone in t for fixed push state and prediction.
   [[nodiscard]] bool push_due(const Runtime& rt, sim::Time t) const;
   /// Arms recheck_timer at the first grid instant from recheck_at where a
   /// recheck can change something, or earlier.
   void plan_recheck(std::uint32_t i);
-  /// Books the grid instants ≤ `through` before the armed one.
-  void book_rechecks(std::uint32_t i, sim::Time through);
   /// Recomputes expected velocity + predicted arrival from the peer table.
   void refresh_estimates(std::uint32_t i);
   void cancel_pending(std::uint32_t i);

@@ -54,7 +54,6 @@ void Network::assign(std::vector<geom::Vec2> positions, RadioConfig config,
   stats_ = Stats{};
   // Hooks capture the previous world's state; a fresh Network has none.
   tx_hook_ = EnergyHook{};
-  rx_hook_ = EnergyHook{};
   alert_handler_ = AlertHandler{};
   mac_ = nullptr;
 
@@ -101,7 +100,6 @@ bool Network::channel_roll(std::uint32_t from, std::uint32_t to) {
 
 void Network::deliver_from_mac(const Message& msg, std::uint32_t to) {
   ++stats_.deliveries;
-  if (rx_hook_) rx_hook_(to, msg.size_bits());
   if (msg.type() == MessageType::kAlert) {
     if (alert_handler_) alert_handler_(msg, to);
     return;
@@ -157,7 +155,6 @@ void Network::fan_out(const Message& msg) {
       continue;
     }
     ++stats_.deliveries;
-    if (rx_hook_) rx_hook_(to, msg.size_bits());
     if (handlers_[to]) handlers_[to](msg);
   }
 }

@@ -3,9 +3,9 @@
 // Nodes communicate by local broadcast within a fixed disk range (the
 // paper's experiments use 10 m). A transmission reaches every in-range,
 // listening, non-failed neighbor after MAC jitter + time-on-air; each
-// (link, packet) pair independently consults the channel model. Energy is
-// reported through hooks so the net layer stays independent of the energy
-// layer's bookkeeping.
+// (link, packet) pair independently consults the channel model. Transmit
+// energy is reported through a hook so the net layer stays independent of
+// the energy layer's bookkeeping.
 //
 // Without a MAC, a broadcast is one simulator event that walks the sender's
 // neighbor list in ascending id order and runs each receiver's checks and
@@ -108,10 +108,9 @@ class Network {
   /// called from a handler takes effect only after the rest of the fan-out.
   void broadcast(std::uint32_t from, Message msg);
 
-  /// Energy hooks: tx fires once per broadcast, rx once per delivery.
-  /// (With a MAC attached, tx energy is charged by the MAC instead.)
+  /// Energy hook: fires once per broadcast. (With a MAC attached, tx
+  /// energy is charged by the MAC instead.)
   void set_tx_hook(EnergyHook hook) { tx_hook_ = std::move(hook); }
-  void set_rx_hook(EnergyHook hook) { rx_hook_ = std::move(hook); }
 
   /// Attaches (or detaches, with nullptr) a slotted LPL MAC. While attached,
   /// broadcast() routes through the MAC's CCA/backoff/preamble machinery and
@@ -132,7 +131,7 @@ class Network {
   /// attached MAC consults this after collision resolution.
   [[nodiscard]] bool channel_roll(std::uint32_t from, std::uint32_t to);
 
-  /// MAC-successful reception: runs stats/rx-hook/handler dispatch for `to`.
+  /// MAC-successful reception: runs stats/handler dispatch for `to`.
   void deliver_from_mac(const Message& msg, std::uint32_t to);
 
   struct Stats {
@@ -169,7 +168,6 @@ class Network {
   std::vector<sim::Pcg32> link_rng_;  // per receiver
   sim::Pcg32 jitter_rng_;
   EnergyHook tx_hook_;
-  EnergyHook rx_hook_;
   Stats stats_;
 };
 

@@ -91,10 +91,10 @@ struct ScenarioConfig {
 };
 
 /// Structured run telemetry: kernel and protocol counters accumulated over
-/// one or more runs. A single RunResult carries runs == 1; campaign code
-/// add()s every replication's RunMetrics into one of these per point. All
-/// fields are pure functions of the configs + seeds involved, so telemetry
-/// is byte-reproducible however the runs were scheduled.
+/// one or more runs. Campaign code add()s every replication's RunMetrics
+/// into one of these per point. All fields are pure functions of the
+/// configs + seeds involved, so telemetry is byte-reproducible however the
+/// runs were scheduled.
 struct RunTelemetry {
   std::size_t runs = 0;
   metrics::KernelStats kernel{};
@@ -116,7 +116,6 @@ struct RunResult {
   std::vector<metrics::NodeOutcome> outcomes;
   std::vector<geom::Vec2> positions;
   sim::TraceLog trace;
-  RunTelemetry telemetry{};
   /// Deployment attempts consumed before a connected layout was found.
   std::size_t deployment_attempts = 1;
 };

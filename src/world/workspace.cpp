@@ -165,10 +165,8 @@ void Workspace::execute(const ScenarioConfig& config,
                           collection);
   protocol.start();
   simulator_.run_until(config.duration_s);
-  // The protocol books its alert nodes' skipped rechecks and the MAC its
-  // sleepers' idle slot samples lazily; bring both up to the horizon before
-  // outcomes and stats are read.
-  protocol.settle();
+  // The MAC books its sleepers' idle slot samples lazily; bring it up to the
+  // horizon before outcomes and stats are read.
   if (config.mac.enabled) mac_->settle();
 
   for (auto& n : nodes_) n.meter.finalize(config.duration_s);
@@ -211,7 +209,6 @@ RunResult Workspace::run(const ScenarioConfig& config) {
   result.positions = positions_;
   result.outcomes = outcomes_;
   result.metrics = metrics_;
-  result.telemetry.add(metrics_);
   result.deployment_attempts = deployment_attempts_;
   return result;
 }

@@ -1,9 +1,9 @@
 // Lazy alert rechecks are exact: an alert node's recheck timer fires only
-// where a recheck can change something, and every grid instant in between
-// is booked as the recheck would have booked it. Each expectation here is
+// where a recheck can change something. Each timing expectation here is
 // computed from the grid itself (t += alert_recheck_s from the alert
-// entry), so a timer armed one instant late, or a booking one instant
-// long or short, fails.
+// entry), so a timer armed one instant late fails. pushes_suppressed counts
+// only the new predictions the push filters withhold, so it reads the same
+// whatever the grid and wherever the timer is armed.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -89,12 +89,21 @@ struct LineWorld {
   std::unique_ptr<Protocol> protocol;
 };
 
-/// Grid instants after `entry` (entry excluded) up to and including `end`.
-std::uint64_t instants_through(sim::Time entry, sim::Duration step,
-                               sim::Time end) {
-  std::uint64_t n = 0;
-  for (sim::Time t = entry + step; t <= end; t += step) ++n;
-  return n;
+/// Has B (node 1) broadcast a RESPONSE at `at` reporting detection at
+/// `detected_at` and velocity `velocity`.
+void report_from_b(LineWorld& w, sim::Time at, sim::Time detected_at,
+                   geom::Vec2 velocity) {
+  w.simulator.schedule_at(at, [&w, detected_at, velocity] {
+    net::Message msg;
+    net::ResponsePayload& r = msg.payload.emplace<net::ResponsePayload>();
+    r.position = w.positions[1];
+    r.state = encode(NodeState::kCovered);
+    r.velocity = velocity;
+    r.velocity_valid = true;
+    r.predicted_arrival = detected_at;
+    r.detected_at = detected_at;
+    w.network->broadcast(1, msg);
+  });
 }
 
 TEST(ProtocolRecheck, StableTableDemotesAtFirstOverdueInstant) {
@@ -151,93 +160,105 @@ TEST(ProtocolRecheck, RowExpiryDemotesAtFirstExpiringInstant) {
   EXPECT_EQ(w.first(sim::TraceKind::kArrivalReceded), expected);
 }
 
-TEST(ProtocolRecheck, SettleBooksOneSuppressionPerInstantUnderPas) {
-  // Stop while X is still alert, once between two instants and once on an
-  // instant exactly: run_until runs the events at its deadline, so settle()
-  // books that instant too.
-  for (const bool on_instant : {false, true}) {
-    ProtocolConfig cfg = ProtocolConfig::pas();
-    LineWorld w(cfg, 10.0);
-    const sim::Time entry = w.run_to_alert();
-    sim::Time horizon = entry;
-    for (int k = 0; k < 15; ++k) horizon += cfg.alert_recheck_s;
-    if (!on_instant) horizon += 0.5 * cfg.alert_recheck_s;
-    w.simulator.run_until(horizon);
-    ASSERT_EQ(w.protocol->state_of(kX), NodeState::kAlert);
-    w.protocol->settle();
-    // The entry pushed; the table never changed after it, so each instant
-    // found nothing to push.
-    EXPECT_EQ(w.protocol->stats().responses_pushed, 1U);
-    EXPECT_EQ(w.protocol->stats().pushes_suppressed,
-              instants_through(entry, cfg.alert_recheck_s, horizon))
-        << "on_instant " << on_instant;
-    w.protocol->settle();  // idempotent
-    EXPECT_EQ(w.protocol->stats().pushes_suppressed,
-              instants_through(entry, cfg.alert_recheck_s, horizon));
+TEST(ProtocolRecheck, StableTableSuppressesNothing) {
+  // X's table never changes after its entry push, so no recheck offers a
+  // new prediction (on the 10 ms grid a recheck fires after every 1,024
+  // quiet instants and finds nothing), and the demotion offers no push.
+  for (const ProtocolConfig& base :
+       {ProtocolConfig::pas(), ProtocolConfig::sas()}) {
+    for (const sim::Duration period : {1.0, 0.01}) {
+      ProtocolConfig cfg = base;
+      cfg.alert_recheck_s = period;
+      cfg.observation_ttl_s = 0.0;
+      LineWorld w(cfg, 10.0);
+      const sim::Time entry = w.run_to_alert();
+      const std::uint64_t pushes =
+          w.protocol->sleeping_policy().wants_alert_participation() ? 1 : 0;
+      const ProtocolStats& stats = w.protocol->stats();
+      sim::Time horizon = entry;
+      for (int k = 0; k < 15; ++k) horizon += period;
+      w.simulator.run_until(horizon);
+      ASSERT_EQ(w.protocol->state_of(kX), NodeState::kAlert);
+      EXPECT_EQ(stats.responses_pushed, pushes);
+      EXPECT_EQ(stats.pushes_suppressed, 0U)
+          << w.protocol->sleeping_policy().name() << " period " << period;
+
+      w.simulator.run_until(120.0);
+      ASSERT_LT(w.first(sim::TraceKind::kArrivalReceded), sim::kNever);
+      // Back to safe X hears B's detection again, but with the safe
+      // tolerance the prediction is overdue: X never re-enters alert.
+      EXPECT_EQ(stats.alert_entries, 1U);
+      EXPECT_EQ(stats.responses_pushed, pushes);
+      EXPECT_EQ(stats.pushes_suppressed, 0U)
+          << w.protocol->sleeping_policy().name() << " period " << period;
+    }
   }
 }
 
-TEST(ProtocolRecheck, SettleBooksNothingUnderSas) {
-  LineWorld w(ProtocolConfig::sas(), 10.0);
-  w.run_to_alert();
-  w.simulator.run_until(45.0);
-  ASSERT_EQ(w.protocol->state_of(kX), NodeState::kAlert);
-  w.protocol->settle();
-  EXPECT_EQ(w.protocol->stats().pushes_suppressed, 0U);
+TEST(ProtocolRecheck, SubFloorChangeIsSuppressedOnce) {
+  // Past the push gap, B reports a front that moves X's prediction by
+  // 0.2 s, under the significance floor: the filter withholds that change
+  // once. The same report again leaves the prediction where it is, and an
+  // unchanged prediction has nothing to withhold.
+  ProtocolConfig cfg = ProtocolConfig::pas();
+  LineWorld w(cfg, 10.0);
+  const sim::Time entry = w.run_to_alert();
+  const sim::Time p0 = w.protocol->predicted_arrival_of(kX);
+  const ProtocolStats& stats = w.protocol->stats();
+  ASSERT_EQ(stats.responses_pushed, 1U);
+
+  // X is 6 m down the line from B: at 0.5 m/s the front takes 12 s.
+  const sim::Time detected = p0 - 12.0 + 0.2;
+  const sim::Time inject = entry + cfg.min_push_gap_s + 0.37;
+  report_from_b(w, inject, detected, {0.5, 0.0});
+  report_from_b(w, inject + 2.0, detected, {0.5, 0.0});
+
+  w.simulator.run_until(inject + 0.5);
+  const sim::Time p1 = w.protocol->predicted_arrival_of(kX);
+  ASSERT_NE(p1, p0);
+  ASSERT_LT(std::abs(p1 - p0), cfg.rebroadcast_abs_floor_s);
+  EXPECT_EQ(stats.pushes_suppressed, 1U);
+
+  w.simulator.run_until(inject + 2.5);
+  ASSERT_EQ(w.protocol->predicted_arrival_of(kX), p1);
+  EXPECT_EQ(stats.pushes_suppressed, 1U);
+
+  w.simulator.run_until(120.0);
+  ASSERT_LT(w.first(sim::TraceKind::kArrivalReceded), sim::kNever);
+  EXPECT_EQ(stats.responses_pushed, 1U);
+  EXPECT_EQ(stats.pushes_suppressed, 1U);
 }
 
-TEST(ProtocolRecheck, DemotionBooksTheInstantsBeforeIt) {
-  // Also on a 10 ms grid, where the early rechecks count their own
-  // suppressions and the booked instants must not count them again.
-  for (const sim::Duration period : {1.0, 0.01}) {
-    ProtocolConfig cfg = ProtocolConfig::pas();
-    cfg.alert_recheck_s = period;
-    cfg.observation_ttl_s = 0.0;
-    LineWorld w(cfg, 10.0);
-    const sim::Time entry = w.run_to_alert();
-    w.simulator.run_until(120.0);
-    w.protocol->settle();
-    const sim::Time demoted = w.first(sim::TraceKind::kArrivalReceded);
-    ASSERT_LT(demoted, sim::kNever);
-    // Back to safe X hears B's detection again, but with the safe
-    // tolerance the prediction is overdue: X never re-enters alert.
-    EXPECT_EQ(w.protocol->stats().alert_entries, 1U);
-    EXPECT_EQ(w.protocol->stats().pushes_suppressed,
-              instants_through(entry, period, demoted) - 1)
-        << "period " << period;
-  }
-}
-
-TEST(ProtocolRecheck, DetectionBooksOnlyTheInstantsBeforeIt) {
+TEST(ProtocolRecheck, DetectionMidAlertAddsNothing) {
   // No max radius: the front reaches X at 33, mid-way through its alert
   // phase, and the arrival cancels the rest.
-  ProtocolConfig cfg = ProtocolConfig::pas();
-  LineWorld w(cfg, 1e9);
-  const sim::Time entry = w.run_to_alert();
+  LineWorld w(ProtocolConfig::pas(), 1e9);
+  w.run_to_alert();
+  w.simulator.run_until(std::nextafter(33.0, 0.0));
+  ASSERT_EQ(w.protocol->state_of(kX), NodeState::kAlert);
+  const std::uint64_t before = w.protocol->stats().pushes_suppressed;
+  EXPECT_EQ(before, 0U);
   w.simulator.run_until(120.0);
-  w.protocol->settle();
   ASSERT_EQ(w.nodes[kX].detected, 33.0);
-  EXPECT_EQ(w.protocol->stats().pushes_suppressed,
-            instants_through(entry, cfg.alert_recheck_s,
-                             std::nextafter(33.0, 0.0)));
+  EXPECT_EQ(w.protocol->stats().pushes_suppressed, before);
 }
 
-TEST(ProtocolRecheck, FailureBooksOnlyTheInstantsBeforeIt) {
+TEST(ProtocolRecheck, FailureMidAlertAddsNothing) {
   node::FailureConfig kill;
   kill.fraction = 1.0;  // everyone, after X is alert and before it demotes
   kill.window_start_s = 35.0;
   kill.window_end_s = 45.0;
   const node::FailurePlan plan(3, kill, sim::Pcg32(5, 5));
-  ProtocolConfig cfg = ProtocolConfig::pas();
-  LineWorld w(cfg, 10.0, &plan);
-  const sim::Time entry = w.run_to_alert();
-  w.simulator.run_until(120.0);
-  w.protocol->settle();
-  ASSERT_TRUE(w.nodes[kX].failed);
+  LineWorld w(ProtocolConfig::pas(), 10.0, &plan);
+  w.run_to_alert();
   const sim::Time death = plan.death_time(kX);
-  EXPECT_EQ(w.protocol->stats().pushes_suppressed,
-            instants_through(entry, cfg.alert_recheck_s,
-                             std::nextafter(death, 0.0)));
+  w.simulator.run_until(std::nextafter(death, 0.0));
+  ASSERT_EQ(w.protocol->state_of(kX), NodeState::kAlert);
+  const std::uint64_t before = w.protocol->stats().pushes_suppressed;
+  EXPECT_EQ(before, 0U);
+  w.simulator.run_until(120.0);
+  ASSERT_TRUE(w.nodes[kX].failed);
+  EXPECT_EQ(w.protocol->stats().pushes_suppressed, before);
 }
 
 TEST(ProtocolRecheck, RateLimitedPushGoesOutAtTheNextDueInstant) {
@@ -254,17 +275,7 @@ TEST(ProtocolRecheck, RateLimitedPushGoesOutAtTheNextDueInstant) {
 
   const sim::Time inject = w.simulator.now() + 0.37;
   ASSERT_LT(inject, entry + cfg.min_push_gap_s);
-  w.simulator.schedule_at(inject, [&w] {
-    net::Message msg;
-    net::ResponsePayload& r = msg.payload.emplace<net::ResponsePayload>();
-    r.position = w.positions[1];
-    r.state = encode(NodeState::kCovered);
-    r.velocity = {1.0, 0.0};
-    r.velocity_valid = true;
-    r.predicted_arrival = 21.0;
-    r.detected_at = 21.0;
-    w.network->broadcast(1, msg);
-  });
+  report_from_b(w, inject, 21.0, {1.0, 0.0});
   w.simulator.run_until(inject + 0.5);
   ASSERT_EQ(w.protocol->predicted_arrival_of(kX), 27.0);
   w.simulator.run_until(120.0);
@@ -278,6 +289,10 @@ TEST(ProtocolRecheck, RateLimitedPushGoesOutAtTheNextDueInstant) {
     expected += cfg.alert_recheck_s;
   }
   EXPECT_EQ(w.first(sim::TraceKind::kResponse, inject), expected);
+  // The change to 27 was withheld once, inside the gap; the push at
+  // `expected` offered it unchanged.
+  EXPECT_EQ(w.protocol->stats().responses_pushed, 2U);
+  EXPECT_EQ(w.protocol->stats().pushes_suppressed, 1U);
 }
 
 TEST(ProtocolRecheck, RadialFrontArmsNoCoverageChecks) {

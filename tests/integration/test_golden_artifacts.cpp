@@ -146,16 +146,16 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(
         Golden{"campaign.json", 17042971334073829149ULL,
                16397852881255652736ULL, 10012525492705850481ULL,
-               12915812278955992231ULL, 13857840388211272334ULL},
+               12671814465202332780ULL, 17271013767233444511ULL},
         Golden{"multihop_collection.json", 7006999060155547865ULL,
                4349560563103632640ULL, 13919728368572123161ULL,
-               14641383949834947708ULL, 4695342946260065068ULL},
+               17532767186396360498ULL, 17989645347835967074ULL},
         Golden{"policy_comparison.json", 8822445188169476681ULL,
                676889675622163775ULL, 11049284904442039818ULL,
-               7643724231371699699ULL, 9742101021094334608ULL},
+               14219588100399483485ULL, 13766418457376429054ULL},
         Golden{"replication_study.json", 7275074175305668456ULL,
                19123452673300734ULL, 4563878389816656611ULL,
-               14566642591180527117ULL, 1008886837756498478ULL}),
+               6752231203436269516ULL, 17314286783993217955ULL}),
     [](const ::testing::TestParamInfo<Golden>& info) {
       std::string name = info.param.manifest;
       name.resize(name.find('.'));
